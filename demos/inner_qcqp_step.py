@@ -1,10 +1,10 @@
 """One inner precoder update, inspected.
 
 Freezes equalizers and weights at their optima for a random precoder,
-assembles the convex quadratic subproblem, and solves it with the cone
-interior-point kernel. Prints the objective drop, the recomputed KKT
-residual, how the power budget is used, and which user's common-MSE
-epigraph constraint carries the max (its simplex multiplier).
+assembles the convex quadratic subproblem, and solves it by Newton's
+method on its (K+1)-multiplier dual. Prints the objective drop, the
+recomputed KKT residual, how the power budget is used, and which user's
+common-MSE epigraph constraint carries the max (its simplex multiplier).
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ def main(seed=3, snr_db=20.0, alpha=0.6, m=200):
     sol = solve(q, warm=p0)
     after = sol.objective + q.omitted_constant
 
-    print(f"solver status      : {sol.status} in {sol.iterations} IPM iterations")
+    print(f"solver status      : {sol.status} in {sol.iterations} Newton steps")
     print(f"objective at start : {before:.8f}")
     print(f"objective at solve : {after:.8f}  (drop {before - after:.8f})")
     print(f"recomputed KKT res : {kkt_residual(q, sol):.2e}")

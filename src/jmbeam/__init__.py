@@ -4,8 +4,8 @@ per-user private precoders.
 
 The optimization minimizes a sample-averaged weighted sum-MSE surrogate
 by alternating closed-form receiver/weight updates with a convex
-quadratically constrained precoder update, solved by an interior-point
-method on its second-order cone form. The package also ships the
+quadratically constrained precoder update, solved by Newton's method on
+its Lagrange dual in K+1 multipliers. The package also ships the
 zero-forcing baselines and a deterministic experiment harness.
 """
 

@@ -134,8 +134,8 @@ def make_draw(rng, cfg):
     """Draw a true channel and its estimate.
 
     The error is CN(0, sigma_e2) per entry and the estimate is the true
-    channel minus the error, i.e. estimation noise independent of the
-    estimate itself.
+    channel minus the error, so the error is independent of the true
+    channel (not of the estimate).
     """
     h = draw_channel(rng, cfg)
     sigma_e2 = cfg.sigma_e2

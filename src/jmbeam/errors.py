@@ -37,7 +37,8 @@ class DegenerateMmse(JmbeamError):
 
 
 class NumericalBreakdown(JmbeamError):
-    """The interior-point solver could not factorize its Newton system
+    """The cone interior-point kernel (jmbeam.socp, a reference solver
+    off the precoder-update path) could not factorize its Newton system
     even after regularization."""
 
 

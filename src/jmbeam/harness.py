@@ -176,7 +176,6 @@ class EsrRecord:
     n_channels: int
     m: int
     seed: int
-    wall_time: float = 0.0
 
 
 def cell_seed(master_seed, alpha, snr_db, channel):
@@ -237,7 +236,6 @@ def run_single(cfg, scheme, snr_db, alpha, seed):
 def _channel_task(cfg, alpha, snr_db, channel):
     """All schemes on one paired channel draw; failures stay local."""
     seed = cell_seed(cfg.master_seed, alpha, snr_db, channel)
-    t0 = time.perf_counter()
     out = []
     for scheme in cfg.schemes:
         try:
@@ -245,7 +243,7 @@ def _channel_task(cfg, alpha, snr_db, channel):
             out.append((scheme, sr, ""))
         except JmbeamError as e:
             out.append((scheme, math.nan, f"{type(e).__name__}: {e}"))
-    return out, time.perf_counter() - t0
+    return out
 
 
 def _task_star(args):
@@ -255,11 +253,9 @@ def _task_star(args):
 def _reduce(cfg, tasks, results):
     """Ordered aggregation of completed channel tasks into records."""
     srs = {}
-    durs = {}
     failures = []
     details = []
-    for (alpha, snr_db, channel), (outcomes, dur) in zip(tasks, results):
-        durs[(alpha, snr_db)] = durs.get((alpha, snr_db), 0.0) + dur
+    for (alpha, snr_db, channel), outcomes in zip(tasks, results):
         for scheme, sr, err in outcomes:
             if err:
                 failures.append(
@@ -291,7 +287,6 @@ def _reduce(cfg, tasks, results):
                         n_channels=n,
                         m=cfg.m,
                         seed=cfg.master_seed,
-                        wall_time=durs.get((alpha, snr_db), 0.0),
                     )
                 )
     return records, failures, details

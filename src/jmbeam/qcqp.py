@@ -1,4 +1,4 @@
-"""Convex precoder-update QCQP: construction, interior-point solution,
+"""Convex precoder-update QCQP: construction, dual Newton solution,
 and independent KKT verification.
 
 The precoder update minimizes, over the precoder matrix P and the common
@@ -17,11 +17,15 @@ sum_k (sigma_n2*t_p[k] + u_p[k] - v_p[k]) is dropped from the objective
 and recorded so reported values can be rebased to the true average
 weighted sum-MSE.
 
-The solver lifts complex variables to reals, rewrites each quadratic
-through its Cholesky factor as a second-order cone, and runs the
-predictor-corrector kernel in :mod:`jmbeam.socp`. P = 0 with a large
-enough xi_c is strictly feasible, so the problems are never infeasible
-by construction.
+For fixed multipliers (mu on the simplex for the K common-MSE
+constraints, mu_pow >= 0 for the budget) the Lagrangian has a closed-form
+minimizer in P, so the dual is a smooth concave problem in K+1 numbers
+(the WMMSE device of Christensen et al., IEEE TWC 2008, and Shi et al.,
+IEEE TSP 2011). The solver follows its log-barrier path with Newton
+steps on analytic derivatives, then polishes the primal-dual point on
+its active set and certifies it by a recomputed KKT residual. P = 0 with
+a large enough xi_c is strictly feasible, so the problems are never
+infeasible by construction.
 """
 
 import itertools
@@ -29,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import socp
-from .errors import NumericalBreakdown
 from .linalg import cholesky_psd
 from .receivers import precoder_power
 
@@ -42,11 +44,7 @@ __all__ = [
     "kkt_residual",
     "objective_value",
     "constraint_values",
-    "dump_problem",
 ]
-
-# diagonal shift used when a component matrix fails strict factorization
-_CHOL_SHIFT_REL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +84,6 @@ class QcqpSolution:
     status: str
     mu: np.ndarray
     mu_pow: float
-    pres: float
-    dres: float
-    rel_gap: float
 
 
 def build(components, sigma_n2, p_t, include_common=True):
@@ -130,17 +125,6 @@ def constraint_values(q, p):
     return quad_all + q.con_const - lin
 
 
-def _chol_factor(psi):
-    """Cholesky with the documented fallback shift for round-off PSD."""
-    try:
-        return cholesky_psd(psi, shift=0.0)
-    except Exception:
-        pass
-    n = psi.shape[0]
-    shift = _CHOL_SHIFT_REL * max(float(np.trace(psi).real), 1.0) / n
-    return cholesky_psd(psi, shift=shift)
-
-
 def _lift(mat):
     """Real lifting of a complex matrix action: [Re; Im] stacking."""
     return np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
@@ -150,130 +134,125 @@ def _lift_vec(v):
     return np.concatenate([v.real, v.imag])
 
 
-class _Encoding:
-    """Index bookkeeping for the real-lifted SOC form.
+def _dual(q, z):
+    """Lagrange dual function at z = (mu, mu_pow * p_t) with derivatives.
 
-    Variable layout: one 2*n_t real block per precoder column (common
-    first when present), then xi_c (JMB only), then the objective
-    epigraph tau.
+    For fixed multipliers the Lagrangian is minimized in closed form: the
+    private columns solve (psi_obj + A + mu_pow I) p_j = f_obj[j] and the
+    common column solves (A + mu_pow I) p_c = sum_u mu_u f_con[u], with
+    A = sum_u mu_u psi_con[u]. The gradient is the constraint values at
+    that minimizer; the Hessian follows from differentiating the two
+    linear systems. The power multiplier is scaled by p_t so that both
+    coordinate groups have O(1) gradients whatever the budget.
+
+    Returns (value, gradient, Hessian, P), or None where the minimizer is
+    not finite (a singular system).
     """
-
-    def __init__(self, q):
-        self.q = q
-        self.n_t = q.n_t
-        self.k = q.k
-        self.ncols = q.k + 1 if q.include_common else q.k
-        self.blk = 2 * q.n_t
-        self.n_p = self.ncols * self.blk
+    n_t, p_t = q.n_t, q.p_t
+    mu, mu_pow = z[:-1], z[-1] / p_t
+    pow_eye = mu_pow * np.eye(n_t)
+    p = np.zeros((n_t, q.k + 1), dtype=complex)
+    if q.include_common:
+        a_mu = np.einsum("u,unm->nm", mu, q.psi_con)
+        b_c = q.f_con.T @ mu
+        m_c = a_mu + pow_eye
+        m_p = q.psi_obj + a_mu + pow_eye
+    else:
+        m_p = q.psi_obj + pow_eye
+    try:
+        p[:, 1:] = np.linalg.solve(m_p, q.f_obj.T)
         if q.include_common:
-            self.i_xi = self.n_p
-            self.i_tau = self.n_p + 1
-            self.n = self.n_p + 2
-        else:
-            self.i_xi = None
-            self.i_tau = self.n_p
-            self.n = self.n_p + 1
+            p[:, 0] = np.linalg.solve(m_c, b_c)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(p)):
+        return None
 
-    def col(self, j):
-        """Slice of lifted column j of P (j = 0 is common when present)."""
-        if not self.q.include_common:
-            j = j - 1
-        return slice(j * self.blk, (j + 1) * self.blk)
-
-    def pack(self, p, xi_c, tau):
-        x = np.zeros(self.n)
-        cols = range(self.ncols) if self.q.include_common else range(1, self.k + 1)
-        for j in cols:
-            x[self.col(j)] = _lift_vec(p[:, j])
-        if self.i_xi is not None:
-            x[self.i_xi] = xi_c
-        x[self.i_tau] = tau
-        return x
-
-    def unpack(self, x):
-        p = np.zeros((self.n_t, self.k + 1), dtype=complex)
-        cols = range(self.ncols) if self.q.include_common else range(1, self.k + 1)
-        for j in cols:
-            b = x[self.col(j)]
-            p[:, j] = b[: self.n_t] + 1j * b[self.n_t :]
-        xi_c = float(x[self.i_xi]) if self.i_xi is not None else 0.0
-        return p, xi_c
+    pw = precoder_power(p)
+    value = -float(np.sum(q.f_obj.conj() * p[:, 1:].T).real) - mu_pow * p_t
+    grad = np.empty(z.size)
+    grad[-1] = (pw - p_t) / p_t
+    if q.include_common:
+        value += float(mu @ q.con_const) - float((b_c.conj() @ p[:, 0]).real)
+        grad[:-1] = constraint_values(q, p)
+        # r[j][:, v]: derivative of column j's stationarity residual in z_v
+        r = np.concatenate(
+            [np.einsum("unm,mj->jnu", q.psi_con, p), p.T[:, :, None]], axis=2
+        )
+        r[0, :, :-1] -= q.f_con.T
+    else:
+        r = p.T[:, :, None]
+    s = np.linalg.solve(m_p, r[1:])
+    hess = -2.0 * np.einsum("jnu,jnv->uv", r[1:].conj(), s).real
+    if q.include_common:
+        hess -= 2.0 * (r[0].conj().T @ np.linalg.solve(m_c, r[0])).real
+    hess[-1, :] /= p_t
+    hess[:, -1] /= p_t
+    return value, grad, hess, p
 
 
-def _encode(q):
-    """Build (c, G, h, dims, enc) for the cone solver.
+def _dual_newton(q, tol, max_iter):
+    """Maximize the dual over mu in the simplex and mu_pow >= 0.
 
-    Cones, in order: objective epigraph, one per common-MSE constraint
-    (JMB only), transmit power ball.
+    Follows the central path of the log barrier t * sum(log z) with
+    damped Newton steps, cutting t a hundredfold whenever the Newton
+    decrement falls below t, until the barrier's duality gap (K+1)*t is
+    far below tol. Returns (z, P, newton_steps, reached); `reached` is
+    False if max_iter steps ran out or the line search failed first.
     """
-    enc = _Encoding(q)
-    n = enc.n
-    k, n_t, blk = enc.k, enc.n_t, enc.blk
+    n_mu = q.k if q.include_common else 0
+    z = np.append(np.full(n_mu, 1.0 / q.k), 1.0)
+    eq = np.append(np.ones(n_mu), 0.0)  # simplex row, JMB only
+    ev = _dual(q, z)
+    t = 1.0
+    steps = 0
+    while steps < max_iter:
+        value, grad, hess, _ = ev
+        g = grad + t / z
+        h = hess - np.diag(t / z**2)
+        if n_mu:
+            kkt = np.zeros((z.size + 1, z.size + 1))
+            kkt[:-1, :-1] = h
+            kkt[-1, :-1] = kkt[:-1, -1] = eq
+            dz = np.linalg.solve(kkt, np.append(-g, 0.0))[:-1]
+        else:
+            dz = -g / h[0, 0]
+        dec = float(g @ dz)
+        phi = value + t * float(np.sum(np.log(z)))
+        if dec <= t or dec <= 1e-15 * (1.0 + abs(phi)):
+            if t * z.size <= 1e-3 * tol * (1.0 + abs(value)):
+                return z, ev[3], steps, True
+            t *= 0.01
+            continue
+        steps += 1
+        neg = dz < 0
+        s = min(1.0, 0.99 * float(np.min(-z[neg] / dz[neg]))) if neg.any() else 1.0
+        for _ in range(50):
+            zn = z + s * dz
+            evn = _dual(q, zn)
+            if evn is not None and (
+                evn[0] + t * float(np.sum(np.log(zn))) >= phi + 0.01 * s * dec
+            ):
+                break
+            s *= 0.5
+        else:
+            break
+        z, ev = zn, evn
+    return z, ev[3], steps, False
 
-    c = np.zeros(n)
-    if enc.i_xi is not None:
-        c[enc.i_xi] = 1.0
-    c[enc.i_tau] = 1.0
-    for j in range(1, k + 1):
-        c[enc.col(j)] = -2.0 * _lift_vec(q.f_obj[j - 1])
 
-    L_obj = _lift(_chol_factor(q.psi_obj).conj().T)  # acts as L^H on lifts
-    L_con = None
-    if q.include_common:
-        L_con = [_lift(_chol_factor(q.psi_con[u]).conj().T) for u in range(k)]
+def _tight_xi(q, p):
+    """Smallest feasible xi_c at P (0 without a common column)."""
+    return float(np.max(constraint_values(q, p))) if q.include_common else 0.0
 
-    rows = []
-    dims = []
 
-    def add_cone(Gb, hb):
-        rows.append((Gb, hb))
-        dims.append(hb.shape[0])
-
-    # objective epigraph: ||(2 L^H p_1; ...; 2 L^H p_k; 1 - tau)|| <= 1 + tau
-    d = 2 + k * blk
-    Gb = np.zeros((d, n))
-    hb = np.zeros(d)
-    Gb[0, enc.i_tau] = -1.0
-    hb[0] = 1.0
-    for j in range(1, k + 1):
-        r = slice(1 + (j - 1) * blk, 1 + j * blk)
-        Gb[r, enc.col(j)] = -2.0 * L_obj
-    Gb[d - 1, enc.i_tau] = 1.0
-    hb[d - 1] = 1.0
-    add_cone(Gb, hb)
-
-    if q.include_common:
-        # user u: ||(2 L_u^H p_0; ...; 2 L_u^H p_k; 1 - r_u)|| <= 1 + r_u
-        # with r_u = xi_c - const[u] + 2 Re{f_c[u]^H p_c}
-        for u in range(k):
-            d = 2 + (k + 1) * blk
-            Gb = np.zeros((d, n))
-            hb = np.zeros(d)
-            f_l = 2.0 * _lift_vec(q.f_con[u])
-            # s_a = 1 + r_u
-            Gb[0, enc.i_xi] = -1.0
-            Gb[0, enc.col(0)] = -f_l
-            hb[0] = 1.0 - q.con_const[u]
-            for j in range(k + 1):
-                r = slice(1 + j * blk, 1 + (j + 1) * blk)
-                Gb[r, enc.col(j)] = -2.0 * L_con[u]
-            # s_c = 1 - r_u
-            Gb[d - 1, enc.i_xi] = 1.0
-            Gb[d - 1, enc.col(0)] = f_l
-            hb[d - 1] = 1.0 + q.con_const[u]
-            add_cone(Gb, hb)
-
-    # power ball: ||vec(P)|| <= sqrt(p_t)
-    d = 1 + enc.n_p
-    Gb = np.zeros((d, n))
-    hb = np.zeros(d)
-    hb[0] = np.sqrt(q.p_t)
-    Gb[1:, : enc.n_p] = -np.eye(enc.n_p)
-    add_cone(Gb, hb)
-
-    G = np.vstack([g for g, _ in rows])
-    h = np.concatenate([hv for _, hv in rows])
-    return c, G, h, dims, enc
+def _feasible(q, p, xi_c):
+    """Within the budget and above every common-MSE value, to 1e-9."""
+    if precoder_power(p) > q.p_t * (1.0 + 1e-9):
+        return False
+    if not q.include_common:
+        return True
+    return float(np.max(constraint_values(q, p))) <= xi_c + 1e-9 * (1.0 + abs(xi_c))
 
 
 def solve(q, tol=1e-8, max_iter=100, warm=None):
@@ -283,12 +262,15 @@ def solve(q, tol=1e-8, max_iter=100, warm=None):
     ----------
     q : QcqpProblem
     tol : float
-        Interior-point tolerance (primal/dual residual and relative gap).
+        Target recomputed KKT residual; the dual path stops far below it.
     max_iter : int
+        Cap on the dual Newton steps.
     warm : optional (n_t, k+1) complex ndarray
-        Incumbent precoder used as the starting point. The returned
-        solution is never worse than the incumbent evaluated at its own
-        best xi_c, which is what makes the outer loop's descent exact.
+        Incumbent precoder. If it is feasible, the returned solution is
+        never worse than the incumbent evaluated at its own best xi_c,
+        which is what makes the outer loop's descent exact.
+
+    The returned point is always feasible to 1e-9.
 
     Returns
     -------
@@ -299,28 +281,24 @@ def solve(q, tol=1e-8, max_iter=100, warm=None):
     NotPsd
         If a component matrix is not PSD within tolerance (convexity
         guard, via the Cholesky factorization).
-    NumericalBreakdown
-        On unrecoverable factorization failure.
     """
-    cvec, G, h, dims, enc = _encode(q)
+    cholesky_psd(q.psi_obj)
+    if q.include_common:
+        for psi in q.psi_con:
+            cholesky_psd(psi)
 
-    x0 = None
-    if warm is not None:
-        warm = np.asarray(warm, dtype=complex)
-        xi_w = float(np.max(constraint_values(q, warm))) if q.include_common else 0.0
-        tau_w = _obj_quad(q, warm)
-        x0 = enc.pack(warm, xi_w + 0.1 * (1.0 + abs(xi_w)), tau_w + 0.1 * (1.0 + tau_w))
+    z, p_star, steps, reached = _dual_newton(q, tol, max_iter)
+    mu, mu_pow = z[:-1], z[-1] / q.p_t
+    pw = precoder_power(p_star)
+    if pw > q.p_t:
+        p_star = p_star * np.sqrt(q.p_t / pw)
+    xi_c_star = _tight_xi(q, p_star)
 
-    res = socp.solve_socp(cvec, G, h, dims, x0=x0, tol=tol, max_iter=max_iter)
-
-    p_star, xi_c_star = enc.unpack(res.x)
-    mu, mu_pow = _recover_multipliers(q, res, dims)
-
-    # Newton polish on the identified active set, kept only if it
-    # verifiably lowers the recomputed optimality residual
+    # Newton polish on the identified active set, kept only if it stays
+    # feasible and verifiably lowers the recomputed optimality residual
     kkt0 = _kkt_terms(q, p_star, xi_c_star, mu, mu_pow)
     pol = _polish(q, p_star, xi_c_star, mu, mu_pow)
-    if pol is not None:
+    if pol is not None and _feasible(q, pol[0], pol[1]):
         kkt1 = _kkt_terms(q, *pol)
         if np.isfinite(kkt1) and kkt1 < kkt0:
             p_star, xi_c_star, mu, mu_pow = pol
@@ -329,72 +307,34 @@ def solve(q, tol=1e-8, max_iter=100, warm=None):
 
     # never return a point worse than the incumbent (descent guarantee)
     if warm is not None:
-        xi_w = float(np.max(constraint_values(q, warm))) if q.include_common else 0.0
+        warm = np.asarray(warm, dtype=complex)
+        xi_w = _tight_xi(q, warm)
         obj_w = objective_value(q, warm, xi_w)
-        if obj_w < obj or not np.isfinite(obj):
+        if _feasible(q, warm, xi_w) and (obj_w < obj or not np.isfinite(obj)):
             p_star, xi_c_star, obj = warm.copy(), xi_w, obj_w
     sol = QcqpSolution(
         p_star=p_star,
         xi_c_star=xi_c_star,
         objective=obj,
         kkt_residual=np.inf,
-        iterations=res.iterations,
-        status=_map_status(res.status),
+        iterations=steps,
+        status="Optimal" if reached else "MaxIter",
         mu=mu,
         mu_pow=mu_pow,
-        pres=res.pres,
-        dres=res.dres,
-        rel_gap=res.rel_gap,
     )
     sol.kkt_residual = kkt_residual(q, sol)
     # a tiny recomputed residual certifies optimality of the returned
-    # point for this convex problem even if the cone iteration hit its cap
+    # point for this convex problem even if the dual path hit its cap
     if sol.status == "MaxIter" and sol.kkt_residual <= tol:
         sol.status = "Optimal"
     return sol
 
 
-def _obj_quad(q, p):
-    priv = p[:, 1:]
-    return float(np.einsum("ni,nm,mi->", priv.conj(), q.psi_obj, priv).real)
-
-
-def _map_status(s):
-    return {
-        socp.STATUS_OPTIMAL: "Optimal",
-        socp.STATUS_MAX_ITER: "MaxIter",
-        socp.STATUS_INFEASIBLE: "Infeasible",
-    }[s]
-
-
-def _recover_multipliers(q, res, dims):
-    """Multipliers of the scalar quadratic constraints from the cone duals.
-
-    For a cone written as ||(2w; 1-r)|| <= 1+r encoding ||w||^2 <= r, the
-    slack is s = (1+r; 2w; 1-r) and -z.s carries -r(z_first - z_last),
-    so the scalar multiplier is z_first - z_last (nonnegative since z
-    lies in the cone). For the power ball ||v|| <= sqrt(p_t) it is
-    z_first/(2 sqrt(p_t)).
-    """
-    k = q.k
-    starts = np.cumsum([0] + dims[:-1])
-    if q.include_common:
-        mu = np.empty(k)
-        for u in range(k):
-            s0 = starts[1 + u]
-            mu[u] = res.z[s0] - res.z[s0 + dims[1 + u] - 1]
-    else:
-        mu = np.zeros(0)
-    s0 = starts[-1]
-    mu_pow = res.z[s0] / (2.0 * np.sqrt(q.p_t))
-    return mu, mu_pow
-
-
 def _polish(q, p, xi_c, mu, mu_pow):
     """Newton refinement over candidate active sets.
 
-    An interior-point iterate stalls at a residual set by its final
-    centrality, but it narrows down which constraints bind. Freezing an
+    A barrier iterate stops at a residual set by its final centrality,
+    but it narrows down which constraints bind. Freezing an
     active set turns the optimality conditions into a square smooth
     system that a few Newton steps solve to round-off. Weakly active
     constraints (multiplier and slack both tiny) are not reliably
@@ -565,7 +505,7 @@ def kkt_residual(q, sol):
     Maximum of normalized stationarity (in P and xi_c), primal
     feasibility, dual feasibility, and complementary slackness for the
     original quadratic problem, using the recovered multipliers. Small
-    values certify the solve independently of the cone reformulation.
+    values certify the solve independently of the dual path.
     """
     return _kkt_terms(q, sol.p_star, sol.xi_c_star, sol.mu, sol.mu_pow)
 
@@ -604,26 +544,3 @@ def _kkt_terms(q, p, xi_c_star, mu, mu_pow):
     terms.append(abs(mu_pow * (pw - q.p_t)) / max(1.0, q.p_t))
 
     return float(max(terms))
-
-
-def dump_problem(q, path):
-    """Write a problem instance as plain text for offline cross-checking:
-    dimensions, then each matrix/vector row-major."""
-    with open(path, "w") as f:
-        f.write(f"{q.n_t} {q.k} {q.p_t!r} {q.sigma_n2!r} {int(q.include_common)}\n")
-        f.write(f"{q.omitted_constant!r}\n")
-
-        def mat(name, a):
-            a = np.asarray(a)
-            f.write(f"{name} {' '.join(str(d) for d in a.shape)}\n")
-            for v in a.reshape(-1):
-                if np.iscomplexobj(a):
-                    f.write(f"{float(v.real)!r} {float(v.imag)!r}\n")
-                else:
-                    f.write(f"{float(v)!r}\n")
-
-        mat("psi_obj", q.psi_obj)
-        mat("f_obj", q.f_obj)
-        mat("psi_con", q.psi_con)
-        mat("f_con", q.f_con)
-        mat("con_const", q.con_const)

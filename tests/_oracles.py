@@ -2,10 +2,11 @@
 
 Everything in this file recomputes a quantity the library also produces,
 but by a deliberately different route: explicit Python loops instead of
-einsum, fsum instead of compensated accumulation, dual ascent and
-bisection instead of an interior-point method, symbol-level simulation
-instead of closed forms. Agreement between the two routes is the
-evidence; nothing here imports the implementation path it is checking.
+einsum, fsum instead of compensated accumulation, dual ascent, bisection
+and a cone interior-point method instead of a dual Newton path,
+symbol-level simulation instead of closed forms. Agreement between the
+two routes is the evidence; nothing here imports the implementation path
+it is checking.
 """
 
 import math
@@ -431,4 +432,112 @@ def qcqp_dual_oracle(q, n_starts=20, seed=0, max_iter=400):
         "dual": best_d,
         "gap": best_primal - best_d,
         "p": best_p,
+    }
+
+
+# ---------------------------------------------------------------------------
+# precoder-update problem, second-order cone route
+
+
+def _lift(mat):
+    """Real action of a complex matrix on [Re; Im] stacked vectors."""
+    return np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
+
+
+def _lift_vec(v):
+    return np.concatenate([v.real, v.imag])
+
+
+def qcqp_cone_oracle(q, tol=1e-8, max_iter=100):
+    """Solve the precoder-update problem as a second-order cone program.
+
+    Complex variables are lifted to reals. Each quadratic ||L^H x||^2 <= r
+    becomes the cone ||(2 L^H x; 1 - r)|| <= 1 + r through its Cholesky
+    factor, the objective gets an epigraph variable tau, and the power
+    budget is the ball ||vec(P)|| <= sqrt(p_t). The cone interior-point
+    kernel of jmbeam.socp then runs from a cold start.
+
+    Variable layout: one 2*n_t block per precoder column present (common
+    first in JMB mode), then xi_c (JMB only), then tau.
+
+    Returns dict(objective, p, status, iterations), with the status of
+    jmbeam.socp; P is scaled into the
+    power ball and objective is its value at the tight xi_c, so it is a
+    primal upper bound.
+    """
+    from jmbeam.linalg import cholesky_psd
+    from jmbeam.socp import solve_socp
+
+    k, n_t, blk = q.k, q.n_t, 2 * q.n_t
+    cols = list(range(k + 1)) if q.include_common else list(range(1, k + 1))
+    n_p = len(cols) * blk
+    i_xi = n_p if q.include_common else None
+    i_tau = n_p + (1 if q.include_common else 0)
+    n = i_tau + 1
+
+    def col(j):
+        pos = cols.index(j)
+        return slice(pos * blk, (pos + 1) * blk)
+
+    c = np.zeros(n)
+    c[i_tau] = 1.0
+    if q.include_common:
+        c[i_xi] = 1.0
+    for j in range(1, k + 1):
+        c[col(j)] = -2.0 * _lift_vec(q.f_obj[j - 1])
+
+    blocks = []
+
+    def rotated_cone(l_h, cols_in, r_coef, r_const):
+        """||(2 L^H x_j for j in cols_in; 1 - r)|| <= 1 + r with
+        r = r_coef . x + r_const."""
+        d = 2 + len(cols_in) * blk
+        g = np.zeros((d, n))
+        h = np.zeros(d)
+        g[0] = -r_coef
+        h[0] = 1.0 + r_const
+        for i, j in enumerate(cols_in):
+            g[1 + i * blk : 1 + (i + 1) * blk, col(j)] = -2.0 * l_h
+        g[d - 1] = r_coef
+        h[d - 1] = 1.0 - r_const
+        blocks.append((g, h))
+
+    # objective epigraph: sum_j ||L^H p_j||^2 <= tau over the private columns
+    tau = np.zeros(n)
+    tau[i_tau] = 1.0
+    rotated_cone(_lift(cholesky_psd(q.psi_obj).conj().T), range(1, k + 1), tau, 0.0)
+    if q.include_common:
+        # user u: quadratic over all columns <= xi_c - const + 2 Re f^H p_c
+        for u in range(k):
+            r = np.zeros(n)
+            r[i_xi] = 1.0
+            r[col(0)] = 2.0 * _lift_vec(q.f_con[u])
+            l_h = _lift(cholesky_psd(q.psi_con[u]).conj().T)
+            rotated_cone(l_h, range(k + 1), r, -float(q.con_const[u]))
+    g = np.zeros((1 + n_p, n))
+    g[1:, :n_p] = -np.eye(n_p)
+    h = np.zeros(1 + n_p)
+    h[0] = math.sqrt(q.p_t)
+    blocks.append((g, h))
+
+    res = solve_socp(
+        c,
+        np.vstack([b[0] for b in blocks]),
+        np.concatenate([b[1] for b in blocks]),
+        [b[1].size for b in blocks],
+        tol=tol,
+        max_iter=max_iter,
+    )
+    p = np.zeros((n_t, k + 1), dtype=complex)
+    for j in cols:
+        x = res.x[col(j)]
+        p[:, j] = x[:n_t] + 1j * x[n_t:]
+    pw = float(np.sum(p.real**2 + p.imag**2))
+    if pw > q.p_t:
+        p = p * math.sqrt(q.p_t / pw)
+    return {
+        "objective": oracle_primal_value(q, p),
+        "p": p,
+        "status": res.status,
+        "iterations": res.iterations,
     }

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from jmbeam.harness import (
     write_detail_csv,
     write_esr_csv,
 )
-from jmbeam.receivers import sum_rate
+from jmbeam.receivers import precoder_power, sum_rate
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "config_desk.json"
 
 
 def tiny_cfg(**over):
@@ -192,6 +195,15 @@ def test_run_single_near_perfect_csit_matches_nominal():
     draw = make_draw(substream(seed, 0), csit)
     nominal = sum_rate(draw.h_est, p, 1.0)
     assert sr == pytest.approx(nominal, abs=1e-8)
+
+
+def test_run_single_stays_within_power_budget():
+    # desk channel 1 at 0 dB, where an inner solve once kept an
+    # over-budget point (2.31 p_t) whose objective beat the incumbent
+    cfg = ExperimentConfig.from_json(DESK_CONFIG)
+    seed = cell_seed(cfg.master_seed, 0.6, 0.0, 1)
+    p, _, _ = run_single(cfg, "JMB-AWSMSE", 0.0, 0.6, seed)
+    assert precoder_power(p) <= snr_to_pt(0.0) * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from _oracles import oracle_primal_value, qcqp_dual_oracle
+from _oracles import oracle_primal_value, qcqp_cone_oracle, qcqp_dual_oracle
 from conftest import random_precoder, random_system
 from jmbeam.awsmse import (
     AwmmseComponents,
@@ -10,11 +12,11 @@ from jmbeam.awsmse import (
     awsmse_objective,
     update_blocks,
 )
+from jmbeam.errors import NotPsd
 from jmbeam.qcqp import (
     QcqpSolution,
     build,
     constraint_values,
-    dump_problem,
     kkt_residual,
     objective_value,
     solve,
@@ -197,7 +199,6 @@ def test_kkt_residual_increases_under_perturbation():
             xi_c_star=float(np.max(constraint_values(q, p2))),
             objective=0.0, kkt_residual=np.inf, iterations=0,
             status="Optimal", mu=sol.mu, mu_pow=sol.mu_pow,
-            pres=0.0, dres=0.0, rel_gap=0.0,
         )
         if kkt_residual(q, s2) > 10 * max(base, 1e-12):
             bumped += 1
@@ -243,22 +244,26 @@ def test_solve_bc_mode_oracle_cross_check():
         assert abs(sol.objective - ref) <= 1e-5 * (1 + abs(ref))
 
 
-# ---------------------------------------------------------------------------
-# dump
+def test_solve_matches_cone_oracle():
+    # the cold-started cone interior-point route on the oracle seeds
+    cases = [(seed + 100, [5.0, 15.0, 25.0][seed % 3], True) for seed in range(12)]
+    cases += [(seed + 200, 15.0, False) for seed in range(6)]
+    for seed, snr, common in cases:
+        q, _, _ = problem_from_seed(seed, snr_db=snr, include_common=common)
+        sol = solve(q)
+        ora = qcqp_cone_oracle(q)
+        assert ora["status"] == "optimal"
+        ref = ora["objective"]
+        assert abs(sol.objective - ref) <= 1e-7 * (1 + abs(ref))
+        assert sol.kkt_residual <= 1e-8
 
 
-def test_dump_problem_plain_text(tmp_path):
-    q, _, _ = problem_from_seed(1)
-    path = tmp_path / "qcqp.txt"
-    dump_problem(q, str(path))
-    lines = open(path).read().splitlines()
-    head = lines[0].split()
-    assert head[0] == "2" and head[1] == "2"
-    # every payload line parses as plain floats
-    for ln in lines[2:]:
-        toks = ln.split()
-        if not toks[0].isidentifier():
-            for t in toks:
-                float(t)
-    assert any(ln.startswith("psi_obj") for ln in lines)
-    assert any(ln.startswith("con_const") for ln in lines)
+@pytest.mark.parametrize("field", ["psi_obj", "psi_con"])
+def test_solve_rejects_indefinite_component(field):
+    # convexity guard: a component with eigenvalue -1 raises, not solves
+    q, _, _ = problem_from_seed(2)
+    bad = np.diag([1.0, -1.0]).astype(complex)
+    if field == "psi_con":
+        bad = np.stack([q.psi_con[0], bad])
+    with pytest.raises(NotPsd):
+        solve(replace(q, **{field: bad}))
