@@ -14,8 +14,10 @@ update a deterministic convex QCQP:
 
 (i runs over private columns). Accumulation over the sample uses
 compensated (Kahan) summation because the per-realization terms span a
-wide dynamic range at high SNR. The v values are the running rate
-estimates used by the alternating loop's stopping rule.
+wide dynamic range at high SNR; the terms of all realizations are formed
+at once and reduced in one stacked pass, whose cost is a few ufunc calls
+per realization. The v values are the running rate estimates used by the
+alternating loop's stopping rule.
 """
 
 import math
@@ -117,20 +119,6 @@ def update_blocks(sample, p, sigma_n2):
     return EqualizerWeightSet(g_c=g_c, g_p=g_p, u_c=u_c, u_p=u_p)
 
 
-class _Kahan:
-    """Compensated accumulator for a fixed-shape ndarray."""
-
-    def __init__(self, shape, dtype=float):
-        self.s = np.zeros(shape, dtype=dtype)
-        self.c = np.zeros(shape, dtype=dtype)
-
-    def add(self, x):
-        t = x - self.c
-        snew = self.s + t
-        self.c = (snew - self.s) - t
-        self.s = snew
-
-
 def accumulate_components(sample, gw):
     """Sample averages of the per-realization component forms.
 
@@ -143,49 +131,55 @@ def accumulate_components(sample, gw):
         v   = log2(u)
 
     for both the common and private layers; each output is the arithmetic
-    mean over realizations, reduced in index order with compensated
-    summation. The psi outputs are exactly Hermitian by construction.
+    mean over realizations. The terms of all realizations are formed at
+    once and stacked into one real (m, D) array, the complex fields as
+    their float64 view; complex addition acts on each part alone, so this
+    changes no bit. One compensated pass reduces the rows in index order,
+    and each field is divided by m in its own dtype (a complex division
+    rounds differently from two real ones). The psi outputs are exactly
+    Hermitian by construction.
     """
     h = sample.realizations
     m, n_t, k = h.shape
     if gw.g_c.shape != (m, k):
         raise ValueError("equalizer set does not match the sample")
 
-    t_c_m = gw.u_c * (gw.g_c.real**2 + gw.g_c.imag**2)  # (m, k)
-    t_p_m = gw.u_p * (gw.g_p.real**2 + gw.g_p.imag**2)
-    fc_w = gw.u_c * gw.g_c.conj()
-    fp_w = gw.u_p * gw.g_p.conj()
-    v_c_m = np.log2(gw.u_c)
-    v_p_m = np.log2(gw.u_p)
-
-    acc = {
-        "psi_c": _Kahan((k, n_t, n_t), complex),
-        "psi_p": _Kahan((k, n_t, n_t), complex),
-        "f_c": _Kahan((k, n_t), complex),
-        "f_p": _Kahan((k, n_t), complex),
-        "t_c": _Kahan(k),
-        "t_p": _Kahan(k),
-        "u_c": _Kahan(k),
-        "u_p": _Kahan(k),
-        "v_c": _Kahan(k),
-        "v_p": _Kahan(k),
+    t_c = gw.u_c * (gw.g_c.real**2 + gw.g_c.imag**2)  # (m, k)
+    t_p = gw.u_p * (gw.g_p.real**2 + gw.g_p.imag**2)
+    # outer products first (exactly Hermitian), then real scaling
+    outer = np.einsum("mik,mjk->mkij", h, h.conj())
+    terms = {
+        "psi_c": t_c[:, :, None, None] * outer,
+        "psi_p": t_p[:, :, None, None] * outer,
+        "f_c": (gw.u_c * gw.g_c.conj())[:, :, None] * h.transpose(0, 2, 1),
+        "f_p": (gw.u_p * gw.g_p.conj())[:, :, None] * h.transpose(0, 2, 1),
+        "t_c": t_c,
+        "t_p": t_p,
+        "u_c": gw.u_c,
+        "u_p": gw.u_p,
+        "v_c": np.log2(gw.u_c),
+        "v_p": np.log2(gw.u_p),
     }
-    for i in range(m):
-        hm = h[i]  # (n_t, k)
-        # outer products first (exactly Hermitian), then real scaling
-        outer = np.einsum("ik,jk->kij", hm, hm.conj())
-        acc["psi_c"].add(t_c_m[i][:, None, None] * outer)
-        acc["psi_p"].add(t_p_m[i][:, None, None] * outer)
-        acc["f_c"].add((fc_w[i][None, :] * hm).T)
-        acc["f_p"].add((fp_w[i][None, :] * hm).T)
-        acc["t_c"].add(t_c_m[i])
-        acc["t_p"].add(t_p_m[i])
-        acc["u_c"].add(gw.u_c[i])
-        acc["u_p"].add(gw.u_p[i])
-        acc["v_c"].add(v_c_m[i])
-        acc["v_p"].add(v_p_m[i])
+    rows = np.concatenate(
+        [x.reshape(m, -1).view(float) for x in terms.values()], axis=1
+    )
 
-    out = {name: a.s / m for name, a in acc.items()}
+    # four ufunc calls per row into preallocated buffers (third argument)
+    s, s_new, c, y = np.zeros((4, rows.shape[1]))
+    sub, add = np.subtract, np.add
+    for x in rows:
+        sub(x, c, y)
+        add(s, y, s_new)
+        sub(s_new, s, c)
+        sub(c, y, c)
+        s, s_new = s_new, s
+
+    out = {}
+    at = 0
+    for name, x in terms.items():
+        width = x[0].nbytes // rows.itemsize
+        out[name] = s[at:at + width].view(x.dtype).reshape(x.shape[1:]) / m
+        at += width
     return AwmmseComponents(**out)
 
 

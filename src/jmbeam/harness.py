@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -345,8 +346,9 @@ def run_sweep(cfg, out_dir=None):
     """Evaluate every scheme on the (alpha, snr) grid over paired channels.
 
     Writes esr.csv, sr_detail.csv and meta.json into out_dir when given.
-    On interrupt, whatever channel tasks already completed are reduced
-    and flushed before the interrupt propagates.
+    On interrupt or a dead pool worker, whatever channel tasks already
+    completed are reduced and flushed, with the abort reason in
+    meta.json, before the exception propagates.
     """
     tasks = [
         (alpha, snr_db, ch)
@@ -355,7 +357,7 @@ def run_sweep(cfg, out_dir=None):
         for ch in range(cfg.n_channels)
     ]
     results = []
-    interrupted = False
+    abort = None
     t0 = time.perf_counter()
     try:
         if cfg.threads <= 1:
@@ -365,8 +367,8 @@ def run_sweep(cfg, out_dir=None):
             with ProcessPoolExecutor(max_workers=cfg.threads) as ex:
                 for r in ex.map(_task_star, [(cfg,) + t for t in tasks]):
                     results.append(r)
-    except KeyboardInterrupt:
-        interrupted = True
+    except (KeyboardInterrupt, BrokenProcessPool) as e:
+        abort = e
     wall = time.perf_counter() - t0
 
     records, failures, details = _reduce(cfg, tasks, results)
@@ -382,14 +384,16 @@ def run_sweep(cfg, out_dir=None):
             {
                 "kind": "sweep",
                 "wall_time_s": wall,
-                "interrupted": interrupted,
+                "interrupted": abort is not None,
+                "abort_reason": None if abort is None
+                else f"{type(abort).__name__}: {abort}",
                 "failures": failures,
                 "tasks_completed": len(results),
                 "tasks_total": len(tasks),
             },
         )
-    if interrupted:
-        raise KeyboardInterrupt
+    if abort is not None:
+        raise abort
     return records
 
 

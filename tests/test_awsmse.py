@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import fsum_components, loop_powers
+from _oracles import fsum_components, kahan_loop_components, loop_powers
 from conftest import random_precoder, random_system
 from jmbeam.awsmse import (
     accumulate_components,
@@ -221,6 +221,34 @@ def test_components_against_fsum_oracle():
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale, name
 
 
+def test_components_bitwise_equal_to_kahan_loop():
+    # the stacked single pass must reproduce the per-realization
+    # compensated loop bit for bit, so sweep outputs stay byte-identical
+    fields = ("psi_c", "psi_p", "f_c", "f_p", "t_c", "t_p",
+              "u_c", "u_p", "v_c", "v_p")
+    seed = 0
+    for n_t in (2, 3, 4):
+        for k in range(1, min(n_t, 3) + 1):
+            for m in (1, 2, 200, 1000):
+                for snr_db in (0.0, 20.0, 40.0):
+                    seed += 1
+                    cfg, draw, sample = random_system(
+                        seed, n_t=n_t, k=k, snr_db=snr_db, m=m
+                    )
+                    rng = np.random.default_rng(seed)
+                    p = random_precoder(rng, n_t, k, cfg.p_t)
+                    gw = update_blocks(sample, p, 1.0)
+                    c = accumulate_components(sample, gw)
+                    want = kahan_loop_components(sample, gw)
+                    for name in fields:
+                        got = getattr(c, name)
+                        ref = want[name]
+                        case = (name, n_t, k, m, snr_db)
+                        assert got.shape == ref.shape, case
+                        assert got.dtype == ref.dtype, case
+                        assert got.tobytes() == ref.tobytes(), case
+
+
 def test_components_psd():
     for seed in range(15):
         cfg, draw, sample = random_system(seed + 50, n_t=4, k=3, m=20)
@@ -232,7 +260,7 @@ def test_components_psd():
             for u in range(3):
                 w = np.linalg.eigvalsh(psi[u])
                 assert w.min() >= -1e-10
-                assert np.allclose(psi[u], psi[u].conj().T, atol=1e-12)
+                assert np.array_equal(psi[u], psi[u].conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import json
 import math
+import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jmbeam import harness
 from jmbeam.ao import AoTrace
 from jmbeam.baselines import zf_wf
 from jmbeam.channel import CsitConfig, make_draw, substream
@@ -23,6 +28,7 @@ from jmbeam.harness import (
 from jmbeam.receivers import precoder_power, sum_rate
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "config_desk.json"
+GOLDEN_DETAIL = Path(__file__).resolve().parent / "fixtures" / "sweep_small_sr_detail.csv"
 
 
 def tiny_cfg(**over):
@@ -238,6 +244,7 @@ def test_sweep_output_files(tmp_path):
     assert len(det_lines) == 1 + 2 * 3
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["kind"] == "sweep"
+    assert meta["interrupted"] is False and meta["abort_reason"] is None
     assert meta["config"]["n_channels"] == 3
     assert meta["failures"] == []
     assert "numpy" in meta["versions"]
@@ -265,6 +272,52 @@ def test_sweep_thread_count_invariance(tmp_path):
     for name in ("esr.csv", "sr_detail.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == (
             tmp_path / "t2" / name
+        ).read_bytes()
+
+
+def test_sweep_matches_golden_fixture(tmp_path):
+    # every scheme on a small grid against rates recorded by an earlier
+    # build; a tolerance rather than bytes, since small-matrix BLAS
+    # kernels may round differently on other hosts
+    cfg = tiny_cfg(schemes=SCHEMES, snr_db=(0.0, 20.0, 40.0), n_channels=2, m=200)
+    run_sweep(cfg, out_dir=str(tmp_path))
+    got = (tmp_path / "sr_detail.csv").read_text().splitlines()
+    want = GOLDEN_DETAIL.read_text().splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want) == 1 + 4 * 3 * 2
+    for g, w in zip(got[1:], want[1:]):
+        g_key, g_sr = g.rsplit(",", 1)
+        w_key, w_sr = w.rsplit(",", 1)
+        assert g_key == w_key
+        assert float(g_sr) == pytest.approx(float(w_sr), rel=1e-9, abs=0.0), g_key
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched task",
+)
+def test_sweep_flushes_finished_tasks_when_a_worker_dies(tmp_path, monkeypatch):
+    cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=4, threads=2)
+    serial = tiny_cfg(schemes=("ZF-WF",), n_channels=3)
+    run_sweep(serial, out_dir=str(tmp_path / "serial"))
+    task = harness._channel_task
+
+    def dying_task(cfg, alpha, snr_db, channel):
+        if channel == 3:
+            time.sleep(1.0)  # let the other tasks report first
+            os._exit(1)
+        return task(cfg, alpha, snr_db, channel)
+
+    monkeypatch.setattr(harness, "_channel_task", dying_task)
+    with pytest.raises(BrokenProcessPool):
+        run_sweep(cfg, out_dir=str(tmp_path / "pool"))
+    meta = json.loads((tmp_path / "pool" / "meta.json").read_text())
+    assert meta["interrupted"] is True
+    assert meta["abort_reason"].startswith("BrokenProcessPool")
+    assert meta["tasks_completed"] == 3 and meta["tasks_total"] == 4
+    for name in ("esr.csv", "sr_detail.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() == (
+            tmp_path / "serial" / name
         ).read_bytes()
 
 
