@@ -12,12 +12,12 @@ update a deterministic convex QCQP:
     xi_p[k](P) = sum_i p_i^H psi_p[k] p_i
                  + sigma_n2*t_p[k] - 2 Re{f_p[k]^H p_k} + u_p[k] - v_p[k]
 
-(i runs over private columns). Accumulation over the sample uses
-compensated (Kahan) summation because the per-realization terms span a
-wide dynamic range at high SNR; the terms of all realizations are formed
-at once and reduced in one stacked pass, whose cost is a few ufunc calls
-per realization. The v values are the running rate estimates used by the
-alternating loop's stopping rule.
+(i runs over private columns). The per-realization terms span a wide
+dynamic range at high SNR, so the sample sums use a pairwise error-free
+reduction: the terms of all realizations are formed at once and summed
+in log2(m) vectorized TwoSum levels, correctly rounded in practice. The
+v values are the running rate estimates used by the alternating loop's
+stopping rule.
 """
 
 import math
@@ -119,6 +119,74 @@ def update_blocks(sample, p, sigma_n2):
     return EqualizerWeightSet(g_c=g_c, g_p=g_p, u_c=u_c, u_p=u_p)
 
 
+def _field_views(buf, k, n_t):
+    """The ten component fields as views of the last axis of a real buffer.
+
+    Complex fields are views of float pairs, so a buffer of per-realization
+    rows (m, D) and one of column sums (D,) share one layout.
+    """
+    lead = buf.shape[:-1]
+    views, at = {}, 0
+    for name, shape, dtype in (
+        ("psi_c", (k, n_t, n_t), complex), ("psi_p", (k, n_t, n_t), complex),
+        ("f_c", (k, n_t), complex), ("f_p", (k, n_t), complex),
+        ("t_c", (k,), float), ("t_p", (k,), float),
+        ("u_c", (k,), float), ("u_p", (k,), float),
+        ("v_c", (k,), float), ("v_p", (k,), float),
+    ):
+        width = math.prod(shape) * (2 if dtype is complex else 1)
+        views[name] = buf[..., at:at + width].view(dtype).reshape(lead + shape)
+        at += width
+    return views
+
+
+def _component_rows(sample, gw):
+    """Per-realization terms of all ten fields, one real row per realization.
+
+    Each term is written straight into its field's view of the (m, D)
+    buffer. Outer products come first (exactly Hermitian), then the real
+    scaling.
+    """
+    h = sample.realizations
+    m, n_t, k = h.shape
+    rows = np.empty((m, 4 * k * n_t * (n_t + 1) + 6 * k))
+    v = _field_views(rows, k, n_t)
+    outer = np.einsum("mik,mjk->mkij", h, h.conj())
+    h_t = h.transpose(0, 2, 1)
+    for layer, g, u in (("c", gw.g_c, gw.u_c), ("p", gw.g_p, gw.u_p)):
+        t = np.multiply(u, g.real**2 + g.imag**2, out=v["t_" + layer])
+        np.multiply(t[:, :, None, None], outer, out=v["psi_" + layer])
+        np.multiply((u * g.conj())[:, :, None], h_t, out=v["f_" + layer])
+        v["u_" + layer][...] = u
+        np.log2(u, out=v["v_" + layer])
+    return rows
+
+
+def _sum_rows(rows):
+    """Column sums of a real (m, D) array by an error-free pairwise cascade.
+
+    Each level adds row pairs, t = a + b, and recovers every rounding
+    error exactly by Knuth's TwoSum; the errors are summed into one vector
+    that is added once at the end. An odd level gets a zero row. This is
+    the Sum2 scheme of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 2005),
+    as accurate as a sum in twice the working precision rounded once, in
+    log2(m) vectorized levels: correctly rounded unless a column's
+    condition number sum|x| / |sum x| nears 1/eps. TwoSum is odd in its
+    arguments, so negated columns sum to negated results exactly.
+    """
+    err = np.zeros(rows.shape[1])
+    while rows.shape[0] > 1:
+        if rows.shape[0] % 2:
+            rows = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
+        half = rows.shape[0] // 2
+        a, b = rows[:half], rows[half:]
+        t = a + b
+        bb = t - a
+        err += ((a - (t - bb)) + (b - bb)).sum(axis=0)
+        rows = t
+    return rows[0] + err
+
+
 def accumulate_components(sample, gw):
     """Sample averages of the per-realization component forms.
 
@@ -132,55 +200,19 @@ def accumulate_components(sample, gw):
 
     for both the common and private layers; each output is the arithmetic
     mean over realizations. The terms of all realizations are formed at
-    once and stacked into one real (m, D) array, the complex fields as
-    their float64 view; complex addition acts on each part alone, so this
-    changes no bit. One compensated pass reduces the rows in index order,
-    and each field is divided by m in its own dtype (a complex division
-    rounds differently from two real ones). The psi outputs are exactly
-    Hermitian by construction.
+    once as the rows of one real (m, D) array, the complex fields as their
+    float64 view (complex addition acts on each part alone). An error-free
+    pairwise reduction (`_sum_rows`) sums its columns, correctly rounded
+    in practice, and each field is divided by m in its own dtype (a
+    complex division rounds differently from two real ones). The psi
+    outputs are exactly Hermitian.
     """
     h = sample.realizations
     m, n_t, k = h.shape
     if gw.g_c.shape != (m, k):
         raise ValueError("equalizer set does not match the sample")
-
-    t_c = gw.u_c * (gw.g_c.real**2 + gw.g_c.imag**2)  # (m, k)
-    t_p = gw.u_p * (gw.g_p.real**2 + gw.g_p.imag**2)
-    # outer products first (exactly Hermitian), then real scaling
-    outer = np.einsum("mik,mjk->mkij", h, h.conj())
-    terms = {
-        "psi_c": t_c[:, :, None, None] * outer,
-        "psi_p": t_p[:, :, None, None] * outer,
-        "f_c": (gw.u_c * gw.g_c.conj())[:, :, None] * h.transpose(0, 2, 1),
-        "f_p": (gw.u_p * gw.g_p.conj())[:, :, None] * h.transpose(0, 2, 1),
-        "t_c": t_c,
-        "t_p": t_p,
-        "u_c": gw.u_c,
-        "u_p": gw.u_p,
-        "v_c": np.log2(gw.u_c),
-        "v_p": np.log2(gw.u_p),
-    }
-    rows = np.concatenate(
-        [x.reshape(m, -1).view(float) for x in terms.values()], axis=1
-    )
-
-    # four ufunc calls per row into preallocated buffers (third argument)
-    s, s_new, c, y = np.zeros((4, rows.shape[1]))
-    sub, add = np.subtract, np.add
-    for x in rows:
-        sub(x, c, y)
-        add(s, y, s_new)
-        sub(s_new, s, c)
-        sub(c, y, c)
-        s, s_new = s_new, s
-
-    out = {}
-    at = 0
-    for name, x in terms.items():
-        width = x[0].nbytes // rows.itemsize
-        out[name] = s[at:at + width].view(x.dtype).reshape(x.shape[1:]) / m
-        at += width
-    return AwmmseComponents(**out)
+    sums = _field_views(_sum_rows(_component_rows(sample, gw)), k, n_t)
+    return AwmmseComponents(**{name: x / m for name, x in sums.items()})
 
 
 def awmse_values(c, p, sigma_n2):

@@ -2,9 +2,8 @@
 
 Everything in this file recomputes a quantity the library also produces,
 but by a deliberately different route: explicit Python loops instead of
-einsum, fsum instead of compensated accumulation, a per-realization
-compensated loop instead of one stacked pass, dual ascent, bisection
-and a cone interior-point method instead of a dual Newton path,
+einsum, fsum instead of a pairwise error-free reduction, dual ascent,
+bisection and a cone interior-point method instead of a dual Newton path,
 symbol-level simulation instead of closed forms. Agreement between the
 two routes is the evidence; nothing here imports the implementation path
 it is checking.
@@ -142,68 +141,6 @@ def fsum_components(sample, gw):
                 out["psi_c"][u, a, b] = mean_over_m([tc[i] * hh[i] for i in range(m)])
                 out["psi_p"][u, a, b] = mean_over_m([tp[i] * hh[i] for i in range(m)])
     return out
-
-
-class _Kahan:
-    """Compensated accumulator for a fixed-shape ndarray."""
-
-    def __init__(self, shape, dtype=float):
-        self.s = np.zeros(shape, dtype=dtype)
-        self.c = np.zeros(shape, dtype=dtype)
-
-    def add(self, x):
-        t = x - self.c
-        snew = self.s + t
-        self.c = (snew - self.s) - t
-        self.s = snew
-
-
-def kahan_loop_components(sample, gw):
-    """Per-realization compensated averages of the component forms.
-
-    One Kahan accumulator per field, fed one realization at a time in
-    index order. This is the reference for the bit pattern of the
-    library's stacked single pass, which must reproduce every output bit.
-    Returns a dict with the same keys/shapes as AwmmseComponents fields.
-    """
-    h = sample.realizations
-    m, n_t, k = h.shape
-
-    t_c_m = gw.u_c * (gw.g_c.real**2 + gw.g_c.imag**2)  # (m, k)
-    t_p_m = gw.u_p * (gw.g_p.real**2 + gw.g_p.imag**2)
-    fc_w = gw.u_c * gw.g_c.conj()
-    fp_w = gw.u_p * gw.g_p.conj()
-    v_c_m = np.log2(gw.u_c)
-    v_p_m = np.log2(gw.u_p)
-
-    acc = {
-        "psi_c": _Kahan((k, n_t, n_t), complex),
-        "psi_p": _Kahan((k, n_t, n_t), complex),
-        "f_c": _Kahan((k, n_t), complex),
-        "f_p": _Kahan((k, n_t), complex),
-        "t_c": _Kahan(k),
-        "t_p": _Kahan(k),
-        "u_c": _Kahan(k),
-        "u_p": _Kahan(k),
-        "v_c": _Kahan(k),
-        "v_p": _Kahan(k),
-    }
-    for i in range(m):
-        hm = h[i]  # (n_t, k)
-        # outer products first (exactly Hermitian), then real scaling
-        outer = np.einsum("ik,jk->kij", hm, hm.conj())
-        acc["psi_c"].add(t_c_m[i][:, None, None] * outer)
-        acc["psi_p"].add(t_p_m[i][:, None, None] * outer)
-        acc["f_c"].add((fc_w[i][None, :] * hm).T)
-        acc["f_p"].add((fp_w[i][None, :] * hm).T)
-        acc["t_c"].add(t_c_m[i])
-        acc["t_p"].add(t_p_m[i])
-        acc["u_c"].add(gw.u_c[i])
-        acc["u_p"].add(gw.u_p[i])
-        acc["v_c"].add(v_c_m[i])
-        acc["v_p"].add(v_p_m[i])
-
-    return {name: a.s / m for name, a in acc.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import fsum_components, kahan_loop_components, loop_powers
+from _oracles import fsum_components, loop_powers
 from conftest import random_precoder, random_system
 from jmbeam.awsmse import (
+    _component_rows,
+    _sum_rows,
     accumulate_components,
     awmse_values,
     awsmse_objective,
@@ -221,11 +223,13 @@ def test_components_against_fsum_oracle():
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale, name
 
 
-def test_components_bitwise_equal_to_kahan_loop():
-    # the stacked single pass must reproduce the per-realization
-    # compensated loop bit for bit, so sweep outputs stay byte-identical
-    fields = ("psi_c", "psi_p", "f_c", "f_p", "t_c", "t_p",
-              "u_c", "u_p", "v_c", "v_p")
+def _fsum_columns(rows):
+    return np.array([math.fsum(col) for col in rows.T])
+
+
+def test_components_correctly_rounded():
+    # the pairwise error-free reduction gives the correctly rounded column
+    # sums, bit for bit, on the rows the AO loop feeds it
     seed = 0
     for n_t in (2, 3, 4):
         for k in range(1, min(n_t, 3) + 1):
@@ -238,15 +242,30 @@ def test_components_bitwise_equal_to_kahan_loop():
                     rng = np.random.default_rng(seed)
                     p = random_precoder(rng, n_t, k, cfg.p_t)
                     gw = update_blocks(sample, p, 1.0)
-                    c = accumulate_components(sample, gw)
-                    want = kahan_loop_components(sample, gw)
-                    for name in fields:
-                        got = getattr(c, name)
-                        ref = want[name]
-                        case = (name, n_t, k, m, snr_db)
-                        assert got.shape == ref.shape, case
-                        assert got.dtype == ref.dtype, case
-                        assert got.tobytes() == ref.tobytes(), case
+                    rows = _component_rows(sample, gw)
+                    got = _sum_rows(rows)
+                    want = _fsum_columns(rows)
+                    assert got.tobytes() == want.tobytes(), (n_t, k, m, snr_db)
+
+    # adversarial columns: magnitudes over 16 decades with random signs,
+    # exactly cancelling pairs, odd m. Sum2's error bound (Ogita, Rump &
+    # Oishi 2005, Prop. 4.5) |got - sum| <= u |sum| + gamma_{m-1}^2 sum|x|
+    # holds on every column; where its second term is below u |sum| the
+    # result must be the correctly rounded one.
+    u = 2.0**-53
+    rng = np.random.default_rng(2005)
+    for m in (3, 17, 199, 1001):
+        gamma = (m - 1) * u / (1.0 - (m - 1) * u)
+        for n_pairs in (0, m // 4, m // 2):
+            x = rng.choice([-1.0, 1.0], (m - n_pairs, 800))
+            x *= 10.0 ** rng.uniform(-8.0, 8.0, x.shape)
+            cols = rng.permuted(np.concatenate([x, -x[:n_pairs]]), axis=0)
+            got = _sum_rows(cols)
+            want = _fsum_columns(cols)
+            spread = gamma**2 * np.abs(cols).sum(axis=0)
+            assert np.all(np.abs(got - want) <= u * np.abs(want) + spread), m
+            sharp = spread <= u * np.abs(want)
+            assert np.array_equal(got[sharp], want[sharp]), (m, n_pairs)
 
 
 def test_components_psd():
