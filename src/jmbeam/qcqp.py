@@ -125,15 +125,6 @@ def constraint_values(q, p):
     return quad_all + q.con_const - lin
 
 
-def _lift(mat):
-    """Real lifting of a complex matrix action: [Re; Im] stacking."""
-    return np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
-
-
-def _lift_vec(v):
-    return np.concatenate([v.real, v.imag])
-
-
 def _dual(q, z):
     """Lagrange dual function at z = (mu, mu_pow * p_t) with derivatives.
 
@@ -297,11 +288,9 @@ def solve(q, tol=1e-8, max_iter=100, warm=None):
     # Newton polish on the identified active set, kept only if it stays
     # feasible and verifiably lowers the recomputed optimality residual
     kkt0 = _kkt_terms(q, p_star, xi_c_star, mu, mu_pow)
-    pol = _polish(q, p_star, xi_c_star, mu, mu_pow)
-    if pol is not None and _feasible(q, pol[0], pol[1]):
-        kkt1 = _kkt_terms(q, *pol)
-        if np.isfinite(kkt1) and kkt1 < kkt0:
-            p_star, xi_c_star, mu, mu_pow = pol
+    pol, kkt1 = _polish(q, p_star, xi_c_star, mu, mu_pow)
+    if pol is not None and _feasible(q, pol[0], pol[1]) and kkt1 < kkt0:
+        p_star, xi_c_star, mu, mu_pow = pol
 
     obj = objective_value(q, p_star, xi_c_star)
 
@@ -340,7 +329,7 @@ def _polish(q, p, xi_c, mu, mu_pow):
     constraints (multiplier and slack both tiny) are not reliably
     classified by the duals, so plausible active sets are enumerated and
     the one with the smallest recomputed residual wins. Returns
-    (p, xi_c, mu, mu_pow) or None.
+    ((p, xi_c, mu, mu_pow), residual), or (None, inf).
     """
     best = None
     best_kkt = np.inf
@@ -353,7 +342,7 @@ def _polish(q, p, xi_c, mu, mu_pow):
             best, best_kkt = out, kk
         if best_kkt < 1e-12:
             break
-    return best
+    return best, best_kkt
 
 
 def _active_set_candidates(q, p, xi_c, mu, mu_pow):
@@ -388,44 +377,46 @@ def _active_set_candidates(q, p, xi_c, mu, mu_pow):
 
 
 def _newton_active(q, p, xi_c, mu, mu_pow, act, pow_act):
-    """Newton on the fixed-active-set system, started at the given point."""
+    """Newton on the fixed-active-set system, started at the given point.
+
+    Unknowns: the used columns of P as [Re; Im] blocks, xi_c (JMB), the
+    active multipliers and mu_pow (budget active). Residuals, in the same
+    order: column stationarity, the simplex row (JMB), the active
+    constraints and the budget. The rows from the active constraints on
+    are twice the transpose of the columns from the multipliers on.
+    """
     k, n_t = q.k, q.n_t
-    blk = 2 * n_t
     eye = np.eye(n_t)
     act = np.asarray(act, dtype=int)
     n_act = act.size
     if q.include_common and n_act == 0:
         return None
 
-    ncols = k + 1 if q.include_common else k
     off = 0 if q.include_common else 1
-    n_p = ncols * blk
-    i_xi = n_p if q.include_common else None
-    i_mu = n_p + (1 if q.include_common else 0)
+    ncols = k + 1 - off
+    n_p = ncols * 2 * n_t
+    i_mu = n_p + 1 - off
     n = i_mu + n_act + (1 if pow_act else 0)
-    i_pw = n - 1 if pow_act else None
 
     def split(x):
+        xb = x[:n_p].reshape(ncols, 2, n_t)
         pm = np.zeros((n_t, k + 1), dtype=complex)
-        for j in range(ncols):
-            b = x[j * blk : (j + 1) * blk]
-            pm[:, j + off] = b[:n_t] + 1j * b[n_t:]
-        xi = float(x[i_xi]) if i_xi is not None else 0.0
-        mu_a = x[i_mu : i_mu + n_act]
-        mp = float(x[i_pw]) if i_pw is not None else 0.0
-        return pm, xi, mu_a, mp
+        pm[:, off:] = (xb[:, 0] + 1j * xb[:, 1]).T
+        xi = float(x[n_p]) if q.include_common else 0.0
+        mp = float(x[-1]) if pow_act else 0.0
+        return pm, xi, x[i_mu : i_mu + n_act], mp
 
     x = np.zeros(n)
-    for j in range(ncols):
-        x[j * blk : (j + 1) * blk] = _lift_vec(p[:, j + off])
-    if i_xi is not None:
-        x[i_xi] = xi_c
+    xb = x[:n_p].reshape(ncols, 2, n_t)
+    xb[:, 0], xb[:, 1] = p[:, off:].real.T, p[:, off:].imag.T
+    if q.include_common:
+        x[n_p] = xi_c
     if n_act:
         start = np.maximum(mu[act], 0.0)
         tot = start.sum()
         x[i_mu : i_mu + n_act] = start / tot if tot > 0 else 1.0 / n_act
-    if i_pw is not None:
-        x[i_pw] = max(mu_pow, 0.0)
+    if pow_act:
+        x[-1] = max(mu_pow, 0.0)
 
     def residual_jacobian(x):
         pm, xi, mu_a, mp = split(x)
@@ -434,50 +425,40 @@ def _newton_active(q, p, xi_c, mu, mu_pow, act, pow_act):
             if n_act
             else np.zeros((n_t, n_t))
         )
+        m_c = psi_mu + mp * eye
+        m_p = q.psi_obj + psi_mu + mp * eye
         F = np.zeros(n)
         J = np.zeros((n, n))
-        row = 0
-        if q.include_common:
-            g = (psi_mu + mp * eye) @ pm[:, 0]
-            if n_act:
-                g = g - np.einsum("u,un->n", mu_a, q.f_con[act])
-            F[row : row + blk] = _lift_vec(g)
-            J[row : row + blk, 0:blk] = _lift(psi_mu + mp * eye)
-            for a, u in enumerate(act):
-                J[row : row + blk, i_mu + a] = _lift_vec(
-                    q.psi_con[u] @ pm[:, 0] - q.f_con[u]
-                )
+        f_top = F[:n_p].reshape(ncols, 2, n_t)
+        j_diag = J[:n_p, :n_p].reshape(ncols, 2, n_t, ncols, 2, n_t)
+        j_side = J[:n_p, i_mu:].reshape(ncols, 2, n_t, n - i_mu)
+        for c in range(ncols):
+            col = pm[:, c + off]
+            if c + off == 0:
+                mat, g = m_c, m_c @ col
+                if n_act:
+                    g = g - np.einsum("u,un->n", mu_a, q.f_con[act])
+                side = [q.psi_con[u] @ col - q.f_con[u] for u in act]
+            else:
+                mat, g = m_p, m_p @ col - q.f_obj[c + off - 1]
+                side = [q.psi_con[u] @ col for u in act]
+            f_top[c, 0], f_top[c, 1] = g.real, g.imag
+            j_diag[c, 0, :, c, 0, :] = j_diag[c, 1, :, c, 1, :] = mat.real
+            j_diag[c, 1, :, c, 0, :] = mat.imag
+            j_diag[c, 0, :, c, 1, :] = -mat.imag
             if pow_act:
-                J[row : row + blk, i_pw] = _lift_vec(pm[:, 0])
-            row += blk
-        for j in range(1, k + 1):
-            cs = (j - off) * blk
-            g = (q.psi_obj + psi_mu + mp * eye) @ pm[:, j] - q.f_obj[j - 1]
-            F[row : row + blk] = _lift_vec(g)
-            J[row : row + blk, cs : cs + blk] = _lift(q.psi_obj + psi_mu + mp * eye)
-            for a, u in enumerate(act):
-                J[row : row + blk, i_mu + a] = _lift_vec(q.psi_con[u] @ pm[:, j])
-            if pow_act:
-                J[row : row + blk, i_pw] = _lift_vec(pm[:, j])
-            row += blk
+                side.append(col)
+            if side:
+                side = np.array(side).T
+                j_side[c, 0], j_side[c, 1] = side.real, side.imag
         if q.include_common:
-            F[row] = np.sum(mu_a) - 1.0
-            J[row, i_mu : i_mu + n_act] = 1.0
-            row += 1
-            cons = constraint_values(q, pm)
-            for a, u in enumerate(act):
-                F[row] = cons[u] - xi
-                J[row, 0:blk] = 2.0 * _lift_vec(q.psi_con[u] @ pm[:, 0] - q.f_con[u])
-                for j in range(1, k + 1):
-                    cs = (j - off) * blk
-                    J[row, cs : cs + blk] = 2.0 * _lift_vec(q.psi_con[u] @ pm[:, j])
-                J[row, i_xi] = -1.0
-                row += 1
+            F[n_p] = np.sum(mu_a) - 1.0
+            J[n_p, i_mu : i_mu + n_act] = 1.0
+            F[i_mu : i_mu + n_act] = constraint_values(q, pm)[act] - xi
+            J[i_mu : i_mu + n_act, n_p] = -1.0
         if pow_act:
-            F[row] = precoder_power(pm) - q.p_t
-            for j in range(ncols):
-                cs = j * blk
-                J[row, cs : cs + blk] = 2.0 * _lift_vec(pm[:, j + off])
+            F[-1] = precoder_power(pm) - q.p_t
+        J[i_mu:, :n_p] = 2.0 * J[:n_p, i_mu:].T
         return F, J
 
     for _ in range(5):
@@ -521,9 +502,9 @@ def _kkt_terms(q, p, xi_c_star, mu, mu_pow):
         psi_mu = np.einsum("u,unm->nm", mu, q.psi_con)
     else:
         psi_mu = np.zeros((n_t, n_t))
+    m_p = q.psi_obj + psi_mu + mu_pow * np.eye(n_t)
     for j in range(1, k + 1):
-        g = (q.psi_obj + psi_mu + mu_pow * np.eye(n_t)) @ p[:, j] - q.f_obj[j - 1]
-        terms.append(np.linalg.norm(g) / scale)
+        terms.append(np.linalg.norm(m_p @ p[:, j] - q.f_obj[j - 1]) / scale)
 
     if q.include_common:
         # stationarity in the common column and in xi_c
