@@ -181,6 +181,25 @@ def test_solutions_feasible_and_certified():
         assert sol.mu_pow >= -1e-10
 
 
+def test_polish_reaches_round_off():
+    # a polish is kept only if it lowers the residual, so a wrong Jacobian
+    # entry still passes the 1e-8 checks above; it cannot reach round-off
+    for seed in range(25):
+        snr = [0.0, 10.0, 20.0, 30.0][seed % 4]
+        for common in (True, False):
+            q, _, _ = problem_from_seed(seed, snr_db=snr, include_common=common)
+            assert solve(q).kkt_residual <= 1e-13, (seed, snr, common)
+    # 0 dB without common power: the common components vanish, every
+    # constraint is the same constant and the dual stays at the centre
+    cfg, draw, sample = random_system(3, snr_db=0.0, m=20)
+    p = random_precoder(np.random.default_rng(3), 2, 2, cfg.p_t)
+    p[:, 0] = 0.0
+    c = accumulate_components(sample, update_blocks(sample, p, 1.0))
+    sol = solve(build(c, 1.0, cfg.p_t), warm=p)
+    assert np.array_equal(sol.mu, [0.5, 0.5])
+    assert sol.kkt_residual <= 1e-13
+
+
 def test_kkt_residual_increases_under_perturbation():
     q, _, _ = problem_from_seed(7)
     sol = solve(q)
