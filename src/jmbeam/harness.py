@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
@@ -251,12 +251,15 @@ def _task_star(args):
     return _channel_task(*args)
 
 
-def _reduce(cfg, tasks, results):
-    """Ordered aggregation of completed channel tasks into records."""
+def _reduce(cfg, done):
+    """Ordered aggregation of completed channel tasks into records.
+
+    `done` holds (task, outcomes) pairs in task order.
+    """
     srs = {}
     failures = []
     details = []
-    for (alpha, snr_db, channel), outcomes in zip(tasks, results):
+    for (alpha, snr_db, channel), outcomes in done:
         for scheme, sr, err in outcomes:
             if err:
                 failures.append(
@@ -346,9 +349,9 @@ def run_sweep(cfg, out_dir=None):
     """Evaluate every scheme on the (alpha, snr) grid over paired channels.
 
     Writes esr.csv, sr_detail.csv and meta.json into out_dir when given.
-    On interrupt or a dead pool worker, whatever channel tasks already
-    completed are reduced and flushed, with the abort reason in
-    meta.json, before the exception propagates.
+    On interrupt or a dead pool worker, every channel task that already
+    completed, in any order, is reduced and flushed, with the abort
+    reason in meta.json, before the exception propagates.
     """
     tasks = [
         (alpha, snr_db, ch)
@@ -356,22 +359,30 @@ def run_sweep(cfg, out_dir=None):
         for snr_db in cfg.snr_db
         for ch in range(cfg.n_channels)
     ]
-    results = []
+    results = {}  # task index -> outcomes
+    futures = []
     abort = None
     t0 = time.perf_counter()
     try:
         if cfg.threads <= 1:
-            for t in tasks:
-                results.append(_channel_task(cfg, *t))
+            for i, t in enumerate(tasks):
+                results[i] = _channel_task(cfg, *t)
         else:
             with ProcessPoolExecutor(max_workers=cfg.threads) as ex:
-                for r in ex.map(_task_star, [(cfg,) + t for t in tasks]):
-                    results.append(r)
+                futures = [ex.submit(_task_star, (cfg,) + t) for t in tasks]
+                for fut in as_completed(futures):
+                    fut.result()  # a dead worker raises BrokenProcessPool
     except (KeyboardInterrupt, BrokenProcessPool) as e:
         abort = e
+    # read every finished future, also one that finished as the pool broke
+    for i, fut in enumerate(futures):
+        if fut.done() and not fut.cancelled() and fut.exception() is None:
+            results[i] = fut.result()
     wall = time.perf_counter() - t0
 
-    records, failures, details = _reduce(cfg, tasks, results)
+    records, failures, details = _reduce(
+        cfg, [(tasks[i], results[i]) for i in sorted(results)]
+    )
     if out_dir is not None:
         import os
 

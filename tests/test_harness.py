@@ -321,6 +321,40 @@ def test_sweep_flushes_finished_tasks_when_a_worker_dies(tmp_path, monkeypatch):
         ).read_bytes()
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched task",
+)
+def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
+    # the first task dies last: the three tasks after it must survive
+    cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=4, threads=2)
+    task = harness._channel_task
+    rest = [(0.6, 5.0, ch) for ch in (1, 2, 3)]
+    records, _, details = harness._reduce(
+        cfg, [(t, task(cfg, *t)) for t in rest]
+    )
+    (tmp_path / "serial").mkdir()
+    write_esr_csv(tmp_path / "serial" / "esr.csv", records)
+    write_detail_csv(tmp_path / "serial" / "sr_detail.csv", details)
+
+    def dying_task(cfg, alpha, snr_db, channel):
+        if channel == 0:
+            time.sleep(1.0)  # let the other tasks report first
+            os._exit(1)
+        return task(cfg, alpha, snr_db, channel)
+
+    monkeypatch.setattr(harness, "_channel_task", dying_task)
+    with pytest.raises(BrokenProcessPool):
+        run_sweep(cfg, out_dir=str(tmp_path / "pool"))
+    meta = json.loads((tmp_path / "pool" / "meta.json").read_text())
+    assert meta["interrupted"] is True
+    assert meta["tasks_completed"] == 3 and meta["tasks_total"] == 4
+    for name in ("esr.csv", "sr_detail.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() == (
+            tmp_path / "serial" / name
+        ).read_bytes()
+
+
 def test_sweep_single_cell_matches_run_single():
     cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=1)
     records = run_sweep(cfg)
