@@ -111,8 +111,9 @@ class ChannelDraw:
 @dataclass(frozen=True, eq=False)
 class MonteCarloSample:
     """Ordered sample of conditional channel realizations, shape
-    (m, n_t, k). The ordering is fixed by draw index; all sample-average
-    reductions run in this order."""
+    (m, n_t, k). The ordering is fixed by draw index; `average_rates`
+    averages in this order. `accumulate_components` sums pairwise,
+    correctly rounded in practice, so the order does not change it."""
 
     realizations: np.ndarray = field(repr=False)
 
