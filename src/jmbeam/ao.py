@@ -191,6 +191,7 @@ def run_ao(h_est, sample, cfg, params, common=True):
     p_prev = None
     beta = 1.0
     stop = "n_max"
+    sol = None
     for n in range(1, params.n_max + 1):
         gw = update_blocks(sample, p, cfg.sigma_n2)
         comps = accumulate_components(sample, gw)
@@ -199,7 +200,11 @@ def run_ao(h_est, sample, cfg, params, common=True):
 
         q = qcqp.build(comps, cfg.sigma_n2, cfg.p_t, include_common=common)
         sol = qcqp.solve(
-            q, tol=params.solver_tol, max_iter=params.solver_max_iter, warm=p
+            q,
+            tol=params.solver_tol,
+            max_iter=params.solver_max_iter,
+            warm=p,
+            warm_dual=None if sol is None else (sol.mu, sol.mu_pow),
         )
         p_new = sol.p_star
 

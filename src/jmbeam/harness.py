@@ -370,8 +370,13 @@ def run_sweep(cfg, out_dir=None):
         else:
             with ProcessPoolExecutor(max_workers=cfg.threads) as ex:
                 futures = [ex.submit(_task_star, (cfg,) + t) for t in tasks]
-                for fut in as_completed(futures):
-                    fut.result()  # a dead worker raises BrokenProcessPool
+                try:
+                    for fut in as_completed(futures):
+                        fut.result()  # a dead worker raises BrokenProcessPool
+                except KeyboardInterrupt:
+                    # leaving the block waits for the pool; run no queued task
+                    ex.shutdown(cancel_futures=True)
+                    raise
     except (KeyboardInterrupt, BrokenProcessPool) as e:
         abort = e
     # read every finished future, also one that finished as the pool broke

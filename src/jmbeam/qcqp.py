@@ -21,14 +21,21 @@ For fixed multipliers (mu on the simplex for the K common-MSE
 constraints, mu_pow >= 0 for the budget) the Lagrangian has a closed-form
 minimizer in P, so the dual is a smooth concave problem in K+1 numbers
 (the WMMSE device of Christensen et al., IEEE TWC 2008, and Shi et al.,
-IEEE TSP 2011). The solver follows its log-barrier path with Newton
-steps on analytic derivatives, then polishes the primal-dual point on
-its active set and certifies it by a recomputed KKT residual. P = 0 with
-a large enough xi_c is strictly feasible, so the problems are never
+IEEE TSP 2011). Every solve ends with Newton's method on the dual face:
+the free multipliers with the simplex row, with a multiplier that would
+turn negative pinned at zero and a pinned one freed when its constraint
+is violated. P comes from the closed form, so stationarity in P holds
+at every iterate, and the face Newton runs until the other KKT terms
+reach round-off. Started from the previous outer iteration's
+multipliers (`warm_dual`), it alone solves the update. Without such a
+start, or when its result is not certified to WARM_TOL, the solve
+starts over: Newton steps on analytic derivatives follow the dual's
+log-barrier path from mu = 1/K, and the face Newton finishes from its
+endpoint. A recomputed KKT residual certifies every returned point. P = 0
+with a large enough xi_c is strictly feasible, so the problems are never
 infeasible by construction.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +52,11 @@ __all__ = [
     "objective_value",
     "constraint_values",
 ]
+
+# the face Newton stops once the KKT terms it leaves open are this small
+FACE_TOL = 1e-14
+# a warm-started result is kept only at this recomputed KKT residual
+WARM_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +140,15 @@ def constraint_values(q, p):
 def _dual(q, z):
     """Lagrange dual function at z = (mu, mu_pow * p_t) with derivatives.
 
-    For fixed multipliers the Lagrangian is minimized in closed form: the
-    private columns solve (psi_obj + A + mu_pow I) p_j = f_obj[j] and the
-    common column solves (A + mu_pow I) p_c = sum_u mu_u f_con[u], with
-    A = sum_u mu_u psi_con[u]. The gradient is the constraint values at
-    that minimizer; the Hessian follows from differentiating the two
-    linear systems. The power multiplier is scaled by p_t so that both
-    coordinate groups have O(1) gradients whatever the budget.
+    For fixed multipliers the Lagrangian is minimized in closed form:
+    column j of P solves M_j p_j = b_j, with M_0 = A + mu_pow I and
+    b_0 = sum_u mu_u f_con[u] for the common column, M_j = psi_obj + M_0
+    and b_j = f_obj[j] for the private ones, and A = sum_u mu_u
+    psi_con[u]; the columns are solved in one stacked call. The gradient
+    is the constraint values at that minimizer; the Hessian follows from
+    differentiating the column systems. The power multiplier is scaled
+    by p_t so that both coordinate groups have O(1) gradients whatever
+    the budget.
 
     Returns (value, gradient, Hessian, P), or None where the minimizer is
     not finite (a singular system).
@@ -142,44 +156,61 @@ def _dual(q, z):
     n_t, p_t = q.n_t, q.p_t
     mu, mu_pow = z[:-1], z[-1] / p_t
     pow_eye = mu_pow * np.eye(n_t)
-    p = np.zeros((n_t, q.k + 1), dtype=complex)
     if q.include_common:
-        a_mu = np.einsum("u,unm->nm", mu, q.psi_con)
-        b_c = q.f_con.T @ mu
-        m_c = a_mu + pow_eye
-        m_p = q.psi_obj + a_mu + pow_eye
+        mats = np.empty((q.k + 1, n_t, n_t), dtype=complex)
+        mats[0] = np.einsum("u,unm->nm", mu, q.psi_con) + pow_eye
+        mats[1:] = q.psi_obj + mats[0]
+        rhs = np.concatenate([(mu @ q.f_con)[None], q.f_obj])
     else:
-        m_p = q.psi_obj + pow_eye
+        mats = (q.psi_obj + pow_eye)[None]
+        rhs = q.f_obj
     try:
-        p[:, 1:] = np.linalg.solve(m_p, q.f_obj.T)
-        if q.include_common:
-            p[:, 0] = np.linalg.solve(m_c, b_c)
+        cols = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(p)):
+    if not np.all(np.isfinite(cols)):
         return None
+    p = np.zeros((n_t, q.k + 1), dtype=complex)
+    p[:, 0 if q.include_common else 1 :] = cols.T
 
     pw = precoder_power(p)
-    value = -float(np.sum(q.f_obj.conj() * p[:, 1:].T).real) - mu_pow * p_t
+    value = -float(np.sum(rhs.conj() * cols).real) - mu_pow * p_t
     grad = np.empty(z.size)
     grad[-1] = (pw - p_t) / p_t
     if q.include_common:
-        value += float(mu @ q.con_const) - float((b_c.conj() @ p[:, 0]).real)
+        value += float(mu @ q.con_const)
         grad[:-1] = constraint_values(q, p)
         # r[j][:, v]: derivative of column j's stationarity residual in z_v
         r = np.concatenate(
-            [np.einsum("unm,mj->jnu", q.psi_con, p), p.T[:, :, None]], axis=2
+            [np.einsum("unm,jm->jnu", q.psi_con, cols), cols[:, :, None]], axis=2
         )
         r[0, :, :-1] -= q.f_con.T
     else:
-        r = p.T[:, :, None]
-    s = np.linalg.solve(m_p, r[1:])
-    hess = -2.0 * np.einsum("jnu,jnv->uv", r[1:].conj(), s).real
-    if q.include_common:
-        hess -= 2.0 * (r[0].conj().T @ np.linalg.solve(m_c, r[0])).real
+        r = cols[:, :, None]
+    hess = -2.0 * np.einsum("jnu,jnv->uv", r.conj(), np.linalg.solve(mats, r)).real
     hess[-1, :] /= p_t
     hess[:, -1] /= p_t
     return value, grad, hess, p
+
+
+def _eqp(h, g, e):
+    """Maximizer p of g.p + p.h.p / 2 subject to e.p = 0, and the
+    multiplier lam of that row (0 without one, e all zero). A singular
+    system, as when the common components vanish and the dual is flat
+    in mu, takes the least-squares step."""
+    n = g.size
+    if e.any():
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = h
+        kkt[n, :n] = kkt[:n, n] = e
+        rhs = np.append(-g, 0.0)
+    else:
+        kkt, rhs = h, -g
+    try:
+        x = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        x = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    return x[:n], (float(x[n]) if e.any() else 0.0)
 
 
 def _dual_newton(q, tol, max_iter):
@@ -200,14 +231,7 @@ def _dual_newton(q, tol, max_iter):
     while steps < max_iter:
         value, grad, hess, _ = ev
         g = grad + t / z
-        h = hess - np.diag(t / z**2)
-        if n_mu:
-            kkt = np.zeros((z.size + 1, z.size + 1))
-            kkt[:-1, :-1] = h
-            kkt[-1, :-1] = kkt[:-1, -1] = eq
-            dz = np.linalg.solve(kkt, np.append(-g, 0.0))[:-1]
-        else:
-            dz = -g / h[0, 0]
+        dz = _eqp(hess - np.diag(t / z**2), g, eq)[0]
         dec = float(g @ dz)
         phi = value + t * float(np.sum(np.log(z)))
         if dec <= t or dec <= 1e-15 * (1.0 + abs(phi)):
@@ -232,21 +256,102 @@ def _dual_newton(q, tol, max_iter):
     return z, ev[3], steps, False
 
 
-def _tight_xi(q, p):
-    """Smallest feasible xi_c at P (0 without a common column)."""
-    return float(np.max(constraint_values(q, p))) if q.include_common else 0.0
+def _model_step(z, grad, hess, eq):
+    """Maximizer of the dual's quadratic model at z over the feasible set.
+
+    A primal active-set loop on the model (Nocedal & Wright, Numerical
+    Optimization, Alg. 16.3), started at z with its zero coordinates
+    pinned. A free multiplier that the face's Newton step would take
+    below zero is pinned at zero. A pinned one is freed when the model's
+    value of its constraint is violated: above the common level of the
+    face (the price of the simplex row) for mu_u, over the budget for
+    mu_pow. Returns None if a step is not finite.
+    """
+    y = z.copy()
+    free = z > 0
+    for _ in range(2 * z.size + 2):
+        f = np.flatnonzero(free)
+        gm = grad + hess @ (y - z)
+        step, lam = _eqp(hess[np.ix_(f, f)], gm[f], eq[f])
+        if not np.all(np.isfinite(step)):
+            return None
+        neg = step < 0
+        ratio = -y[f[neg]] / step[neg]
+        if ratio.size and ratio.min() <= 1.0:
+            y[f] += ratio.min() * step
+            y[f[neg][ratio == ratio.min()]] = 0.0
+            free &= y > 0
+            continue
+        y[f] += step
+        if free.all():
+            return y
+        price = grad + hess @ (y - z) + lam * eq
+        price[free] = -np.inf
+        i = int(np.argmax(price))
+        if not price[i] > FACE_TOL * (1.0 + abs(lam)):
+            return y
+        free[i] = True
+    return y
 
 
-def _feasible(q, p, xi_c):
-    """Within the budget and above every common-MSE value, to 1e-9."""
-    if precoder_power(p) > q.p_t * (1.0 + 1e-9):
-        return False
-    if not q.include_common:
-        return True
-    return float(np.max(constraint_values(q, p))) <= xi_c + 1e-9 * (1.0 + abs(xi_c))
+def _face_newton(q, z):
+    """Newton on the dual face of z, from z.
+
+    The unknowns are the free multipliers, with the simplex row: at most
+    K+1 of them (the dual active-set idea of Goldfarb & Idnani, Math.
+    Programming 1983). The positive entries of z are free and the rest
+    pinned at zero. Each step maximizes the dual's quadratic model over
+    the feasible set (_model_step, which changes the face when a sign
+    says it is wrong) and backtracks along it, so it costs one _dual
+    evaluation; a face with no free coordinate is just evaluated. P
+    comes from the closed form, so stationarity in P holds at every
+    iterate, and the other KKT terms decide: the loop stops when they
+    are below FACE_TOL, or below WARM_TOL and no longer halving, since
+    the rounding of the constraint values bounds them from below.
+    Returns (z, P, constraint values, steps) at the iterate with the
+    smallest terms, or None if those stay above WARM_TOL.
+    """
+    p_t, max_steps = q.p_t, 20
+    eq = np.append(np.ones(z.size - 1), 0.0)
+    ev = _dual(q, z)
+    best, res_best, res_prev = None, np.inf, np.inf
+    for steps in range(max_steps + 1):
+        if ev is None:
+            break
+        value, grad, hess, p = ev
+        cons = grad[:-1]
+        xi = float(cons.max()) if q.include_common else 0.0
+        res = _slack_terms(q, xi, cons, grad[-1] * p_t, z[:-1], z[-1] / p_t)
+        if res < res_best:
+            best, res_best = (z, p, cons, steps), res
+        if res <= FACE_TOL or (res_best <= WARM_TOL and res > 0.5 * res_prev):
+            break
+        y = None if steps == max_steps else _model_step(z, grad, hess, eq)
+        if y is None or np.array_equal(y, z):
+            break
+        d = y - z
+        dec = float(grad @ d)
+        # below this predicted gain the rounding of the dual value hides
+        # any gain, so the full step is taken as it stands
+        small = dec <= 1e-10 * (1.0 + abs(value))
+        s = 1.0
+        for _ in range(30):
+            zn = y if s == 1.0 else z + s * d
+            ev = _dual(q, zn)
+            if ev is not None and (small or ev[0] - value >= 0.01 * s * dec):
+                break
+            s *= 0.5
+        else:
+            break
+        z, res_prev = zn, res
+    return best if res_best <= WARM_TOL else None
 
 
-def solve(q, tol=1e-8, max_iter=100, warm=None):
+def _within_budget(q, p):
+    return precoder_power(p) <= q.p_t * (1.0 + 1e-9)
+
+
+def solve(q, tol=1e-8, max_iter=100, warm=None, warm_dual=None):
     """Solve the precoder-update problem.
 
     Parameters
@@ -255,11 +360,16 @@ def solve(q, tol=1e-8, max_iter=100, warm=None):
     tol : float
         Target recomputed KKT residual; the dual path stops far below it.
     max_iter : int
-        Cap on the dual Newton steps.
+        Cap on the dual Newton steps of the barrier path.
     warm : optional (n_t, k+1) complex ndarray
         Incumbent precoder. If it is feasible, the returned solution is
         never worse than the incumbent evaluated at its own best xi_c,
         which is what makes the outer loop's descent exact.
+    warm_dual : optional (mu, mu_pow)
+        Multipliers to start the face Newton from, such as those of the
+        previous outer iteration. Its result is kept if it is within the
+        budget with a recomputed KKT residual of at most WARM_TOL;
+        otherwise the solve starts over on the barrier path.
 
     The returned point is always feasible to 1e-9.
 
@@ -278,40 +388,37 @@ def solve(q, tol=1e-8, max_iter=100, warm=None):
         for psi in q.psi_con:
             cholesky_psd(psi)
 
-    z, p_star, steps, reached = _dual_newton(q, tol, max_iter)
-    mu, mu_pow = z[:-1], z[-1] / q.p_t
-    pw = precoder_power(p_star)
-    if pw > q.p_t:
-        p_star = p_star * np.sqrt(q.p_t / pw)
-    xi_c_star = _tight_xi(q, p_star)
-
-    # Newton polish on the identified active set, kept only if it stays
-    # feasible and verifiably lowers the recomputed optimality residual
-    kkt0 = _kkt_terms(q, p_star, xi_c_star, mu, mu_pow)
-    pol, kkt1 = _polish(q, p_star, xi_c_star, mu, mu_pow)
-    if pol is not None and _feasible(q, pol[0], pol[1]) and kkt1 < kkt0:
-        p_star, xi_c_star, mu, mu_pow = pol
-
-    obj = objective_value(q, p_star, xi_c_star)
+    sol = None
+    if warm_dual is not None:
+        z = np.append(warm_dual[0], float(warm_dual[1]) * q.p_t)
+        if np.all(np.isfinite(z)) and z.min() >= 0.0:
+            sol = _solution(q, _face_newton(q, z), "Optimal")
+        if sol is not None and not (
+            sol.kkt_residual <= WARM_TOL and _within_budget(q, sol.p_star)
+        ):
+            sol = None
+    if sol is None:
+        z, p, steps, reached = _dual_newton(q, tol, max_iter)
+        fin = _face_newton(q, z)
+        if fin is None or not _within_budget(q, fin[1]):
+            # the barrier endpoint itself, scaled into the budget
+            pw = precoder_power(p)
+            if pw > q.p_t:
+                p = p * np.sqrt(q.p_t / pw)
+            fin = (z, p, constraint_values(q, p), 0)
+        sol = _solution(q, fin, "Optimal" if reached else "MaxIter")
+        sol.iterations += steps
 
     # never return a point worse than the incumbent (descent guarantee)
     if warm is not None:
         warm = np.asarray(warm, dtype=complex)
-        xi_w = _tight_xi(q, warm)
+        xi_w = float(np.max(constraint_values(q, warm))) if q.include_common else 0.0
         obj_w = objective_value(q, warm, xi_w)
-        if _feasible(q, warm, xi_w) and (obj_w < obj or not np.isfinite(obj)):
-            p_star, xi_c_star, obj = warm.copy(), xi_w, obj_w
-    sol = QcqpSolution(
-        p_star=p_star,
-        xi_c_star=xi_c_star,
-        objective=obj,
-        kkt_residual=np.inf,
-        iterations=steps,
-        status="Optimal" if reached else "MaxIter",
-        mu=mu,
-        mu_pow=mu_pow,
-    )
-    sol.kkt_residual = kkt_residual(q, sol)
+        if _within_budget(q, warm) and (
+            obj_w < sol.objective or not np.isfinite(sol.objective)
+        ):
+            sol.p_star, sol.xi_c_star, sol.objective = warm.copy(), xi_w, obj_w
+            sol.kkt_residual = kkt_residual(q, sol)
     # a tiny recomputed residual certifies optimality of the returned
     # point for this convex problem even if the dual path hit its cap
     if sol.status == "MaxIter" and sol.kkt_residual <= tol:
@@ -319,165 +426,25 @@ def solve(q, tol=1e-8, max_iter=100, warm=None):
     return sol
 
 
-def _polish(q, p, xi_c, mu, mu_pow):
-    """Newton refinement over candidate active sets.
-
-    A barrier iterate stops at a residual set by its final centrality,
-    but it narrows down which constraints bind. Freezing an
-    active set turns the optimality conditions into a square smooth
-    system that a few Newton steps solve to round-off. Weakly active
-    constraints (multiplier and slack both tiny) are not reliably
-    classified by the duals, so plausible active sets are enumerated and
-    the one with the smallest recomputed residual wins. Returns
-    ((p, xi_c, mu, mu_pow), residual), or (None, inf).
-    """
-    best = None
-    best_kkt = np.inf
-    for act, pow_act in _active_set_candidates(q, p, xi_c, mu, mu_pow):
-        out = _newton_active(q, p, xi_c, mu, mu_pow, act, pow_act)
-        if out is None:
-            continue
-        kk = _kkt_terms(q, *out)
-        if np.isfinite(kk) and kk < best_kkt:
-            best, best_kkt = out, kk
-        if best_kkt < 1e-12:
-            break
-    return best, best_kkt
-
-
-def _active_set_candidates(q, p, xi_c, mu, mu_pow):
-    """Plausible (constraint set, power flag) pairs, best guess first.
-
-    For small k every nonempty constraint subset is tried; beyond that
-    only the dual-based guess and its power-flag flip (cheap insurance
-    against the most common misclassification).
-    """
-    k = q.k
-    pw = precoder_power(p)
-    pow_guess = bool(mu_pow >= (q.p_t - pw) / max(1.0, q.p_t))
-    if not q.include_common:
-        return [((), pow_guess), ((), not pow_guess)]
-
-    slack = (xi_c - constraint_values(q, p)) / (1.0 + np.abs(q.con_const))
-    guess = tuple(np.flatnonzero(mu >= slack))
-    if k <= 3:
-        subsets = [
-            s
-            for r in range(k, 0, -1)
-            for s in itertools.combinations(range(k), r)
-        ]
-    else:
-        subsets = [guess] if guess else []
-    cands = []
-    for s in subsets:
-        for pa in (pow_guess, not pow_guess):
-            cands.append((s, pa))
-    cands.sort(key=lambda c: (c[0] != guess, c[1] != pow_guess))
-    return cands
-
-
-def _newton_active(q, p, xi_c, mu, mu_pow, act, pow_act):
-    """Newton on the fixed-active-set system, started at the given point.
-
-    Unknowns: the used columns of P as [Re; Im] blocks, xi_c (JMB), the
-    active multipliers and mu_pow (budget active). Residuals, in the same
-    order: column stationarity, the simplex row (JMB), the active
-    constraints and the budget. The rows from the active constraints on
-    are twice the transpose of the columns from the multipliers on.
-    """
-    k, n_t = q.k, q.n_t
-    eye = np.eye(n_t)
-    act = np.asarray(act, dtype=int)
-    n_act = act.size
-    if q.include_common and n_act == 0:
+def _solution(q, fin, status):
+    """QcqpSolution at a face result (z, P, constraint values, steps),
+    with its recomputed KKT residual; None for a failed face result."""
+    if fin is None:
         return None
-
-    off = 0 if q.include_common else 1
-    ncols = k + 1 - off
-    n_p = ncols * 2 * n_t
-    i_mu = n_p + 1 - off
-    n = i_mu + n_act + (1 if pow_act else 0)
-
-    def split(x):
-        xb = x[:n_p].reshape(ncols, 2, n_t)
-        pm = np.zeros((n_t, k + 1), dtype=complex)
-        pm[:, off:] = (xb[:, 0] + 1j * xb[:, 1]).T
-        xi = float(x[n_p]) if q.include_common else 0.0
-        mp = float(x[-1]) if pow_act else 0.0
-        return pm, xi, x[i_mu : i_mu + n_act], mp
-
-    x = np.zeros(n)
-    xb = x[:n_p].reshape(ncols, 2, n_t)
-    xb[:, 0], xb[:, 1] = p[:, off:].real.T, p[:, off:].imag.T
-    if q.include_common:
-        x[n_p] = xi_c
-    if n_act:
-        start = np.maximum(mu[act], 0.0)
-        tot = start.sum()
-        x[i_mu : i_mu + n_act] = start / tot if tot > 0 else 1.0 / n_act
-    if pow_act:
-        x[-1] = max(mu_pow, 0.0)
-
-    def residual_jacobian(x):
-        pm, xi, mu_a, mp = split(x)
-        psi_mu = (
-            np.einsum("u,unm->nm", mu_a, q.psi_con[act])
-            if n_act
-            else np.zeros((n_t, n_t))
-        )
-        m_c = psi_mu + mp * eye
-        m_p = q.psi_obj + psi_mu + mp * eye
-        F = np.zeros(n)
-        J = np.zeros((n, n))
-        f_top = F[:n_p].reshape(ncols, 2, n_t)
-        j_diag = J[:n_p, :n_p].reshape(ncols, 2, n_t, ncols, 2, n_t)
-        j_side = J[:n_p, i_mu:].reshape(ncols, 2, n_t, n - i_mu)
-        for c in range(ncols):
-            col = pm[:, c + off]
-            if c + off == 0:
-                mat, g = m_c, m_c @ col
-                if n_act:
-                    g = g - np.einsum("u,un->n", mu_a, q.f_con[act])
-                side = [q.psi_con[u] @ col - q.f_con[u] for u in act]
-            else:
-                mat, g = m_p, m_p @ col - q.f_obj[c + off - 1]
-                side = [q.psi_con[u] @ col for u in act]
-            f_top[c, 0], f_top[c, 1] = g.real, g.imag
-            j_diag[c, 0, :, c, 0, :] = j_diag[c, 1, :, c, 1, :] = mat.real
-            j_diag[c, 1, :, c, 0, :] = mat.imag
-            j_diag[c, 0, :, c, 1, :] = -mat.imag
-            if pow_act:
-                side.append(col)
-            if side:
-                side = np.array(side).T
-                j_side[c, 0], j_side[c, 1] = side.real, side.imag
-        if q.include_common:
-            F[n_p] = np.sum(mu_a) - 1.0
-            J[n_p, i_mu : i_mu + n_act] = 1.0
-            F[i_mu : i_mu + n_act] = constraint_values(q, pm)[act] - xi
-            J[i_mu : i_mu + n_act, n_p] = -1.0
-        if pow_act:
-            F[-1] = precoder_power(pm) - q.p_t
-        J[i_mu:, :n_p] = 2.0 * J[:n_p, i_mu:].T
-        return F, J
-
-    for _ in range(5):
-        F, J = residual_jacobian(x)
-        if np.linalg.norm(F, np.inf) < 1e-14 * (1.0 + np.linalg.norm(x, np.inf)):
-            break
-        try:
-            dx = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            dx, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        if not np.all(np.isfinite(dx)):
-            return None
-        x = x + dx
-
-    pm, xi, mu_a, mp = split(x)
-    mu_full = np.zeros(k) if q.include_common else np.zeros(0)
-    if n_act:
-        mu_full[act] = np.maximum(mu_a, 0.0)
-    return pm, xi, mu_full, max(mp, 0.0)
+    z, p, cons, steps = fin
+    xi = float(np.max(cons)) if q.include_common else 0.0
+    sol = QcqpSolution(
+        p_star=p,
+        xi_c_star=xi,
+        objective=objective_value(q, p, xi),
+        kkt_residual=np.inf,
+        iterations=steps,
+        status=status,
+        mu=z[:-1],
+        mu_pow=z[-1] / q.p_t,
+    )
+    sol.kkt_residual = kkt_residual(q, sol)
+    return sol
 
 
 def kkt_residual(q, sol):
@@ -503,25 +470,31 @@ def _kkt_terms(q, p, xi_c_star, mu, mu_pow):
     else:
         psi_mu = np.zeros((n_t, n_t))
     m_p = q.psi_obj + psi_mu + mu_pow * np.eye(n_t)
-    for j in range(1, k + 1):
-        terms.append(np.linalg.norm(m_p @ p[:, j] - q.f_obj[j - 1]) / scale)
+    terms.append(np.linalg.norm(m_p @ p[:, 1:] - q.f_obj.T, axis=0).max() / scale)
 
+    cons = None
     if q.include_common:
-        # stationarity in the common column and in xi_c
+        # stationarity in the common column
         g_c = psi_mu @ p[:, 0] - np.einsum("u,un->n", mu, q.f_con) + mu_pow * p[:, 0]
         terms.append(np.linalg.norm(g_c) / scale)
-        terms.append(abs(1.0 - float(np.sum(mu))))
-
         cons = constraint_values(q, p)
-        slack = xi_c_star - cons
-        terms.append(max(0.0, float(np.max(-slack))) / (1.0 + abs(xi_c_star)))
-        terms.append(max(0.0, -float(np.min(mu))))
-        comp = np.abs(mu * slack) / (1.0 + np.abs(cons))
-        terms.append(float(np.max(comp)))
 
-    pw = precoder_power(p)
-    terms.append(max(0.0, pw - q.p_t) / max(1.0, q.p_t))
-    terms.append(max(0.0, -mu_pow))
-    terms.append(abs(mu_pow * (pw - q.p_t)) / max(1.0, q.p_t))
-
+    excess = precoder_power(p) - q.p_t
+    terms.append(_slack_terms(q, xi_c_star, cons, excess, mu, mu_pow))
     return float(max(terms))
+
+
+def _slack_terms(q, xi_c, cons, excess, mu, mu_pow):
+    """The KKT terms besides stationarity in P: stationarity in xi_c (the
+    simplex row), primal and dual feasibility, and complementary
+    slackness, from the constraint values and the power excess
+    ||P||_F^2 - p_t at P."""
+    scale = max(1.0, q.p_t)
+    terms = [max(0.0, excess) / scale, max(0.0, -mu_pow), abs(mu_pow * excess) / scale]
+    if q.include_common:
+        slack = xi_c - cons
+        terms.append(abs(1.0 - float(mu.sum())))
+        terms.append(max(0.0, -float(slack.min())) / (1.0 + abs(xi_c)))
+        terms.append(max(0.0, -float(mu.min())))
+        terms.append(float((np.abs(mu * slack) / (1.0 + np.abs(cons))).max()))
+    return max(terms)

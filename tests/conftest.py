@@ -3,6 +3,7 @@
 import numpy as np
 
 from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
+from jmbeam.harness import ExperimentConfig
 
 
 def random_system(seed, n_t=2, k=2, snr_db=20.0, alpha=0.6, m=50):
@@ -26,3 +27,14 @@ def random_psd(rng, n, rank=None):
     r = n if rank is None else rank
     b = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     return b @ b.conj().T
+
+
+def tiny_cfg(**over):
+    """A small sweep configuration; keyword arguments override fields."""
+    base = dict(
+        n_t=2, k=2, alphas=(0.6,), snr_db=(5.0,), m=8, n_channels=3,
+        schemes=("ZF-WF", "JMB-ZF-SVD"), master_seed=77, threads=1,
+        epsilon_r=1e-2, n_max=40,
+    )
+    base.update(over)
+    return ExperimentConfig(**base)

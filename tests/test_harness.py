@@ -3,12 +3,14 @@ import math
 import multiprocessing
 import os
 import time
+from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import tiny_cfg
 from jmbeam import harness
 from jmbeam.ao import AoTrace
 from jmbeam.baselines import zf_wf
@@ -29,16 +31,6 @@ from jmbeam.receivers import precoder_power, sum_rate
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "config_desk.json"
 GOLDEN_DETAIL = Path(__file__).resolve().parent / "fixtures" / "sweep_small_sr_detail.csv"
-
-
-def tiny_cfg(**over):
-    base = dict(
-        n_t=2, k=2, alphas=(0.6,), snr_db=(5.0,), m=8, n_channels=3,
-        schemes=("ZF-WF", "JMB-ZF-SVD"), master_seed=77, threads=1,
-        epsilon_r=1e-2, n_max=40,
-    )
-    base.update(over)
-    return ExperimentConfig(**base)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +345,34 @@ def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
         assert (tmp_path / "pool" / name).read_bytes() == (
             tmp_path / "serial" / name
         ).read_bytes()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched task",
+)
+def test_sweep_interrupt_cancels_queued_tasks(tmp_path, monkeypatch):
+    # an interrupt that reaches only the parent, after the first result
+    cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=12, threads=2)
+    task = harness._channel_task
+
+    def slow_task(*args):
+        time.sleep(0.2)
+        return task(*args)
+
+    def interrupted(futures):
+        for fut in as_completed(futures):
+            yield fut
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "_channel_task", slow_task)
+    monkeypatch.setattr(harness, "as_completed", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(cfg, out_dir=str(tmp_path))
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["interrupted"] is True
+    assert meta["abort_reason"] == "KeyboardInterrupt: "
+    assert 1 <= meta["tasks_completed"] < meta["tasks_total"] == 12
 
 
 def test_sweep_single_cell_matches_run_single():

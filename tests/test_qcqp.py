@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from _oracles import oracle_primal_value, qcqp_cone_oracle, qcqp_dual_oracle
-from conftest import random_precoder, random_system
+from conftest import random_precoder, random_system, tiny_cfg
+from jmbeam import qcqp
 from jmbeam.awsmse import (
     AwmmseComponents,
     accumulate_components,
@@ -13,6 +14,7 @@ from jmbeam.awsmse import (
     update_blocks,
 )
 from jmbeam.errors import NotPsd
+from jmbeam.harness import cell_seed, run_single
 from jmbeam.qcqp import (
     QcqpSolution,
     build,
@@ -198,6 +200,95 @@ def test_polish_reaches_round_off():
     sol = solve(build(c, 1.0, cfg.p_t), warm=p)
     assert np.array_equal(sol.mu, [0.5, 0.5])
     assert sol.kkt_residual <= 1e-13
+
+
+def _ao_solves(monkeypatch, scheme, snr_db):
+    """(problem, solution) of every precoder update of one AO run:
+    tiny_cfg at m=200, channel 0."""
+    cfg = tiny_cfg(schemes=(scheme,), snr_db=(snr_db,), m=200)
+    out = []
+
+    def recording_solve(q, **kw):
+        sol = solve(q, **kw)
+        out.append((q, sol))
+        return sol
+
+    monkeypatch.setattr(qcqp, "solve", recording_solve)
+    run_single(cfg, scheme, snr_db, 0.6, cell_seed(cfg.master_seed, 0.6, snr_db, 0))
+    monkeypatch.undo()
+    return out
+
+
+def _count_barrier_paths(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return dual_newton(*args)
+
+    dual_newton = qcqp._dual_newton
+    monkeypatch.setattr(qcqp, "_dual_newton", counted)
+    return calls
+
+
+def test_weakly_active_budget_reaches_round_off(monkeypatch):
+    # AO iteration 16: the budget binds with a multiplier of a few 1e-7,
+    # so the barrier endpoint does not tell whether it is active; a face
+    # taken from it without adding the budget back stops near 1e-6
+    q, _ = _ao_solves(monkeypatch, "BC-AWSMSE", 20.0)[15]
+    sol = solve(q)
+    assert 0.0 < sol.mu_pow < 1e-5
+    assert sol.kkt_residual <= 1e-13
+    # started with the budget pinned, the face Newton must add it back
+    barrier = _count_barrier_paths(monkeypatch)
+    sol = solve(q, warm_dual=(np.empty(0), 0.0))
+    assert not barrier
+    assert 0.0 < sol.mu_pow < 1e-5
+    assert sol.kkt_residual <= 1e-13
+
+
+@pytest.mark.parametrize("scheme", ["JMB-AWSMSE", "BC-AWSMSE"])
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
+def test_warm_dual_start_matches_cold_solve(monkeypatch, scheme, snr_db):
+    # each update started from the previous update's multipliers: no
+    # barrier path, and the cold solve's point
+    solves = _ao_solves(monkeypatch, scheme, snr_db)
+    assert len(solves) >= 2
+    barrier = _count_barrier_paths(monkeypatch)
+    for (_, prev), (q, _) in zip(solves, solves[1:]):
+        warm = solve(q, warm_dual=(prev.mu, prev.mu_pow))
+        assert not barrier
+        cold = solve(q)
+        assert warm.status == "Optimal" and warm.kkt_residual <= 1e-13
+        scale = 1.0 + np.abs(cold.p_star).max()
+        assert np.abs(warm.p_star - cold.p_star).max() <= 1e-12 * scale
+        assert abs(warm.objective - cold.objective) <= 1e-12 * (1.0 + abs(cold.objective))
+        # the constraint values round at about 1e-12 at 40 dB (terms near
+        # p_t cancel), and the multipliers inherit that
+        assert np.allclose(warm.mu, cold.mu, rtol=0.0, atol=1e-10)
+        assert abs(warm.mu_pow - cold.mu_pow) <= 1e-10 * (1.0 + cold.mu_pow)
+        barrier.clear()
+
+
+@pytest.mark.parametrize(
+    "mu, mu_pow",
+    [
+        ([np.nan, 0.5], 0.0),
+        ([0.5, 0.5], -1.0),
+        ([0.5, 0.5], 1e307),  # mu_pow * p_t overflows
+        ([0.5, 0.5], 1e200),  # P underflows and the face Newton cannot move
+    ],
+    ids=["nan", "negative", "overflow", "flat"],
+)
+def test_bad_warm_dual_start_falls_back(monkeypatch, mu, mu_pow):
+    q, _, _ = problem_from_seed(4, snr_db=20.0)
+    cold = solve(q)
+    barrier = _count_barrier_paths(monkeypatch)
+    sol = solve(q, warm_dual=(np.array(mu), mu_pow))
+    assert len(barrier) == 1
+    assert sol.status == "Optimal" and sol.kkt_residual <= 1e-13
+    assert np.array_equal(sol.p_star, cold.p_star)
+    assert np.array_equal(sol.mu, cold.mu) and sol.mu_pow == cold.mu_pow
 
 
 def test_kkt_residual_increases_under_perturbation():
