@@ -184,8 +184,8 @@ def test_solutions_feasible_and_certified():
 
 
 def test_polish_reaches_round_off():
-    # a polish is kept only if it lowers the residual, so a wrong Jacobian
-    # entry still passes the 1e-8 checks above; it cannot reach round-off
+    # the checks above allow 1e-8; the finish on the dual face must reach
+    # round-off, not stop where the barrier path leaves it
     for seed in range(25):
         snr = [0.0, 10.0, 20.0, 30.0][seed % 4]
         for common in (True, False):
