@@ -104,15 +104,12 @@ def update_blocks(sample, p, sigma_n2):
     MMSE weights, evaluated on that realization. This is the (G, U) step
     of the alternating loop.
     """
-    h = sample.realizations
-    s_c, s_p, i_p, t_p, t_c = _batch_powers(h, p, sigma_n2)
+    y, _, _, i_p, t_p, t_c = _batch_powers(sample, p, sigma_n2)
     if np.any(t_p <= EPS_FLOOR * t_c) or np.any(i_p <= EPS_FLOOR * t_p):
         raise DegenerateMmse("MMSE underflow; is sigma_n2 zero?")
-    y = np.einsum("ij,mjk->mik", p.conj().T, h)  # (m, k+1, k)
-    k = h.shape[2]
-    idx = np.arange(k)
-    g_c = y[:, 0, :] / t_c
-    g_p = y[:, 1:, :][:, idx, idx] / t_p
+    m, k, _ = y.shape
+    g_c = y[:, :, 0] / t_c
+    g_p = y.reshape(m, k * (k + 1))[:, 1 :: k + 2] / t_p  # y[:, u, u + 1]
     # eps_c = t_p/t_c, eps_p = i_p/t_p; weights are the inverses
     u_c = t_c / t_p
     u_p = t_p / i_p
@@ -140,51 +137,77 @@ def _field_views(buf, k, n_t):
     return views
 
 
+def _buffers(sample):
+    """The arrays every accumulation on a sample reuses, made on first
+    use: the (m, D) row buffer, its field views and `_sum_rows` scratch."""
+    ws = sample.workspace
+    if "awsmse" not in ws:
+        m, n_t, k = sample.realizations.shape
+        rows = np.empty((m, 4 * k * n_t * (n_t + 1) + 6 * k))
+        ws["awsmse"] = rows, _field_views(rows, k, n_t), _sum_buffers(m, rows.shape[1])
+    return ws["awsmse"]
+
+
 def _component_rows(sample, gw):
     """Per-realization terms of all ten fields, one real row per realization.
 
-    Each term is written straight into its field's view of the (m, D)
-    buffer. Outer products come first (exactly Hermitian), then the real
-    scaling.
+    Each term is written straight into its field's view of the sample's
+    (m, D) row buffer, which the next call on the same sample overwrites.
+    Outer products come first (exactly Hermitian), then the real scaling.
     """
-    h = sample.realizations
-    m, n_t, k = h.shape
-    rows = np.empty((m, 4 * k * n_t * (n_t + 1) + 6 * k))
-    v = _field_views(rows, k, n_t)
-    outer = np.einsum("mik,mjk->mkij", h, h.conj())
-    h_t = h.transpose(0, 2, 1)
+    rows, v, _ = _buffers(sample)
     for layer, g, u in (("c", gw.g_c, gw.u_c), ("p", gw.g_p, gw.u_p)):
         t = np.multiply(u, g.real**2 + g.imag**2, out=v["t_" + layer])
-        np.multiply(t[:, :, None, None], outer, out=v["psi_" + layer])
-        np.multiply((u * g.conj())[:, :, None], h_t, out=v["f_" + layer])
+        np.multiply(t[:, :, None, None], sample.outer, out=v["psi_" + layer])
+        np.multiply((u * g.conj())[:, :, None], sample.stacked, out=v["f_" + layer])
         v["u_" + layer][...] = u
         np.log2(u, out=v["v_" + layer])
     return rows
 
 
-def _sum_rows(rows):
+def _sum_buffers(m, d):
+    """Scratch for `_sum_rows` on (m, d) input: two ping-pong row blocks,
+    two for the error terms, one column vector."""
+    half = (m + 1) // 2
+    return tuple(np.empty((half, d)) for _ in range(4)) + (np.empty(d),)
+
+
+def _sum_rows(rows, work=None):
     """Column sums of a real (m, D) array by an error-free pairwise cascade.
 
     Each level adds row pairs, t = a + b, and recovers every rounding
     error exactly by Knuth's TwoSum; the errors are summed into one vector
-    that is added once at the end. An odd level gets a zero row. This is
-    the Sum2 scheme of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 2005),
-    as accurate as a sum in twice the working precision rounded once, in
-    log2(m) vectorized levels: correctly rounded unless a column's
-    condition number sum|x| / |sum x| nears 1/eps. TwoSum is odd in its
-    arguments, so negated columns sum to negated results exactly.
+    that is added once at the end. An odd level pairs its last row with
+    zero. This is the Sum2 scheme of Ogita, Rump and Oishi (SIAM J. Sci.
+    Comput. 2005), as accurate as a sum in twice the working precision
+    rounded once, in log2(m) vectorized levels: correctly rounded unless a
+    column's condition number sum|x| / |sum x| nears 1/eps. TwoSum is odd
+    in its arguments, so negated columns sum to negated results exactly.
+
+    `rows` is left intact; `work` (from `_sum_buffers`) holds every
+    intermediate, fresh ones are made when it is None.
     """
-    err = np.zeros(rows.shape[1])
-    while rows.shape[0] > 1:
-        if rows.shape[0] % 2:
-            rows = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
-        half = rows.shape[0] // 2
-        a, b = rows[:half], rows[half:]
-        t = a + b
-        bb = t - a
-        err += ((a - (t - bb)) + (b - bb)).sum(axis=0)
-        rows = t
-    return rows[0] + err
+    n, d = rows.shape
+    t_next, t_spare, e, y, s = _sum_buffers(n, d) if work is None else work
+    err = np.zeros(d)
+    x = rows
+    while n > 1:
+        half = (n + 1) // 2
+        nb = n - half
+        a, b = x[:half], x[half:n]
+        t, bb, eb = t_next[:half], e[:half], y[:half]
+        t_next, t_spare = t_spare, t_next
+        np.add(a[:nb], b, out=t[:nb])
+        np.add(a[nb:], 0.0, out=t[nb:])
+        np.subtract(t, a, out=bb)
+        np.subtract(b, bb[:nb], out=eb[:nb])  # b - bb
+        np.subtract(0.0, bb[nb:], out=eb[nb:])
+        np.subtract(t, bb, out=bb)
+        np.subtract(a, bb, out=bb)  # a - (t - bb)
+        np.add(bb, eb, out=bb)
+        err += np.add.reduce(bb, axis=0, out=s)
+        x, n = t, half
+    return x[0] + err
 
 
 def accumulate_components(sample, gw):
@@ -206,12 +229,18 @@ def accumulate_components(sample, gw):
     in practice, and each field is divided by m in its own dtype (a
     complex division rounds differently from two real ones). The psi
     outputs are exactly Hermitian.
+
+    Nothing sample-invariant is recomputed: h h^H and h come from the
+    sample's cached `outer` and `stacked`, and the (m, D) rows and every
+    intermediate of the reduction live in buffers kept in the sample's
+    workspace, allocated on the first call. The returned arrays are new
+    and share no memory with those buffers.
     """
-    h = sample.realizations
-    m, n_t, k = h.shape
+    m, n_t, k = sample.realizations.shape
     if gw.g_c.shape != (m, k):
         raise ValueError("equalizer set does not match the sample")
-    sums = _field_views(_sum_rows(_component_rows(sample, gw)), k, n_t)
+    rows = _component_rows(sample, gw)
+    sums = _field_views(_sum_rows(rows, _buffers(sample)[2]), k, n_t)
     return AwmmseComponents(**{name: x / m for name, x in sums.items()})
 
 

@@ -12,6 +12,7 @@ order.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,17 +114,50 @@ class MonteCarloSample:
     """Ordered sample of conditional channel realizations, shape
     (m, n_t, k). The ordering is fixed by draw index; `average_rates`
     averages in this order. `accumulate_components` sums pairwise,
-    correctly rounded in practice, so the order does not change it."""
+    correctly rounded in practice, so the order does not change it.
+
+    The sample holds its own read-only complex copy of the realizations,
+    so what is derived from them is built once, on first use, and cannot
+    go stale:
+
+    * `stacked`, (m, k, n_t): row [mi, u] is user u's channel in
+      realization mi; as an (m*k, n_t) matrix it gives P^H h for the
+      whole sample in one GEMM;
+    * `outer`, (m, k, n_t, n_t): the per-realization outer products h h^H;
+    * `workspace`: a dict of per-sample buffers and memos owned by the
+      evaluation layers (the receive-power memo of `receivers`, the row
+      and reduction buffers of `awsmse`).
+    """
 
     realizations: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.realizations.ndim != 3 or self.realizations.shape[0] < 1:
+        r = np.array(self.realizations, dtype=complex)
+        if r.ndim != 3 or r.shape[0] < 1:
             raise ValueError("realizations must be a nonempty (m, n_t, k) array")
+        object.__setattr__(self, "realizations", _read_only(r))
 
     @property
     def m(self):
         return self.realizations.shape[0]
+
+    @cached_property
+    def stacked(self):
+        return _read_only(self.realizations.transpose(0, 2, 1).copy())
+
+    @cached_property
+    def outer(self):
+        h = self.realizations
+        return _read_only(np.einsum("mik,mjk->mkij", h, h.conj()).copy())
+
+    @cached_property
+    def workspace(self):
+        return {}
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def draw_channel(rng, cfg):

@@ -305,9 +305,10 @@ def _face_newton(q, z):
     says it is wrong) and backtracks along it, so it costs one _dual
     evaluation; a face with no free coordinate is just evaluated. P
     comes from the closed form, so stationarity in P holds at every
-    iterate, and the other KKT terms decide: the loop stops when they
-    are below FACE_TOL, or below WARM_TOL and no longer halving, since
-    the rounding of the constraint values bounds them from below.
+    iterate, and the other KKT terms decide, with the budget gap
+    counted in full while mu_pow is free: the loop stops when they are
+    below FACE_TOL, or below WARM_TOL and no longer halving, since the
+    rounding of the constraint values bounds them from below.
     Returns (z, P, constraint values, steps) at the iterate with the
     smallest terms, or None if those stay above WARM_TOL.
     """
@@ -321,7 +322,12 @@ def _face_newton(q, z):
         value, grad, hess, p = ev
         cons = grad[:-1]
         xi = float(cons.max()) if q.include_common else 0.0
-        res = _slack_terms(q, xi, cons, grad[-1] * p_t, z[:-1], z[-1] / p_t)
+        excess = grad[-1] * p_t
+        res = _slack_terms(q, xi, cons, excess, z[:-1], z[-1] / p_t)
+        if z[-1] > 0.0:
+            # a free mu_pow makes the budget an equality of the face; the
+            # slackness product hides its gap when mu_pow is small
+            res = max(res, abs(excess) / max(1.0, p_t))
         if res < res_best:
             best, res_best = (z, p, cons, steps), res
         if res <= FACE_TOL or (res_best <= WARM_TOL and res > 0.5 * res_prev):

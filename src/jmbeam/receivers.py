@@ -16,14 +16,25 @@ Every quantity here descends from the receive powers at user k:
 with MMSEs e_c/t_c and e_p/t_p where e_c = t_p and e_p = t_p - |p_k^H h_k|^2.
 To avoid cancellation at high SNR, the interference-plus-noise term
 (t_p minus the own-signal power) is always accumulated directly rather
-than by subtraction; the same kernel backs the single-channel and the
-Monte-Carlo-batch paths so derived identities hold to round-off.
+than by subtraction, on both paths below.
+
+Two kernels form these powers. The single-channel path (`link_terms`,
+`mmse_equalizers`, `mse`, `rates`) takes one matrix-vector product per
+user. The batch path (`_batch_powers`, behind `sum_rate`,
+`average_rates` and `awsmse.update_blocks`) takes one GEMM over the
+stacked channels a Monte-Carlo sample caches, and memoizes the result
+per precoder on the sample. The two round the products p_i^H h_k
+differently, so they agree to a few ulps of the terms' magnitude, not
+bit for bit.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from .channel import MonteCarloSample
 
 _LN2 = math.log(2.0)
 
@@ -76,35 +87,67 @@ def precoder_power(p):
     return float(np.sum(p.real**2 + p.imag**2))
 
 
-def _batch_powers(h_batch, p, sigma_n2):
-    """Receive-power bookkeeping for a batch of channel matrices.
+# memo entries per sample: a plain precoder update and its extrapolation
+# (see ao.run_ao), the two precoders the next update_blocks may start from
+_MEMO_SIZE = 2
+
+
+@lru_cache
+def _interference_mask(k):
+    """0/1 matrix taking a row of |p_i^H h_u|^2, indexed u*(k+1) + i, to
+    the k interference powers: column u picks the private columns i >= 1
+    other than u + 1. Exact weights add the picked terms exactly as a
+    loop would, up to their order, which at k <= 3 (two terms) is moot."""
+    others = np.hstack([np.zeros((k, 1)), 1.0 - np.eye(k)])  # [u, i]
+    mask = (others[:, :, None] * np.eye(k)[:, None, :]).reshape(k * (k + 1), k)
+    mask.flags.writeable = False
+    return mask
+
+
+def _batch_powers(sample, p, sigma_n2):
+    """Receive-power bookkeeping over a Monte-Carlo sample.
 
     Parameters
     ----------
-    h_batch : (m, n_t, k) complex ndarray
+    sample : MonteCarloSample
     p : (n_t, k+1) complex ndarray
     sigma_n2 : float
 
     Returns
     -------
+    y : (m, k, k+1) complex ndarray
+        y[mi, u, i] = p_i^H h_u in realization mi, from one GEMM on the
+        sample's stacked channels.
     s_c, s_p, i_p, t_p, t_c : (m, k) float ndarrays
         Common-signal power |p_c^H h_k|^2, own private-signal power,
         interference-plus-noise (sum over other private columns plus
         sigma_n2, accumulated directly), t_p = i_p + s_p, t_c = s_c + t_p.
+
+    All six are read-only and memoized on the sample, keyed on the bytes
+    of p and on sigma_n2, so the rates of a precoder and the next block
+    update at it share one evaluation.
     """
-    y = np.einsum("ij,mjk->mik", p.conj().T, h_batch)  # (m, k+1, k)
+    p = np.asarray(p, dtype=complex)
+    key = (p.shape, p.tobytes(), float(sigma_n2))
+    memo = sample.workspace.setdefault("powers", {})
+    if key in memo:
+        return memo[key]
+    m, k, n_t = sample.stacked.shape
+    y = (sample.stacked.reshape(m * k, n_t) @ p.conj()).reshape(m, k, k + 1)
     a2 = y.real**2 + y.imag**2
-    s_c = a2[:, 0, :]
-    priv = a2[:, 1:, :]  # priv[m, i, u] = |p_{i+1}^H h_u|^2
-    k = priv.shape[2]
-    idx = np.arange(k)
-    s_p = priv[:, idx, idx]
-    cross = priv.copy()
-    cross[:, idx, idx] = 0.0
-    i_p = cross.sum(axis=1) + sigma_n2
+    flat = a2.reshape(m, k * (k + 1))
+    s_c = flat[:, :: k + 1]
+    s_p = flat[:, 1 :: k + 2]  # a2[:, u, u + 1]
+    i_p = flat @ _interference_mask(k) + sigma_n2
     t_p = i_p + s_p
     t_c = s_c + t_p
-    return s_c, s_p, i_p, t_p, t_c
+    out = (y, s_c, s_p, i_p, t_p, t_c)
+    for a in out:
+        a.flags.writeable = False
+    if len(memo) == _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = out
+    return out
 
 
 def link_terms(h_k, p, sigma_n2, user):
@@ -165,8 +208,8 @@ def sum_rate(h_all, p, sigma_n2):
     With a zero common column the min term is exactly 0 and the system
     reduces to conventional per-user transmission.
     """
-    h_all = np.asarray(h_all, dtype=complex)
-    s_c, s_p, i_p, t_p, _ = _batch_powers(h_all[None, :, :], p, sigma_n2)
+    sample = MonteCarloSample(realizations=np.asarray(h_all)[None, :, :])
+    _, s_c, s_p, i_p, t_p, _ = _batch_powers(sample, p, sigma_n2)
     r_c = np.log1p(s_c[0] / t_p[0]) / _LN2
     r_p = np.log1p(s_p[0] / i_p[0]) / _LN2
     return float(np.min(r_c) + np.sum(r_p))
@@ -178,8 +221,7 @@ def average_rates(sample, p, sigma_n2):
     Per-user common and private rates are averaged over the realizations
     in their stored order; asr = min_k r_c[k] + sum_k r_p[k].
     """
-    h = sample.realizations
-    s_c, s_p, i_p, t_p, _ = _batch_powers(h, p, sigma_n2)
+    _, s_c, s_p, i_p, t_p, _ = _batch_powers(sample, p, sigma_n2)
     r_c = np.log1p(s_c / t_p) / _LN2  # (m, k)
     r_p = np.log1p(s_p / i_p) / _LN2
     r_c_bar = r_c.mean(axis=0)

@@ -2,11 +2,12 @@
 
 Everything in this file recomputes a quantity the library also produces,
 but by a deliberately different route: explicit Python loops instead of
-einsum, fsum instead of a pairwise error-free reduction, dual ascent,
-bisection and a cone interior-point method instead of a dual Newton path,
-symbol-level simulation instead of closed forms. Agreement between the
-two routes is the evidence; nothing here imports the implementation path
-it is checking.
+einsum, einsum instead of a GEMM on cached sample data, fsum instead of a
+pairwise error-free reduction, dual ascent, bisection and a cone
+interior-point method instead of a dual Newton path, symbol-level
+simulation instead of closed forms. Agreement between the two routes is
+the evidence; nothing here imports the implementation path it is
+checking.
 """
 
 import math
@@ -42,6 +43,28 @@ def loop_powers(h_k, p, sigma_n2, user):
     t_p = i_p + s_p
     t_c = s_c + t_p
     return s_c, s_p, i_p, t_p, t_c
+
+
+def einsum_powers(h, p, sigma_n2):
+    """Receive amplitudes and powers over a batch of channel matrices by
+    one einsum, with no GEMM and no per-sample cache.
+
+    h is (m, n_t, k). Returns (y, s_c, s_p, i_p, t_p, t_c): y[m, i, u] =
+    p_i^H h_u, shape (m, k+1, k), and the (m, k) powers as the library
+    defines them, the interference summed over the other private columns
+    directly.
+    """
+    y = np.einsum("ij,mjk->mik", p.conj().T, h)
+    a2 = y.real**2 + y.imag**2
+    k = h.shape[2]
+    idx = np.arange(k)
+    priv = a2[:, 1:, :]  # priv[m, i, u] = |p_{i+1}^H h_u|^2
+    cross = priv.copy()
+    cross[:, idx, idx] = 0.0
+    i_p = cross.sum(axis=1) + sigma_n2
+    s_c, s_p = a2[:, 0, :], priv[:, idx, idx]
+    t_p = i_p + s_p
+    return y, s_c, s_p, i_p, t_p, s_c + t_p
 
 
 def loop_rates(h_k, p, sigma_n2, user):

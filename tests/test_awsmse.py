@@ -6,6 +6,7 @@ import pytest
 from _oracles import fsum_components, loop_powers
 from conftest import random_precoder, random_system
 from jmbeam.awsmse import (
+    _buffers,
     _component_rows,
     _sum_rows,
     accumulate_components,
@@ -17,7 +18,7 @@ from jmbeam.awsmse import (
 )
 from jmbeam.channel import MonteCarloSample
 from jmbeam.errors import DegenerateMmse
-from jmbeam.receivers import average_rates, link_terms, mse, rates
+from jmbeam.receivers import _batch_powers, average_rates, link_terms, mse, rates
 
 LN2 = math.log(2.0)
 
@@ -280,6 +281,67 @@ def test_components_psd():
                 w = np.linalg.eigvalsh(psi[u])
                 assert w.min() >= -1e-10
                 assert np.array_equal(psi[u], psi[u].conj().T)
+
+
+def _fresh(sample):
+    """The same realizations with an empty cache and workspace."""
+    return MonteCarloSample(realizations=sample.realizations)
+
+
+def _bytes(components):
+    return {name: x.tobytes() for name, x in vars(components).items()}
+
+
+def _accumulate(sample, p):
+    return accumulate_components(sample, update_blocks(sample, p, 1.0))
+
+
+def test_sample_workspace_is_safe():
+    cfg, _, a = random_system(81, n_t=3, k=2, snr_db=30.0, m=201)
+    _, _, b = random_system(82, n_t=3, k=2, snr_db=30.0, m=201)
+    rng = np.random.default_rng(83)
+    ps = [random_precoder(rng, 3, 2, cfg.p_t) for _ in range(3)]
+
+    # returned components share no memory with the reused buffers
+    first = _accumulate(a, ps[0])
+    kept = _bytes(first)
+    _accumulate(a, ps[1])
+    assert _bytes(first) == kept
+    # the reduction leaves its rows intact, with or without the buffers
+    rows = _component_rows(a, update_blocks(a, ps[2], 1.0))
+    before = rows.copy()
+    assert _sum_rows(rows, _buffers(a)[2]).tobytes() == _sum_rows(rows).tobytes()
+    assert np.array_equal(rows, before)
+
+    # alternating two samples gives the bits of fresh samples
+    for p in ps:
+        for s in (a, b, a):
+            assert _bytes(_accumulate(s, p)) == _bytes(_accumulate(_fresh(s), p))
+            assert average_rates(s, p, 1.0).asr == average_rates(_fresh(s), p, 1.0).asr
+
+    # the powers memo never serves another precoder's or noise level's
+    # entry: not after an in-place change, nor after an eviction
+    p = ps[0].copy()
+    for sigma_n2 in (1.0, 2.0, 1.0):
+        assert average_rates(a, p, sigma_n2).asr == average_rates(_fresh(a), p, sigma_n2).asr
+    p[1, 2] *= 1.5
+    assert average_rates(a, p, 1.0).asr == average_rates(_fresh(a), p, 1.0).asr
+    for q in ps + ps[::-1]:
+        got = update_blocks(a, q, 1.0)
+        want = update_blocks(_fresh(a), q, 1.0)
+        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()
+                   for f in ("g_c", "g_p", "u_c", "u_p"))
+
+    # nothing cached can be written through
+    for x in (a.realizations, a.stacked, a.outer, *_batch_powers(a, p, 1.0)):
+        with pytest.raises(ValueError):
+            x.flat[0] = 0.0
+    # and the sample owns its data: the caller's array stays writable
+    # and writing it does not reach the sample
+    h = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    s = MonteCarloSample(realizations=h)
+    h[0] = 0.0
+    assert not np.array_equal(s.realizations[0], h[0])
 
 
 # ---------------------------------------------------------------------------

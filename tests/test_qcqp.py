@@ -377,3 +377,19 @@ def test_solve_rejects_indefinite_component(field):
         bad = np.stack([q.psi_con[0], bad])
     with pytest.raises(NotPsd):
         solve(replace(q, **{field: bad}))
+
+
+@pytest.mark.parametrize("scheme", ["JMB-AWSMSE", "BC-AWSMSE"])
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
+def test_positive_budget_multiplier_closes_the_budget(monkeypatch, scheme, snr_db):
+    # the slackness term weights the budget gap by mu_pow, so at a small
+    # mu_pow the KKT residual cannot see a gap. At 40 dB both a mu_pow of
+    # 3e-14 with the power 29 below p_t = 1e4 and a mu_pow of 5e-5 with a
+    # gap of 2e-6 have passed the 1e-13 residual. The face Newton must
+    # close the gap or pin mu_pow at zero, cold and warm.
+    solves = _ao_solves(monkeypatch, scheme, snr_db)
+    for (_, prev), (q, _) in zip(solves, solves[1:]):
+        for sol in (solve(q), solve(q, warm_dual=(prev.mu, prev.mu_pow))):
+            if sol.mu_pow > 0.0:
+                gap = abs(precoder_power(sol.p_star) - q.p_t)
+                assert gap <= 1e-13 * max(1.0, q.p_t), (gap, sol.mu_pow)

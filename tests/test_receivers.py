@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from _oracles import loop_mse, loop_powers, loop_rates, symbol_level_mse
-from conftest import random_precoder
-from jmbeam.channel import MonteCarloSample, substream
+from _oracles import einsum_powers, loop_mse, loop_powers, loop_rates, symbol_level_mse
+from conftest import random_precoder, random_system
+from jmbeam import receivers
+from jmbeam.awsmse import update_blocks
+from jmbeam.channel import MonteCarloSample, draw_sample, substream
 from jmbeam.receivers import (
+    _batch_powers,
     average_rates,
     link_terms,
     mmse_equalizers,
@@ -317,3 +320,73 @@ def test_average_rates_is_mean_of_per_realization():
         rp = np.mean([rates(hs[m, :, u], p, 1.0, u).r_p for m in range(5)])
         assert ar.r_c[u] == pytest.approx(rc, rel=1e-12)
         assert ar.r_p[u] == pytest.approx(rp, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the GEMM batch path against the einsum route
+
+ULP = 2.0**-53
+
+
+def _assert_near(got, want, mag, n_t, what):
+    # The two routes round each dot product p_i^H h_u differently (GEMM
+    # kernels fuse multiply-adds). Their gap is a few ulps of |p|^T |h|,
+    # the magnitude of the terms; it is relative to the value itself only
+    # where nothing cancels, and zero forcing makes cancellation common.
+    assert np.all(np.abs(got - want) <= 4 * (n_t + 1) * ULP * mag), what
+
+
+def _check_against_einsum(sample, p, sigma_n2, what):
+    """_batch_powers and update_blocks on a sample against einsum_powers,
+    with magnitudes from the same route on |h| and |p|."""
+    h = sample.realizations
+    _, n_t, k = h.shape
+    want = einsum_powers(h, p, sigma_n2)
+    mag = einsum_powers(np.abs(h), np.abs(p), sigma_n2)
+    got = _batch_powers(sample, p, sigma_n2)
+    _assert_near(got[0].transpose(0, 2, 1), want[0], mag[0], n_t, what)
+    for g, w, s in zip(got[1:], want[1:], mag[1:]):
+        _assert_near(g, w, s, n_t, what)
+    # update_blocks divides them: first-order propagation of both gaps
+    gw = update_blocks(sample, p, sigma_n2)
+    idx = np.arange(k)
+    y, _, _, i_p, t_p, t_c = want
+    y_m, _, _, i_m, tp_m, tc_m = mag
+    for got_x, num, den, num_m, den_m in (
+        (gw.g_c, y[:, 0, :], t_c, y_m[:, 0, :], tc_m),
+        (gw.g_p, y[:, 1:, :][:, idx, idx], t_p, y_m[:, 1:, :][:, idx, idx], tp_m),
+        (gw.u_c, t_c, t_p, tc_m, tp_m),
+        (gw.u_p, t_p, i_p, tp_m, i_m),
+    ):
+        ratio = num / den
+        _assert_near(got_x, ratio, (num_m + np.abs(ratio) * den_m) / den, n_t, what)
+
+
+def test_batch_powers_match_einsum_oracle(monkeypatch):
+    calls = []
+
+    def recording(sample, p, sigma_n2):
+        calls.append(sample)
+        return _batch_powers(sample, p, sigma_n2)
+
+    monkeypatch.setattr(receivers, "_batch_powers", recording)
+    seed = 0
+    for n_t in (2, 3, 4):
+        for k in range(1, min(n_t, 3) + 1):
+            for snr_db in (0.0, 20.0, 40.0):
+                for m in (1, 2, 200, 1000):
+                    seed += 1
+                    cfg, draw, sample = random_system(
+                        seed, n_t=n_t, k=k, snr_db=snr_db, m=m
+                    )
+                    p = random_precoder(np.random.default_rng(seed), n_t, k, cfg.p_t)
+                    what = (n_t, k, snr_db, m)
+                    _check_against_einsum(sample, p, 1.0, what)
+                    # sum_rate's single-realization call on the true channel
+                    sum_rate(draw.h_true, p, 1.0)
+                    assert calls[-1].m == 1
+                    assert np.array_equal(calls[-1].realizations[0], draw.h_true)
+                    _check_against_einsum(calls[-1], p, 1.0, what + ("sum_rate",))
+                # no CSIT error: m copies of the estimate
+                copies = draw_sample(substream(seed, 2), draw.h_est, 0.0, 200)
+                _check_against_einsum(copies, p, 1.0, what + ("copies",))
