@@ -32,14 +32,10 @@ from .receivers import _batch_powers
 # not a valid operating point.
 EPS_FLOOR = 1e-300
 
-_LN2 = math.log(2.0)
-
 __all__ = [
     "EPS_FLOOR",
     "EqualizerWeightSet",
     "AwmmseComponents",
-    "wmse",
-    "mmse_weights",
     "update_blocks",
     "accumulate_components",
     "awmse_values",
@@ -77,24 +73,6 @@ class AwmmseComponents:
     u_p: np.ndarray
     v_c: np.ndarray
     v_p: np.ndarray
-
-
-def wmse(eps, u):
-    """Augmented weighted MSE u*eps - log2(u); u must be positive."""
-    if u <= 0:
-        raise ValueError("weight u must be positive")
-    return u * eps - math.log2(u)
-
-
-def mmse_weights(eps_c_mmse, eps_p_mmse):
-    """Optimal weights (1/eps_c, 1/eps_p) for given MMSE values.
-
-    Raises DegenerateMmse when an MMSE is at or below EPS_FLOOR, which
-    signals sigma_n2 ~ 0 rather than a meaningful operating point.
-    """
-    if eps_c_mmse <= EPS_FLOOR or eps_p_mmse <= EPS_FLOOR:
-        raise DegenerateMmse("MMSE underflow; is sigma_n2 zero?")
-    return 1.0 / eps_c_mmse, 1.0 / eps_p_mmse
 
 
 def update_blocks(sample, p, sigma_n2):

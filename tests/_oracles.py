@@ -86,6 +86,11 @@ def loop_mse(h_k, p, g_c, g_p, sigma_n2, user):
     return eps_c, eps_p
 
 
+def loop_wmse(eps, u):
+    """Augmented weighted MSE u*eps - log2(u) of one layer at weight u."""
+    return u * eps - math.log2(u)
+
+
 def symbol_level_mse(h_k, p, g_c, g_p, sigma_n2, user, n_draws, rng):
     """Monte-Carlo estimate of the two MSEs from the transmit model.
 

@@ -3,46 +3,82 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import fsum_components, loop_powers
+from _oracles import fsum_components, loop_mse, loop_powers, loop_wmse
 from conftest import random_precoder, random_system
 from jmbeam.awsmse import (
+    EqualizerWeightSet,
     _buffers,
     _component_rows,
     _sum_rows,
     accumulate_components,
     awmse_values,
     awsmse_objective,
-    mmse_weights,
     update_blocks,
-    wmse,
 )
 from jmbeam.channel import MonteCarloSample
 from jmbeam.errors import DegenerateMmse
-from jmbeam.receivers import _batch_powers, average_rates, link_terms, mse, rates
+from jmbeam.receivers import _batch_powers, average_rates
 
 LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
-# wmse / mmse_weights
+# the augmented WMSE and the MMSE weights on one scalar link
+
+
+SCALAR = MonteCarloSample(realizations=np.ones((1, 1, 1), dtype=complex))
+
+
+def _scalar_xi(p, u_c=None, u_p=None):
+    """(xi_c, xi_p) of the one user of SCALAR at precoder p, with the
+    MMSE equalizers and the given weights (the MMSE ones where None)."""
+    gw = update_blocks(SCALAR, p, 1.0)
+    gw = EqualizerWeightSet(
+        g_c=gw.g_c, g_p=gw.g_p,
+        u_c=gw.u_c if u_c is None else np.full((1, 1), u_c),
+        u_p=gw.u_p if u_p is None else np.full((1, 1), u_p),
+    )
+    xi_c, xi_p = awmse_values(accumulate_components(SCALAR, gw), p, 1.0)
+    return float(xi_c[0]), float(xi_p[0])
+
+
+def _private_only(eps_p):
+    """Precoder of SCALAR whose private MMSE is eps_p: power 1/eps_p - 1."""
+    return np.array([[0.0, np.sqrt(1.0 / eps_p - 1.0)]], dtype=complex)
 
 
 def test_wmse_unit_weight():
-    assert wmse(0.37, 1.0) == 0.37
+    # at unit weight the augmented WMSE is the MSE itself
+    cfg, draw, sample = random_system(15, m=1)
+    p = random_precoder(np.random.default_rng(16), 2, 2, cfg.p_t)
+    gw = update_blocks(sample, p, 1.0)
+    ones = np.ones_like(gw.u_c)
+    gw1 = EqualizerWeightSet(g_c=gw.g_c, g_p=gw.g_p, u_c=ones, u_p=ones)
+    xi_c, xi_p = awmse_values(accumulate_components(sample, gw1), p, 1.0)
+    for u in range(2):
+        e_c, e_p = loop_mse(
+            sample.realizations[0, :, u], p, gw.g_c[0, u], gw.g_p[0, u], 1.0, u
+        )
+        assert xi_c[u] == pytest.approx(e_c, rel=1e-10)
+        assert xi_p[u] == pytest.approx(e_p, rel=1e-10)
 
 
 def test_wmse_identity_point():
-    # at u = 1/eps the value is 1 - rate; eps=1/2 gives rate 1 bit
-    assert wmse(0.5, 2.0) == pytest.approx(0.0, abs=1e-15)
-    assert wmse(0.25, 4.0) == pytest.approx(1.0 - 2.0, rel=1e-14)
+    # at u = 1/eps the value is 1 - rate; eps=1/2 gives rate 1 bit, and
+    # the common layer without power has eps = 1, rate 0
+    for eps, want in ((0.5, 0.0), (0.25, 1.0 - 2.0)):
+        xi_c, xi_p = _scalar_xi(_private_only(eps))
+        assert xi_p == pytest.approx(want, abs=1e-14)
+        assert xi_c == 1.0
 
 
 def test_wmse_identity_general():
+    # the terms of xi_p grow like 1/eps and cancel, hence the tolerance
     rng = np.random.default_rng(0)
     for _ in range(100):
         eps = float(rng.uniform(1e-4, 1.0))
         r = -math.log2(eps)
-        assert wmse(eps, 1.0 / eps) == pytest.approx(1.0 - r, abs=1e-12)
+        assert _scalar_xi(_private_only(eps))[1] == pytest.approx(1.0 - r, abs=1e-13 / eps)
 
 
 def test_wmse_grid_minimum():
@@ -50,32 +86,38 @@ def test_wmse_grid_minimum():
     # a factor 1/ln2 above the inverse-MMSE weight the updates use; the
     # inverse-MMSE choice is what makes the value-identity above exact
     eps = 0.3
-    grid = np.linspace(0.05, 20.0, 20001)
-    vals = np.array([wmse(eps, u) for u in grid])
+    p = _private_only(eps)
+    grid = np.linspace(3.0, 6.0, 3001)
+    vals = np.array([_scalar_xi(p, u_p=u)[1] for u in grid])
     u_star = grid[np.argmin(vals)]
     assert u_star == pytest.approx(1.0 / (eps * LN2), abs=2e-3)
     # and the identity point sits a fixed constant above the true minimum
     gap = 1.0 - 1.0 / LN2 - math.log2(LN2)
-    assert wmse(eps, 1.0 / eps) - vals.min() == pytest.approx(gap, abs=1e-6)
-
-
-def test_wmse_rejects_nonpositive_weight():
-    with pytest.raises(ValueError):
-        wmse(0.5, 0.0)
+    assert _scalar_xi(p)[1] - vals.min() == pytest.approx(gap, abs=1e-6)
 
 
 def test_mmse_weights_values():
-    assert mmse_weights(1.0, 1.0) == (1.0, 1.0)
-    u_c, u_p = mmse_weights(0.25, 0.5)
-    assert u_c == 4.0 and u_p == 2.0
-    assert wmse(0.25, u_c) == pytest.approx(1.0 - 2.0, rel=1e-14)
+    # the weights update_blocks sets are the inverse MMSEs: a zero
+    # precoder leaves both MMSEs at 1; private power 1 gives eps_p = 1/2,
+    # and common power 6 on top eps_c = t_p/t_c = 2/8
+    gw = update_blocks(SCALAR, np.zeros((1, 2), dtype=complex), 1.0)
+    assert (gw.u_c[0, 0], gw.u_p[0, 0]) == (1.0, 1.0)
+    p = np.array([[np.sqrt(6.0), 1.0]], dtype=complex)
+    gw = update_blocks(SCALAR, p, 1.0)
+    assert gw.u_c[0, 0] == pytest.approx(4.0, rel=1e-14)
+    assert gw.u_p[0, 0] == 2.0
+    assert _scalar_xi(p)[0] == pytest.approx(1.0 - 2.0, rel=1e-14)
 
 
 def test_mmse_weights_degenerate():
+    # an MMSE at or below EPS_FLOOR of its denominator raises: the common
+    # one under an overwhelming common power, the private one without
+    # noise or interference
     with pytest.raises(DegenerateMmse):
-        mmse_weights(0.0, 0.5)
+        update_blocks(SCALAR, np.array([[1e152, 1.0]], dtype=complex), 1.0)
+    update_blocks(SCALAR, np.array([[1e140, 1.0]], dtype=complex), 1.0)
     with pytest.raises(DegenerateMmse):
-        mmse_weights(0.5, 1e-301)
+        update_blocks(SCALAR, np.array([[0.0, 1.0]], dtype=complex), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +142,17 @@ def test_update_blocks_matches_per_user_closed_forms():
     rng = np.random.default_rng(4)
     p = random_precoder(rng, 3, 3, cfg.p_t)
     gw = update_blocks(sample, p, 1.0)
-    from jmbeam.receivers import mmse_equalizers
-
     for m in range(8):
         for u in range(3):
-            g_c, g_p = mmse_equalizers(sample.realizations[m, :, u], p, 1.0, u)
+            h_k = sample.realizations[m, :, u]
+            _, _, i_p, t_p, t_c = loop_powers(h_k, p, 1.0, u)
+            # g_c = p_c^H h_k / t_c, g_p = p_k^H h_k / t_p
+            g_c = complex(p[:, 0].conj() @ h_k) / t_c
+            g_p = complex(p[:, u + 1].conj() @ h_k) / t_p
             assert gw.g_c[m, u] == pytest.approx(g_c, rel=1e-12)
             assert gw.g_p[m, u] == pytest.approx(g_p, rel=1e-12)
-            lt = link_terms(sample.realizations[m, :, u], p, 1.0, u)
-            assert gw.u_c[m, u] == pytest.approx(lt.t_c / lt.e_c, rel=1e-12)
-            assert gw.u_p[m, u] == pytest.approx(lt.t_p / lt.e_p, rel=1e-12)
+            assert gw.u_c[m, u] == pytest.approx(t_c / t_p, rel=1e-12)
+            assert gw.u_p[m, u] == pytest.approx(t_p / i_p, rel=1e-12)
 
 
 def test_update_blocks_zero_error_sample_constant_over_m():
@@ -151,10 +194,10 @@ def test_equalizer_update_descends_at_fixed_weight():
         g_p0 = complex(rng.standard_normal() + 1j * rng.standard_normal())
         w_c = float(rng.uniform(0.1, 10.0))
         w_p = float(rng.uniform(0.1, 10.0))
-        e0 = mse(h_k, p, g_c0, g_p0, 1.0, u)
-        e1 = mse(h_k, p, gw.g_c[m, u], gw.g_p[m, u], 1.0, u)
-        assert wmse(e1[0], w_c) <= wmse(e0[0], w_c) + 1e-12
-        assert wmse(e1[1], w_p) <= wmse(e0[1], w_p) + 1e-12
+        e0 = loop_mse(h_k, p, g_c0, g_p0, 1.0, u)
+        e1 = loop_mse(h_k, p, gw.g_c[m, u], gw.g_p[m, u], 1.0, u)
+        assert loop_wmse(e1[0], w_c) <= loop_wmse(e0[0], w_c) + 1e-12
+        assert loop_wmse(e1[1], w_p) <= loop_wmse(e0[1], w_p) + 1e-12
 
 
 def test_update_blocks_degenerate_noise():
@@ -192,8 +235,6 @@ def test_components_inert_blocks():
     k = 2
     m = 5
     gw_shape = (m, k)
-    from jmbeam.awsmse import EqualizerWeightSet
-
     gw = EqualizerWeightSet(
         g_c=np.zeros(gw_shape, dtype=complex),
         g_p=np.zeros(gw_shape, dtype=complex),
@@ -356,12 +397,12 @@ def test_awmse_values_single_realization_exact():
     c = accumulate_components(sample, gw)
     xi_c, xi_p = awmse_values(c, p, 1.0)
     for u in range(2):
-        e_c, e_p = mse(
+        e_c, e_p = loop_mse(
             sample.realizations[0, :, u], p,
             gw.g_c[0, u], gw.g_p[0, u], 1.0, u,
         )
-        assert xi_c[u] == pytest.approx(wmse(e_c, gw.u_c[0, u]), rel=1e-10)
-        assert xi_p[u] == pytest.approx(wmse(e_p, gw.u_p[0, u]), rel=1e-10)
+        assert xi_c[u] == pytest.approx(loop_wmse(e_c, gw.u_c[0, u]), rel=1e-10)
+        assert xi_p[u] == pytest.approx(loop_wmse(e_p, gw.u_p[0, u]), rel=1e-10)
 
 
 def test_awmse_values_equal_mean_of_per_realization():
@@ -381,16 +422,16 @@ def test_awmse_values_equal_mean_of_per_realization():
         xi_c, xi_p = awmse_values(c, p, 1.0)
         for u in range(2):
             want_c = np.mean([
-                wmse(
-                    mse(sample.realizations[m, :, u], p,
+                loop_wmse(
+                    loop_mse(sample.realizations[m, :, u], p,
                         gw2.g_c[m, u], gw2.g_p[m, u], 1.0, u)[0],
                     gw2.u_c[m, u],
                 )
                 for m in range(25)
             ])
             want_p = np.mean([
-                wmse(
-                    mse(sample.realizations[m, :, u], p,
+                loop_wmse(
+                    loop_mse(sample.realizations[m, :, u], p,
                         gw2.g_c[m, u], gw2.g_p[m, u], 1.0, u)[1],
                     gw2.u_p[m, u],
                 )

@@ -6,16 +6,7 @@ from conftest import random_precoder, random_system
 from jmbeam import receivers
 from jmbeam.awsmse import update_blocks
 from jmbeam.channel import MonteCarloSample, draw_sample, substream
-from jmbeam.receivers import (
-    _batch_powers,
-    average_rates,
-    link_terms,
-    mmse_equalizers,
-    mse,
-    precoder_power,
-    rates,
-    sum_rate,
-)
+from jmbeam.receivers import _batch_powers, average_rates, precoder_power, sum_rate
 
 
 def _rand(seed, n_t=3, k=2, p_t=10.0):
@@ -23,6 +14,22 @@ def _rand(seed, n_t=3, k=2, p_t=10.0):
     h = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
     p = random_precoder(rng, n_t, k, p_t)
     return h, p
+
+
+def _one(h):
+    """A sample of the single realization h."""
+    return MonteCarloSample(realizations=np.asarray(h, dtype=complex)[None])
+
+
+def _powers(h, p, sigma_n2):
+    """(s_c, s_p, i_p, t_p, t_c) on one channel matrix, each (k,): the
+    batch kernel on a sample of one realization."""
+    return tuple(x[0] for x in _batch_powers(_one(h), p, sigma_n2)[1:])
+
+
+def _rates(h, p, sigma_n2):
+    """Per-user rates on one channel matrix."""
+    return average_rates(_one(h), p, sigma_n2)
 
 
 # ---------------------------------------------------------------------------
@@ -35,126 +42,102 @@ def test_precoder_power():
 
 
 # ---------------------------------------------------------------------------
-# link_terms
+# receive powers (link terms) on one channel matrix
 
 
 def test_link_terms_zero_precoder():
-    h = np.array([1.0 + 1j, 0.5])
-    lt = link_terms(h, np.zeros((2, 3), dtype=complex), 1.0, user=0)
-    assert lt.t_p == 1.0
-    assert lt.t_c == 1.0
-    assert lt.e_p == 1.0
-    assert lt.e_c == 1.0
+    h = np.array([[1.0 + 1j], [0.5]])
+    s_c, s_p, i_p, t_p, t_c = _powers(h, np.zeros((2, 2), dtype=complex), 1.0)
+    assert s_c[0] == 0.0 and s_p[0] == 0.0
+    assert i_p[0] == 1.0 and t_p[0] == 1.0 and t_c[0] == 1.0
 
 
 def test_link_terms_scalar_case():
     # single antenna, single user, matched private precoder
     power = 7.0
     p = np.array([[0.0, np.sqrt(power)]], dtype=complex)
-    lt = link_terms(np.array([1.0 + 0j]), p, 1.0, user=0)
-    assert lt.t_p == pytest.approx(power + 1.0, rel=1e-14)
-    assert lt.e_p == pytest.approx(1.0, rel=1e-14)
-    assert lt.t_c == pytest.approx(power + 1.0, rel=1e-14)
+    s_c, s_p, i_p, t_p, t_c = _powers(np.array([[1.0 + 0j]]), p, 1.0)
+    assert t_p[0] == pytest.approx(power + 1.0, rel=1e-14)
+    assert i_p[0] == pytest.approx(1.0, rel=1e-14)
+    assert t_c[0] == pytest.approx(power + 1.0, rel=1e-14)
 
 
 def test_link_terms_against_loop_oracle():
     for seed in range(40):
         h, p = _rand(seed)
+        got = _powers(h, p, 1.0)
         for user in range(2):
-            lt = link_terms(h[:, user], p, 1.0, user)
-            s_c, s_p, i_p, t_p, t_c = loop_powers(h[:, user], p, 1.0, user)
-            assert lt.t_c == pytest.approx(t_c, rel=1e-12)
-            assert lt.t_p == pytest.approx(t_p, rel=1e-12)
-            assert lt.e_c == pytest.approx(t_p, rel=1e-12)
-            assert lt.e_p == pytest.approx(i_p, rel=1e-12)
+            want = loop_powers(h[:, user], p, 1.0, user)
+            for g, w in zip(got, want):
+                assert g[user] == pytest.approx(w, rel=1e-12)
 
 
 def test_link_terms_structure():
     h, p = _rand(99)
+    s_c, s_p, i_p, t_p, t_c = _powers(h, p, 0.7)
     for user in range(2):
-        lt = link_terms(h[:, user], p, 0.7, user)
         own = abs(p[:, user + 1].conj() @ h[:, user]) ** 2
         com = abs(p[:, 0].conj() @ h[:, user]) ** 2
-        assert lt.t_c == pytest.approx(lt.t_p + com, rel=1e-12)
-        assert lt.e_p == pytest.approx(lt.t_p - own, rel=1e-12)
-        assert lt.e_p > 0 and lt.t_p > 0
+        assert t_c[user] == pytest.approx(t_p[user] + com, rel=1e-12)
+        assert i_p[user] == pytest.approx(t_p[user] - own, rel=1e-12)
+        assert i_p[user] > 0 and t_p[user] > 0
 
 
 # ---------------------------------------------------------------------------
-# mmse_equalizers
+# MMSE equalizers and weights (update_blocks on one realization)
 
 
 def test_equalizer_scalar_case():
     power = 9.0
     p = np.array([[0.0, 3.0]], dtype=complex)
-    g_c, g_p = mmse_equalizers(np.array([1.0 + 0j]), p, 1.0, user=0)
-    assert g_c == 0.0
-    assert g_p == pytest.approx(np.sqrt(power) / (power + 1.0), rel=1e-14)
+    gw = update_blocks(_one(np.array([[1.0 + 0j]])), p, 1.0)
+    assert gw.g_c[0, 0] == 0.0
+    assert gw.g_p[0, 0] == pytest.approx(np.sqrt(power) / (power + 1.0), rel=1e-14)
 
 
 def test_equalizer_grid_optimality():
     # the closed form must beat a 401-point complex grid around itself
     h, p = _rand(5)
+    gw = update_blocks(_one(h), p, 1.0)
     for user in range(2):
-        g_c, g_p = mmse_equalizers(h[:, user], p, 1.0, user)
-        base_c, base_p = mse(h[:, user], p, g_c, g_p, 1.0, user)
+        g_c, g_p = gw.g_c[0, user], gw.g_p[0, user]
+        base_c, base_p = loop_mse(h[:, user], p, g_c, g_p, 1.0, user)
         offs = np.linspace(-0.2, 0.2, 401)
         for d in offs:
             for gg in (g_p + d, g_p + 1j * d):
-                e = mse(h[:, user], p, g_c, gg, 1.0, user)[1]
+                e = loop_mse(h[:, user], p, g_c, gg, 1.0, user)[1]
                 assert e >= base_p - 1e-12
             for gg in (g_c + d, g_c + 1j * d):
-                e = mse(h[:, user], p, gg, g_p, 1.0, user)[0]
+                e = loop_mse(h[:, user], p, gg, g_p, 1.0, user)[0]
                 assert e >= base_c - 1e-12
 
 
-# ---------------------------------------------------------------------------
-# mse
-
-
-def test_mse_zero_equalizer():
-    h, p = _rand(6)
-    eps_c, eps_p = mse(h[:, 0], p, 0.0, 0.0, 1.0, user=0)
-    assert eps_c == 1.0
-    assert eps_p == 1.0
-
-
 def test_mse_at_mmse_equals_ratio_form():
-    # substituting g^MMSE into the quadratic MSE gives e/t exactly
+    # substituting g^MMSE into the quadratic MSE gives e/t, the inverse of
+    # the weight update_blocks sets
     for seed in range(30):
         h, p = _rand(seed)
+        gw = update_blocks(_one(h), p, 1.0)
         for user in range(2):
-            g_c, g_p = mmse_equalizers(h[:, user], p, 1.0, user)
-            eps_c, eps_p = mse(h[:, user], p, g_c, g_p, 1.0, user)
-            lt = link_terms(h[:, user], p, 1.0, user)
-            assert eps_c == pytest.approx(lt.e_c / lt.t_c, rel=1e-12)
-            assert eps_p == pytest.approx(lt.e_p / lt.t_p, rel=1e-12)
-
-
-def test_mse_matches_loop_oracle():
-    h, p = _rand(7)
-    rng = np.random.default_rng(8)
-    for user in range(2):
-        g_c = complex(rng.standard_normal() + 1j * rng.standard_normal()) * 0.1
-        g_p = complex(rng.standard_normal() + 1j * rng.standard_normal()) * 0.1
-        got = mse(h[:, user], p, g_c, g_p, 1.0, user)
-        want = loop_mse(h[:, user], p, g_c, g_p, 1.0, user)
-        assert got[0] == pytest.approx(want[0], rel=1e-12)
-        assert got[1] == pytest.approx(want[1], rel=1e-12)
+            eps_c, eps_p = loop_mse(
+                h[:, user], p, gw.g_c[0, user], gw.g_p[0, user], 1.0, user
+            )
+            assert eps_c == pytest.approx(1.0 / gw.u_c[0, user], rel=1e-12)
+            assert eps_p == pytest.approx(1.0 / gw.u_p[0, user], rel=1e-12)
 
 
 def test_mse_matches_symbol_level_simulation():
-    # E|g y - s|^2 estimated by explicit symbol/noise draws, 3 std errors
+    # E|g y - s|^2 estimated by explicit symbol/noise draws at the MMSE
+    # equalizers lands on the MMSEs 1/u, 3 std errors
     h, p = _rand(9, n_t=2, k=2, p_t=4.0)
     user = 0
-    g_c, g_p = mmse_equalizers(h[:, user], p, 1.0, user)
-    eps_c, eps_p = mse(h[:, user], p, g_c, g_p, 1.0, user)
+    gw = update_blocks(_one(h), p, 1.0)
     est_c, est_p, se_c, se_p = symbol_level_mse(
-        h[:, user], p, g_c, g_p, 1.0, user, n_draws=1_000_000,
-        rng=substream(123, 0),
+        h[:, user], p, gw.g_c[0, user], gw.g_p[0, user], 1.0, user,
+        n_draws=1_000_000, rng=substream(123, 0),
     )
-    assert abs(est_c - eps_c) <= 3 * se_c
-    assert abs(est_p - eps_p) <= 3 * se_p
+    assert abs(est_c - 1.0 / gw.u_c[0, user]) <= 3 * se_c
+    assert abs(est_p - 1.0 / gw.u_p[0, user]) <= 3 * se_p
 
 
 # ---------------------------------------------------------------------------
@@ -165,33 +148,36 @@ def test_rates_scalar_awgn_capacity():
     power = 15.0
     p = np.zeros((1, 2), dtype=complex)
     p[0, 1] = np.sqrt(power)
-    ur = rates(np.array([1.0 + 0j]), p, 1.0, user=0)
-    assert ur.r_p == pytest.approx(np.log2(1.0 + power), rel=1e-14)
-    assert ur.r_c == 0.0
+    ur = _rates(np.array([[1.0 + 0j]]), p, 1.0)
+    assert ur.r_p[0] == pytest.approx(np.log2(1.0 + power), rel=1e-14)
+    assert ur.r_c[0] == 0.0
 
 
 def test_rates_zero_precoder():
-    ur = rates(np.array([1.0, 1j]), np.zeros((2, 3), dtype=complex), 1.0, user=1)
-    assert ur.r_c == 0.0
-    assert ur.r_p == 0.0
+    h = np.array([[1.0, 0.3], [1j, 2.0]])
+    ur = _rates(h, np.zeros((2, 3), dtype=complex), 1.0)
+    assert np.all(ur.r_c == 0.0)
+    assert np.all(ur.r_p == 0.0)
+    assert ur.asr == 0.0
 
 
 def test_rates_two_routes_agree():
     # -log2(mmse) and log2(1+sinr) are the same number
     for seed in range(30):
         h, p = _rand(seed)
+        ur = _rates(h, p, 1.0)
+        gw = update_blocks(_one(h), p, 1.0)
         for user in range(2):
-            ur = rates(h[:, user], p, 1.0, user)
-            lt = link_terms(h[:, user], p, 1.0, user)
-            assert ur.r_c == pytest.approx(-np.log2(lt.e_c / lt.t_c), rel=1e-12)
-            assert ur.r_p == pytest.approx(-np.log2(lt.e_p / lt.t_p), rel=1e-12)
+            assert ur.r_c[user] == pytest.approx(np.log2(gw.u_c[0, user]), rel=1e-12)
+            assert ur.r_p[user] == pytest.approx(np.log2(gw.u_p[0, user]), rel=1e-12)
             oc, op = loop_rates(h[:, user], p, 1.0, user)
-            assert ur.r_c == pytest.approx(oc, rel=1e-12)
-            assert ur.r_p == pytest.approx(op, rel=1e-12)
+            assert ur.r_c[user] == pytest.approx(oc, rel=1e-12)
+            assert ur.r_p[user] == pytest.approx(op, rel=1e-12)
 
 
 def test_rates_sinr_oracle():
     h, p = _rand(11)
+    ur = _rates(h, p, 1.0)
     for user in range(2):
         hk = h[:, user]
         own = abs(p[:, user + 1].conj() @ hk) ** 2
@@ -199,18 +185,17 @@ def test_rates_sinr_oracle():
             abs(p[:, i + 1].conj() @ hk) ** 2 for i in range(2) if i != user
         )
         want = np.log2(1.0 + own / (interf + 1.0))
-        assert rates(hk, p, 1.0, user).r_p == pytest.approx(want, rel=1e-12)
+        assert ur.r_p[user] == pytest.approx(want, rel=1e-12)
 
 
 def test_mmse_sinr_identity():
     h, p = _rand(12)
+    _, s_p, i_p, t_p, _ = _powers(h, p, 1.0)
     for user in range(2):
-        lt = link_terms(h[:, user], p, 1.0, user)
-        eps = lt.e_p / lt.t_p
+        eps = i_p[user] / t_p[user]
         hk = h[:, user]
         own = abs(p[:, user + 1].conj() @ hk) ** 2
-        interf = lt.e_p - 1.0 + 1.0  # i_p includes sigma_n2
-        gamma = own / interf
+        gamma = own / i_p[user]  # i_p includes sigma_n2
         assert gamma == pytest.approx((1.0 - eps) / eps, rel=1e-12)
 
 
@@ -218,38 +203,40 @@ def test_mmse_in_unit_interval():
     rng = np.random.default_rng(13)
     for seed in range(200):
         h, p = _rand(seed, p_t=float(rng.uniform(0.01, 1000.0)))
-        for user in range(2):
-            lt = link_terms(h[:, user], p, 1.0, user)
-            for eps in (lt.e_c / lt.t_c, lt.e_p / lt.t_p):
-                assert 0.0 < eps <= 1.0
+        gw = update_blocks(_one(h), p, 1.0)
+        for eps in (1.0 / gw.u_c, 1.0 / gw.u_p):
+            assert np.all((0.0 < eps) & (eps <= 1.0))
 
 
 def test_rates_noise_monotonicity():
     h, p = _rand(14)
-    for user in range(2):
-        prev = rates(h[:, user], p, 0.25, user)
-        for s2 in (0.5, 1.0, 2.0, 4.0):
-            cur = rates(h[:, user], p, s2, user)
-            assert cur.r_c <= prev.r_c + 1e-14
-            assert cur.r_p <= prev.r_p + 1e-14
-            prev = cur
+    prev = _rates(h, p, 0.25)
+    for s2 in (0.5, 1.0, 2.0, 4.0):
+        cur = _rates(h, p, s2)
+        assert np.all(cur.r_c <= prev.r_c + 1e-14)
+        assert np.all(cur.r_p <= prev.r_p + 1e-14)
+        prev = cur
 
 
 # ---------------------------------------------------------------------------
 # sum_rate
 
 
+def _loop_rates(h, p):
+    return [loop_rates(h[:, u], p, 1.0, u) for u in range(h.shape[1])]
+
+
 def test_sum_rate_no_common():
     h, p = _rand(15)
     p[:, 0] = 0.0
-    want = sum(rates(h[:, u], p, 1.0, u).r_p for u in range(2))
+    want = sum(r_p for _, r_p in _loop_rates(h, p))
     assert sum_rate(h, p, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_sum_rate_single_user():
     h, p = _rand(16, n_t=2, k=1)
-    ur = rates(h[:, 0], p, 1.0, 0)
-    assert sum_rate(h, p, 1.0) == pytest.approx(ur.r_c + ur.r_p, rel=1e-12)
+    ((r_c, r_p),) = _loop_rates(h, p)
+    assert sum_rate(h, p, 1.0) == pytest.approx(r_c + r_p, rel=1e-12)
 
 
 def test_sum_rate_symmetric_channel():
@@ -257,18 +244,19 @@ def test_sum_rate_symmetric_channel():
     hcol = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     h = np.stack([hcol, hcol], axis=1)
     p = random_precoder(rng, 3, 2, 10.0)
-    r0 = rates(h[:, 0], p, 1.0, 0)
-    r1 = rates(h[:, 1], p, 1.0, 1)
-    assert r0.r_c == pytest.approx(r1.r_c, rel=1e-12)
-    want = min(r0.r_c, r1.r_c) + r0.r_p + r1.r_p
+    (rc0, rp0), (rc1, rp1) = _loop_rates(h, p)
+    assert rc0 == pytest.approx(rc1, rel=1e-12)
+    ur = _rates(h, p, 1.0)
+    assert ur.r_c[0] == pytest.approx(ur.r_c[1], rel=1e-12)
+    want = min(rc0, rc1) + rp0 + rp1
     assert sum_rate(h, p, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_sum_rate_matches_per_user_assembly():
     for seed in range(20):
         h, p = _rand(seed)
-        urs = [rates(h[:, u], p, 1.0, u) for u in range(2)]
-        want = min(u.r_c for u in urs) + sum(u.r_p for u in urs)
+        urs = _loop_rates(h, p)
+        want = min(r_c for r_c, _ in urs) + sum(r_p for _, r_p in urs)
         assert sum_rate(h, p, 1.0) == pytest.approx(want, rel=1e-12)
 
 
@@ -280,11 +268,10 @@ def test_average_rates_single_realization():
     h, p = _rand(18)
     s = MonteCarloSample(realizations=h[None, :, :])
     ar = average_rates(s, p, 1.0)
-    assert ar.asr == pytest.approx(sum_rate(h, p, 1.0), rel=1e-12)
-    for u in range(2):
-        ur = rates(h[:, u], p, 1.0, u)
-        assert ar.r_c[u] == pytest.approx(ur.r_c, rel=1e-12)
-        assert ar.r_p[u] == pytest.approx(ur.r_p, rel=1e-12)
+    assert ar.asr == sum_rate(h, p, 1.0)
+    for u, (r_c, r_p) in enumerate(_loop_rates(h, p)):
+        assert ar.r_c[u] == pytest.approx(r_c, rel=1e-12)
+        assert ar.r_p[u] == pytest.approx(r_p, rel=1e-12)
 
 
 def test_average_rates_degenerate_sample():
@@ -316,8 +303,9 @@ def test_average_rates_is_mean_of_per_realization():
     p = random_precoder(rng, 2, 2, 10.0)
     ar = average_rates(MonteCarloSample(realizations=hs), p, 1.0)
     for u in range(2):
-        rc = np.mean([rates(hs[m, :, u], p, 1.0, u).r_c for m in range(5)])
-        rp = np.mean([rates(hs[m, :, u], p, 1.0, u).r_p for m in range(5)])
+        per = [loop_rates(hs[m, :, u], p, 1.0, u) for m in range(5)]
+        rc = np.mean([r_c for r_c, _ in per])
+        rp = np.mean([r_p for _, r_p in per])
         assert ar.r_c[u] == pytest.approx(rc, rel=1e-12)
         assert ar.r_p[u] == pytest.approx(rp, rel=1e-12)
 
