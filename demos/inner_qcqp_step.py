@@ -2,14 +2,14 @@
 
 Freezes equalizers and weights at their optima for a random precoder,
 assembles the convex quadratic subproblem, and solves it by Newton's
-method on its (K+1)-multiplier dual: the barrier path from mu = 1/K,
-finished by Newton on the dual face. Prints the objective drop, the
-recomputed KKT residual, how the power budget is used, and which user's
-common-MSE epigraph constraint carries the max (its simplex multiplier).
+method on its (K+1)-multiplier dual, restricted to the face of the
+multipliers not pinned at zero and started from the centre mu = 1/K.
+Prints the objective drop, the recomputed KKT residual, how the power
+budget is used, and which user's common-MSE epigraph constraint carries
+the max (its simplex multiplier).
 Then takes the next updates, as the alternating optimization does, and
-solves each twice: started from the previous update's multipliers, where
-Newton on the dual face alone solves it, and from scratch. The warm
-start saves more steps as the updates settle.
+solves each twice: started from the previous update's multipliers and
+from the centre. The warm start saves more steps as the updates settle.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ def main(seed=3, snr_db=20.0, alpha=0.6, m=200):
     after = sol.objective + q.omitted_constant
 
     print(f"solver status      : {sol.status} in {sol.iterations} Newton steps"
-          " (barrier path, then the dual face)")
+          " on the dual face, from the centre")
     print(f"objective at start : {before:.8f}")
     print(f"objective at solve : {after:.8f}  (drop {before - after:.8f})")
     print(f"recomputed KKT res : {kkt_residual(q, sol):.2e}")

@@ -54,7 +54,6 @@ class AoParams:
     epsilon_r: float = 1e-3
     n_max: int = 200
     solver_tol: float = 1e-8
-    solver_max_iter: int = 100
     init_scheme: str = "zf-svd"
 
     def __post_init__(self):
@@ -202,7 +201,6 @@ def run_ao(h_est, sample, cfg, params, common=True):
         sol = qcqp.solve(
             q,
             tol=params.solver_tol,
-            max_iter=params.solver_max_iter,
             warm=p,
             warm_dual=None if sol is None else (sol.mu, sol.mu_pow),
         )

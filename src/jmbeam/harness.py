@@ -70,7 +70,6 @@ class ExperimentConfig:
     epsilon_r: float = 1e-3
     n_max: int = 200
     solver_tol: float = 1e-8
-    solver_max_iter: int = 100
     master_seed: int = 12345
     threads: int = 1
     cap_sigma_e2: bool = True
@@ -79,8 +78,7 @@ class ExperimentConfig:
         def bad(msg):
             raise ConfigError(msg)
 
-        for name in ("n_t", "k", "m", "n_channels", "n_max", "solver_max_iter",
-                     "threads"):
+        for name in ("n_t", "k", "m", "n_channels", "n_max", "threads"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 bad(f"{name} must be a positive integer, got {v!r}")
@@ -159,7 +157,6 @@ class ExperimentConfig:
             epsilon_r=self.epsilon_r,
             n_max=self.n_max,
             solver_tol=self.solver_tol,
-            solver_max_iter=self.solver_max_iter,
             init_scheme=init_scheme or self.init_scheme,
         )
 

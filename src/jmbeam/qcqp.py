@@ -21,19 +21,18 @@ For fixed multipliers (mu on the simplex for the K common-MSE
 constraints, mu_pow >= 0 for the budget) the Lagrangian has a closed-form
 minimizer in P, so the dual is a smooth concave problem in K+1 numbers
 (the WMMSE device of Christensen et al., IEEE TWC 2008, and Shi et al.,
-IEEE TSP 2011). Every solve ends with Newton's method on the dual face:
-the free multipliers with the simplex row, with a multiplier that would
+IEEE TSP 2011). Every solve is Newton's method on the dual face: the
+free multipliers with the simplex row, with a multiplier that would
 turn negative pinned at zero and a pinned one freed when its constraint
 is violated. P comes from the closed form, so stationarity in P holds
 at every iterate, and the face Newton runs until the other KKT terms
-reach round-off. Started from the previous outer iteration's
-multipliers (`warm_dual`), it alone solves the update. Without such a
-start, or when its result is not certified to WARM_TOL, the solve
-starts over: Newton steps on analytic derivatives follow the dual's
-log-barrier path from mu = 1/K, and the face Newton finishes from its
-endpoint. A recomputed KKT residual certifies every returned point. P = 0
-with a large enough xi_c is strictly feasible, so the problems are never
-infeasible by construction.
+reach round-off. It starts from the previous outer iteration's
+multipliers (`warm_dual`) when there are any, else from the centre
+mu = 1/K with a positive budget price; the centre, then the centre with
+the budget price at zero, are the starts it falls back on when a result
+is not certified to WARM_TOL. A recomputed KKT residual certifies every
+returned point. P = 0 with a large enough xi_c is strictly feasible, so
+the problems are never infeasible by construction.
 """
 
 from dataclasses import dataclass
@@ -213,49 +212,6 @@ def _eqp(h, g, e):
     return x[:n], (float(x[n]) if e.any() else 0.0)
 
 
-def _dual_newton(q, tol, max_iter):
-    """Maximize the dual over mu in the simplex and mu_pow >= 0.
-
-    Follows the central path of the log barrier t * sum(log z) with
-    damped Newton steps, cutting t a hundredfold whenever the Newton
-    decrement falls below t, until the barrier's duality gap (K+1)*t is
-    far below tol. Returns (z, P, newton_steps, reached); `reached` is
-    False if max_iter steps ran out or the line search failed first.
-    """
-    n_mu = q.k if q.include_common else 0
-    z = np.append(np.full(n_mu, 1.0 / q.k), 1.0)
-    eq = np.append(np.ones(n_mu), 0.0)  # simplex row, JMB only
-    ev = _dual(q, z)
-    t = 1.0
-    steps = 0
-    while steps < max_iter:
-        value, grad, hess, _ = ev
-        g = grad + t / z
-        dz = _eqp(hess - np.diag(t / z**2), g, eq)[0]
-        dec = float(g @ dz)
-        phi = value + t * float(np.sum(np.log(z)))
-        if dec <= t or dec <= 1e-15 * (1.0 + abs(phi)):
-            if t * z.size <= 1e-3 * tol * (1.0 + abs(value)):
-                return z, ev[3], steps, True
-            t *= 0.01
-            continue
-        steps += 1
-        neg = dz < 0
-        s = min(1.0, 0.99 * float(np.min(-z[neg] / dz[neg]))) if neg.any() else 1.0
-        for _ in range(50):
-            zn = z + s * dz
-            evn = _dual(q, zn)
-            if evn is not None and (
-                evn[0] + t * float(np.sum(np.log(zn))) >= phi + 0.01 * s * dec
-            ):
-                break
-            s *= 0.5
-        else:
-            break
-        z, ev = zn, evn
-    return z, ev[3], steps, False
-
-
 def _model_step(z, grad, hess, eq):
     """Maximizer of the dual's quadratic model at z over the feasible set.
 
@@ -310,12 +266,14 @@ def _face_newton(q, z):
     below FACE_TOL, or below WARM_TOL and no longer halving, since the
     rounding of the constraint values bounds them from below.
     Returns (z, P, constraint values, steps) at the iterate with the
-    smallest terms, or None if those stay above WARM_TOL.
+    smallest terms, steps counting all the Newton steps taken; None if
+    the dual cannot be evaluated at z.
     """
     p_t, max_steps = q.p_t, 20
     eq = np.append(np.ones(z.size - 1), 0.0)
     ev = _dual(q, z)
     best, res_best, res_prev = None, np.inf, np.inf
+    steps = 0
     for steps in range(max_steps + 1):
         if ev is None:
             break
@@ -329,7 +287,7 @@ def _face_newton(q, z):
             # slackness product hides its gap when mu_pow is small
             res = max(res, abs(excess) / max(1.0, p_t))
         if res < res_best:
-            best, res_best = (z, p, cons, steps), res
+            best, res_best = (z, p, cons), res
         if res <= FACE_TOL or (res_best <= WARM_TOL and res > 0.5 * res_prev):
             break
         y = None if steps == max_steps else _model_step(z, grad, hess, eq)
@@ -350,34 +308,40 @@ def _face_newton(q, z):
         else:
             break
         z, res_prev = zn, res
-    return best if res_best <= WARM_TOL else None
+    return None if best is None else (*best, steps)
 
 
 def _within_budget(q, p):
     return precoder_power(p) <= q.p_t * (1.0 + 1e-9)
 
 
-def solve(q, tol=1e-8, max_iter=100, warm=None, warm_dual=None):
+def solve(q, tol=1e-8, warm=None, warm_dual=None):
     """Solve the precoder-update problem.
 
     Parameters
     ----------
     q : QcqpProblem
     tol : float
-        Target recomputed KKT residual; the dual path stops far below it.
-    max_iter : int
-        Cap on the dual Newton steps of the barrier path.
+        Recomputed KKT residual at which a result no start certified to
+        WARM_TOL still counts as optimal.
     warm : optional (n_t, k+1) complex ndarray
         Incumbent precoder. If it is feasible, the returned solution is
         never worse than the incumbent evaluated at its own best xi_c,
         which is what makes the outer loop's descent exact.
     warm_dual : optional (mu, mu_pow)
         Multipliers to start the face Newton from, such as those of the
-        previous outer iteration. Its result is kept if it is within the
-        budget with a recomputed KKT residual of at most WARM_TOL;
-        otherwise the solve starts over on the barrier path.
+        previous outer iteration; ignored unless finite and nonnegative.
 
-    The returned point is always feasible to 1e-9.
+    The face Newton runs from warm_dual, then from the centre z = (1/K,
+    ..., 1/K, 1) (mu_pow = 1/p_t > 0 makes every column system positive
+    definite), then from the centre with mu_pow = 0 (a dual linear in
+    mu_pow, as when f = 0, gives a zero model step from the first). The
+    first result within the budget with a recomputed KKT residual of at
+    most WARM_TOL is kept, with status 'Optimal'. If none is, the result
+    with the smallest residual is scaled into the budget and returned,
+    'Optimal' if its residual is at most tol and 'MaxIter' otherwise.
+    `iterations` counts the Newton steps of all starts. The returned
+    point is always feasible to 1e-9.
 
     Returns
     -------
@@ -394,26 +358,33 @@ def solve(q, tol=1e-8, max_iter=100, warm=None, warm_dual=None):
         for psi in q.psi_con:
             cholesky_psd(psi)
 
-    sol = None
+    centre = np.append(np.full(q.k if q.include_common else 0, 1.0 / q.k), 1.0)
+    starts = [centre, np.append(centre[:-1], 0.0)]
     if warm_dual is not None:
         z = np.append(warm_dual[0], float(warm_dual[1]) * q.p_t)
         if np.all(np.isfinite(z)) and z.min() >= 0.0:
-            sol = _solution(q, _face_newton(q, z), "Optimal")
-        if sol is not None and not (
-            sol.kkt_residual <= WARM_TOL and _within_budget(q, sol.p_star)
-        ):
-            sol = None
-    if sol is None:
-        z, p, steps, reached = _dual_newton(q, tol, max_iter)
+            starts.insert(0, z)
+    best, steps = None, 0
+    for z in starts:
         fin = _face_newton(q, z)
-        if fin is None or not _within_budget(q, fin[1]):
-            # the barrier endpoint itself, scaled into the budget
-            pw = precoder_power(p)
-            if pw > q.p_t:
-                p = p * np.sqrt(q.p_t / pw)
-            fin = (z, p, constraint_values(q, p), 0)
-        sol = _solution(q, fin, "Optimal" if reached else "MaxIter")
-        sol.iterations += steps
+        if fin is None:
+            continue
+        steps += fin[3]
+        sol = _solution(q, fin)
+        if sol.kkt_residual <= WARM_TOL and _within_budget(q, sol.p_star):
+            break
+        if best is None or sol.kkt_residual < best[0]:
+            best = sol.kkt_residual, fin
+    else:
+        # no start certified: the best result, scaled into the budget
+        z, p, cons, _ = best[1]
+        pw = precoder_power(p)
+        if pw > q.p_t:
+            p = p * np.sqrt(q.p_t / pw)
+            cons = constraint_values(q, p)
+        sol = _solution(q, (z, p, cons, 0))
+        sol.status = "MaxIter"
+    sol.iterations = steps
 
     # never return a point worse than the incumbent (descent guarantee)
     if warm is not None:
@@ -426,17 +397,15 @@ def solve(q, tol=1e-8, max_iter=100, warm=None, warm_dual=None):
             sol.p_star, sol.xi_c_star, sol.objective = warm.copy(), xi_w, obj_w
             sol.kkt_residual = kkt_residual(q, sol)
     # a tiny recomputed residual certifies optimality of the returned
-    # point for this convex problem even if the dual path hit its cap
+    # point for this convex problem even if no start reached WARM_TOL
     if sol.status == "MaxIter" and sol.kkt_residual <= tol:
         sol.status = "Optimal"
     return sol
 
 
-def _solution(q, fin, status):
+def _solution(q, fin):
     """QcqpSolution at a face result (z, P, constraint values, steps),
-    with its recomputed KKT residual; None for a failed face result."""
-    if fin is None:
-        return None
+    with its recomputed KKT residual and status 'Optimal'."""
     z, p, cons, steps = fin
     xi = float(np.max(cons)) if q.include_common else 0.0
     sol = QcqpSolution(
@@ -445,7 +414,7 @@ def _solution(q, fin, status):
         objective=objective_value(q, p, xi),
         kkt_residual=np.inf,
         iterations=steps,
-        status=status,
+        status="Optimal",
         mu=z[:-1],
         mu_pow=z[-1] / q.p_t,
     )

@@ -70,6 +70,10 @@ def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_dict({"n_channel": 5})
     assert "n_channel" in str(exc.value)
+    # a key that was once valid is no longer known
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict({"solver_max_iter": 100})
+    assert "solver_max_iter" in str(exc.value)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict([1, 2])
 

@@ -184,8 +184,7 @@ def test_solutions_feasible_and_certified():
 
 
 def test_polish_reaches_round_off():
-    # the checks above allow 1e-8; the finish on the dual face must reach
-    # round-off, not stop where the barrier path leaves it
+    # the checks above allow 1e-8; the face Newton must reach round-off
     for seed in range(25):
         snr = [0.0, 10.0, 20.0, 30.0][seed % 4]
         for common in (True, False):
@@ -219,16 +218,18 @@ def _ao_solves(monkeypatch, scheme, snr_db):
     return out
 
 
-def _count_barrier_paths(monkeypatch):
-    calls = []
+def _count_restarts(monkeypatch):
+    """The starts of every face Newton run from here on; a solve that
+    needs more than its first start restarts."""
+    starts = []
 
-    def counted(*args):
-        calls.append(1)
-        return dual_newton(*args)
+    def counted(q, z):
+        starts.append(z.copy())
+        return face_newton(q, z)
 
-    dual_newton = qcqp._dual_newton
-    monkeypatch.setattr(qcqp, "_dual_newton", counted)
-    return calls
+    face_newton = qcqp._face_newton
+    monkeypatch.setattr(qcqp, "_face_newton", counted)
+    return starts
 
 
 def test_weakly_active_budget_reaches_round_off(monkeypatch):
@@ -240,9 +241,10 @@ def test_weakly_active_budget_reaches_round_off(monkeypatch):
     assert 0.0 < sol.mu_pow < 1e-5
     assert sol.kkt_residual <= 1e-13
     # started with the budget pinned, the face Newton must add it back
-    barrier = _count_barrier_paths(monkeypatch)
+    # without a restart
+    starts = _count_restarts(monkeypatch)
     sol = solve(q, warm_dual=(np.empty(0), 0.0))
-    assert not barrier
+    assert len(starts) == 1
     assert 0.0 < sol.mu_pow < 1e-5
     assert sol.kkt_residual <= 1e-13
 
@@ -251,15 +253,16 @@ def test_weakly_active_budget_reaches_round_off(monkeypatch):
 @pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
 def test_warm_dual_start_matches_cold_solve(monkeypatch, scheme, snr_db):
     # each update started from the previous update's multipliers: no
-    # barrier path, and the cold solve's point
+    # restart, and the cold solve's point
     solves = _ao_solves(monkeypatch, scheme, snr_db)
     assert len(solves) >= 2
-    barrier = _count_barrier_paths(monkeypatch)
+    starts = _count_restarts(monkeypatch)
     for (_, prev), (q, _) in zip(solves, solves[1:]):
         warm = solve(q, warm_dual=(prev.mu, prev.mu_pow))
-        assert not barrier
+        assert len(starts) == 1
         cold = solve(q)
         assert warm.status == "Optimal" and warm.kkt_residual <= 1e-13
+        assert cold.status == "Optimal" and cold.kkt_residual <= qcqp.WARM_TOL
         scale = 1.0 + np.abs(cold.p_star).max()
         assert np.abs(warm.p_star - cold.p_star).max() <= 1e-12 * scale
         assert abs(warm.objective - cold.objective) <= 1e-12 * (1.0 + abs(cold.objective))
@@ -267,7 +270,7 @@ def test_warm_dual_start_matches_cold_solve(monkeypatch, scheme, snr_db):
         # p_t cancel), and the multipliers inherit that
         assert np.allclose(warm.mu, cold.mu, rtol=0.0, atol=1e-10)
         assert abs(warm.mu_pow - cold.mu_pow) <= 1e-10 * (1.0 + cold.mu_pow)
-        barrier.clear()
+        starts.clear()
 
 
 @pytest.mark.parametrize(
@@ -281,11 +284,12 @@ def test_warm_dual_start_matches_cold_solve(monkeypatch, scheme, snr_db):
     ids=["nan", "negative", "overflow", "flat"],
 )
 def test_bad_warm_dual_start_falls_back(monkeypatch, mu, mu_pow):
+    # the kept result comes from the cold start, z = (1/K, ..., 1/K, 1)
     q, _, _ = problem_from_seed(4, snr_db=20.0)
     cold = solve(q)
-    barrier = _count_barrier_paths(monkeypatch)
+    starts = _count_restarts(monkeypatch)
     sol = solve(q, warm_dual=(np.array(mu), mu_pow))
-    assert len(barrier) == 1
+    assert np.array_equal(starts[-1], [0.5, 0.5, 1.0])
     assert sol.status == "Optimal" and sol.kkt_residual <= 1e-13
     assert np.array_equal(sol.p_star, cold.p_star)
     assert np.array_equal(sol.mu, cold.mu) and sol.mu_pow == cold.mu_pow
