@@ -48,16 +48,13 @@ def phase_normalize(v):
     return v * cmath.exp(-1j * math.atan2(pivot.imag, pivot.real))
 
 
-def cholesky_psd(a, shift=0.0):
+def cholesky_psd(a):
     """Lower-triangular Cholesky factor of a Hermitian PSD matrix.
 
     Parameters
     ----------
     a : (n, n) complex ndarray
         Hermitian positive-semidefinite matrix.
-    shift : float
-        Nonnegative value added to the diagonal before factorization,
-        so ``L @ L.conj().T == a + shift*I``.
 
     Returns
     -------
@@ -68,17 +65,14 @@ def cholesky_psd(a, shift=0.0):
     ------
     NotPsd
         If a pivot falls below ``-EPS_PSD`` (relative to the largest
-        diagonal entry) even after the shift.
+        diagonal entry).
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
 
-    w = a + shift * np.eye(n)
-    diag = np.real(np.diagonal(w))
+    diag = np.real(np.diagonal(a))
     scale = float(np.max(np.abs(diag))) if n else 0.0
     if scale == 0.0:
         scale = 1.0
@@ -86,7 +80,7 @@ def cholesky_psd(a, shift=0.0):
 
     L = np.zeros((n, n), dtype=complex)
     for j in range(n):
-        d = float(np.real(w[j, j]) - np.sum(np.abs(L[j, :j]) ** 2))
+        d = float(np.real(a[j, j]) - np.sum(np.abs(L[j, :j]) ** 2))
         if d <= tol:
             if d < -tol:
                 raise NotPsd(f"pivot {d:.3e} at index {j} (tolerance {tol:.3e})")
@@ -94,7 +88,7 @@ def cholesky_psd(a, shift=0.0):
             continue
         L[j, j] = np.sqrt(d)
         if j + 1 < n:
-            L[j + 1 :, j] = (w[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j].conj()) / L[j, j]
+            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j].conj()) / L[j, j]
     return L
 
 

@@ -68,16 +68,6 @@ def test_cholesky_reconstruction_sweep():
     assert worst <= 1e-12
 
 
-def test_cholesky_shift_semantics():
-    rng = np.random.default_rng(2)
-    a = random_psd(rng, 4)
-    shift = 0.37
-    L = cholesky_psd(a, shift=shift)
-    assert np.linalg.norm(L @ L.conj().T - (a + shift * np.eye(4))) <= 1e-12 * np.linalg.norm(a)
-    with pytest.raises(ValueError):
-        cholesky_psd(a, shift=-1.0)
-
-
 def test_cholesky_singular_psd_gives_zero_column():
     rng = np.random.default_rng(3)
     a = random_psd(rng, 4, rank=2)
