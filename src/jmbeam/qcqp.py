@@ -428,7 +428,7 @@ def kkt_residual(q, sol):
     Maximum of normalized stationarity (in P and xi_c), primal
     feasibility, dual feasibility, and complementary slackness for the
     original quadratic problem, using the recovered multipliers. Small
-    values certify the solve independently of the dual path.
+    values certify the solve independently of the Newton iterates.
     """
     return _kkt_terms(q, sol.p_star, sol.xi_c_star, sol.mu, sol.mu_pow)
 

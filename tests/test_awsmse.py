@@ -247,6 +247,10 @@ def test_components_inert_blocks():
     assert np.all(c.t_c == 0) and np.all(c.t_p == 0)
     assert np.all(c.u_c == 1) and np.all(c.u_p == 1)
     assert np.all(c.v_c == 0) and np.all(c.v_p == 0)
+    # so the MSE at a zero equalizer is 1 whatever the precoder
+    p = random_precoder(np.random.default_rng(12), 2, 2, cfg.p_t)
+    for xi in awmse_values(c, p, 1.0):
+        assert np.all(xi == 1.0)
 
 
 def test_components_against_fsum_oracle():

@@ -234,8 +234,8 @@ def _count_restarts(monkeypatch):
 
 def test_weakly_active_budget_reaches_round_off(monkeypatch):
     # AO iteration 16: the budget binds with a multiplier of a few 1e-7,
-    # so the barrier endpoint does not tell whether it is active; a face
-    # taken from it without adding the budget back stops near 1e-6
+    # so a start near it does not tell whether it is active; a face
+    # Newton that does not add the budget back stops near 1e-6
     q, _ = _ao_solves(monkeypatch, "BC-AWSMSE", 20.0)[15]
     sol = solve(q)
     assert 0.0 < sol.mu_pow < 1e-5
