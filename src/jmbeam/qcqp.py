@@ -273,7 +273,6 @@ def _face_newton(q, z):
     eq = np.append(np.ones(z.size - 1), 0.0)
     ev = _dual(q, z)
     best, res_best, res_prev = None, np.inf, np.inf
-    steps = 0
     for steps in range(max_steps + 1):
         if ev is None:
             break

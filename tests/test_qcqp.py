@@ -295,6 +295,28 @@ def test_bad_warm_dual_start_falls_back(monkeypatch, mu, mu_pow):
     assert np.array_equal(sol.mu, cold.mu) and sol.mu_pow == cold.mu_pow
 
 
+def test_uncertified_solve_returns_best_start(monkeypatch):
+    # with no start certified (WARM_TOL = 0) every start runs, their
+    # steps add up, and the best result is returned within the budget,
+    # Optimal at tol and MaxIter below its residual
+    q, _, _ = problem_from_seed(4, snr_db=20.0)
+    monkeypatch.setattr(qcqp, "WARM_TOL", 0.0)
+    steps = []
+    face_newton = qcqp._face_newton
+
+    def counted(q, z):
+        fin = face_newton(q, z)
+        steps.append(fin[3])
+        return fin
+
+    monkeypatch.setattr(qcqp, "_face_newton", counted)
+    sol = solve(q)
+    assert len(steps) == 2 and sol.iterations == sum(steps)
+    assert sol.status == "Optimal" and 0.0 < sol.kkt_residual <= 1e-13
+    assert precoder_power(sol.p_star) <= q.p_t
+    assert solve(q, tol=0.5 * sol.kkt_residual).status == "MaxIter"
+
+
 def test_kkt_residual_increases_under_perturbation():
     q, _, _ = problem_from_seed(7)
     sol = solve(q)
