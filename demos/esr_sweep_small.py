@@ -1,4 +1,4 @@
-"""Reduced ergodic sum-rate sweep (takes about a minute).
+"""Reduced ergodic sum-rate sweep (takes a few seconds).
 
 All four schemes on paired channel draws, 5 channels x 50 conditional
 realizations, SNR 0 to 40 dB in 10 dB steps, alpha = 0.6. Small enough
