@@ -32,7 +32,6 @@ from .errors import (
     ConfigError,
     DegenerateMmse,
     JmbeamError,
-    NoConvergence,
     NotPsd,
     NumericalBreakdown,
     RankDeficient,
@@ -71,7 +70,6 @@ __all__ = [
     "ExperimentConfig",
     "JmbeamError",
     "MonteCarloSample",
-    "NoConvergence",
     "NotPsd",
     "NumericalBreakdown",
     "QcqpProblem",

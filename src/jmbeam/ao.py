@@ -48,12 +48,11 @@ EXTRAPOLATE_FROM = 20
 
 @dataclass(frozen=True)
 class AoParams:
-    """Loop controls: outer stopping threshold (bits), iteration cap,
-    inner solver settings, and the initialization scheme."""
+    """Loop controls: outer stopping threshold (bits), iteration cap and
+    the initialization scheme."""
 
     epsilon_r: float = 1e-3
     n_max: int = 200
-    solver_tol: float = 1e-8
     init_scheme: str = "zf-svd"
 
     def __post_init__(self):
@@ -199,10 +198,7 @@ def run_ao(h_est, sample, cfg, params, common=True):
 
         q = qcqp.build(comps, cfg.sigma_n2, cfg.p_t, include_common=common)
         sol = qcqp.solve(
-            q,
-            tol=params.solver_tol,
-            warm=p,
-            warm_dual=None if sol is None else (sol.mu, sol.mu_pow),
+            q, warm=p, warm_dual=None if sol is None else (sol.mu, sol.mu_pow)
         )
         p_new = sol.p_star
 

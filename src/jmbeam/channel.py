@@ -49,19 +49,17 @@ def complex_gaussian(rng, shape, var=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def error_variance(p_t, alpha, cap=True):
-    """CSIT error variance p_t**(-alpha), optionally capped at 1.0.
+def error_variance(p_t, alpha):
+    """CSIT error variance p_t**(-alpha), capped at 1.0.
 
     The power law exceeds the unit channel variance at sub-0 dB budgets;
-    the cap keeps the estimate meaningful there. Pass ``cap=False`` for
-    the raw power law.
+    the cap keeps the estimate meaningful there.
     """
     if p_t <= 0:
         raise ValueError("p_t must be positive")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    v = float(p_t) ** (-float(alpha))
-    return min(v, 1.0) if cap else v
+    return min(float(p_t) ** (-float(alpha)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,6 @@ class CsitConfig:
     alpha: float
     p_t: float
     sigma_n2: float = 1.0
-    cap_sigma_e2: bool = True
 
     def __post_init__(self):
         if self.k > self.n_t:
@@ -91,7 +88,7 @@ class CsitConfig:
 
     @property
     def sigma_e2(self):
-        return error_variance(self.p_t, self.alpha, cap=self.cap_sigma_e2)
+        return error_variance(self.p_t, self.alpha)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,17 +10,6 @@ class NotPsd(JmbeamError):
     negative pivot."""
 
 
-class NoConvergence(JmbeamError):
-    """An iterative routine exhausted its iteration budget.
-
-    The residual reached at the last iterate is stored in ``residual``.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class RankDeficient(JmbeamError):
     """A channel-estimate matrix does not have full column rank, so
     zero-forcing directions are undefined."""

@@ -69,10 +69,8 @@ class ExperimentConfig:
     init_scheme: str = "zf-svd"
     epsilon_r: float = 1e-3
     n_max: int = 200
-    solver_tol: float = 1e-8
     master_seed: int = 12345
     threads: int = 1
-    cap_sigma_e2: bool = True
 
     def __post_init__(self):
         def bad(msg):
@@ -103,10 +101,6 @@ class ExperimentConfig:
             bad(f"unknown init_scheme {self.init_scheme!r}")
         if not (isinstance(self.epsilon_r, float) and self.epsilon_r > 0):
             bad(f"epsilon_r must be a positive float")
-        if not (isinstance(self.solver_tol, float) and self.solver_tol > 0):
-            bad(f"solver_tol must be a positive float")
-        if not isinstance(self.cap_sigma_e2, bool):
-            bad("cap_sigma_e2 must be a boolean")
 
     @classmethod
     def from_dict(cls, d):
@@ -122,9 +116,9 @@ class ExperimentConfig:
                 if not isinstance(kw[name], (list, tuple)):
                     raise ConfigError(f"{name} must be a list")
                 kw[name] = tuple(kw[name])
-        for name in ("epsilon_r", "solver_tol"):
-            if name in kw and isinstance(kw[name], int) and not isinstance(kw[name], bool):
-                kw[name] = float(kw[name])
+        eps = kw.get("epsilon_r")
+        if isinstance(eps, int) and not isinstance(eps, bool):
+            kw["epsilon_r"] = float(eps)
         if "alphas" in kw:
             kw["alphas"] = tuple(float(a) for a in kw["alphas"])
         if "snr_db" in kw:
@@ -156,7 +150,6 @@ class ExperimentConfig:
         return AoParams(
             epsilon_r=self.epsilon_r,
             n_max=self.n_max,
-            solver_tol=self.solver_tol,
             init_scheme=init_scheme or self.init_scheme,
         )
 
@@ -212,7 +205,6 @@ def run_single(cfg, scheme, snr_db, alpha, seed):
         alpha=float(alpha),
         p_t=p_t,
         sigma_n2=SIGMA_N2,
-        cap_sigma_e2=cfg.cap_sigma_e2,
     )
     draw = make_draw(substream(seed, 0), csit)
     sample = draw_sample(substream(seed, 1), draw.h_est, draw.sigma_e2, cfg.m)
@@ -242,10 +234,6 @@ def _channel_task(cfg, alpha, snr_db, channel):
         except JmbeamError as e:
             out.append((scheme, math.nan, f"{type(e).__name__}: {e}"))
     return out
-
-
-def _task_star(args):
-    return _channel_task(*args)
 
 
 def _reduce(cfg, done):
@@ -314,9 +302,7 @@ def _write_meta(path, cfg, extra):
     meta = {
         "config": cfg.to_dict(),
         "sigma_n2": SIGMA_N2,
-        "error_model": "variance p_t**-alpha, capped at 1"
-        if cfg.cap_sigma_e2
-        else "variance p_t**-alpha, uncapped",
+        "error_model": "variance p_t**-alpha, capped at 1",
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -366,7 +352,7 @@ def run_sweep(cfg, out_dir=None):
                 results[i] = _channel_task(cfg, *t)
         else:
             with ProcessPoolExecutor(max_workers=cfg.threads) as ex:
-                futures = [ex.submit(_task_star, (cfg,) + t) for t in tasks]
+                futures = [ex.submit(_channel_task, cfg, *t) for t in tasks]
                 try:
                     for fut in as_completed(futures):
                         fut.result()  # a dead worker raises BrokenProcessPool
@@ -436,15 +422,12 @@ def run_convergence(cfg, snrs=None, inits=None, out_dir=None):
     traces = {}
     for snr_db in snrs:
         p_t = snr_to_pt(snr_db)
-        sig_e2 = error_variance(p_t, alpha, cap=cfg.cap_sigma_e2)
+        sig_e2 = error_variance(p_t, alpha)
         scale = math.sqrt(sig_e2)
         h_err = scale * e_raw
         h_est = h_raw - h_err
         sample = MonteCarloSample(realizations=h_est[None, :, :] + scale * w_raw)
-        csit = CsitConfig(
-            n_t=cfg.n_t, k=cfg.k, alpha=alpha, p_t=p_t,
-            sigma_n2=SIGMA_N2, cap_sigma_e2=cfg.cap_sigma_e2,
-        )
+        csit = CsitConfig(n_t=cfg.n_t, k=cfg.k, alpha=alpha, p_t=p_t, sigma_n2=SIGMA_N2)
         for init in inits:
             _, trace = run_ao(h_est, sample, csit, cfg.ao_params(init), common=True)
             traces[(snr_db, init)] = trace

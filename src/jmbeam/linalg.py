@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import NoConvergence, NotPsd, RankDeficient, ZeroChannel
+from .errors import NotPsd, RankDeficient, ZeroChannel
 
 # Pivot tolerance for PSD factorization, relative to the largest diagonal
 # entry: component matrices are PSD-by-construction sums, so violations
@@ -92,19 +92,13 @@ def cholesky_psd(a):
     return L
 
 
-def dominant_left_singular_vector(a, tol=1e-10, max_iter=10000):
-    """Unit vector v maximizing ||a^H v||, by power iteration on a a^H.
-
-    The start vector is deterministic (e_1 plus a small fixed perturbation
-    with nonzero weight on every coordinate) so repeated calls agree
-    bit-for-bit. Convergence is declared when the eigen-residual
-    ``||B v - lam v|| <= tol * lam`` with ``B = a a^H`` and ``lam`` the
-    Rayleigh quotient.
+def dominant_left_singular_vector(a):
+    """Unit vector v maximizing ||a^H v||: the eigenvector of a a^H for
+    its largest eigenvalue, phase-normalized so repeated calls agree
+    bit-for-bit.
 
     Raises
     ------
-    NoConvergence
-        After ``max_iter`` iterations; carries the last residual.
     ValueError
         If ``a`` is zero.
     """
@@ -113,35 +107,8 @@ def dominant_left_singular_vector(a, tol=1e-10, max_iter=10000):
         raise ValueError("expected a matrix")
     if not np.any(np.abs(a) > 0):
         raise ValueError("matrix is zero; dominant direction undefined")
-
-    b = a @ a.conj().T
-    n = b.shape[0]
-    # e_1 plus a decaying perturbation: nonzero overlap with every coordinate
-    v = 1e-3 / np.arange(1, n + 1, dtype=float)
-    v[0] += 1.0
-    v = v.astype(complex)
-    v /= np.linalg.norm(v)
-
-    bnorm = np.linalg.norm(b)
-    resid = np.inf
-    for _ in range(max_iter):
-        w = b @ v
-        lam = float(np.real(v.conj() @ w))
-        resid = float(np.linalg.norm(w - lam * v))
-        if resid <= tol * max(lam, 1e-300):
-            return phase_normalize(v)
-        nw = np.linalg.norm(w)
-        if nw <= 1e-300 * bnorm:
-            # v fell into the null space; re-perturb deterministically
-            v = v + (1e-3 / np.arange(1, n + 1)) * (1 + 1j)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-    raise NoConvergence(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(residual {resid:.3e})",
-        residual=resid,
-    )
+    # eigh sorts the eigenvalues in ascending order
+    return phase_normalize(np.linalg.eigh(a @ a.conj().T)[1][:, -1])
 
 
 def zf_directions(h_est):

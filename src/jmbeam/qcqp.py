@@ -56,6 +56,9 @@ __all__ = [
 FACE_TOL = 1e-14
 # a warm-started result is kept only at this recomputed KKT residual
 WARM_TOL = 1e-13
+# a result no start certified to WARM_TOL still counts as optimal at this
+# recomputed KKT residual
+OPTIMAL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +101,22 @@ class QcqpSolution:
 
 
 def build(components, sigma_n2, p_t, include_common=True):
-    """Assemble the precoder-update problem from averaged components."""
+    """Assemble the precoder-update problem from averaged components.
+
+    Common components that are exactly zero, as at a common column
+    without power, make every common constraint a constant. The problem
+    is then built without the common column, and the largest constant,
+    which is the optimal xi_c, goes into the omitted constant, so the
+    objective plus the omitted constant is unchanged.
+    """
     c = components
     k, n_t = c.f_p.shape
     psi_obj = c.psi_p.sum(axis=0)
     con_const = sigma_n2 * c.t_c + c.u_c - c.v_c
     omitted = float(np.sum(sigma_n2 * c.t_p + c.u_p - c.v_p))
+    if include_common and not (c.psi_c.any() or c.f_c.any()):
+        include_common = False
+        omitted += float(np.max(con_const))
     return QcqpProblem(
         n_t=n_t,
         k=k,
@@ -195,8 +208,8 @@ def _dual(q, z):
 def _eqp(h, g, e):
     """Maximizer p of g.p + p.h.p / 2 subject to e.p = 0, and the
     multiplier lam of that row (0 without one, e all zero). A singular
-    system, as when the common components vanish and the dual is flat
-    in mu, takes the least-squares step."""
+    system, as when f = 0 and the dual is linear in mu_pow, takes the
+    least-squares step."""
     n = g.size
     if e.any():
         kkt = np.zeros((n + 1, n + 1))
@@ -314,22 +327,20 @@ def _within_budget(q, p):
     return precoder_power(p) <= q.p_t * (1.0 + 1e-9)
 
 
-def solve(q, tol=1e-8, warm=None, warm_dual=None):
+def solve(q, warm=None, warm_dual=None):
     """Solve the precoder-update problem.
 
     Parameters
     ----------
     q : QcqpProblem
-    tol : float
-        Recomputed KKT residual at which a result no start certified to
-        WARM_TOL still counts as optimal.
     warm : optional (n_t, k+1) complex ndarray
         Incumbent precoder. If it is feasible, the returned solution is
         never worse than the incumbent evaluated at its own best xi_c,
         which is what makes the outer loop's descent exact.
     warm_dual : optional (mu, mu_pow)
         Multipliers to start the face Newton from, such as those of the
-        previous outer iteration; ignored unless finite and nonnegative.
+        previous outer iteration; ignored unless finite, nonnegative and
+        of the problem's size.
 
     The face Newton runs from warm_dual, then from the centre z = (1/K,
     ..., 1/K, 1) (mu_pow = 1/p_t > 0 makes every column system positive
@@ -338,7 +349,8 @@ def solve(q, tol=1e-8, warm=None, warm_dual=None):
     first result within the budget with a recomputed KKT residual of at
     most WARM_TOL is kept, with status 'Optimal'. If none is, the result
     with the smallest residual is scaled into the budget and returned,
-    'Optimal' if its residual is at most tol and 'MaxIter' otherwise.
+    'Optimal' if its residual is at most OPTIMAL_TOL and 'MaxIter'
+    otherwise.
     `iterations` counts the Newton steps of all starts. The returned
     point is always feasible to 1e-9.
 
@@ -361,7 +373,7 @@ def solve(q, tol=1e-8, warm=None, warm_dual=None):
     starts = [centre, np.append(centre[:-1], 0.0)]
     if warm_dual is not None:
         z = np.append(warm_dual[0], float(warm_dual[1]) * q.p_t)
-        if np.all(np.isfinite(z)) and z.min() >= 0.0:
+        if z.size == centre.size and np.all(np.isfinite(z)) and z.min() >= 0.0:
             starts.insert(0, z)
     best, steps = None, 0
     for z in starts:
@@ -397,7 +409,7 @@ def solve(q, tol=1e-8, warm=None, warm_dual=None):
             sol.kkt_residual = kkt_residual(q, sol)
     # a tiny recomputed residual certifies optimality of the returned
     # point for this convex problem even if no start reached WARM_TOL
-    if sol.status == "MaxIter" and sol.kkt_residual <= tol:
+    if sol.status == "MaxIter" and sol.kkt_residual <= OPTIMAL_TOL:
         sol.status = "Optimal"
     return sol
 

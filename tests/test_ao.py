@@ -8,7 +8,7 @@ from jmbeam.awsmse import accumulate_components, update_blocks
 from jmbeam.channel import CsitConfig, MonteCarloSample
 from jmbeam.errors import RankDeficient
 from jmbeam.harness import cell_seed
-from jmbeam.qcqp import build, solve
+from jmbeam.qcqp import OPTIMAL_TOL, build, solve
 from jmbeam.receivers import average_rates, precoder_power
 
 
@@ -230,7 +230,7 @@ def test_stationarity_at_convergence():
     extra = sol.objective + q.omitted_constant
     last = trace.awsmse_obj[-1]
     assert extra <= last + 1e-9
-    assert last - extra <= max(params.epsilon_r, 10 * params.solver_tol) + 1e-9
+    assert last - extra <= max(params.epsilon_r, 10 * OPTIMAL_TOL) + 1e-9
 
 
 def test_higher_snr_needs_more_iterations():

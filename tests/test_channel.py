@@ -29,11 +29,11 @@ def test_error_variance_power_law():
 
 
 def test_error_variance_cap():
-    # below 0 dB the raw law exceeds the unit channel variance
+    # below 0 dB the raw law (here 10**0.6, about 3.98) exceeds the unit
+    # channel variance, so the variance is capped at 1
     assert error_variance(0.1, 0.6) == 1.0
-    raw = error_variance(0.1, 0.6, cap=False)
-    assert raw == pytest.approx(10.0 ** 0.6, rel=1e-14)
-    assert raw == pytest.approx(3.981, abs=5e-4)
+    assert error_variance(1.0, 0.6) == 1.0
+    assert error_variance(1.01, 0.6) < 1.0
 
 
 def test_error_variance_validation():

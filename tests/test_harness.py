@@ -70,10 +70,12 @@ def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_dict({"n_channel": 5})
     assert "n_channel" in str(exc.value)
-    # a key that was once valid is no longer known
-    with pytest.raises(ConfigError) as exc:
-        ExperimentConfig.from_dict({"solver_max_iter": 100})
-    assert "solver_max_iter" in str(exc.value)
+    # keys that were once valid are no longer known
+    for key, value in (("solver_max_iter", 100), ("solver_tol", 1e-8),
+                       ("cap_sigma_e2", True)):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({key: value})
+        assert key in str(exc.value)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict([1, 2])
 
@@ -288,23 +290,30 @@ def test_sweep_matches_golden_fixture(tmp_path):
         assert float(g_sr) == pytest.approx(float(w_sr), rel=1e-9, abs=0.0), g_key
 
 
+def _kill_worker_at(monkeypatch, cfg, channel):
+    """Make the pool worker that runs `channel` of cfg's one cell exit,
+    once the other tasks have had time to report."""
+    dying_seed = cell_seed(cfg.master_seed, cfg.alphas[0], cfg.snr_db[0], channel)
+    run_single = harness.run_single
+
+    def dying_run_single(cfg, scheme, snr_db, alpha, seed):
+        if seed == dying_seed:
+            time.sleep(1.0)
+            os._exit(1)
+        return run_single(cfg, scheme, snr_db, alpha, seed)
+
+    monkeypatch.setattr(harness, "run_single", dying_run_single)
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="pool workers must inherit the patched task",
+    reason="pool workers must inherit the patched run_single",
 )
 def test_sweep_flushes_finished_tasks_when_a_worker_dies(tmp_path, monkeypatch):
     cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=4, threads=2)
     serial = tiny_cfg(schemes=("ZF-WF",), n_channels=3)
     run_sweep(serial, out_dir=str(tmp_path / "serial"))
-    task = harness._channel_task
-
-    def dying_task(cfg, alpha, snr_db, channel):
-        if channel == 3:
-            time.sleep(1.0)  # let the other tasks report first
-            os._exit(1)
-        return task(cfg, alpha, snr_db, channel)
-
-    monkeypatch.setattr(harness, "_channel_task", dying_task)
+    _kill_worker_at(monkeypatch, cfg, channel=3)
     with pytest.raises(BrokenProcessPool):
         run_sweep(cfg, out_dir=str(tmp_path / "pool"))
     meta = json.loads((tmp_path / "pool" / "meta.json").read_text())
@@ -319,7 +328,7 @@ def test_sweep_flushes_finished_tasks_when_a_worker_dies(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="pool workers must inherit the patched task",
+    reason="pool workers must inherit the patched run_single",
 )
 def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
     # the first task dies last: the three tasks after it must survive
@@ -332,14 +341,7 @@ def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
     (tmp_path / "serial").mkdir()
     write_esr_csv(tmp_path / "serial" / "esr.csv", records)
     write_detail_csv(tmp_path / "serial" / "sr_detail.csv", details)
-
-    def dying_task(cfg, alpha, snr_db, channel):
-        if channel == 0:
-            time.sleep(1.0)  # let the other tasks report first
-            os._exit(1)
-        return task(cfg, alpha, snr_db, channel)
-
-    monkeypatch.setattr(harness, "_channel_task", dying_task)
+    _kill_worker_at(monkeypatch, cfg, channel=0)
     with pytest.raises(BrokenProcessPool):
         run_sweep(cfg, out_dir=str(tmp_path / "pool"))
     meta = json.loads((tmp_path / "pool" / "meta.json").read_text())
@@ -353,23 +355,23 @@ def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="pool workers must inherit the patched task",
+    reason="pool workers must inherit the patched run_single",
 )
 def test_sweep_interrupt_cancels_queued_tasks(tmp_path, monkeypatch):
     # an interrupt that reaches only the parent, after the first result
     cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=12, threads=2)
-    task = harness._channel_task
+    run_single = harness.run_single
 
-    def slow_task(*args):
+    def slow_run_single(*args):
         time.sleep(0.2)
-        return task(*args)
+        return run_single(*args)
 
     def interrupted(futures):
         for fut in as_completed(futures):
             yield fut
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(harness, "_channel_task", slow_task)
+    monkeypatch.setattr(harness, "run_single", slow_run_single)
     monkeypatch.setattr(harness, "as_completed", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(cfg, out_dir=str(tmp_path))

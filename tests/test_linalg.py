@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd
-from jmbeam.errors import NoConvergence, NotPsd, RankDeficient, ZeroChannel
+from jmbeam.errors import NotPsd, RankDeficient, ZeroChannel
 from jmbeam.linalg import (
     cholesky_psd,
     dominant_left_singular_vector,
@@ -130,12 +130,17 @@ def test_dominant_singular_vector_zero_matrix_raises():
         dominant_left_singular_vector(np.zeros((2, 2)))
 
 
-def test_dominant_singular_vector_no_convergence_carries_residual():
-    # degenerate spectrum (identity) cannot separate a dominant direction
-    # at an absurd tolerance within 2 iterations
-    with pytest.raises(NoConvergence) as exc:
-        dominant_left_singular_vector(np.eye(3), tol=0.0, max_iter=2)
-    assert exc.value.residual >= 0.0
+def test_dominant_singular_vector_tied_singular_values():
+    # a degenerate spectrum has no unique dominant direction: any unit
+    # vector of the top eigenspace will do, but always the same one
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    unitary = np.linalg.qr(g)[0]
+    for a, s_max in ((np.eye(3), 1.0), (2.5 * unitary, 2.5)):
+        v = dominant_left_singular_vector(a)
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(a.conj().T @ v) == pytest.approx(s_max, rel=1e-12)
+        assert np.array_equal(v, dominant_left_singular_vector(a))
 
 
 # ---------------------------------------------------------------------------

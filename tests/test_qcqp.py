@@ -190,21 +190,32 @@ def test_polish_reaches_round_off():
         for common in (True, False):
             q, _, _ = problem_from_seed(seed, snr_db=snr, include_common=common)
             assert solve(q).kkt_residual <= 1e-13, (seed, snr, common)
-    # 0 dB without common power: the common components vanish, every
-    # constraint is the same constant and the dual stays at the centre
+    # 0 dB without common power: the common components vanish and every
+    # common constraint is a constant, so build drops them and the
+    # solution is the broadcast problem's, bit for bit
     cfg, draw, sample = random_system(3, snr_db=0.0, m=20)
     p = random_precoder(np.random.default_rng(3), 2, 2, cfg.p_t)
     p[:, 0] = 0.0
     c = accumulate_components(sample, update_blocks(sample, p, 1.0))
-    sol = solve(build(c, 1.0, cfg.p_t), warm=p)
-    assert np.array_equal(sol.mu, [0.5, 0.5])
+    q = build(c, 1.0, cfg.p_t)
+    sol = solve(q, warm=p)
+    bc = solve(build(c, 1.0, cfg.p_t, include_common=False), warm=p)
+    assert not q.include_common
+    assert np.array_equal(sol.p_star, bc.p_star)
+    assert np.array_equal(sol.mu, bc.mu) and sol.mu_pow == bc.mu_pow
     assert sol.kkt_residual <= 1e-13
+    # the largest constant, the optimal xi_c, moved into the omitted
+    # constant: objective plus omitted constant is still the AWSMSE
+    want = awsmse_objective(*awmse_values(c, sol.p_star, 1.0))
+    assert sol.objective + q.omitted_constant == pytest.approx(want, rel=1e-13)
+    # a warm start of the full problem's size does not fit and is ignored
+    assert np.array_equal(solve(q, warm_dual=(np.full(2, 0.5), 1.0)).p_star, bc.p_star)
 
 
-def _ao_solves(monkeypatch, scheme, snr_db):
+def _ao_solves(monkeypatch, scheme, snr_db, alpha=0.6, **over):
     """(problem, solution) of every precoder update of one AO run:
-    tiny_cfg at m=200, channel 0."""
-    cfg = tiny_cfg(schemes=(scheme,), snr_db=(snr_db,), m=200)
+    tiny_cfg at m=200, channel 0, with `over` overriding its fields."""
+    cfg = tiny_cfg(schemes=(scheme,), snr_db=(snr_db,), m=200, **over)
     out = []
 
     def recording_solve(q, **kw):
@@ -213,9 +224,27 @@ def _ao_solves(monkeypatch, scheme, snr_db):
         return sol
 
     monkeypatch.setattr(qcqp, "solve", recording_solve)
-    run_single(cfg, scheme, snr_db, 0.6, cell_seed(cfg.master_seed, 0.6, snr_db, 0))
+    run_single(cfg, scheme, snr_db, alpha, cell_seed(cfg.master_seed, alpha, snr_db, 0))
     monkeypatch.undo()
     return out
+
+
+def test_no_common_power_solves_as_broadcast(monkeypatch):
+    # at alpha = 1 the DoF start gives the common column no power, so its
+    # components vanish and the JMB run is the broadcast run: every solve
+    # certifies in a few Newton steps instead of running into the cap
+    solves = _ao_solves(monkeypatch, "JMB-AWSMSE", 50.0, alpha=1.0, n_t=3, k=3)
+    assert solves
+    for q, sol in solves:
+        assert not q.include_common
+        assert sol.status == "Optimal" and sol.kkt_residual <= qcqp.WARM_TOL
+        assert sol.iterations <= 3
+    cfg = tiny_cfg(n_t=3, k=3, m=200)
+    for snr_db, alpha in ((50.0, 1.0), (0.0, 0.6)):
+        seed = cell_seed(cfg.master_seed, alpha, snr_db, 0)
+        p_jmb, sr_jmb, _ = run_single(cfg, "JMB-AWSMSE", snr_db, alpha, seed)
+        p_bc, sr_bc, _ = run_single(cfg, "BC-AWSMSE", snr_db, alpha, seed)
+        assert np.array_equal(p_jmb, p_bc) and sr_jmb == sr_bc
 
 
 def _count_restarts(monkeypatch):
@@ -298,7 +327,8 @@ def test_bad_warm_dual_start_falls_back(monkeypatch, mu, mu_pow):
 def test_uncertified_solve_returns_best_start(monkeypatch):
     # with no start certified (WARM_TOL = 0) every start runs, their
     # steps add up, and the best result is returned within the budget,
-    # Optimal at tol and MaxIter below its residual
+    # Optimal at OPTIMAL_TOL and MaxIter with OPTIMAL_TOL below its
+    # residual
     q, _, _ = problem_from_seed(4, snr_db=20.0)
     monkeypatch.setattr(qcqp, "WARM_TOL", 0.0)
     steps = []
@@ -314,7 +344,8 @@ def test_uncertified_solve_returns_best_start(monkeypatch):
     assert len(steps) == 2 and sol.iterations == sum(steps)
     assert sol.status == "Optimal" and 0.0 < sol.kkt_residual <= 1e-13
     assert precoder_power(sol.p_star) <= q.p_t
-    assert solve(q, tol=0.5 * sol.kkt_residual).status == "MaxIter"
+    monkeypatch.setattr(qcqp, "OPTIMAL_TOL", 0.5 * sol.kkt_residual)
+    assert solve(q).status == "MaxIter"
 
 
 def test_kkt_residual_increases_under_perturbation():
