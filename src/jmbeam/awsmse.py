@@ -22,6 +22,7 @@ stopping rule.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,15 +96,17 @@ def update_blocks(sample, p, sigma_n2):
 
 
 def _field_views(buf, k, n_t):
-    """The ten component fields as views of the last axis of a real buffer.
+    """The component fields as views of the last axis of a real buffer.
 
     Complex fields are views of float pairs, so a buffer of per-realization
-    rows (m, D) and one of column sums (D,) share one layout.
+    rows (m, D) and one of column sums (D,) share one layout. "psi" holds
+    psi_c and psi_p, each user's Hermitian matrix packed
+    (`_pack_hermitian`).
     """
     lead = buf.shape[:-1]
     views, at = {}, 0
     for name, shape, dtype in (
-        ("psi_c", (k, n_t, n_t), complex), ("psi_p", (k, n_t, n_t), complex),
+        ("psi", (2, k, n_t * n_t), float),
         ("f_c", (k, n_t), complex), ("f_p", (k, n_t), complex),
         ("t_c", (k,), float), ("t_p", (k,), float),
         ("u_c", (k,), float), ("u_p", (k,), float),
@@ -117,13 +120,54 @@ def _field_views(buf, k, n_t):
 
 def _buffers(sample):
     """The arrays every accumulation on a sample reuses, made on first
-    use: the (m, D) row buffer, its field views and `_sum_rows` scratch."""
+    use: the (m, D) row buffer, its field views, `_sum_rows` scratch and
+    the packed outer products h h^H."""
     ws = sample.workspace
     if "awsmse" not in ws:
         m, n_t, k = sample.realizations.shape
-        rows = np.empty((m, 4 * k * n_t * (n_t + 1) + 6 * k))
-        ws["awsmse"] = rows, _field_views(rows, k, n_t), _sum_buffers(m, rows.shape[1])
+        rows = np.empty((m, 2 * k * n_t * (n_t + 2) + 6 * k))
+        ws["awsmse"] = (
+            rows,
+            _field_views(rows, k, n_t),
+            _sum_buffers(m, rows.shape[1]),
+            _pack_hermitian(sample.outer),
+        )
     return ws["awsmse"]
+
+
+def _pack_hermitian(a):
+    """Hermitian (..., n, n) matrices as real (..., n*n) rows: the n real
+    diagonal entries, then the strict upper triangle row by row as (re, im)
+    pairs. Sums of packed rows are the packed sums, with the lower
+    triangle and the diagonal's zero imaginary parts left out."""
+    n = a.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    out = np.empty(a.shape[:-2] + (n * n,))
+    out[..., :n] = a.diagonal(0, -2, -1).real
+    out[..., n:] = np.ascontiguousarray(a[..., i, j]).view(float)
+    return out
+
+
+def _unpack_hermitian(x):
+    """The complex (..., n, n) matrices of packed rows (..., n*n)."""
+    n = math.isqrt(x.shape[-1])
+    upper = x[..., n:].view(complex)
+    entries = np.concatenate((x[..., :n], upper, upper.conj()), axis=-1)
+    return entries[..., _hermitian_gather(n)].reshape(x.shape[:-1] + (n, n))
+
+
+@lru_cache
+def _hermitian_gather(n):
+    """Index taking (diagonal, upper triangle, its conjugate), as
+    `_unpack_hermitian` lays them out, to the n*n entries of the matrix."""
+    i, j = np.triu_indices(n, 1)
+    idx = np.empty((n, n), dtype=np.intp)
+    idx[range(n), range(n)] = range(n)
+    idx[i, j] = n + np.arange(i.size)
+    idx[j, i] = n + i.size + np.arange(i.size)
+    idx = idx.reshape(-1)
+    idx.flags.writeable = False
+    return idx
 
 
 def _component_rows(sample, gw):
@@ -133,10 +177,10 @@ def _component_rows(sample, gw):
     (m, D) row buffer, which the next call on the same sample overwrites.
     Outer products come first (exactly Hermitian), then the real scaling.
     """
-    rows, v, _ = _buffers(sample)
-    for layer, g, u in (("c", gw.g_c, gw.u_c), ("p", gw.g_p, gw.u_p)):
+    rows, v, _, outer = _buffers(sample)
+    for i, (layer, g, u) in enumerate((("c", gw.g_c, gw.u_c), ("p", gw.g_p, gw.u_p))):
         t = np.multiply(u, g.real**2 + g.imag**2, out=v["t_" + layer])
-        np.multiply(t[:, :, None, None], sample.outer, out=v["psi_" + layer])
+        np.multiply(t[:, :, None], outer, out=v["psi"][:, i])
         np.multiply((u * g.conj())[:, :, None], sample.stacked, out=v["f_" + layer])
         v["u_" + layer][...] = u
         np.log2(u, out=v["v_" + layer])
@@ -202,24 +246,29 @@ def accumulate_components(sample, gw):
     for both the common and private layers; each output is the arithmetic
     mean over realizations. The terms of all realizations are formed at
     once as the rows of one real (m, D) array, the complex fields as their
-    float64 view (complex addition acts on each part alone). An error-free
-    pairwise reduction (`_sum_rows`) sums its columns, correctly rounded
-    in practice, and each field is divided by m in its own dtype (a
-    complex division rounds differently from two real ones). The psi
-    outputs are exactly Hermitian.
+    float64 view (complex addition acts on each part alone). A psi term is
+    Hermitian, so only its real diagonal and strict upper triangle are
+    summed. An error-free pairwise reduction (`_sum_rows`) sums the
+    columns, correctly rounded in practice. The psi sums are mirrored
+    into full matrices, so the psi outputs are exactly Hermitian, and
+    each field is divided by m in its own dtype (a complex division
+    rounds differently from two real ones).
 
     Nothing sample-invariant is recomputed: h h^H and h come from the
-    sample's cached `outer` and `stacked`, and the (m, D) rows and every
-    intermediate of the reduction live in buffers kept in the sample's
-    workspace, allocated on the first call. The returned arrays are new
-    and share no memory with those buffers.
+    sample's cached `outer` (packed once) and `stacked`, and the (m, D)
+    rows and every intermediate of the reduction live in buffers kept in
+    the sample's workspace, allocated on the first call. The returned
+    arrays are new and share no memory with those buffers.
     """
     m, n_t, k = sample.realizations.shape
     if gw.g_c.shape != (m, k):
         raise ValueError("equalizer set does not match the sample")
     rows = _component_rows(sample, gw)
     sums = _field_views(_sum_rows(rows, _buffers(sample)[2]), k, n_t)
-    return AwmmseComponents(**{name: x / m for name, x in sums.items()})
+    psi_c, psi_p = _unpack_hermitian(sums.pop("psi")) / m
+    return AwmmseComponents(
+        psi_c=psi_c, psi_p=psi_p, **{name: x / m for name, x in sums.items()}
+    )
 
 
 def awmse_values(c, p, sigma_n2):

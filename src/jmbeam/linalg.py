@@ -49,29 +49,53 @@ def phase_normalize(v):
 
 
 def cholesky_psd(a):
-    """Lower-triangular Cholesky factor of a Hermitian PSD matrix.
+    """Lower-triangular Cholesky factors of Hermitian PSD matrices.
 
     Parameters
     ----------
-    a : (n, n) complex ndarray
-        Hermitian positive-semidefinite matrix.
+    a : (..., n, n) complex ndarray
+        Hermitian positive-semidefinite matrix, or a stack of them.
 
     Returns
     -------
-    L : (n, n) complex ndarray
+    L : (..., n, n) complex ndarray
         Lower triangular. Exactly singular directions give zero columns.
 
     Raises
     ------
     NotPsd
         If a pivot falls below ``-EPS_PSD`` (relative to the largest
-        diagonal entry).
+        diagonal entry of its matrix).
+
+    The whole stack is factored in one LAPACK call. Only a matrix that
+    call rejects, or factors with a pivot within the tolerance, goes
+    through the pivot loop (`_cholesky_pivots`) that applies the rules.
     """
     a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        ok = np.zeros(a.shape[:-2], dtype=bool)
+        L = np.zeros_like(a)
+    else:
+        # the pivots of a factored matrix, and so its diagonal, are positive
+        pivots = L.diagonal(0, -2, -1).real
+        scale = a.diagonal(0, -2, -1).real.max(axis=-1, keepdims=True, initial=0.0)
+        ok = pivots * pivots > EPS_PSD * scale
+        if ok.all():
+            return L
+        ok = ok.all(axis=-1)
+    for i in np.ndindex(ok.shape):
+        if not ok[i]:
+            L[i] = _cholesky_pivots(a[i])
+    return L
 
+
+def _cholesky_pivots(a):
+    """cholesky_psd of one (n, n) matrix by an explicit pivot loop."""
+    n = a.shape[0]
     diag = np.real(np.diagonal(a))
     scale = float(np.max(np.abs(diag))) if n else 0.0
     if scale == 0.0:

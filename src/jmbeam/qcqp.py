@@ -33,8 +33,16 @@ the budget price at zero, are the starts it falls back on when a result
 is not certified to WARM_TOL. A recomputed KKT residual certifies every
 returned point. P = 0 with a large enough xi_c is strictly feasible, so
 the problems are never infeasible by construction.
+
+The matrices are small (n_t x n_t, K+1 multipliers), so the cost is the
+number of numpy calls, not arithmetic. A dual evaluation inverts its two
+distinct matrices in one stacked call; the Hessian is formed only where
+a Newton step is taken; the active-set bookkeeping of a step runs on
+Python floats; and the convexity guard factors every component of a
+problem in one stacked Cholesky call.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,18 +143,23 @@ def build(components, sigma_n2, p_t, include_common=True):
 def objective_value(q, p, xi_c):
     """Objective of the problem at (P, xi_c), constant term excluded."""
     priv = p[:, 1:]
-    quad = float(np.einsum("ni,nm,mi->", priv.conj(), q.psi_obj, priv).real)
-    lin = 2.0 * float(np.einsum("kn,nk->", q.f_obj.conj(), priv).real)
-    return (xi_c if q.include_common else 0.0) + quad - lin
+    quad = np.vdot(priv, q.psi_obj @ priv).real
+    lin = 2.0 * np.vdot(q.f_obj.T, priv).real
+    return (xi_c if q.include_common else 0.0) + float(quad - lin)
 
 
 def constraint_values(q, p):
     """Left-hand sides of the K common-MSE constraints at P (their value
     must be <= xi_c), including the constant terms."""
-    p_c = p[:, 0]
-    quad_all = np.einsum("ni,unm,mi->u", p.conj(), q.psi_con, p).real
-    lin = 2.0 * np.einsum("un,n->u", q.f_con.conj(), p_c).real
-    return quad_all + q.con_const - lin
+    return _constraint_values(q, p.T)
+
+
+def _constraint_values(q, pt):
+    """constraint_values from P^T: sum_i p_i^H psi_con[u] p_i is the sum
+    of the entrywise product of psi_con[u] and sum_i conj(p_i) p_i^T."""
+    gram = pt.conj().T @ pt
+    quad = q.psi_con.reshape(q.k, -1) @ gram.reshape(-1)
+    return quad.real + q.con_const - 2.0 * (q.f_con.conj() @ pt[0]).real
 
 
 def _dual(q, z):
@@ -156,76 +169,95 @@ def _dual(q, z):
     column j of P solves M_j p_j = b_j, with M_0 = A + mu_pow I and
     b_0 = sum_u mu_u f_con[u] for the common column, M_j = psi_obj + M_0
     and b_j = f_obj[j] for the private ones, and A = sum_u mu_u
-    psi_con[u]; the columns are solved in one stacked call. The gradient
+    psi_con[u]. The private columns share one matrix, so the two
+    distinct matrices (one for the broadcast problem) are inverted in
+    one stacked call and the columns are matrix products. The gradient
     is the constraint values at that minimizer; the Hessian follows from
-    differentiating the column systems. The power multiplier is scaled
-    by p_t so that both coordinate groups have O(1) gradients whatever
-    the budget.
+    differentiating the column systems and reuses the inverses. The
+    power multiplier is scaled by p_t so that both coordinate groups
+    have O(1) gradients whatever the budget.
 
-    Returns (value, gradient, Hessian, P), or None where the minimizer is
-    not finite (a singular system).
+    Returns (value, gradient, hessian, P), with `hessian` a function of
+    no arguments that forms the Hessian, since only a Newton step needs
+    it, and P a transposed view; or None where the minimizer is not
+    finite (a singular system, or a power sum that is not finite).
     """
-    n_t, p_t = q.n_t, q.p_t
-    mu, mu_pow = z[:-1], z[-1] / p_t
-    pow_eye = mu_pow * np.eye(n_t)
-    if q.include_common:
-        mats = np.empty((q.k + 1, n_t, n_t), dtype=complex)
-        mats[0] = np.einsum("u,unm->nm", mu, q.psi_con) + pow_eye
-        mats[1:] = q.psi_obj + mats[0]
-        rhs = np.concatenate([(mu @ q.f_con)[None], q.f_obj])
+    n_t, k, p_t = q.n_t, q.k, q.p_t
+    mu, mu_pow = z[:-1], float(z[-1]) / p_t
+    common = q.include_common
+    if common:
+        mats = np.empty((2, n_t, n_t), dtype=complex)
+        a = mats[0].reshape(-1)
+        np.matmul(mu, q.psi_con.reshape(k, -1), out=a)
+        a[:: n_t + 1] += mu_pow
+        np.add(mats[0], q.psi_obj, out=mats[1])
     else:
-        mats = (q.psi_obj + pow_eye)[None]
-        rhs = q.f_obj
+        mats = q.psi_obj.copy()
+        mats.reshape(-1)[:: n_t + 1] += mu_pow
     try:
-        cols = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
+        inv = np.linalg.inv(mats)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(cols)):
+    # pt holds the columns of P as rows
+    pt = np.empty((k + 1, n_t), dtype=complex)
+    if common:
+        b_c = mu @ q.f_con
+        np.matmul(b_c, inv[0].T, out=pt[0])
+        np.matmul(q.f_obj, inv[1].T, out=pt[1:])
+        value = float(mu @ q.con_const) - np.vdot(b_c, pt[0]).real
+    else:
+        pt[0] = 0.0
+        np.matmul(q.f_obj, inv.T, out=pt[1:])
+        value = 0.0
+    pw = precoder_power(pt)
+    if not math.isfinite(pw):
         return None
-    p = np.zeros((n_t, q.k + 1), dtype=complex)
-    p[:, 0 if q.include_common else 1 :] = cols.T
-
-    pw = precoder_power(p)
-    value = -float(np.sum(rhs.conj() * cols).real) - mu_pow * p_t
+    value -= np.vdot(q.f_obj, pt[1:]).real + mu_pow * p_t
     grad = np.empty(z.size)
     grad[-1] = (pw - p_t) / p_t
-    if q.include_common:
-        value += float(mu @ q.con_const)
-        grad[:-1] = constraint_values(q, p)
-        # r[j][:, v]: derivative of column j's stationarity residual in z_v
-        r = np.concatenate(
-            [np.einsum("unm,jm->jnu", q.psi_con, cols), cols[:, :, None]], axis=2
-        )
-        r[0, :, :-1] -= q.f_con.T
-    else:
-        r = cols[:, :, None]
-    hess = -2.0 * np.einsum("jnu,jnv->uv", r.conj(), np.linalg.solve(mats, r)).real
-    hess[-1, :] /= p_t
-    hess[:, -1] /= p_t
-    return value, grad, hess, p
+    if common:
+        grad[:-1] = _constraint_values(q, pt)
+
+    def hessian():
+        if not common:
+            # the one entry, -2 Re sum_j p_j^H M^-1 p_j / p_t^2
+            return np.full((1, 1), -2.0 * np.vdot(pt, pt @ inv.T).real / p_t**2)
+        # r[v, j]: derivative of column j's stationarity residual in z_v
+        r = np.empty((k + 1, k + 1, n_t), dtype=complex)
+        np.matmul(pt, q.psi_con.transpose(0, 2, 1), out=r[:-1])
+        r[:-1, 0] -= q.f_con
+        np.divide(pt, p_t, out=r[-1])
+        w = np.empty_like(r)
+        np.matmul(r[:, 0], inv[0].T, out=w[:, 0])
+        np.matmul(r[:, 1:], inv[1].T, out=w[:, 1:])
+        return -2.0 * (r.reshape(k + 1, -1).conj() @ w.reshape(k + 1, -1).T).real
+
+    return float(value), grad, hessian, pt.T
 
 
 def _eqp(h, g, e):
     """Maximizer p of g.p + p.h.p / 2 subject to e.p = 0, and the
-    multiplier lam of that row (0 without one, e all zero). A singular
-    system, as when f = 0 and the dual is linear in mu_pow, takes the
-    least-squares step."""
-    n = g.size
-    if e.any():
+    multiplier lam of that row (0 without one, e all zero), as floats.
+    e is a list. A singular system, as when f = 0 and the dual is linear
+    in mu_pow, takes the least-squares step."""
+    n = len(e)
+    if any(e):
         kkt = np.zeros((n + 1, n + 1))
         kkt[:n, :n] = h
         kkt[n, :n] = kkt[:n, n] = e
-        rhs = np.append(-g, 0.0)
+        rhs = np.zeros(n + 1)
+        np.negative(g, out=rhs[:n])
     else:
         kkt, rhs = h, -g
     try:
         x = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         x = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return x[:n], (float(x[n]) if e.any() else 0.0)
+    x = x.tolist()
+    return x[:n], (x[n] if len(x) > n else 0.0)
 
 
-def _model_step(z, grad, hess, eq):
+def _model_step(z, grad, hess):
     """Maximizer of the dual's quadratic model at z over the feasible set.
 
     A primal active-set loop on the model (Nocedal & Wright, Numerical
@@ -235,32 +267,45 @@ def _model_step(z, grad, hess, eq):
     value of its constraint is violated: above the common level of the
     face (the price of the simplex row) for mu_u, over the budget for
     mu_pow. Returns None if a step is not finite.
+
+    The coordinates and the active set are Python lists; numpy only
+    solves the face's system and forms the model's gradient.
     """
-    y = z.copy()
-    free = z > 0
-    for _ in range(2 * z.size + 2):
-        f = np.flatnonzero(free)
-        gm = grad + hess @ (y - z)
-        step, lam = _eqp(hess[np.ix_(f, f)], gm[f], eq[f])
-        if not np.all(np.isfinite(step)):
+    n = z.size
+    y = z.tolist()
+    free = [v > 0.0 for v in y]
+    eq = [1.0] * (n - 1) + [0.0]  # the simplex row
+    gm = grad  # the model's gradient at y
+    for _ in range(2 * n + 2):
+        f = [i for i in range(n) if free[i]]
+        if len(f) == n:
+            step, lam = _eqp(hess, gm, eq)
+        else:
+            step, lam = _eqp(hess[f][:, f], gm[f], [eq[i] for i in f])
+        if not all(map(math.isfinite, step)):
             return None
-        neg = step < 0
-        ratio = -y[f[neg]] / step[neg]
-        if ratio.size and ratio.min() <= 1.0:
-            y[f] += ratio.min() * step
-            y[f[neg][ratio == ratio.min()]] = 0.0
-            free &= y > 0
+        ratio = {i: -y[i] / s for i, s in zip(f, step) if s < 0}
+        r = min(ratio.values(), default=math.inf)
+        if r <= 1.0:
+            for i, s in zip(f, step):
+                y[i] += r * s
+            for i, ri in ratio.items():
+                if ri == r:
+                    y[i] = 0.0
+            free = [fr and v > 0.0 for fr, v in zip(free, y)]
+            gm = grad + hess @ (np.array(y) - z)
             continue
-        y[f] += step
-        if free.all():
-            return y
-        price = grad + hess @ (y - z) + lam * eq
-        price[free] = -np.inf
-        i = int(np.argmax(price))
+        for i, s in zip(f, step):
+            y[i] += s
+        if len(f) == n:
+            break
+        gm = grad + hess @ (np.array(y) - z)
+        price = [g + lam * e for g, e in zip(gm.tolist(), eq)]
+        i = max((j for j in range(n) if not free[j]), key=price.__getitem__)
         if not price[i] > FACE_TOL * (1.0 + abs(lam)):
-            return y
+            break
         free[i] = True
-    return y
+    return np.array(y)
 
 
 def _face_newton(q, z):
@@ -283,18 +328,19 @@ def _face_newton(q, z):
     the dual cannot be evaluated at z.
     """
     p_t, max_steps = q.p_t, 20
-    eq = np.append(np.ones(z.size - 1), 0.0)
     ev = _dual(q, z)
-    best, res_best, res_prev = None, np.inf, np.inf
+    best, res_best, res_prev = None, math.inf, math.inf
     for steps in range(max_steps + 1):
         if ev is None:
             break
-        value, grad, hess, p = ev
+        value, grad, hessian, p = ev
         cons = grad[:-1]
-        xi = float(cons.max()) if q.include_common else 0.0
-        excess = grad[-1] * p_t
-        res = _slack_terms(q, xi, cons, excess, z[:-1], z[-1] / p_t)
-        if z[-1] > 0.0:
+        *mu, z_pow = z.tolist()
+        cons_l = cons.tolist()
+        xi = max(cons_l) if q.include_common else 0.0
+        excess = float(grad[-1]) * p_t
+        res = _slack_terms(q, xi, cons_l, excess, mu, z_pow / p_t)
+        if z_pow > 0.0:
             # a free mu_pow makes the budget an equality of the face; the
             # slackness product hides its gap when mu_pow is small
             res = max(res, abs(excess) / max(1.0, p_t))
@@ -302,8 +348,8 @@ def _face_newton(q, z):
             best, res_best = (z, p, cons), res
         if res <= FACE_TOL or (res_best <= WARM_TOL and res > 0.5 * res_prev):
             break
-        y = None if steps == max_steps else _model_step(z, grad, hess, eq)
-        if y is None or np.array_equal(y, z):
+        y = None if steps == max_steps else _model_step(z, grad, hessian())
+        if y is None or y.tolist() == z.tolist():
             break
         d = y - z
         dec = float(grad @ d)
@@ -364,16 +410,18 @@ def solve(q, warm=None, warm_dual=None):
         If a component matrix is not PSD within tolerance (convexity
         guard, via the Cholesky factorization).
     """
-    cholesky_psd(q.psi_obj)
-    if q.include_common:
-        for psi in q.psi_con:
-            cholesky_psd(psi)
+    cholesky_psd(
+        np.concatenate((q.psi_obj[None], q.psi_con)) if q.include_common else q.psi_obj
+    )
 
-    centre = np.append(np.full(q.k if q.include_common else 0, 1.0 / q.k), 1.0)
-    starts = [centre, np.append(centre[:-1], 0.0)]
+    centre = np.full(q.k + 1 if q.include_common else 1, 1.0 / q.k)
+    centre[-1] = 1.0
+    flat = centre.copy()
+    flat[-1] = 0.0
+    starts = [centre, flat]
     if warm_dual is not None:
-        z = np.append(warm_dual[0], float(warm_dual[1]) * q.p_t)
-        if z.size == centre.size and np.all(np.isfinite(z)) and z.min() >= 0.0:
+        z = np.concatenate((np.ravel(warm_dual[0]), [float(warm_dual[1]) * q.p_t]))
+        if z.size == centre.size and np.isfinite(z).all() and z.min() >= 0.0:
             starts.insert(0, z)
     best, steps = None, 0
     for z in starts:
@@ -420,14 +468,14 @@ def _solution(q, fin):
     z, p, cons, steps = fin
     xi = float(np.max(cons)) if q.include_common else 0.0
     sol = QcqpSolution(
-        p_star=p,
+        p_star=np.ascontiguousarray(p),
         xi_c_star=xi,
         objective=objective_value(q, p, xi),
         kkt_residual=np.inf,
         iterations=steps,
         status="Optimal",
         mu=z[:-1],
-        mu_pow=z[-1] / q.p_t,
+        mu_pow=float(z[-1]) / q.p_t,
     )
     sol.kkt_residual = kkt_residual(q, sol)
     return sol
@@ -446,41 +494,42 @@ def kkt_residual(q, sol):
 
 def _kkt_terms(q, p, xi_c_star, mu, mu_pow):
     k, n_t = q.k, q.n_t
+    pw = precoder_power(p)
+    scale = 1.0 + math.sqrt(np.vdot(q.f_obj, q.f_obj).real) + math.sqrt(pw)
 
-    scale = 1.0 + float(np.linalg.norm(q.f_obj)) + float(np.linalg.norm(p))
-    terms = []
-
-    # stationarity in each private column
+    # stationarity in each column, M_j p_j - b_j with the M_j, b_j of _dual
     if q.include_common:
-        psi_mu = np.einsum("u,unm->nm", mu, q.psi_con)
+        m_0 = (mu @ q.psi_con.reshape(k, -1)).reshape(n_t, n_t)
     else:
-        psi_mu = np.zeros((n_t, n_t))
-    m_p = q.psi_obj + psi_mu + mu_pow * np.eye(n_t)
-    terms.append(np.linalg.norm(m_p @ p[:, 1:] - q.f_obj.T, axis=0).max() / scale)
-
-    cons = None
+        m_0 = np.zeros((n_t, n_t), dtype=complex)
+    m_0.reshape(-1)[:: n_t + 1] += mu_pow
+    stat = m_0 @ p
+    stat[:, 1:] += q.psi_obj @ p[:, 1:] - q.f_obj.T
+    cons = []
     if q.include_common:
-        # stationarity in the common column
-        g_c = psi_mu @ p[:, 0] - np.einsum("u,un->n", mu, q.f_con) + mu_pow * p[:, 0]
-        terms.append(np.linalg.norm(g_c) / scale)
-        cons = constraint_values(q, p)
+        stat[:, 0] -= mu @ q.f_con
+        cons = constraint_values(q, p).tolist()
+    else:
+        stat = stat[:, 1:]
+    res = math.sqrt(max((stat.conj() * stat).real.sum(axis=0).tolist())) / scale
 
-    excess = precoder_power(p) - q.p_t
-    terms.append(_slack_terms(q, xi_c_star, cons, excess, mu, mu_pow))
-    return float(max(terms))
+    slack = _slack_terms(q, xi_c_star, cons, pw - q.p_t, mu.tolist(), mu_pow)
+    return max(res, slack)
 
 
 def _slack_terms(q, xi_c, cons, excess, mu, mu_pow):
     """The KKT terms besides stationarity in P: stationarity in xi_c (the
     simplex row), primal and dual feasibility, and complementary
     slackness, from the constraint values and the power excess
-    ||P||_F^2 - p_t at P."""
+    ||P||_F^2 - p_t at P. cons and mu are lists of floats."""
     scale = max(1.0, q.p_t)
-    terms = [max(0.0, excess) / scale, max(0.0, -mu_pow), abs(mu_pow * excess) / scale]
+    res = max(max(0.0, excess) / scale, -mu_pow, abs(mu_pow * excess) / scale)
     if q.include_common:
-        slack = xi_c - cons
-        terms.append(abs(1.0 - float(mu.sum())))
-        terms.append(max(0.0, -float(slack.min())) / (1.0 + abs(xi_c)))
-        terms.append(max(0.0, -float(mu.min())))
-        terms.append(float((np.abs(mu * slack) / (1.0 + np.abs(cons))).max()))
-    return max(terms)
+        res = max(
+            res,
+            abs(1.0 - sum(mu)),
+            max(0.0, max(cons) - xi_c) / (1.0 + abs(xi_c)),
+            -min(mu),
+            max(abs(m * (xi_c - c)) / (1.0 + abs(c)) for m, c in zip(mu, cons)),
+        )
+    return res

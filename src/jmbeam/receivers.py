@@ -55,8 +55,7 @@ class AverageRates:
 
 def precoder_power(p):
     """Total transmit power ||p||_F^2."""
-    p = np.asarray(p)
-    return float(np.sum(p.real**2 + p.imag**2))
+    return float(np.vdot(p, p).real)
 
 
 # memo entries per sample: a plain precoder update and its extrapolation

@@ -90,6 +90,26 @@ def test_cholesky_zero_matrix():
     assert np.array_equal(L, np.zeros((3, 3)))
 
 
+def test_cholesky_stack_applies_the_rules_per_matrix():
+    # a stack is factored in one call; a singular member still gets its
+    # zero columns and an indefinite member raises wherever it sits
+    rng = np.random.default_rng(5)
+    pd, rank_one = random_psd(rng, 3), random_psd(rng, 3, rank=1)
+    stack = np.stack([pd, rank_one, 2.0 * pd])
+    L = cholesky_psd(stack)
+    assert L.shape == stack.shape
+    for a, l in zip(stack, L):
+        assert np.array_equal(l, np.tril(l))
+        assert np.linalg.norm(l @ l.conj().T - a) <= 1e-12 * np.linalg.norm(a)
+    assert np.array_equal(L[1], cholesky_psd(rank_one))
+    assert np.sum(np.all(L[1] == 0.0, axis=0)) == 2
+    for i in range(3):
+        bad = stack.copy()
+        bad[i] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(NotPsd):
+            cholesky_psd(bad)
+
+
 # ---------------------------------------------------------------------------
 # dominant_left_singular_vector
 

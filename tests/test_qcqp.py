@@ -427,13 +427,73 @@ def test_solve_matches_cone_oracle():
 
 @pytest.mark.parametrize("field", ["psi_obj", "psi_con"])
 def test_solve_rejects_indefinite_component(field):
-    # convexity guard: a component with eigenvalue -1 raises, not solves
+    # convexity guard: a component with eigenvalue -1 raises, not solves,
+    # at every place of the stack the guard factors in one call
     q, _, _ = problem_from_seed(2)
     bad = np.diag([1.0, -1.0]).astype(complex)
-    if field == "psi_con":
-        bad = np.stack([q.psi_con[0], bad])
-    with pytest.raises(NotPsd):
-        solve(replace(q, **{field: bad}))
+    if field == "psi_obj":
+        cases = [bad]
+    else:
+        cases = []
+        for u in range(q.k):
+            psi = q.psi_con.copy()
+            psi[u] = bad
+            cases.append(psi)
+    for value in cases:
+        with pytest.raises(NotPsd):
+            solve(replace(q, **{field: value}))
+
+
+def test_solve_accepts_rank_deficient_component():
+    # one realization at n_t = 3: each psi_con[u] is a rank-one outer
+    # product and psi_obj has rank 2, exactly PSD and singular. The
+    # stacked factorization rejects or flags them and the pivot loop
+    # accepts them. Where the budget binds (0 and 10 dB) every solve is
+    # certified. Above that the budget price can fall to zero, where the
+    # common column's system is singular and the face Newton can only
+    # halve mu_pow; some of those solves end 'MaxIter' (CHANGES.md), so
+    # they are only checked to return a feasible point
+    for seed in range(20):
+        for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
+            q, _, _ = problem_from_seed(seed, n_t=3, k=2, snr_db=snr_db, m=1)
+            assert np.linalg.matrix_rank(q.psi_obj) == 2
+            assert all(np.linalg.matrix_rank(psi) == 1 for psi in q.psi_con)
+            sol = solve(q)
+            assert precoder_power(sol.p_star) <= q.p_t * (1.0 + 1e-9)
+            if snr_db <= 10.0:
+                assert sol.status == "Optimal", (seed, snr_db)
+                assert sol.kkt_residual <= qcqp.WARM_TOL, (seed, snr_db)
+
+
+@pytest.mark.parametrize("include_common", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
+def test_dual_derivatives_match_differences(include_common, n, snr_db):
+    # the gradient _dual returns is the central difference of its value
+    # and the Hessian the central difference of its gradient, at an
+    # interior z (every mu and mu_pow positive)
+    q, _, _ = problem_from_seed(
+        11 * n, n_t=n, k=n, snr_db=snr_db, include_common=include_common
+    )
+    rng = np.random.default_rng(n)
+    mu = rng.uniform(0.5, 1.5, q.k if include_common else 0)
+    z = np.append(mu / mu.sum(), rng.uniform(0.5, 1.5))
+    value, grad, hessian, _ = qcqp._dual(q, z)
+    hess = hessian()
+    assert hess.shape == (z.size, z.size)
+    assert np.allclose(hess, hess.T, rtol=1e-9, atol=1e-12 * np.abs(hess).max())
+    assert np.linalg.eigvalsh(hess).max() <= 1e-9 * np.abs(hess).max()  # concave
+    for v in range(z.size):
+        h = 1e-4 * z[v]
+        up, down = z.copy(), z.copy()
+        up[v] += h
+        down[v] -= h
+        ev_up, ev_down = qcqp._dual(q, up), qcqp._dual(q, down)
+        d_value = (ev_up[0] - ev_down[0]) / (2 * h)
+        assert d_value == pytest.approx(grad[v], rel=1e-6, abs=1e-6), v
+        d_grad = (ev_up[1] - ev_down[1]) / (2 * h)
+        scale = np.abs(hess[:, v]).max()
+        assert np.allclose(d_grad, hess[:, v], rtol=1e-5, atol=1e-6 * scale), v
 
 
 @pytest.mark.parametrize("scheme", ["JMB-AWSMSE", "BC-AWSMSE"])
