@@ -468,7 +468,7 @@ def _solution(q, fin):
     z, p, cons, steps = fin
     xi = float(np.max(cons)) if q.include_common else 0.0
     sol = QcqpSolution(
-        p_star=np.ascontiguousarray(p),
+        p_star=np.ascontiguousarray(p),  # _dual's P is a transposed view
         xi_c_star=xi,
         objective=objective_value(q, p, xi),
         kkt_residual=np.inf,

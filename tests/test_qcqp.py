@@ -478,7 +478,7 @@ def test_dual_derivatives_match_differences(include_common, n, snr_db):
     rng = np.random.default_rng(n)
     mu = rng.uniform(0.5, 1.5, q.k if include_common else 0)
     z = np.append(mu / mu.sum(), rng.uniform(0.5, 1.5))
-    value, grad, hessian, _ = qcqp._dual(q, z)
+    _, grad, hessian, _ = qcqp._dual(q, z)
     hess = hessian()
     assert hess.shape == (z.size, z.size)
     assert np.allclose(hess, hess.T, rtol=1e-9, atol=1e-12 * np.abs(hess).max())
