@@ -124,32 +124,27 @@ def dof_power_split(p_t, alpha, k):
     return p_t - private_total, private_total / k
 
 
-def initialize(scheme, h_est, p_t, alpha, common=True):
+def initialize(scheme, h_est, p_t, alpha):
     """Construct a starting precoder from the channel estimate.
 
     scheme is one of 'zf-svd', 'zf-e', 'mf-svd', 'mf-e' (case
     insensitive): private directions from zero forcing or matched
     filtering, common direction from the dominant left singular vector
-    of the estimate or the first standard basis vector. common = False
-    drops the common column and splits the full budget over the private
-    ones (broadcast-only starting point).
+    of the estimate or the first standard basis vector. The budget is
+    split by dof_power_split; at alpha = 1 the common column gets no
+    power and the private ones share p_t (the broadcast start).
     """
     scheme = scheme.lower()
     if scheme not in INIT_SCHEMES:
         raise ValueError(f"unknown init scheme {scheme!r}")
     h_est = np.asarray(h_est)
     n_t, k = h_est.shape
-    if common:
-        pow_c, pow_p = dof_power_split(p_t, alpha, k)
-    else:
-        if not p_t > 0:
-            raise ValueError("p_t must be positive")
-        pow_c, pow_p = 0.0, p_t / k
+    pow_c, pow_p = dof_power_split(p_t, alpha, k)
 
     dirs = zf_directions(h_est) if scheme.startswith("zf") else mf_directions(h_est)
     p = np.zeros((n_t, k + 1), dtype=complex)
     p[:, 1:] = math.sqrt(pow_p) * dirs
-    if common and pow_c > 0.0:
+    if pow_c > 0.0:
         if scheme.endswith("svd"):
             d_c = dominant_left_singular_vector(h_est)
         else:
@@ -172,8 +167,9 @@ def run_ao(h_est, sample, cfg, params, common=True):
         Provides p_t, alpha, sigma_n2.
     params : AoParams
     common : bool
-        False pins the common column to zero and drops its constraints
-        (broadcast-only variant of the same machinery).
+        False starts from the alpha = 1 split, whose common column has
+        no power. A zero common column stays zero under every update, so
+        this is the broadcast-only run.
 
     Returns
     -------
@@ -182,7 +178,7 @@ def run_ao(h_est, sample, cfg, params, common=True):
     update and its extrapolation. Inner-solver failures propagate; an inner
     MaxIter status is tolerated and visible in the trace.
     """
-    p = initialize(params.init_scheme, h_est, cfg.p_t, cfg.alpha, common=common)
+    p = initialize(params.init_scheme, h_est, cfg.p_t, cfg.alpha if common else 1.0)
     asr = average_rates(sample, p, cfg.sigma_n2).asr
     trace = AoTrace()
     rbar_prev = 0.0
@@ -193,10 +189,10 @@ def run_ao(h_est, sample, cfg, params, common=True):
     for n in range(1, params.n_max + 1):
         gw = update_blocks(sample, p, cfg.sigma_n2)
         comps = accumulate_components(sample, gw)
-        # at zero common power v_c is exactly zero, so this holds for both modes
+        # at zero common power v_c is exactly zero, so this holds for both runs
         rbar = float(np.min(comps.v_c) + np.sum(comps.v_p))
 
-        q = qcqp.build(comps, cfg.sigma_n2, cfg.p_t, include_common=common)
+        q = qcqp.build(comps, cfg.sigma_n2, cfg.p_t)
         sol = qcqp.solve(
             q, warm=p, warm_dual=None if sol is None else (sol.mu, sol.mu_pow)
         )

@@ -1,10 +1,10 @@
 """Non-iterative comparison schemes.
 
-Both baselines treat the channel estimate as if it were exact: naive
-zero-forcing with water-filled powers and no common symbol, and the
-DoF-motivated variant that keeps the common/private power split, fills
-the private budget by water-filling, and points the common column along
-the estimate's dominant left singular vector.
+Both baselines treat the channel estimate as if it were exact. The
+DoF-motivated one keeps the common/private power split, fills the
+private budget by water-filling, and points the common column along the
+estimate's dominant left singular vector; naive zero-forcing with
+water-filled powers and no common symbol is its alpha = 1 case.
 """
 
 import math
@@ -71,18 +71,12 @@ def _zf_gains(h_est, dirs, sigma_n2):
 
 
 def zf_wf(h_est, p_t, sigma_n2):
-    """Zero-forcing directions with water-filled powers, no common column.
-
-    The allocation optimizes the nominal interference-free rates on the
-    estimate; estimation error is ignored by design.
+    """Zero-forcing directions with water-filled powers, no common column:
+    the alpha = 1 case of jmb_zf_svd_wf, whose common column then gets
+    no power. The allocation optimizes the nominal interference-free
+    rates on the estimate; estimation error is ignored by design.
     """
-    h_est = np.asarray(h_est)
-    n_t, k = h_est.shape
-    dirs = zf_directions(h_est)
-    wf = water_fill(_zf_gains(h_est, dirs, sigma_n2), p_t)
-    p = np.zeros((n_t, k + 1), dtype=complex)
-    p[:, 1:] = dirs * np.sqrt(wf.powers)
-    return p
+    return jmb_zf_svd_wf(h_est, p_t, 1.0, sigma_n2)
 
 
 def jmb_zf_svd_wf(h_est, p_t, alpha, sigma_n2):
@@ -90,8 +84,9 @@ def jmb_zf_svd_wf(h_est, p_t, alpha, sigma_n2):
 
     Private budget p_t**alpha (capped at p_t) is water-filled over the
     zero-forcing gains; the remainder drives the common column along the
-    dominant left singular vector of the estimate. alpha = 1 reduces to
-    zf_wf exactly.
+    dominant left singular vector of the estimate. At alpha = 1 the
+    whole budget is water-filled and the common column stays zero
+    (zf_wf).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")

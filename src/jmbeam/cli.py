@@ -84,9 +84,11 @@ def _cmd_convergence(args):
 
 
 def _cmd_single(args):
+    # the config's own checks vet the cell and raise ConfigError
     cfg = _load_config(args.config)
-    if not 0.0 <= args.alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {args.alpha}")
+    cfg = replace(cfg, snr_db=(args.snr_db,), alphas=(args.alpha,))
+    if args.channel < 0:
+        raise ConfigError(f"channel must be nonnegative, got {args.channel}")
     seed = cell_seed(cfg.master_seed, args.alpha, args.snr_db, args.channel)
     try:
         p, sr, trace = run_single(cfg, args.scheme, args.snr_db, args.alpha, seed)

@@ -21,15 +21,7 @@ import numpy as np
 
 from .ao import INIT_SCHEMES, AoParams, run_ao
 from .baselines import jmb_zf_svd_wf, zf_wf
-from .channel import (
-    CsitConfig,
-    MonteCarloSample,
-    complex_gaussian,
-    draw_sample,
-    error_variance,
-    make_draw,
-    substream,
-)
+from .channel import CsitConfig, draw_sample, make_draw, substream
 from .errors import ConfigError, JmbeamError
 from .receivers import sum_rate
 
@@ -88,10 +80,13 @@ class ExperimentConfig:
             not (isinstance(a, (int, float)) and 0.0 <= a <= 1.0) for a in self.alphas
         ):
             bad(f"alphas must be a nonempty list of values in [0, 1]")
-        if len(self.snr_db) == 0 or any(
-            not (isinstance(s, (int, float)) and math.isfinite(s)) for s in self.snr_db
+        if len(self.snr_db) == 0 or not all(
+            isinstance(s, (int, float)) and _usable_snr(s) for s in self.snr_db
         ):
-            bad(f"snr_db must be a nonempty list of finite values")
+            bad(
+                "snr_db must be a nonempty list of values that key a cell "
+                "seed and give a finite positive power budget"
+            )
         if len(self.schemes) == 0:
             bad("schemes must be nonempty")
         for s in self.schemes:
@@ -119,10 +114,12 @@ class ExperimentConfig:
         eps = kw.get("epsilon_r")
         if isinstance(eps, int) and not isinstance(eps, bool):
             kw["epsilon_r"] = float(eps)
-        if "alphas" in kw:
-            kw["alphas"] = tuple(float(a) for a in kw["alphas"])
-        if "snr_db" in kw:
-            kw["snr_db"] = tuple(float(s) for s in kw["snr_db"])
+        for name in ("alphas", "snr_db"):
+            try:
+                if name in kw:
+                    kw[name] = tuple(float(x) for x in kw[name])
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} must be a list of numbers")
         return cls(**kw)
 
     @classmethod
@@ -190,6 +187,28 @@ def snr_to_pt(snr_db):
     return 10.0 ** (float(snr_db) / 10.0) * SIGMA_N2
 
 
+def _usable_snr(snr_db):
+    """Whether cell_seed can key snr_db and snr_to_pt maps it to a finite
+    positive budget (roughly -1000 to 3082 dB)."""
+    try:
+        cell_seed(0, 0.0, snr_db, 0)
+        return 0.0 < snr_to_pt(snr_db) < math.inf
+    except (ValueError, OverflowError):
+        return False
+
+
+def _draw(cfg, snr_db, alpha, seed):
+    """(CsitConfig, ChannelDraw, MonteCarloSample) of one operating point:
+    the channel from substream (seed, 0), the sample from (seed, 1)."""
+    csit = CsitConfig(
+        n_t=cfg.n_t, k=cfg.k, alpha=float(alpha), p_t=snr_to_pt(snr_db),
+        sigma_n2=SIGMA_N2,
+    )
+    draw = make_draw(substream(seed, 0), csit)
+    sample = draw_sample(substream(seed, 1), draw.h_est, draw.sigma_e2, cfg.m)
+    return csit, draw, sample
+
+
 def run_single(cfg, scheme, snr_db, alpha, seed):
     """Draw one channel, optimize under partial CSI, evaluate on truth.
 
@@ -198,26 +217,16 @@ def run_single(cfg, scheme, snr_db, alpha, seed):
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    p_t = snr_to_pt(snr_db)
-    csit = CsitConfig(
-        n_t=cfg.n_t,
-        k=cfg.k,
-        alpha=float(alpha),
-        p_t=p_t,
-        sigma_n2=SIGMA_N2,
-    )
-    draw = make_draw(substream(seed, 0), csit)
-    sample = draw_sample(substream(seed, 1), draw.h_est, draw.sigma_e2, cfg.m)
+    csit, draw, sample = _draw(cfg, snr_db, alpha, seed)
 
-    trace = None
-    if scheme == "JMB-AWSMSE":
-        p, trace = run_ao(draw.h_est, sample, csit, cfg.ao_params(), common=True)
-    elif scheme == "BC-AWSMSE":
-        p, trace = run_ao(draw.h_est, sample, csit, cfg.ao_params(), common=False)
-    elif scheme == "JMB-ZF-SVD":
-        p = jmb_zf_svd_wf(draw.h_est, p_t, float(alpha), SIGMA_N2)
+    # the broadcast schemes are the alpha = 1 cases: no common power
+    common = scheme.startswith("JMB")
+    if scheme.endswith("AWSMSE"):
+        p, trace = run_ao(draw.h_est, sample, csit, cfg.ao_params(), common=common)
+    elif common:
+        p, trace = jmb_zf_svd_wf(draw.h_est, csit.p_t, csit.alpha, SIGMA_N2), None
     else:
-        p = zf_wf(draw.h_est, p_t, SIGMA_N2)
+        p, trace = zf_wf(draw.h_est, csit.p_t, SIGMA_N2), None
 
     sr = sum_rate(draw.h_true, p, SIGMA_N2)
     return p, float(sr), trace
@@ -401,35 +410,25 @@ def _fmt_snr(snr_db):
 
 
 def run_convergence(cfg, snrs=None, inits=None, out_dir=None):
-    """Optimization traces on one fixed channel across SNRs and starts.
+    """Optimization traces on one channel across SNRs and starts.
 
-    The true channel and the raw (unit-variance) error draws are fixed
-    once; per SNR only the error scale changes, so every trace sees the
-    same underlying randomness. Returns {(snr_db, init): AoTrace} and
-    writes one trace_<snr>_<init>.csv per pair when out_dir is given.
+    Every SNR draws its channel and sample as run_single does, from the
+    same substreams (master_seed, 0) and (master_seed, 1), so only the
+    error scale changes with the SNR and every trace sees the same
+    underlying randomness. Returns
+    {(snr_db, init): AoTrace} and writes one trace_<snr>_<init>.csv per
+    pair when out_dir is given.
     """
     snrs = list(cfg.snr_db) if snrs is None else [float(s) for s in snrs]
     inits = list(INIT_SCHEMES) if inits is None else list(inits)
     alpha = float(cfg.alphas[0])
 
-    rng_h = substream(cfg.master_seed, 0)
-    h_raw = complex_gaussian(rng_h, (cfg.n_t, cfg.k), 1.0)
-    e_raw = complex_gaussian(rng_h, (cfg.n_t, cfg.k), 1.0)
-    rng_s = substream(cfg.master_seed, 1)
-    w_raw = complex_gaussian(rng_s, (cfg.m, cfg.n_t, cfg.k), 1.0)
-
     t0 = time.perf_counter()
     traces = {}
     for snr_db in snrs:
-        p_t = snr_to_pt(snr_db)
-        sig_e2 = error_variance(p_t, alpha)
-        scale = math.sqrt(sig_e2)
-        h_err = scale * e_raw
-        h_est = h_raw - h_err
-        sample = MonteCarloSample(realizations=h_est[None, :, :] + scale * w_raw)
-        csit = CsitConfig(n_t=cfg.n_t, k=cfg.k, alpha=alpha, p_t=p_t, sigma_n2=SIGMA_N2)
+        csit, draw, sample = _draw(cfg, snr_db, alpha, cfg.master_seed)
         for init in inits:
-            _, trace = run_ao(h_est, sample, csit, cfg.ao_params(init), common=True)
+            _, trace = run_ao(draw.h_est, sample, csit, cfg.ao_params(init))
             traces[(snr_db, init)] = trace
 
     if out_dir is not None:

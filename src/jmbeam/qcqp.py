@@ -76,8 +76,9 @@ class QcqpProblem:
     psi_obj is the summed private quadratic form sum_k psi_p[k] (each
     private column sees the same total matrix); f_obj[k] is the linear
     term of user k's private column. psi_con/f_con/con_const hold the K
-    common-MSE constraints. include_common = False drops the common
-    column and its constraints (broadcast-only variant).
+    common-MSE constraints. include_common is False when build found the
+    common components all zero: the problem then has no common column
+    and no constraints (the broadcast form).
     """
 
     n_t: int
@@ -90,7 +91,7 @@ class QcqpProblem:
     f_con: np.ndarray
     con_const: np.ndarray
     omitted_constant: float
-    include_common: bool = True
+    include_common: bool
 
 
 @dataclass(eq=False)
@@ -108,22 +109,22 @@ class QcqpSolution:
     mu_pow: float
 
 
-def build(components, sigma_n2, p_t, include_common=True):
+def build(components, sigma_n2, p_t):
     """Assemble the precoder-update problem from averaged components.
 
     Common components that are exactly zero, as at a common column
     without power, make every common constraint a constant. The problem
-    is then built without the common column, and the largest constant,
-    which is the optimal xi_c, goes into the omitted constant, so the
-    objective plus the omitted constant is unchanged.
+    then takes the broadcast form, without the common column, and the
+    largest constant, which is the optimal xi_c, goes into the omitted
+    constant, so the objective plus the omitted constant is unchanged.
     """
     c = components
     k, n_t = c.f_p.shape
     psi_obj = c.psi_p.sum(axis=0)
     con_const = sigma_n2 * c.t_c + c.u_c - c.v_c
     omitted = float(np.sum(sigma_n2 * c.t_p + c.u_p - c.v_p))
-    if include_common and not (c.psi_c.any() or c.f_c.any()):
-        include_common = False
+    include_common = bool(c.psi_c.any() or c.f_c.any())
+    if not include_common:
         omitted += float(np.max(con_const))
     return QcqpProblem(
         n_t=n_t,

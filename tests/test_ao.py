@@ -1,13 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_system
-from jmbeam import ao
+from jmbeam import ao, qcqp
 from jmbeam.ao import AoParams, AoTrace, dof_power_split, initialize, run_ao
-from jmbeam.awsmse import accumulate_components, update_blocks
+from jmbeam.awsmse import (
+    accumulate_components,
+    awmse_values,
+    awsmse_objective,
+    update_blocks,
+)
 from jmbeam.channel import CsitConfig, MonteCarloSample
 from jmbeam.errors import RankDeficient
 from jmbeam.harness import cell_seed
+from jmbeam.linalg import zf_directions
 from jmbeam.qcqp import OPTIMAL_TOL, build, solve
 from jmbeam.receivers import average_rates, precoder_power
 
@@ -99,9 +107,12 @@ def test_initialize_power_accounting():
 def test_initialize_no_common():
     rng = np.random.default_rng(2)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    p = initialize("zf-svd", h, 8.0, 0.6, common=False)
+    # the broadcast start is the alpha = 1 split: p_t over the private
+    # columns along the zero-forcing directions, none for the common one
+    p = initialize("zf-svd", h, 8.0, 1.0)
     assert np.all(p[:, 0] == 0)
     assert precoder_power(p) == pytest.approx(8.0, rel=1e-12)
+    assert np.array_equal(p[:, 1:], 2.0 * zf_directions(h))
 
 
 def test_initialize_case_insensitive():
@@ -214,6 +225,50 @@ def test_bc_mode_common_column_stays_zero():
     assert np.all(p[:, 0] == 0)
     obj = np.array(trace.awsmse_obj)
     assert np.all(np.diff(obj) <= 1e-7)
+
+
+def test_bc_run_is_the_alpha_one_joint_run(monkeypatch):
+    # the broadcast run is the joint machinery from the alpha = 1 start:
+    # at every update the common column is exactly zero and build poses
+    # the broadcast form, and the traced objective is the true averaged
+    # WSMSE, the silent common layer's constant included, as for a joint
+    # run. The 20 dB run takes 37 updates, so extrapolated precoders are
+    # checked too
+    for seed, snr_db in ((5, 20.0), (6, 30.0), (7, 40.0)):
+        cfg, draw, sample = random_system(seed, snr_db=snr_db, m=15)
+        steps = []
+
+        def blocks(sample, p, sigma_n2):
+            assert np.all(p[:, 0] == 0)
+            return update_blocks(sample, p, sigma_n2)
+
+        def recording_build(comps, *args, **kw):
+            q = build(comps, *args, **kw)
+            steps.append((comps, q))
+            return q
+
+        def recording_solve(q, **kw):
+            sol = solve(q, **kw)
+            steps[-1] += (sol,)
+            return sol
+
+        with monkeypatch.context() as m:
+            m.setattr(ao, "update_blocks", blocks)
+            m.setattr(qcqp, "build", recording_build)
+            m.setattr(qcqp, "solve", recording_solve)
+            p, trace = run_ao(draw.h_est, sample, cfg, AoParams(), common=False)
+        assert len(steps) == len(trace) > 1
+        assert np.all(p[:, 0] == 0)
+        for (comps, q, sol), obj in zip(steps, trace.awsmse_obj):
+            assert not q.include_common
+            assert np.all(sol.p_star[:, 0] == 0)
+            want = awsmse_objective(*awmse_values(comps, sol.p_star, cfg.sigma_n2))
+            assert obj == pytest.approx(want, rel=1e-12)
+        # and it is the joint run at alpha = 1, bit for bit
+        p_1, trace_1 = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
+        assert np.array_equal(p, p_1)
+        assert trace_1.awsmse_obj == trace.awsmse_obj
+        assert trace_1.asr_audit == trace.asr_audit
 
 
 def test_stationarity_at_convergence():

@@ -163,11 +163,16 @@ def test_zf_wf_rank_deficient():
 
 
 def test_jmb_zf_svd_alpha_one_equals_zf_wf():
+    # alpha = 1 gives the common column no power: bit for bit zf_wf
     rng = np.random.default_rng(5)
-    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    a = jmb_zf_svd_wf(h, 10.0, 1.0, 1.0)
-    b = zf_wf(h, 10.0, 1.0)
-    assert np.allclose(a, b, atol=1e-12)
+    for _ in range(200):
+        n_t = int(rng.integers(2, 5))
+        k = int(rng.integers(1, n_t + 1))
+        h = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
+        p_t = 10.0 ** rng.uniform(-2.0, 5.0)
+        a = jmb_zf_svd_wf(h, p_t, 1.0, 1.0)
+        assert np.all(a[:, 0] == 0)
+        assert np.array_equal(a, zf_wf(h, p_t, 1.0)), (n_t, k, p_t)
 
 
 def test_jmb_zf_svd_alpha_zero_split():

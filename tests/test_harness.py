@@ -14,7 +14,7 @@ from conftest import tiny_cfg
 from jmbeam import harness
 from jmbeam.ao import AoTrace
 from jmbeam.baselines import zf_wf
-from jmbeam.channel import CsitConfig, make_draw, substream
+from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
 from jmbeam.errors import ConfigError
 from jmbeam.harness import (
     SCHEMES,
@@ -445,6 +445,32 @@ def test_convergence_n_max_one():
     assert len(trace) == 1
 
 
+def test_convergence_draws_through_the_channel_model(monkeypatch):
+    # every SNR's channel and sample are make_draw and draw_sample on the
+    # substreams (master_seed, 0) and (master_seed, 1), bit for bit
+    cfg = tiny_cfg(m=6, n_max=2)
+    seen = []
+
+    def recording_run_ao(h_est, sample, csit, params, **kw):
+        seen.append((csit.p_t, h_est, sample.realizations))
+        return run_ao(h_est, sample, csit, params, **kw)
+
+    run_ao = harness.run_ao
+    monkeypatch.setattr(harness, "run_ao", recording_run_ao)
+    snrs = [0.0, 5.0, 20.0, 40.0]
+    run_convergence(cfg, snrs=snrs, inits=["zf-svd"])
+    assert len(seen) == len(snrs)
+    for snr_db, (p_t, h_est, realizations) in zip(snrs, seen):
+        csit = CsitConfig(n_t=cfg.n_t, k=cfg.k, alpha=cfg.alphas[0], p_t=p_t)
+        assert p_t == snr_to_pt(snr_db)
+        draw = make_draw(substream(cfg.master_seed, 0), csit)
+        sample = draw_sample(
+            substream(cfg.master_seed, 1), draw.h_est, draw.sigma_e2, cfg.m
+        )
+        assert np.array_equal(h_est, draw.h_est), snr_db
+        assert np.array_equal(realizations, sample.realizations), snr_db
+
+
 def test_convergence_deterministic():
     cfg = tiny_cfg(m=6, n_max=5)
     t1 = run_convergence(cfg, snrs=[5.0], inits=["zf-svd"])
@@ -528,6 +554,47 @@ def test_cli_single_alpha_out_of_range(tmp_path, capsys):
          "--snr-db", "5", "--alpha", "1.5"]
     )
     assert code == 2
+
+
+def test_config_rejects_snrs_without_a_cell_seed_or_budget(tmp_path, capsys):
+    # below -1000 dB cell_seed has no key, above about 3082 dB the budget
+    # overflows; such a config fails to load, so a sweep writes nothing
+    # and exits 2 instead of dying in its first task
+    from jmbeam.cli import main
+
+    for snr_db in (-2000.0, 5000.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(snr_db=(5.0, snr_db))
+        out = tmp_path / "o"
+        cfgp = _write_cfg(tmp_path, snr_db=[snr_db])
+        assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert not out.exists()
+    for snr_db in (-1000.0, 3000.0):
+        assert ExperimentConfig(snr_db=(snr_db,)).snr_db == (snr_db,)
+    for name, values in (("snr_db", ["abc"]), ("alphas", [None])):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({name: values})
+        assert name in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--snr-db", v) for v in ("nan", "inf", "-inf", "-2000", "5000")]
+    + [("--alpha", v) for v in ("1.5", "-0.1", "nan")]
+    + [("--channel", "-1")],
+)
+def test_cli_single_bad_cell_exits_2(tmp_path, capsys, flag, value):
+    from jmbeam.cli import main
+
+    args = {"--snr-db": "5", "--alpha": "0.6", "--channel": "0"}
+    args[flag] = value
+    argv = ["single", "--config", _write_cfg(tmp_path), "--scheme", "ZF-WF"]
+    for name, v in args.items():
+        argv.append(f"{name}={v}")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 def test_cli_single_solver_failure_exit_code(tmp_path, monkeypatch, capsys):

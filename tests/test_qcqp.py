@@ -26,21 +26,27 @@ from jmbeam.qcqp import (
 from jmbeam.receivers import precoder_power
 
 
-def problem_from_seed(seed, n_t=2, k=2, snr_db=20.0, m=20, include_common=True):
+def problem_from_seed(seed, n_t=2, k=2, snr_db=20.0, m=20, common=True):
+    """(problem, sample, precoder) at a random precoder; common = False
+    zeroes its common column, so build poses the broadcast form."""
     cfg, draw, sample = random_system(seed, n_t=n_t, k=k, snr_db=snr_db, m=m)
     rng = np.random.default_rng(seed + 5000)
     p = random_precoder(rng, n_t, k, cfg.p_t)
+    if not common:
+        p[:, 0] = 0.0
     gw = update_blocks(sample, p, 1.0)
     c = accumulate_components(sample, gw)
-    return build(c, 1.0, cfg.p_t, include_common=include_common), sample, p
+    return build(c, 1.0, cfg.p_t), sample, p
 
 
-def _trivial_components(k, n_t, psi_scale=1.0, f_c=None):
-    """Identity quadratics, selectable linear terms, zero constants."""
+def _trivial_components(k, n_t, psi_scale=1.0, f_c=None, common=True):
+    """Identity quadratics, selectable linear terms, zero constants;
+    common = False zeroes psi_c, which with the default zero f_c is the
+    broadcast form."""
     eye = np.broadcast_to(psi_scale * np.eye(n_t), (k, n_t, n_t)).copy()
     z = np.zeros((k, n_t), dtype=complex)
     return AwmmseComponents(
-        psi_c=eye.astype(complex),
+        psi_c=eye.astype(complex) if common else np.zeros_like(eye, dtype=complex),
         psi_p=eye.astype(complex),
         t_c=np.zeros(k),
         t_p=np.zeros(k),
@@ -105,8 +111,14 @@ def test_build_objective_cross_module_identity():
 
 
 def test_build_no_common_variant():
-    q, _, _ = problem_from_seed(3, include_common=False)
-    assert not q.include_common
+    # the private components do not read the common column, so zeroing
+    # it leaves the objective's data bit for bit and only drops the
+    # common column and its constraints
+    q, _, _ = problem_from_seed(3, common=False)
+    full, _, _ = problem_from_seed(3)
+    assert not q.include_common and full.include_common
+    assert np.array_equal(q.psi_obj, full.psi_obj)
+    assert np.array_equal(q.f_obj, full.f_obj)
     sol = solve(q)
     assert np.all(sol.p_star[:, 0] == 0)
     assert sol.mu.size == 0
@@ -118,8 +130,9 @@ def test_build_no_common_variant():
 
 def test_solve_pure_power_min():
     # min ||p||^2 with no linear term and slack power: p = 0
-    c = _trivial_components(2, 2)
-    q = build(c, 1.0, 10.0, include_common=False)
+    c = _trivial_components(2, 2, common=False)
+    q = build(c, 1.0, 10.0)
+    assert not q.include_common
     sol = solve(q)
     assert sol.status == "Optimal"
     assert np.linalg.norm(sol.p_star) <= 1e-4
@@ -130,13 +143,14 @@ def test_solve_unconstrained_stationarity():
     # huge budget: private columns satisfy psi_obj p_k = f_obj[k]
     rng = np.random.default_rng(10)
     k, n_t = 2, 3
-    c = _trivial_components(k, n_t, psi_scale=2.0)
+    c = _trivial_components(k, n_t, psi_scale=2.0, common=False)
     f_p = rng.standard_normal((k, n_t)) + 1j * rng.standard_normal((k, n_t))
     c = AwmmseComponents(
         psi_c=c.psi_c, psi_p=c.psi_p, t_c=c.t_c, t_p=c.t_p,
         f_c=c.f_c, f_p=f_p, u_c=c.u_c, u_p=c.u_p, v_c=c.v_c, v_p=c.v_p,
     )
-    q = build(c, 1.0, 1e6, include_common=False)
+    q = build(c, 1.0, 1e6)
+    assert not q.include_common
     sol = solve(q)
     assert sol.status == "Optimal"
     psi_sum = 2.0 * k * np.eye(n_t)  # build sums the per-user psi_p
@@ -150,13 +164,14 @@ def test_solve_power_cap_scaling():
     rng = np.random.default_rng(11)
     k, n_t = 2, 2
     f_p = 5.0 * (rng.standard_normal((k, n_t)) + 1j * rng.standard_normal((k, n_t)))
-    base = _trivial_components(k, n_t)
+    base = _trivial_components(k, n_t, common=False)
     c = AwmmseComponents(
         psi_c=base.psi_c, psi_p=base.psi_p, t_c=base.t_c, t_p=base.t_p,
         f_c=base.f_c, f_p=f_p, u_c=base.u_c, u_p=base.u_p,
         v_c=base.v_c, v_p=base.v_p,
     )
-    q = build(c, 1.0, 0.5, include_common=False)
+    q = build(c, 1.0, 0.5)
+    assert not q.include_common
     sol = solve(q)
     assert sol.status == "Optimal"
     assert precoder_power(sol.p_star) == pytest.approx(0.5, abs=1e-6)
@@ -188,28 +203,27 @@ def test_polish_reaches_round_off():
     for seed in range(25):
         snr = [0.0, 10.0, 20.0, 30.0][seed % 4]
         for common in (True, False):
-            q, _, _ = problem_from_seed(seed, snr_db=snr, include_common=common)
+            q, _, _ = problem_from_seed(seed, snr_db=snr, common=common)
+            assert q.include_common == common
             assert solve(q).kkt_residual <= 1e-13, (seed, snr, common)
     # 0 dB without common power: the common components vanish and every
-    # common constraint is a constant, so build drops them and the
-    # solution is the broadcast problem's, bit for bit
+    # common constraint is a constant, so build drops them and solves the
+    # broadcast problem
     cfg, draw, sample = random_system(3, snr_db=0.0, m=20)
     p = random_precoder(np.random.default_rng(3), 2, 2, cfg.p_t)
     p[:, 0] = 0.0
     c = accumulate_components(sample, update_blocks(sample, p, 1.0))
     q = build(c, 1.0, cfg.p_t)
     sol = solve(q, warm=p)
-    bc = solve(build(c, 1.0, cfg.p_t, include_common=False), warm=p)
     assert not q.include_common
-    assert np.array_equal(sol.p_star, bc.p_star)
-    assert np.array_equal(sol.mu, bc.mu) and sol.mu_pow == bc.mu_pow
+    assert np.all(sol.p_star[:, 0] == 0) and sol.mu.size == 0
     assert sol.kkt_residual <= 1e-13
     # the largest constant, the optimal xi_c, moved into the omitted
     # constant: objective plus omitted constant is still the AWSMSE
     want = awsmse_objective(*awmse_values(c, sol.p_star, 1.0))
     assert sol.objective + q.omitted_constant == pytest.approx(want, rel=1e-13)
     # a warm start of the full problem's size does not fit and is ignored
-    assert np.array_equal(solve(q, warm_dual=(np.full(2, 0.5), 1.0)).p_star, bc.p_star)
+    assert np.array_equal(solve(q, warm_dual=(np.full(2, 0.5), 1.0)).p_star, sol.p_star)
 
 
 def _ao_solves(monkeypatch, scheme, snr_db, alpha=0.6, **over):
@@ -403,7 +417,8 @@ def test_solve_oracle_cross_check():
 
 def test_solve_bc_mode_oracle_cross_check():
     for seed in range(6):
-        q, _, _ = problem_from_seed(seed + 200, snr_db=15.0, include_common=False)
+        q, _, _ = problem_from_seed(seed + 200, snr_db=15.0, common=False)
+        assert not q.include_common
         sol = solve(q)
         ora = qcqp_dual_oracle(q, n_starts=6, seed=seed)
         ref = ora["objective"]
@@ -416,7 +431,8 @@ def test_solve_matches_cone_oracle():
     cases = [(seed + 100, [5.0, 15.0, 25.0][seed % 3], True) for seed in range(12)]
     cases += [(seed + 200, 15.0, False) for seed in range(6)]
     for seed, snr, common in cases:
-        q, _, _ = problem_from_seed(seed, snr_db=snr, include_common=common)
+        q, _, _ = problem_from_seed(seed, snr_db=snr, common=common)
+        assert q.include_common == common
         sol = solve(q)
         ora = qcqp_cone_oracle(q)
         assert ora["status"] == "optimal"
@@ -472,9 +488,8 @@ def test_dual_derivatives_match_differences(include_common, n, snr_db):
     # the gradient _dual returns is the central difference of its value
     # and the Hessian the central difference of its gradient, at an
     # interior z (every mu and mu_pow positive)
-    q, _, _ = problem_from_seed(
-        11 * n, n_t=n, k=n, snr_db=snr_db, include_common=include_common
-    )
+    q, _, _ = problem_from_seed(11 * n, n_t=n, k=n, snr_db=snr_db, common=include_common)
+    assert q.include_common == include_common
     rng = np.random.default_rng(n)
     mu = rng.uniform(0.5, 1.5, q.k if include_common else 0)
     z = np.append(mu / mu.sum(), rng.uniform(0.5, 1.5))
