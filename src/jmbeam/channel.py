@@ -171,7 +171,7 @@ def make_draw(rng, cfg):
     """
     h = draw_channel(rng, cfg)
     sigma_e2 = cfg.sigma_e2
-    h_err = complex_gaussian(rng, (cfg.n_t, cfg.k), var=sigma_e2) if sigma_e2 > 0 else np.zeros_like(h)
+    h_err = complex_gaussian(rng, (cfg.n_t, cfg.k), var=sigma_e2)
     h_est = h - h_err
     return ChannelDraw(h_true=h_est + h_err, h_est=h_est, h_err=h_err, sigma_e2=sigma_e2)
 
@@ -179,18 +179,14 @@ def make_draw(rng, cfg):
 def draw_sample(rng, h_est, sigma_e2, m):
     """Monte-Carlo sample of m conditional realizations h_est + error.
 
-    Errors are independent CN(0, sigma_e2) draws; sigma_e2 = 0 gives m
-    copies of the estimate.
+    Errors are independent CN(0, sigma_e2) draws; sigma_e2 = 0 draws
+    signed zeros, so the realizations are m copies of the estimate.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     h_est = np.asarray(h_est, dtype=complex)
-    if sigma_e2 > 0:
-        err = complex_gaussian(rng, (m,) + h_est.shape, var=sigma_e2)
-        r = h_est[None, :, :] + err
-    else:
-        r = np.broadcast_to(h_est, (m,) + h_est.shape).copy()
-    return MonteCarloSample(realizations=r)
+    err = complex_gaussian(rng, (m,) + h_est.shape, var=sigma_e2)
+    return MonteCarloSample(realizations=h_est + err)
 
 
 def save_fixture(path, h, seed):

@@ -48,7 +48,9 @@ class ExperimentConfig:
     """Flat experiment description, loadable from a single JSON object.
 
     Unknown keys are rejected rather than ignored; a silently dropped
-    typo ("n_channel") would corrupt a long sweep.
+    typo ("n_channel") would corrupt a long sweep. So are two alphas or
+    two SNRs that key the same cell seed, which would repeat one cell's
+    channel draws, and booleans where numbers belong.
     """
 
     n_t: int = 2
@@ -70,23 +72,28 @@ class ExperimentConfig:
 
         for name in ("n_t", "k", "m", "n_channels", "n_max", "threads"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not _is_number(v, int) or v < 1:
                 bad(f"{name} must be a positive integer, got {v!r}")
         if self.k > self.n_t:
             bad(f"k={self.k} exceeds n_t={self.n_t}")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+        if not _is_number(self.master_seed, int) or self.master_seed < 0:
             bad(f"master_seed must be a nonnegative integer")
         if len(self.alphas) == 0 or any(
-            not (isinstance(a, (int, float)) and 0.0 <= a <= 1.0) for a in self.alphas
+            not (_is_number(a) and 0.0 <= a <= 1.0) for a in self.alphas
         ):
             bad(f"alphas must be a nonempty list of values in [0, 1]")
         if len(self.snr_db) == 0 or not all(
-            isinstance(s, (int, float)) and _usable_snr(s) for s in self.snr_db
+            _is_number(s) and _usable_snr(s) for s in self.snr_db
         ):
             bad(
                 "snr_db must be a nonempty list of values that key a cell "
                 "seed and give a finite positive power budget"
             )
+        seeds = ({cell_seed(0, a, 0.0, 0) for a in self.alphas},
+                 {cell_seed(0, 0.0, s, 0) for s in self.snr_db})
+        for name, keyed in zip(("alphas", "snr_db"), seeds):
+            if len(keyed) < len(getattr(self, name)):
+                bad(f"{name} holds two values that key the same cell seed")
         if len(self.schemes) == 0:
             bad("schemes must be nonempty")
         for s in self.schemes:
@@ -117,8 +124,10 @@ class ExperimentConfig:
         for name in ("alphas", "snr_db"):
             try:
                 if name in kw:
+                    if not all(map(_is_number, kw[name])):
+                        raise TypeError
                     kw[name] = tuple(float(x) for x in kw[name])
-            except (TypeError, ValueError):
+            except (TypeError, OverflowError):
                 raise ConfigError(f"{name} must be a list of numbers")
         return cls(**kw)
 
@@ -181,6 +190,10 @@ def cell_seed(master_seed, alpha, snr_db, channel):
         raise ValueError("cell key components must be nonnegative")
     ss = np.random.SeedSequence(int(master_seed), spawn_key=(2, a, s, ch))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _is_number(x, kind=(int, float)):
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def snr_to_pt(snr_db):

@@ -15,22 +15,24 @@ subject to, for every user k,
 with const[k] = sigma_n2*t_c[k] + u_c[k] - v_c[k]. The additive constant
 sum_k (sigma_n2*t_p[k] + u_p[k] - v_p[k]) is dropped from the objective
 and recorded so reported values can be rebased to the true average
-weighted sum-MSE.
+weighted sum-MSE. Without common power every common constraint is a
+constant, and the problem is the broadcast form: the same problem with
+no common constraints, held in zero-length common arrays.
 
-For fixed multipliers (mu on the simplex for the K common-MSE
-constraints, mu_pow >= 0 for the budget) the Lagrangian has a closed-form
-minimizer in P, so the dual is a smooth concave problem in K+1 numbers
-(the WMMSE device of Christensen et al., IEEE TWC 2008, and Shi et al.,
-IEEE TSP 2011). Every solve is Newton's method on the dual face: the
-free multipliers with the simplex row, with a multiplier that would
-turn negative pinned at zero and a pinned one freed when its constraint
-is violated. P comes from the closed form, so stationarity in P holds
-at every iterate, and the face Newton runs until the other KKT terms
-reach round-off. It starts from the previous outer iteration's
-multipliers (`warm_dual`) when there are any, else from the centre
-mu = 1/K with a positive budget price; the centre, then the centre with
-the budget price at zero, are the starts it falls back on when a result
-is not certified to WARM_TOL. A recomputed KKT residual certifies every
+For fixed multipliers (mu on the simplex for the common-MSE constraints,
+mu_pow >= 0 for the budget) the Lagrangian has a closed-form minimizer
+in P, so the dual is a smooth concave problem in K+1 numbers, or in
+mu_pow alone (the WMMSE device of Christensen et al., IEEE TWC 2008, and
+Shi et al., IEEE TSP 2011). Every solve is Newton's method on the dual
+face: the free multipliers with the simplex row, with a multiplier that
+would turn negative pinned at zero and a pinned one freed when its
+constraint is violated. P comes from the closed form, so stationarity in
+P holds at every iterate, and the face Newton runs until the other KKT
+terms reach round-off. It starts from the previous outer iteration's
+multipliers (`warm_dual`) when there are any, else from the centre mu =
+1/K with a positive budget price; the centre, then the centre with the
+budget price at zero, are the starts it falls back on when a result is
+not certified to WARM_TOL. A recomputed KKT residual certifies every
 returned point. P = 0 with a large enough xi_c is strictly feasible, so
 the problems are never infeasible by construction.
 
@@ -75,23 +77,25 @@ class QcqpProblem:
 
     psi_obj is the summed private quadratic form sum_k psi_p[k] (each
     private column sees the same total matrix); f_obj[k] is the linear
-    term of user k's private column. psi_con/f_con/con_const hold the K
-    common-MSE constraints. include_common is False when build found the
-    common components all zero: the problem then has no common column
-    and no constraints (the broadcast form).
+    term of user k's private column. psi_con/f_con/con_const hold the
+    common-MSE constraints: K of them, or none in the broadcast form,
+    which has no common column.
     """
 
     n_t: int
     k: int
     p_t: float
-    sigma_n2: float
     psi_obj: np.ndarray
     f_obj: np.ndarray
     psi_con: np.ndarray
     f_con: np.ndarray
     con_const: np.ndarray
     omitted_constant: float
-    include_common: bool
+
+    @property
+    def include_common(self):
+        """False in the broadcast form, which has no common constraints."""
+        return self.con_const.size > 0
 
 
 @dataclass(eq=False)
@@ -114,30 +118,29 @@ def build(components, sigma_n2, p_t):
 
     Common components that are exactly zero, as at a common column
     without power, make every common constraint a constant. The problem
-    then takes the broadcast form, without the common column, and the
-    largest constant, which is the optimal xi_c, goes into the omitted
-    constant, so the objective plus the omitted constant is unchanged.
+    then keeps none of them (the broadcast form: zero-length psi_con,
+    f_con and con_const), and the largest constant, which is the optimal
+    xi_c, goes into the omitted constant, so the objective plus the
+    omitted constant is unchanged.
     """
     c = components
     k, n_t = c.f_p.shape
-    psi_obj = c.psi_p.sum(axis=0)
     con_const = sigma_n2 * c.t_c + c.u_c - c.v_c
     omitted = float(np.sum(sigma_n2 * c.t_p + c.u_p - c.v_p))
-    include_common = bool(c.psi_c.any() or c.f_c.any())
-    if not include_common:
+    n_con = k
+    if not (c.psi_c.any() or c.f_c.any()):
         omitted += float(np.max(con_const))
+        n_con = 0
     return QcqpProblem(
         n_t=n_t,
         k=k,
         p_t=float(p_t),
-        sigma_n2=float(sigma_n2),
-        psi_obj=psi_obj,
+        psi_obj=c.psi_p.sum(axis=0),
         f_obj=c.f_p.copy(),
-        psi_con=c.psi_c.copy(),
-        f_con=c.f_c.copy(),
-        con_const=np.asarray(con_const, dtype=float),
+        psi_con=c.psi_c[:n_con].copy(),
+        f_con=c.f_c[:n_con].copy(),
+        con_const=np.asarray(con_const[:n_con], dtype=float),
         omitted_constant=omitted,
-        include_common=include_common,
     )
 
 
@@ -146,20 +149,17 @@ def objective_value(q, p, xi_c):
     priv = p[:, 1:]
     quad = np.vdot(priv, q.psi_obj @ priv).real
     lin = 2.0 * np.vdot(q.f_obj.T, priv).real
-    return (xi_c if q.include_common else 0.0) + float(quad - lin)
+    return xi_c + float(quad - lin)
 
 
 def constraint_values(q, p):
-    """Left-hand sides of the K common-MSE constraints at P (their value
-    must be <= xi_c), including the constant terms."""
-    return _constraint_values(q, p.T)
-
-
-def _constraint_values(q, pt):
-    """constraint_values from P^T: sum_i p_i^H psi_con[u] p_i is the sum
-    of the entrywise product of psi_con[u] and sum_i conj(p_i) p_i^T."""
+    """Left-hand sides of the common-MSE constraints at P (their value
+    must be <= xi_c), including the constant terms; empty in the
+    broadcast form. sum_i p_i^H psi_con[u] p_i is the sum of the
+    entrywise product of psi_con[u] and sum_i conj(p_i) p_i^T."""
+    pt = p.T
     gram = pt.conj().T @ pt
-    quad = q.psi_con.reshape(q.k, -1) @ gram.reshape(-1)
+    quad = q.psi_con.reshape(-1, gram.size) @ gram.reshape(-1)
     return quad.real + q.con_const - 2.0 * (q.f_con.conj() @ pt[0]).real
 
 
@@ -171,12 +171,14 @@ def _dual(q, z):
     b_0 = sum_u mu_u f_con[u] for the common column, M_j = psi_obj + M_0
     and b_j = f_obj[j] for the private ones, and A = sum_u mu_u
     psi_con[u]. The private columns share one matrix, so the two
-    distinct matrices (one for the broadcast problem) are inverted in
-    one stacked call and the columns are matrix products. The gradient
-    is the constraint values at that minimizer; the Hessian follows from
-    differentiating the column systems and reuses the inverses. The
-    power multiplier is scaled by p_t so that both coordinate groups
-    have O(1) gradients whatever the budget.
+    distinct matrices are inverted in one stacked call and the columns
+    are matrix products. The gradient is the constraint values at that
+    minimizer; the Hessian follows from differentiating the column
+    systems and reuses the inverses. The broadcast form has no common
+    system: its common column is zero and its Hessian the one entry
+    -2 Re sum_j p_j^H M^-1 p_j / p_t^2. The power multiplier is scaled
+    by p_t so that both coordinate groups have O(1) gradients whatever
+    the budget.
 
     Returns (value, gradient, hessian, P), with `hessian` a function of
     no arguments that forms the Hessian, since only a Newton step needs
@@ -193,23 +195,20 @@ def _dual(q, z):
         a[:: n_t + 1] += mu_pow
         np.add(mats[0], q.psi_obj, out=mats[1])
     else:
-        mats = q.psi_obj.copy()
+        mats = q.psi_obj.copy()[None]
         mats.reshape(-1)[:: n_t + 1] += mu_pow
     try:
         inv = np.linalg.inv(mats)
     except np.linalg.LinAlgError:
         return None
     # pt holds the columns of P as rows
-    pt = np.empty((k + 1, n_t), dtype=complex)
+    pt = np.zeros((k + 1, n_t), dtype=complex)
+    np.matmul(q.f_obj, inv[-1].T, out=pt[1:])
+    value = 0.0
     if common:
         b_c = mu @ q.f_con
         np.matmul(b_c, inv[0].T, out=pt[0])
-        np.matmul(q.f_obj, inv[1].T, out=pt[1:])
         value = float(mu @ q.con_const) - np.vdot(b_c, pt[0]).real
-    else:
-        pt[0] = 0.0
-        np.matmul(q.f_obj, inv.T, out=pt[1:])
-        value = 0.0
     pw = precoder_power(pt)
     if not math.isfinite(pw):
         return None
@@ -217,12 +216,11 @@ def _dual(q, z):
     grad = np.empty(z.size)
     grad[-1] = (pw - p_t) / p_t
     if common:
-        grad[:-1] = _constraint_values(q, pt)
+        grad[:-1] = constraint_values(q, pt.T)
 
     def hessian():
         if not common:
-            # the one entry, -2 Re sum_j p_j^H M^-1 p_j / p_t^2
-            return np.full((1, 1), -2.0 * np.vdot(pt, pt @ inv.T).real / p_t**2)
+            return np.full((1, 1), -2.0 * np.vdot(pt, pt @ inv[0].T).real / p_t**2)
         # r[v, j]: derivative of column j's stationarity residual in z_v
         r = np.empty((k + 1, k + 1, n_t), dtype=complex)
         np.matmul(pt, q.psi_con.transpose(0, 2, 1), out=r[:-1])
@@ -338,7 +336,7 @@ def _face_newton(q, z):
         cons = grad[:-1]
         *mu, z_pow = z.tolist()
         cons_l = cons.tolist()
-        xi = max(cons_l) if q.include_common else 0.0
+        xi = max(cons_l, default=0.0)
         excess = float(grad[-1]) * p_t
         res = _slack_terms(q, xi, cons_l, excess, mu, z_pow / p_t)
         if z_pow > 0.0:
@@ -411,11 +409,9 @@ def solve(q, warm=None, warm_dual=None):
         If a component matrix is not PSD within tolerance (convexity
         guard, via the Cholesky factorization).
     """
-    cholesky_psd(
-        np.concatenate((q.psi_obj[None], q.psi_con)) if q.include_common else q.psi_obj
-    )
+    cholesky_psd(np.concatenate((q.psi_obj[None], q.psi_con)))
 
-    centre = np.full(q.k + 1 if q.include_common else 1, 1.0 / q.k)
+    centre = np.full(len(q.con_const) + 1, 1.0 / q.k)
     centre[-1] = 1.0
     flat = centre.copy()
     flat[-1] = 0.0
@@ -449,7 +445,7 @@ def solve(q, warm=None, warm_dual=None):
     # never return a point worse than the incumbent (descent guarantee)
     if warm is not None:
         warm = np.asarray(warm, dtype=complex)
-        xi_w = float(np.max(constraint_values(q, warm))) if q.include_common else 0.0
+        xi_w = float(max(constraint_values(q, warm), default=0.0))
         obj_w = objective_value(q, warm, xi_w)
         if _within_budget(q, warm) and (
             obj_w < sol.objective or not np.isfinite(sol.objective)
@@ -467,7 +463,7 @@ def _solution(q, fin):
     """QcqpSolution at a face result (z, P, constraint values, steps),
     with its recomputed KKT residual and status 'Optimal'."""
     z, p, cons, steps = fin
-    xi = float(np.max(cons)) if q.include_common else 0.0
+    xi = float(max(cons, default=0.0))
     sol = QcqpSolution(
         p_star=np.ascontiguousarray(p),  # _dual's P is a transposed view
         xi_c_star=xi,
@@ -488,33 +484,23 @@ def kkt_residual(q, sol):
     Maximum of normalized stationarity (in P and xi_c), primal
     feasibility, dual feasibility, and complementary slackness for the
     original quadratic problem, using the recovered multipliers. Small
-    values certify the solve independently of the Newton iterates.
+    values certify the solve independently of the Newton iterates. The
+    broadcast form's common column is zero, and so is its stationarity.
     """
-    return _kkt_terms(q, sol.p_star, sol.xi_c_star, sol.mu, sol.mu_pow)
-
-
-def _kkt_terms(q, p, xi_c_star, mu, mu_pow):
-    k, n_t = q.k, q.n_t
+    p, mu, mu_pow, n_t = sol.p_star, sol.mu, sol.mu_pow, q.n_t
     pw = precoder_power(p)
     scale = 1.0 + math.sqrt(np.vdot(q.f_obj, q.f_obj).real) + math.sqrt(pw)
 
     # stationarity in each column, M_j p_j - b_j with the M_j, b_j of _dual
-    if q.include_common:
-        m_0 = (mu @ q.psi_con.reshape(k, -1)).reshape(n_t, n_t)
-    else:
-        m_0 = np.zeros((n_t, n_t), dtype=complex)
+    m_0 = (mu @ q.psi_con.reshape(-1, n_t * n_t)).reshape(n_t, n_t)
     m_0.reshape(-1)[:: n_t + 1] += mu_pow
     stat = m_0 @ p
     stat[:, 1:] += q.psi_obj @ p[:, 1:] - q.f_obj.T
-    cons = []
-    if q.include_common:
-        stat[:, 0] -= mu @ q.f_con
-        cons = constraint_values(q, p).tolist()
-    else:
-        stat = stat[:, 1:]
+    stat[:, 0] -= mu @ q.f_con
     res = math.sqrt(max((stat.conj() * stat).real.sum(axis=0).tolist())) / scale
 
-    slack = _slack_terms(q, xi_c_star, cons, pw - q.p_t, mu.tolist(), mu_pow)
+    cons = constraint_values(q, p).tolist()
+    slack = _slack_terms(q, sol.xi_c_star, cons, pw - q.p_t, mu.tolist(), mu_pow)
     return max(res, slack)
 
 
@@ -522,10 +508,11 @@ def _slack_terms(q, xi_c, cons, excess, mu, mu_pow):
     """The KKT terms besides stationarity in P: stationarity in xi_c (the
     simplex row), primal and dual feasibility, and complementary
     slackness, from the constraint values and the power excess
-    ||P||_F^2 - p_t at P. cons and mu are lists of floats."""
+    ||P||_F^2 - p_t at P. cons and mu are lists of floats, empty in the
+    broadcast form, which has no simplex row."""
     scale = max(1.0, q.p_t)
     res = max(max(0.0, excess) / scale, -mu_pow, abs(mu_pow * excess) / scale)
-    if q.include_common:
+    if mu:
         res = max(
             res,
             abs(1.0 - sum(mu)),

@@ -129,6 +129,14 @@ def test_make_draw_vanishing_error():
     cfg = CsitConfig(n_t=2, k=2, alpha=10.0, p_t=100.0)
     draw = make_draw(substream(6, 0), cfg)
     assert np.linalg.norm(draw.h_err) <= 1e-4
+    # p_t**-alpha underflows to zero: the error is drawn as signed zeros,
+    # so the estimate is the true channel and the identity still holds
+    cfg = CsitConfig(n_t=2, k=2, alpha=2.0, p_t=1e300)
+    assert cfg.sigma_e2 == 0.0
+    draw = make_draw(substream(7, 0), cfg)
+    assert np.all(draw.h_err == 0)
+    assert np.array_equal(draw.h_true, draw.h_est)
+    assert np.array_equal(draw.h_true, draw.h_est + draw.h_err)
 
 
 def test_make_draw_error_variance_empirical():

@@ -578,6 +578,44 @@ def test_config_rejects_snrs_without_a_cell_seed_or_budget(tmp_path, capsys):
         assert name in str(exc.value)
 
 
+def test_config_rejects_colliding_cell_keys_and_booleans(tmp_path, capsys):
+    # cell_seed keys alpha at 1e-6 and the SNR at 0.01 dB, so two values
+    # with one key would give two cells the same channel draws; a
+    # repeated SNR used to write two identical esr.csv rows, each over
+    # the duplicated draws. Such a config fails to load and a sweep
+    # writes nothing and exits 2
+    from jmbeam.cli import main
+
+    for name, values in (("snr_db", [10, 10]), ("snr_db", [10.001, 10.004]),
+                         ("alphas", [0.6, 0.6000001]), ("alphas", [0.6, 0.6])):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({name: values})
+        assert name in str(exc.value)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**{name: tuple(values)})
+    out = tmp_path / "o"
+    cfgp = _write_cfg(tmp_path, snr_db=[10, 10])
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
+    assert "snr_db" in capsys.readouterr().err
+    assert not out.exists()
+    # values one key apart are distinct cells
+    cfg = ExperimentConfig(alphas=(0.6, 0.600001), snr_db=(10.0, 10.01))
+    assert cfg.alphas == (0.6, 0.600001) and cfg.snr_db == (10.0, 10.01)
+    # a boolean is not a number here, though Python counts it as an int
+    for name, value in (("master_seed", True), ("alphas", [True]), ("snr_db", [False])):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({name: value})
+        assert name in str(exc.value)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**{name: tuple(value) if name != "master_seed" else value})
+    # nor is a numeric string, and an integer too large for a float is
+    # a configuration error, not a traceback
+    for name, values in (("snr_db", ["10"]), ("alphas", ["0.6"]), ("snr_db", [10**400])):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({name: values})
+        assert name in str(exc.value)
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--snr-db", v) for v in ("nan", "inf", "-inf", "-2000", "5000")]

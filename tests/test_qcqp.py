@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from jmbeam.awsmse import (
 from jmbeam.errors import NotPsd
 from jmbeam.harness import cell_seed, run_single
 from jmbeam.qcqp import (
+    QcqpProblem,
     QcqpSolution,
     build,
     constraint_values,
@@ -122,6 +123,23 @@ def test_build_no_common_variant():
     sol = solve(q)
     assert np.all(sol.p_star[:, 0] == 0)
     assert sol.mu.size == 0
+
+
+def test_broadcast_form_is_data():
+    # without common power the problem is the joint one with no common
+    # constraints: zero-length common arrays, and no stored form flag
+    q, _, _ = problem_from_seed(3, n_t=3, k=2, common=False)
+    assert q.psi_con.shape == (0, 3, 3)
+    assert q.f_con.shape == (0, 3)
+    assert q.con_const.shape == (0,)
+    assert not q.include_common
+    names = {f.name for f in fields(QcqpProblem)}
+    assert "include_common" not in names and "sigma_n2" not in names
+    sol = solve(q)
+    cons = constraint_values(q, sol.p_star)
+    assert isinstance(cons, np.ndarray) and cons.shape == (0,)
+    assert sol.xi_c_star == 0.0
+    assert kkt_residual(q, sol) == sol.kkt_residual <= qcqp.WARM_TOL
 
 
 # ---------------------------------------------------------------------------
