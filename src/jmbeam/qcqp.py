@@ -29,10 +29,10 @@ would turn negative pinned at zero and a pinned one freed when its
 constraint is violated. P comes from the closed form, so stationarity in
 P holds at every iterate, and the face Newton runs until the other KKT
 terms reach round-off. It starts from the previous outer iteration's
-multipliers (`warm_dual`) when there are any, else from the centre mu =
-1/K with a positive budget price; the centre, then the centre with the
-budget price at zero, are the starts it falls back on when a result is
-not certified to WARM_TOL. A recomputed KKT residual certifies every
+multipliers (`warm_dual`) when there are any, else from the centre
+mu = 1/K with a positive budget price; the centre, then the centre with
+the budget price at zero, are the starts it falls back on when a result
+is not certified to WARM_TOL. A recomputed KKT residual certifies every
 returned point. P = 0 with a large enough xi_c is strictly feasible, so
 the problems are never infeasible by construction.
 
