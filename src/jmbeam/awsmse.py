@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateMmse
-from .receivers import _batch_powers
+from .channel import MonteCarloSample
+from .receivers import _batch_powers, stacked_channels
 
 # MMSE values below this are treated as a modeling error (sigma_n2 ~ 0),
 # not a valid operating point.
@@ -38,6 +39,7 @@ __all__ = [
     "EqualizerWeightSet",
     "AwmmseComponents",
     "update_blocks",
+    "equalizers_of",
     "accumulate_components",
     "awmse_values",
     "awsmse_objective",
@@ -81,14 +83,22 @@ def update_blocks(sample, p, sigma_n2):
 
     For every user and realization: the MMSE equalizers and the inverse
     MMSE weights, evaluated on that realization. This is the (G, U) step
-    of the alternating loop.
+    of the alternating loop. Takes one run or R runs as
+    `receivers._batch_powers` does; with R runs every field has a
+    leading run axis.
     """
-    y, _, _, i_p, t_p, t_c = _batch_powers(sample, p, sigma_n2)
+    return equalizers_of(_batch_powers(sample, p, sigma_n2))
+
+
+def equalizers_of(powers):
+    """`update_blocks` from the outputs of `_batch_powers`; raises
+    DegenerateMmse if the MMSE of any run underflows."""
+    y, _, _, i_p, t_p, t_c = powers
     if np.any(t_p <= EPS_FLOOR * t_c) or np.any(i_p <= EPS_FLOOR * t_p):
         raise DegenerateMmse("MMSE underflow; is sigma_n2 zero?")
-    m, k, _ = y.shape
-    g_c = y[:, :, 0] / t_c
-    g_p = y.reshape(m, k * (k + 1))[:, 1 :: k + 2] / t_p  # y[:, u, u + 1]
+    *lead, m, k, _ = y.shape
+    g_c = y[..., 0] / t_c
+    g_p = y.reshape(*lead, m, k * (k + 1))[..., 1 :: k + 2] / t_p  # y[..., u, u + 1]
     # eps_c = t_p/t_c, eps_p = i_p/t_p; weights are the inverses
     u_c = t_c / t_p
     u_p = t_p / i_p
@@ -99,18 +109,19 @@ def _field_views(buf, k, n_t):
     """The component fields as views of the last axis of a real buffer.
 
     Complex fields are views of float pairs, so a buffer of per-realization
-    rows (m, D) and one of column sums (D,) share one layout. "psi" holds
-    psi_c and psi_p, each user's Hermitian matrix packed
-    (`_pack_hermitian`).
+    rows (m, D) and one of column sums (D,) share one layout. Each view
+    holds both layers on an axis of length 2, the common layer first:
+    "psi" holds psi_c and psi_p, each user's Hermitian matrix packed
+    (`_pack_hermitian`), "f" holds f_c and f_p, and so on.
     """
     lead = buf.shape[:-1]
     views, at = {}, 0
     for name, shape, dtype in (
         ("psi", (2, k, n_t * n_t), float),
-        ("f_c", (k, n_t), complex), ("f_p", (k, n_t), complex),
-        ("t_c", (k,), float), ("t_p", (k,), float),
-        ("u_c", (k,), float), ("u_p", (k,), float),
-        ("v_c", (k,), float), ("v_p", (k,), float),
+        ("f", (2, k, n_t), complex),
+        ("t", (2, k), float),
+        ("u", (2, k), float),
+        ("v", (2, k), float),
     ):
         width = math.prod(shape) * (2 if dtype is complex else 1)
         views[name] = buf[..., at:at + width].view(dtype).reshape(lead + shape)
@@ -118,21 +129,13 @@ def _field_views(buf, k, n_t):
     return views
 
 
-def _buffers(sample):
-    """The arrays every accumulation on a sample reuses, made on first
-    use: the (m, D) row buffer, its field views, `_sum_rows` scratch and
-    the packed outer products h h^H."""
+def _packed_outer(sample):
+    """The sample's outer products h h^H packed (`_pack_hermitian`),
+    made on first use and kept in its workspace."""
     ws = sample.workspace
-    if "awsmse" not in ws:
-        m, n_t, k = sample.realizations.shape
-        rows = np.empty((m, 2 * k * n_t * (n_t + 2) + 6 * k))
-        ws["awsmse"] = (
-            rows,
-            _field_views(rows, k, n_t),
-            _sum_buffers(m, rows.shape[1]),
-            _pack_hermitian(sample.outer),
-        )
-    return ws["awsmse"]
+    if "outer" not in ws:
+        ws["outer"] = _pack_hermitian(sample.outer)
+    return ws["outer"]
 
 
 def _pack_hermitian(a):
@@ -173,18 +176,45 @@ def _hermitian_gather(n):
 def _component_rows(sample, gw):
     """Per-realization terms of all ten fields, one real row per realization.
 
-    Each term is written straight into its field's view of the sample's
-    (m, D) row buffer, which the next call on the same sample overwrites.
-    Outer products come first (exactly Hermitian), then the real scaling.
+    Returns an (m, D) array, or (m, R*D) for R runs (a sequence of
+    samples with `gw` carrying a leading run axis), run r's terms in
+    columns r*D to (r+1)*D: a view of the row buffer of `_work`, which
+    the next call overwrites. Outer products come first (exactly
+    Hermitian), then the real scaling.
     """
-    rows, v, _, outer = _buffers(sample)
-    for i, (layer, g, u) in enumerate((("c", gw.g_c, gw.u_c), ("p", gw.g_p, gw.u_p))):
-        t = np.multiply(u, g.real**2 + g.imag**2, out=v["t_" + layer])
-        np.multiply(t[:, :, None], outer, out=v["psi"][:, i])
-        np.multiply((u * g.conj())[:, :, None], sample.stacked, out=v["f_" + layer])
-        v["u_" + layer][...] = u
-        np.log2(u, out=v["v_" + layer])
+    samples = (sample,) if isinstance(sample, MonteCarloSample) else tuple(sample)
+    r = len(samples)
+    m, n_t, k = samples[0].realizations.shape
+    rows = _work(m, r * (2 * k * n_t * (n_t + 2) + 6 * k))[0]
+    v = _field_views(rows.reshape(m, r, -1).transpose(1, 0, 2), k, n_t)
+    outer = np.stack([_packed_outer(s) for s in samples])
+    chans = stacked_channels(samples)
+    for i, layer in enumerate(("c", "p")):
+        g, u = (np.reshape(getattr(gw, x + layer), (r, m, k)) for x in ("g_", "u_"))
+        t = np.multiply(u, g.real**2 + g.imag**2, out=v["t"][..., i, :])
+        np.multiply(t[..., None], outer, out=v["psi"][..., i, :, :])
+        np.multiply((u * g.conj())[..., None], chans, out=v["f"][..., i, :, :])
+        v["u"][..., i, :] = u
+        np.log2(u, out=v["v"][..., i, :])
     return rows
+
+
+# m -> flat storage for the row buffer and the `_sum_rows` scratch, grown
+# to the widest rows seen; reused, since fresh arrays of this size are
+# paged in anew on every call
+_WORK = {}
+
+
+def _work(m, d):
+    """A contiguous (m, d) row buffer and `_sum_rows` scratch for it."""
+    half = (m + 1) // 2
+    sizes = (m * d,) + (half * d,) * 4 + (d,)
+    flat = _WORK.get(m)
+    if flat is None or flat[0].size < sizes[0]:
+        flat = _WORK[m] = [np.empty(n) for n in sizes]
+    shapes = ((m, d),) + ((half, d),) * 4 + ((d,),)
+    rows, *scratch = (f[:n].reshape(shape) for f, n, shape in zip(flat, sizes, shapes))
+    return rows, tuple(scratch)
 
 
 def _sum_buffers(m, d):
@@ -255,20 +285,31 @@ def accumulate_components(sample, gw):
     rounds differently from two real ones).
 
     Nothing sample-invariant is recomputed: h h^H and h come from the
-    sample's cached `outer` (packed once) and `stacked`, and the (m, D)
-    rows and every intermediate of the reduction live in buffers kept in
-    the sample's workspace, allocated on the first call. The returned
-    arrays are new and share no memory with those buffers.
+    sample's cached `outer` (packed once) and `stacked`.
+
+    R runs (a sequence of samples of one shape, `gw` with a leading run
+    axis) are summed side by side, as extra columns of one cascade, and
+    every output field gets a leading run axis. The cascade acts on each
+    column alone, so each run's components have the bits they have
+    alone.
     """
-    m, n_t, k = sample.realizations.shape
-    if gw.g_c.shape != (m, k):
+    samples = (sample,) if isinstance(sample, MonteCarloSample) else tuple(sample)
+    m, n_t, k = samples[0].realizations.shape
+    if gw.g_c.shape[-2:] != (m, k):
         raise ValueError("equalizer set does not match the sample")
-    rows = _component_rows(sample, gw)
-    sums = _field_views(_sum_rows(rows, _buffers(sample)[2]), k, n_t)
-    psi_c, psi_p = _unpack_hermitian(sums.pop("psi")) / m
-    return AwmmseComponents(
-        psi_c=psi_c, psi_p=psi_p, **{name: x / m for name, x in sums.items()}
-    )
+    rows = _component_rows(samples, gw)
+    sums = _sum_rows(rows, _work(*rows.shape)[1]).reshape(gw.g_c.shape[:-2] + (-1,))
+    v = _field_views(sums, k, n_t)
+    # t, u and v end the row as one real block: one division serves them
+    psi = _unpack_hermitian(v["psi"]) / m
+    f = v["f"] / m
+    tuv = sums[..., -6 * k:] / m
+    means = {"psi_c": psi[..., 0, :, :, :], "psi_p": psi[..., 1, :, :, :],
+             "f_c": f[..., 0, :, :], "f_p": f[..., 1, :, :]}
+    for i, name in enumerate("tuv"):
+        means[name + "_c"] = tuv[..., 2 * i * k:(2 * i + 1) * k]
+        means[name + "_p"] = tuv[..., (2 * i + 1) * k:(2 * i + 2) * k]
+    return AwmmseComponents(**means)
 
 
 def awmse_values(c, p, sigma_n2):

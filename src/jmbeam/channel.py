@@ -114,16 +114,15 @@ class MonteCarloSample:
     correctly rounded in practice, so the order does not change it.
 
     The sample holds its own read-only complex copy of the realizations,
-    so what is derived from them is built once, on first use, and cannot
-    go stale:
+    so what is derived from them cannot go stale:
 
     * `stacked`, (m, k, n_t): row [mi, u] is user u's channel in
       realization mi; as an (m*k, n_t) matrix it gives P^H h for the
       whole sample in one GEMM;
-    * `outer`, (m, k, n_t, n_t): the per-realization outer products h h^H;
-    * `workspace`: a dict of per-sample buffers and memos owned by the
-      evaluation layers (the receive-power memo of `receivers`, the row
-      and reduction buffers of `awsmse`).
+    * `outer`, (m, k, n_t, n_t): the per-realization outer products h h^H,
+      computed on each access (`awsmse` keeps only a packed form);
+    * `workspace`: a dict of per-sample values owned by the evaluation
+      layers (the packed outer products of `awsmse`).
     """
 
     realizations: np.ndarray = field(repr=False)
@@ -142,10 +141,10 @@ class MonteCarloSample:
     def stacked(self):
         return _read_only(self.realizations.transpose(0, 2, 1).copy())
 
-    @cached_property
+    @property
     def outer(self):
         h = self.realizations
-        return _read_only(np.einsum("mik,mjk->mkij", h, h.conj()).copy())
+        return _read_only(np.einsum("mik,mjk->mkij", h, h.conj()))
 
     @cached_property
     def workspace(self):

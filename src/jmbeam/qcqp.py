@@ -37,11 +37,16 @@ returned point. P = 0 with a large enough xi_c is strictly feasible, so
 the problems are never infeasible by construction.
 
 The matrices are small (n_t x n_t, K+1 multipliers), so the cost is the
-number of numpy calls, not arithmetic. A dual evaluation inverts its two
-distinct matrices in one stacked call; the Hessian is formed only where
-a Newton step is taken; the active-set bookkeeping of a step runs on
-Python floats; and the convexity guard factors every component of a
-problem in one stacked Cholesky call.
+number of numpy calls, not arithmetic. The solve is therefore written
+once, as the generator `solve_steps`, whose array work the lockstep
+driver (`lockstep.drive`) serves for many problems at once: the
+convexity guard of every problem in one stacked Cholesky call
+(`_guard`), the dual evaluations with their Hessians in one stacked
+inverse over every problem's distinct matrices (`_duals`), the face
+systems of one size in one stacked solve (`_eqps`), and the objective
+and KKT terms of the returned and incumbent points (`_points`). The
+active-set bookkeeping of a step runs on Python floats, per problem.
+`solve` is the driver on one problem.
 """
 
 import math
@@ -50,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import cholesky_psd
+from .lockstep import IdentityCache, run_one
 from .receivers import precoder_power
 
 __all__ = [
@@ -57,6 +63,7 @@ __all__ = [
     "QcqpSolution",
     "build",
     "solve",
+    "solve_steps",
     "kkt_residual",
     "objective_value",
     "constraint_values",
@@ -122,138 +129,247 @@ def build(components, sigma_n2, p_t):
     f_con and con_const), and the largest constant, which is the optimal
     xi_c, goes into the omitted constant, so the objective plus the
     omitted constant is unchanged.
+
+    Components with a leading run axis (from `accumulate_components` on
+    R runs) give a list of R problems, each in its own form; sigma_n2
+    and p_t may then hold one value per run.
     """
     c = components
-    k, n_t = c.f_p.shape
-    con_const = sigma_n2 * c.t_c + c.u_c - c.v_c
-    omitted = float(np.sum(sigma_n2 * c.t_p + c.u_p - c.v_p))
-    n_con = k
-    if not (c.psi_c.any() or c.f_c.any()):
-        omitted += float(np.max(con_const))
-        n_con = 0
-    return QcqpProblem(
-        n_t=n_t,
-        k=k,
-        p_t=float(p_t),
-        psi_obj=c.psi_p.sum(axis=0),
-        f_obj=c.f_p.copy(),
-        psi_con=c.psi_c[:n_con].copy(),
-        f_con=c.f_c[:n_con].copy(),
-        con_const=np.asarray(con_const[:n_con], dtype=float),
-        omitted_constant=omitted,
-    )
+    *lead, k, n_t = c.f_p.shape
+    r = math.prod(lead)
+    sig = np.reshape(sigma_n2, (-1, 1))
+    con_const = (sig * c.t_c + c.u_c - c.v_c).reshape(r, k)
+    omitted = np.sum(sig * c.t_p + c.u_p - c.v_p, axis=-1).reshape(r).tolist()
+    largest = con_const.max(axis=-1).tolist()
+    silent = ~(c.psi_c.reshape(r, -1).any(axis=1) | c.f_c.reshape(r, -1).any(axis=1))
+    psi_obj = c.psi_p.sum(axis=-3).reshape(r, n_t, n_t)
+    psi_con = c.psi_c.reshape(r, k, n_t, n_t).copy()
+    f_con = c.f_c.reshape(r, k, n_t).copy()
+    f_obj = c.f_p.reshape(r, k, n_t).copy()
+    p_t = np.broadcast_to(np.asarray(p_t, dtype=float).reshape(-1), (r,)).tolist()
+    problems = []
+    for i in range(r):
+        n_con = 0 if silent[i] else k
+        problems.append(QcqpProblem(
+            n_t=n_t,
+            k=k,
+            p_t=p_t[i],
+            psi_obj=psi_obj[i],
+            f_obj=f_obj[i],
+            psi_con=psi_con[i, :n_con],
+            f_con=f_con[i, :n_con],
+            con_const=con_const[i, :n_con],
+            omitted_constant=omitted[i] + largest[i] if silent[i] else omitted[i],
+        ))
+    return problems if lead else problems[0]
+
+
+# stacked arrays of the problems of recent calls
+_FIELDS = IdentityCache()
+
+
+def _joint_first(problems):
+    """Indices of `problems`, those of the joint form first, in order."""
+    return sorted(range(len(problems)), key=lambda i: not problems[i].include_common)
+
+
+def _fields(problems):
+    """The arrays of problems listed joint form first, stacked: psi_obj,
+    f_obj and p_t over all of them, and psi_con, f_con and con_const
+    over the first nc, the joint ones."""
+    def make(qs):
+        nc = sum(q.include_common for q in qs)
+        out = {"nc": nc, "p_t": np.array([q.p_t for q in qs])}
+        for name, n in (("psi_obj", None), ("f_obj", None), ("psi_con", nc),
+                        ("f_con", nc), ("con_const", nc)):
+            if qs[:n]:
+                out[name] = np.stack([getattr(q, name) for q in qs[:n]])
+        return out
+
+    return _FIELDS.get(problems, make)
+
+
+def _dots(x, y):
+    """np.vdot of each run's pair: conj(x[r]) . y[r] over C-order entries."""
+    r = len(x)
+    return (x.reshape(r, 1, -1).conj() @ y.reshape(r, -1, 1))[:, 0, 0]
+
+
+def _add_diag(mats, values):
+    """Add values[r] to the diagonal of each contiguous mats[r] in place."""
+    n = mats.shape[-1]
+    mats.reshape(len(mats), -1)[:, :: n + 1] += values[:, None]
+
+
+def _cons(psi_con, f_con, con_const, pt):
+    """Constraint values of stacked problems at stacked points, the
+    columns of each P as the rows of pt[r]. sum_i p_i^H psi_con[u] p_i
+    is the sum of the entrywise product of psi_con[u] and
+    sum_i conj(p_i) p_i^T."""
+    r = len(pt)
+    gram = pt.conj().transpose(0, 2, 1) @ pt
+    quad = psi_con.reshape(r, -1, gram[0].size) @ gram.reshape(r, -1, 1)
+    lin = f_con.conj() @ pt[:, 0, :, None]
+    return quad[..., 0].real + con_const - 2.0 * lin[..., 0].real
 
 
 def objective_value(q, p, xi_c):
     """Objective of the problem at (P, xi_c), constant term excluded."""
-    priv = p[:, 1:]
-    quad = np.vdot(priv, q.psi_obj @ priv).real
-    lin = 2.0 * np.vdot(q.f_obj.T, priv).real
-    return xi_c + float(quad - lin)
+    return xi_c + _points([[(q, p, p, np.zeros(q.con_const.size), 0.0)]])[0][0][0]
 
 
 def constraint_values(q, p):
     """Left-hand sides of the common-MSE constraints at P (their value
     must be <= xi_c), including the constant terms; empty in the
-    broadcast form. sum_i p_i^H psi_con[u] p_i is the sum of the
-    entrywise product of psi_con[u] and sum_i conj(p_i) p_i^T."""
-    pt = p.T
-    gram = pt.conj().T @ pt
-    quad = q.psi_con.reshape(-1, gram.size) @ gram.reshape(-1)
-    return quad.real + q.con_const - 2.0 * (q.f_con.conj() @ pt[0]).real
+    broadcast form."""
+    return _cons(q.psi_con[None], q.f_con[None], q.con_const[None], p.T[None])[0]
+
+
+def _guard(problems):
+    """The convexity guard of every problem: one stacked Cholesky call
+    over all their component matrices."""
+    cholesky_psd(np.concatenate([
+        m for q in problems for m in (q.psi_obj[None], q.psi_con)
+    ]))
+    return [None] * len(problems)
 
 
 def _dual(q, z):
-    """Lagrange dual function at z = (mu, mu_pow * p_t) with derivatives.
+    """Lagrange dual function at z = (mu, mu_pow * p_t) with derivatives;
+    `_duals` on one item."""
+    return _duals([(q, z)])[0]
+
+
+def _duals(items):
+    """Lagrange dual function with derivatives at each (problem, z) item,
+    z = (mu, mu_pow * p_t), in stacked calls.
 
     For fixed multipliers the Lagrangian is minimized in closed form:
     column j of P solves M_j p_j = b_j, with M_0 = A + mu_pow I and
     b_0 = sum_u mu_u f_con[u] for the common column, M_j = psi_obj + M_0
     and b_j = f_obj[j] for the private ones, and A = sum_u mu_u
-    psi_con[u]. The private columns share one matrix, so the two
-    distinct matrices are inverted in one stacked call and the columns
-    are matrix products. The gradient is the constraint values at that
-    minimizer; the Hessian follows from differentiating the column
-    systems and reuses the inverses. The broadcast form has no common
-    system: its common column is zero and its Hessian the one entry
-    -2 Re sum_j p_j^H M^-1 p_j / p_t^2. The power multiplier is scaled
-    by p_t so that both coordinate groups have O(1) gradients whatever
-    the budget.
+    psi_con[u]. The private columns share one matrix, so each problem
+    has two distinct matrices to invert, and the broadcast form, whose
+    common column is zero, one. One stacked inverse covers them all; the
+    columns are matrix products. The gradient is the constraint values
+    at that minimizer; the Hessian follows from differentiating the
+    column systems and reuses the inverses. The broadcast form's Hessian
+    is the one entry -2 Re sum_j p_j^H M^-1 p_j / p_t^2. The power
+    multiplier is scaled by p_t so that both coordinate groups have O(1)
+    gradients whatever the budget.
 
-    Returns (value, gradient, hessian, P), with `hessian` a function of
-    no arguments that forms the Hessian, since only a Newton step needs
-    it, and P a transposed view; or None where the minimizer is not
-    finite (a singular system, or a power sum that is not finite).
+    Returns per item (value, gradient, Hessian, P), with P a transposed
+    view; or None where the minimizer is not finite (a singular system,
+    or a power sum that is not finite). The joint problems are stacked
+    first, so what involves the common column acts on a leading slice
+    and the rest on all problems of both forms at once.
     """
-    n_t, k, p_t = q.n_t, q.k, q.p_t
-    mu, mu_pow = z[:-1], float(z[-1]) / p_t
-    common = q.include_common
-    if common:
-        mats = np.empty((2, n_t, n_t), dtype=complex)
-        a = mats[0].reshape(-1)
-        np.matmul(mu, q.psi_con.reshape(k, -1), out=a)
-        a[:: n_t + 1] += mu_pow
-        np.add(mats[0], q.psi_obj, out=mats[1])
-    else:
-        mats = q.psi_obj.copy()[None]
-        mats.reshape(-1)[:: n_t + 1] += mu_pow
+    order = _joint_first([q for q, _ in items])
+    qs = [items[i][0] for i in order]
+    zs = [items[i][1] for i in order]
+    f = _fields(qs)
+    nc, r, n_t, k, p_t = f["nc"], len(qs), qs[0].n_t, qs[0].k, f["p_t"]
+    mu_pow = np.array([z[-1] for z in zs]) / p_t
+    # the common matrices of the joint problems, then every private one
+    mats = np.empty((nc + r, n_t, n_t), dtype=complex)
+    m_c, priv = mats[:nc], mats[nc:]
+    if nc:
+        mu = np.array(zs[:nc])[:, None, :-1]
+        np.matmul(mu, f["psi_con"].reshape(nc, k, -1), out=m_c.reshape(nc, 1, -1))
+        _add_diag(m_c, mu_pow[:nc])
+        np.add(m_c, f["psi_obj"][:nc], out=priv[:nc])
+    if nc < r:
+        priv[nc:] = f["psi_obj"][nc:]
+        _add_diag(priv[nc:], mu_pow[nc:])
     try:
         inv = np.linalg.inv(mats)
     except np.linalg.LinAlgError:
-        return None
+        return [None] if len(items) == 1 else [_duals([it])[0] for it in items]
+    inv_c, inv_p = inv[:nc], inv[nc:]
+
     # pt holds the columns of P as rows
-    pt = np.zeros((k + 1, n_t), dtype=complex)
-    np.matmul(q.f_obj, inv[-1].T, out=pt[1:])
-    value = 0.0
-    if common:
-        b_c = mu @ q.f_con
-        np.matmul(b_c, inv[0].T, out=pt[0])
-        value = float(mu @ q.con_const) - np.vdot(b_c, pt[0]).real
-    pw = precoder_power(pt)
-    if not math.isfinite(pw):
-        return None
-    value -= np.vdot(q.f_obj, pt[1:]).real + mu_pow * p_t
-    grad = np.empty(z.size)
-    grad[-1] = (pw - p_t) / p_t
-    if common:
-        grad[:-1] = constraint_values(q, pt.T)
+    pt = np.zeros((r, k + 1, n_t), dtype=complex)
+    np.matmul(f["f_obj"], inv_p.transpose(0, 2, 1), out=pt[:, 1:])
+    value = np.zeros(r)
+    if nc:
+        b_c = np.matmul(mu, f["f_con"])
+        np.matmul(b_c, inv_c.transpose(0, 2, 1), out=pt[:nc, :1])
+        value[:nc] = (mu @ f["con_const"][..., None])[:, 0, 0]
+        value[:nc] -= _dots(b_c, pt[:nc, :1]).real
+    pw = _dots(pt, pt).real
+    finite = np.isfinite(pw)
+    if not finite.all():
+        # evaluate the rest alone, with no arithmetic on what is not finite
+        keep = [i for i, ok in zip(order, finite) if ok]
+        out = [None] * len(items)
+        for i, ev in zip(keep, _duals([items[i] for i in keep]) if keep else []):
+            out[i] = ev
+        return out
 
-    def hessian():
-        if not common:
-            return np.full((1, 1), -2.0 * np.vdot(pt, pt @ inv[0].T).real / p_t**2)
-        # r[v, j]: derivative of column j's stationarity residual in z_v
-        r = np.empty((k + 1, k + 1, n_t), dtype=complex)
-        np.matmul(pt, q.psi_con.transpose(0, 2, 1), out=r[:-1])
-        r[:-1, 0] -= q.f_con
-        np.divide(pt, p_t, out=r[-1])
-        w = np.empty_like(r)
-        np.matmul(r[:, 0], inv[0].T, out=w[:, 0])
-        np.matmul(r[:, 1:], inv[1].T, out=w[:, 1:])
-        return -2.0 * (r.reshape(k + 1, -1).conj() @ w.reshape(k + 1, -1).T).real
+    value -= _dots(f["f_obj"], pt[:, 1:]).real + mu_pow * p_t
+    g_pow = (pw - p_t) / p_t
+    grad, hess = [], []
+    if nc:
+        psi_con, f_con = f["psi_con"], f["f_con"]
+        g = np.empty((nc, k + 1))
+        g[:, :-1] = _cons(psi_con, f_con, f["con_const"], pt[:nc])
+        g[:, -1] = g_pow[:nc]
+        # rr[:, v, j]: derivative of column j's stationarity residual in z_v
+        rr = np.empty((nc, k + 1, k + 1, n_t), dtype=complex)
+        np.matmul(pt[:nc, None], psi_con.transpose(0, 1, 3, 2), out=rr[:, :-1])
+        rr[:, :-1, 0] -= f_con
+        np.divide(pt[:nc], p_t[:nc, None, None], out=rr[:, -1])
+        w = np.empty_like(rr)
+        np.matmul(rr[:, :, 0], inv_c.transpose(0, 2, 1), out=w[:, :, 0])
+        np.matmul(rr[:, :, 1:], inv_p[:nc, None].transpose(0, 1, 3, 2), out=w[:, :, 1:])
+        rr, w = rr.reshape(nc, k + 1, -1), w.reshape(nc, k + 1, -1)
+        grad += list(g)
+        hess += list(-2.0 * (rr.conj() @ w.transpose(0, 2, 1)).real)
+    if nc < r:
+        curv = _dots(pt[nc:], pt[nc:] @ inv_p[nc:].transpose(0, 2, 1)).real
+        grad += list(g_pow[nc:, None])
+        hess += list((-2.0 * curv / p_t[nc:] ** 2)[:, None, None])
+    out = [None] * len(items)
+    for j, i in enumerate(order):
+        out[i] = (float(value[j]), grad[j], hess[j], pt[j].T)
+    return out
 
-    return float(value), grad, hessian, pt.T
+
+def _eqps(items):
+    """For each item (h, g, e): the maximizer p of g.p + p.h.p / 2
+    subject to e.p = 0, and the multiplier lam of that row (0 without
+    one, e all zero), as floats. e is a list. Systems of one size are
+    solved in one stacked call. A singular system, as when f = 0 and the
+    dual is linear in mu_pow, takes the least-squares step."""
+    out = [None] * len(items)
+    groups = {}
+    for i, (_, _, e) in enumerate(items):
+        groups.setdefault((len(e), any(e)), []).append(i)
+    for (n, row), idx in groups.items():
+        h = np.array([items[i][0] for i in idx])
+        g = np.array([items[i][1] for i in idx])
+        if row:
+            kkt = np.zeros((len(idx), n + 1, n + 1))
+            kkt[:, :n, :n] = h
+            kkt[:, n, :n] = kkt[:, :n, n] = [items[i][2] for i in idx]
+            rhs = np.zeros((len(idx), n + 1))
+            np.negative(g, out=rhs[:, :n])
+        else:
+            kkt, rhs = h, -g
+        try:
+            x = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            x = np.array([_solve_one(a, b) for a, b in zip(kkt, rhs)])
+        for i, xi in zip(idx, x.tolist()):
+            out[i] = xi[:n], (xi[n] if len(xi) > n else 0.0)
+    return out
 
 
-def _eqp(h, g, e):
-    """Maximizer p of g.p + p.h.p / 2 subject to e.p = 0, and the
-    multiplier lam of that row (0 without one, e all zero), as floats.
-    e is a list. A singular system, as when f = 0 and the dual is linear
-    in mu_pow, takes the least-squares step."""
-    n = len(e)
-    if any(e):
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = h
-        kkt[n, :n] = kkt[:n, n] = e
-        rhs = np.zeros(n + 1)
-        np.negative(g, out=rhs[:n])
-    else:
-        kkt, rhs = h, -g
+def _solve_one(kkt, rhs):
     try:
-        x = np.linalg.solve(kkt, rhs)
+        return np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
-        x = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    x = x.tolist()
-    return x[:n], (x[n] if len(x) > n else 0.0)
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
 
 
 def _model_step(z, grad, hess):
@@ -267,8 +383,9 @@ def _model_step(z, grad, hess):
     face (the price of the simplex row) for mu_u, over the budget for
     mu_pow. Returns None if a step is not finite.
 
-    The coordinates and the active set are Python lists; numpy only
-    solves the face's system and forms the model's gradient.
+    A generator for the lockstep driver: each face's system is a request
+    to `_eqps`. The coordinates and the active set are Python lists;
+    numpy only solves the face's system and forms the model's gradient.
     """
     n = z.size
     y = z.tolist()
@@ -278,9 +395,9 @@ def _model_step(z, grad, hess):
     for _ in range(2 * n + 2):
         f = [i for i in range(n) if free[i]]
         if len(f) == n:
-            step, lam = _eqp(hess, gm, eq)
+            step, lam = yield _eqps, (hess, gm, eq)
         else:
-            step, lam = _eqp(hess[f][:, f], gm[f], [eq[i] for i in f])
+            step, lam = yield _eqps, (hess[f][:, f], gm[f], [eq[i] for i in f])
         if not all(map(math.isfinite, step)):
             return None
         ratio = {i: -y[i] / s for i, s in zip(f, step) if s < 0}
@@ -315,24 +432,26 @@ def _face_newton(q, z):
     Programming 1983). The positive entries of z are free and the rest
     pinned at zero. Each step maximizes the dual's quadratic model over
     the feasible set (_model_step, which changes the face when a sign
-    says it is wrong) and backtracks along it, so it costs one _dual
+    says it is wrong) and backtracks along it, so it costs one dual
     evaluation; a face with no free coordinate is just evaluated. P
     comes from the closed form, so stationarity in P holds at every
     iterate, and the other KKT terms decide, with the budget gap
     counted in full while mu_pow is free: the loop stops when they are
     below FACE_TOL, or below WARM_TOL and no longer halving, since the
     rounding of the constraint values bounds them from below.
-    Returns (z, P, constraint values, steps) at the iterate with the
-    smallest terms, steps counting all the Newton steps taken; None if
-    the dual cannot be evaluated at z.
+
+    A generator for the lockstep driver. Returns (z, P, constraint
+    values, steps) at the iterate with the smallest terms, steps
+    counting all the Newton steps taken; None if the dual cannot be
+    evaluated at z.
     """
     p_t, max_steps = q.p_t, 20
-    ev = _dual(q, z)
+    ev = yield _duals, (q, z)
     best, res_best, res_prev = None, math.inf, math.inf
     for steps in range(max_steps + 1):
         if ev is None:
             break
-        value, grad, hessian, p = ev
+        value, grad, hess, p = ev
         cons = grad[:-1]
         *mu, z_pow = z.tolist()
         cons_l = cons.tolist()
@@ -347,7 +466,7 @@ def _face_newton(q, z):
             best, res_best = (z, p, cons), res
         if res <= FACE_TOL or (res_best <= WARM_TOL and res > 0.5 * res_prev):
             break
-        y = None if steps == max_steps else _model_step(z, grad, hessian())
+        y = None if steps == max_steps else (yield from _model_step(z, grad, hess))
         if y is None or y.tolist() == z.tolist():
             break
         d = y - z
@@ -358,7 +477,7 @@ def _face_newton(q, z):
         s = 1.0
         for _ in range(30):
             zn = y if s == 1.0 else z + s * d
-            ev = _dual(q, zn)
+            ev = yield _duals, (q, zn)
             if ev is not None and (small or ev[0] - value >= 0.01 * s * dec):
                 break
             s *= 0.5
@@ -399,6 +518,8 @@ def solve(q, warm=None, warm_dual=None):
     `iterations` counts the Newton steps of all starts. The returned
     point is always feasible to 1e-9.
 
+    This is the lockstep driver on `solve_steps` alone.
+
     Returns
     -------
     QcqpSolution
@@ -409,7 +530,14 @@ def solve(q, warm=None, warm_dual=None):
         If a component matrix is not PSD within tolerance (convexity
         guard, via the Cholesky factorization).
     """
-    cholesky_psd(np.concatenate((q.psi_obj[None], q.psi_con)))
+    return run_one(solve_steps(q, warm=warm, warm_dual=warm_dual))
+
+
+def solve_steps(q, warm=None, warm_dual=None):
+    """`solve` as a generator for the lockstep driver: its requests are
+    the guard, dual evaluations, face systems and point checks, and it
+    returns the QcqpSolution."""
+    yield _guard, q
 
     centre = np.full(len(q.con_const) + 1, 1.0 / q.k)
     centre[-1] = 1.0
@@ -420,13 +548,15 @@ def solve(q, warm=None, warm_dual=None):
         z = np.concatenate((np.ravel(warm_dual[0]), [float(warm_dual[1]) * q.p_t]))
         if z.size == centre.size and np.isfinite(z).all() and z.min() >= 0.0:
             starts.insert(0, z)
+    if warm is not None:
+        warm = np.asarray(warm, dtype=complex)
     best, steps = None, 0
     for z in starts:
-        fin = _face_newton(q, z)
+        fin = yield from _face_newton(q, z)
         if fin is None:
             continue
         steps += fin[3]
-        sol = _solution(q, fin)
+        sol, incumbent = yield from _solution(q, fin, warm)
         if sol.kkt_residual <= WARM_TOL and _within_budget(q, sol.p_star):
             break
         if best is None or sol.kkt_residual < best[0]:
@@ -438,20 +568,21 @@ def solve(q, warm=None, warm_dual=None):
         if pw > q.p_t:
             p = p * np.sqrt(q.p_t / pw)
             cons = constraint_values(q, p)
-        sol = _solution(q, (z, p, cons, 0))
+        sol, incumbent = yield from _solution(q, (z, p, cons, 0), warm)
         sol.status = "MaxIter"
     sol.iterations = steps
 
-    # never return a point worse than the incumbent (descent guarantee)
+    # never return a point worse than the incumbent (descent guarantee),
+    # judged under the returned multipliers
     if warm is not None:
-        warm = np.asarray(warm, dtype=complex)
-        xi_w = float(max(constraint_values(q, warm), default=0.0))
-        obj_w = objective_value(q, warm, xi_w)
-        if _within_budget(q, warm) and (
+        obj, cons, pw, res = incumbent
+        xi_w = float(max(cons, default=0.0))
+        obj_w = xi_w + obj
+        if pw <= q.p_t * (1.0 + 1e-9) and (
             obj_w < sol.objective or not np.isfinite(sol.objective)
         ):
             sol.p_star, sol.xi_c_star, sol.objective = warm.copy(), xi_w, obj_w
-            sol.kkt_residual = kkt_residual(q, sol)
+            sol.kkt_residual = _residual(q, xi_w, cons, pw, res, sol.mu, sol.mu_pow)
     # a tiny recomputed residual certifies optimality of the returned
     # point for this convex problem even if no start reached WARM_TOL
     if sol.status == "MaxIter" and sol.kkt_residual <= OPTIMAL_TOL:
@@ -459,23 +590,83 @@ def solve(q, warm=None, warm_dual=None):
     return sol
 
 
-def _solution(q, fin):
+def _solution(q, fin, warm):
     """QcqpSolution at a face result (z, P, constraint values, steps),
-    with its recomputed KKT residual and status 'Optimal'."""
+    with its recomputed KKT residual and status 'Optimal', and the
+    `_points` result at the incumbent `warm` (None without one) under
+    the same multipliers (a generator)."""
     z, p, cons, steps = fin
     xi = float(max(cons, default=0.0))
+    mu, mu_pow = z[:-1], float(z[-1]) / q.p_t
+    p_star = np.ascontiguousarray(p)  # _duals' P is a transposed view
+    points = [(q, p, p_star, mu, mu_pow)]
+    if warm is not None:
+        points.append((q, warm, warm, mu, mu_pow))
+    (obj, cons, pw, res), *incumbent = yield _points, points
     sol = QcqpSolution(
-        p_star=np.ascontiguousarray(p),  # _dual's P is a transposed view
+        p_star=p_star,
         xi_c_star=xi,
-        objective=objective_value(q, p, xi),
-        kkt_residual=np.inf,
+        objective=xi + obj,
+        kkt_residual=_residual(q, xi, cons, pw, res, mu, mu_pow),
         iterations=steps,
         status="Optimal",
-        mu=z[:-1],
-        mu_pow=float(z[-1]) / q.p_t,
+        mu=mu,
+        mu_pow=mu_pow,
     )
-    sol.kkt_residual = kkt_residual(q, sol)
-    return sol
+    return sol, (incumbent[0] if incumbent else None)
+
+
+def _points(payloads):
+    """For each point (problem, p_obj, p, mu, mu_pow) of each payload, a
+    sequence of points, in stacked calls: the objective at p_obj without
+    xi_c, and at p the constraint values, the power and the normalized
+    stationarity residual (in P and xi_c) of `kkt_residual` under the
+    multipliers (mu, mu_pow). Returns one list of results per payload."""
+    items = [it for points in payloads for it in points]
+    order = _joint_first([it[0] for it in items])
+    f = _fields([items[i][0] for i in order])
+    nc, r = f["nc"], len(order)
+    psi_obj, f_obj = f["psi_obj"], f["f_obj"]
+    n_t = psi_obj.shape[-1]
+    p_obj = np.stack([items[i][1] for i in order])
+    p = np.stack([items[i][2] for i in order])
+    mu_pow = np.array([items[i][4] for i in order], dtype=float)
+
+    priv = p_obj[:, :, 1:]
+    quad = _dots(priv, psi_obj @ priv).real
+    obj = quad - 2.0 * _dots(f_obj.transpose(0, 2, 1), priv).real
+
+    # stationarity in each column, M_j p_j - b_j with the M_j, b_j of _duals
+    pw = _dots(p, p).real
+    scale = 1.0 + np.sqrt(_dots(f_obj, f_obj).real) + np.sqrt(pw)
+    m_0 = np.zeros((r, n_t, n_t), dtype=complex)
+    cons = [[]] * r
+    if nc:
+        mu = np.array([items[i][3] for i in order[:nc]])[:, None]
+        np.matmul(mu, f["psi_con"].reshape(nc, -1, n_t * n_t),
+                  out=m_0[:nc].reshape(nc, 1, -1))
+    _add_diag(m_0, mu_pow)
+    stat = m_0 @ p
+    stat[:, :, 1:] += psi_obj @ p[:, :, 1:] - f_obj.transpose(0, 2, 1)
+    if nc:
+        stat[:nc, :, 0] -= (mu @ f["f_con"])[:, 0]
+        cons[:nc] = _cons(
+            f["psi_con"], f["f_con"], f["con_const"], p[:nc].transpose(0, 2, 1)
+        ).tolist()
+    res = np.sqrt((stat.conj() * stat).real.sum(axis=1).max(axis=-1)) / scale
+    out = [None] * r
+    for j, i in enumerate(order):
+        out[i] = (float(obj[j]), cons[j], float(pw[j]), float(res[j]))
+    out = iter(out)
+    return [[next(out) for _ in points] for points in payloads]
+
+
+_points.rank = -1  # after every run's face Newton
+
+
+def _residual(q, xi_c, cons, pw, res, mu, mu_pow):
+    """The KKT residual from a `_points` result at P and the level xi_c."""
+    return max(res, _slack_terms(q, xi_c, cons, pw - q.p_t, mu.tolist(), mu_pow))
 
 
 def kkt_residual(q, sol):
@@ -487,21 +678,9 @@ def kkt_residual(q, sol):
     values certify the solve independently of the Newton iterates. The
     broadcast form's common column is zero, and so is its stationarity.
     """
-    p, mu, mu_pow, n_t = sol.p_star, sol.mu, sol.mu_pow, q.n_t
-    pw = precoder_power(p)
-    scale = 1.0 + math.sqrt(np.vdot(q.f_obj, q.f_obj).real) + math.sqrt(pw)
-
-    # stationarity in each column, M_j p_j - b_j with the M_j, b_j of _dual
-    m_0 = (mu @ q.psi_con.reshape(-1, n_t * n_t)).reshape(n_t, n_t)
-    m_0.reshape(-1)[:: n_t + 1] += mu_pow
-    stat = m_0 @ p
-    stat[:, 1:] += q.psi_obj @ p[:, 1:] - q.f_obj.T
-    stat[:, 0] -= mu @ q.f_con
-    res = math.sqrt(max((stat.conj() * stat).real.sum(axis=0).tolist())) / scale
-
-    cons = constraint_values(q, p).tolist()
-    slack = _slack_terms(q, sol.xi_c_star, cons, pw - q.p_t, mu.tolist(), mu_pow)
-    return max(res, slack)
+    p = sol.p_star
+    ((_, cons, pw, res),) = _points([[(q, p, p, sol.mu, sol.mu_pow)]])[0]
+    return _residual(q, sol.xi_c_star, cons, pw, res, sol.mu, sol.mu_pow)
 
 
 def _slack_terms(q, xi_c, cons, excess, mu, mu_pow):

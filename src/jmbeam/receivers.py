@@ -19,8 +19,8 @@ To avoid cancellation at high SNR, the interference-plus-noise term
 than by subtraction.
 
 One kernel forms these powers: `_batch_powers` takes one GEMM over the
-stacked channels a Monte-Carlo sample caches and memoizes the result
-per precoder on the sample. `sum_rate`, `average_rates` and
+stacked channels a Monte-Carlo sample caches, for one run or for a
+stack of runs at once. `sum_rate`, `average_rates` and
 `awsmse.update_blocks` all read it; a single channel matrix is a sample
 of one realization.
 """
@@ -32,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import MonteCarloSample
+from .lockstep import IdentityCache
 
 _LN2 = math.log(2.0)
 
@@ -40,6 +41,7 @@ __all__ = [
     "precoder_power",
     "sum_rate",
     "average_rates",
+    "rates_of",
 ]
 
 
@@ -58,11 +60,6 @@ def precoder_power(p):
     return float(np.vdot(p, p).real)
 
 
-# memo entries per sample: a plain precoder update and its extrapolation
-# (see ao.run_ao), the two precoders the next update_blocks may start from
-_MEMO_SIZE = 2
-
-
 @lru_cache
 def _interference_mask(k):
     """0/1 matrix taking a row of |p_i^H h_u|^2, indexed u*(k+1) + i, to
@@ -75,14 +72,34 @@ def _interference_mask(k):
     return mask
 
 
+# stacked channels of the samples of recent calls
+_CHANNELS = IdentityCache(2)
+
+
+def stacked_channels(samples):
+    """The samples' `stacked` channels as one (R, m, k, n_t) array."""
+    return _CHANNELS.get(samples, lambda ss: np.stack([s.stacked for s in ss]))
+
+
+def _runs_of(sample, p):
+    """(samples, p with a leading run axis, whether one run was given).
+
+    A MonteCarloSample with an (n_t, k+1) precoder is one run; a sequence
+    of R samples of one shape with (R, n_t, k+1) precoders is R runs.
+    """
+    if isinstance(sample, MonteCarloSample):
+        return (sample,), np.asarray(p, dtype=complex)[None], True
+    return tuple(sample), np.asarray(p, dtype=complex), False
+
+
 def _batch_powers(sample, p, sigma_n2):
     """Receive-power bookkeeping over a Monte-Carlo sample.
 
     Parameters
     ----------
-    sample : MonteCarloSample
-    p : (n_t, k+1) complex ndarray
-    sigma_n2 : float
+    sample : MonteCarloSample, or a sequence of R of them (`_runs_of`)
+    p : (n_t, k+1) complex ndarray, or (R, n_t, k+1)
+    sigma_n2 : float, or one per run
 
     Returns
     -------
@@ -94,30 +111,26 @@ def _batch_powers(sample, p, sigma_n2):
         interference-plus-noise (sum over other private columns plus
         sigma_n2, accumulated directly), t_p = i_p + s_p, t_c = s_c + t_p.
 
-    All six are read-only and memoized on the sample, keyed on the bytes
-    of p and on sigma_n2, so the rates of a precoder and the next block
-    update at it share one evaluation.
+    With R runs every output has a leading run axis; each run's GEMM is
+    its own, so its slice has the bits it has alone. All six are
+    read-only.
     """
-    p = np.asarray(p, dtype=complex)
-    key = (p.shape, p.tobytes(), float(sigma_n2))
-    memo = sample.workspace.setdefault("powers", {})
-    if key in memo:
-        return memo[key]
-    m, k, n_t = sample.stacked.shape
-    y = (sample.stacked.reshape(m * k, n_t) @ p.conj()).reshape(m, k, k + 1)
+    samples, p, one = _runs_of(sample, p)
+    chans = stacked_channels(samples)
+    r, m, k, n_t = chans.shape
+    y = (chans.reshape(r, m * k, n_t) @ p.conj()).reshape(r, m, k, k + 1)
     a2 = y.real**2 + y.imag**2
-    flat = a2.reshape(m, k * (k + 1))
-    s_c = flat[:, :: k + 1]
-    s_p = flat[:, 1 :: k + 2]  # a2[:, u, u + 1]
-    i_p = flat @ _interference_mask(k) + sigma_n2
+    flat = a2.reshape(r, m, k * (k + 1))
+    s_c = flat[..., :: k + 1]
+    s_p = flat[..., 1 :: k + 2]  # a2[..., u, u + 1]
+    i_p = flat @ _interference_mask(k) + np.reshape(sigma_n2, (-1, 1, 1))
     t_p = i_p + s_p
     t_c = s_c + t_p
     out = (y, s_c, s_p, i_p, t_p, t_c)
+    if one:
+        out = tuple(a[0] for a in out)
     for a in out:
         a.flags.writeable = False
-    if len(memo) == _MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = out
     return out
 
 
@@ -135,13 +148,21 @@ def average_rates(sample, p, sigma_n2):
     """Sample-average rates over a Monte-Carlo sample for a fixed precoder.
 
     Per-user common and private rates are averaged over the realizations
-    in their stored order; asr = min_k r_c[k] + sum_k r_p[k].
+    in their stored order; asr = min_k r_c[k] + sum_k r_p[k]. Takes one
+    run or R runs as `_batch_powers` does; with R runs every field has a
+    leading run axis and asr is an (R,) array.
     """
-    _, s_c, s_p, i_p, t_p, _ = _batch_powers(sample, p, sigma_n2)
-    r_c = np.log1p(s_c / t_p) / _LN2  # (m, k)
+    return rates_of(_batch_powers(sample, p, sigma_n2))
+
+
+def rates_of(powers):
+    """`average_rates` from the outputs of `_batch_powers`."""
+    _, s_c, s_p, i_p, t_p, _ = powers
+    r_c = np.log1p(s_c / t_p) / _LN2  # (..., m, k)
     r_p = np.log1p(s_p / i_p) / _LN2
-    r_c_bar = r_c.mean(axis=0)
-    r_p_bar = r_p.mean(axis=0)
+    r_c_bar = r_c.mean(axis=-2)
+    r_p_bar = r_p.mean(axis=-2)
+    asr = np.min(r_c_bar, axis=-1) + np.sum(r_p_bar, axis=-1)
     return AverageRates(
-        r_c=r_c_bar, r_p=r_p_bar, asr=float(np.min(r_c_bar) + np.sum(r_p_bar))
+        r_c=r_c_bar, r_p=r_p_bar, asr=float(asr) if asr.ndim == 0 else asr
     )

@@ -7,6 +7,7 @@ from conftest import random_system
 from jmbeam import ao, qcqp
 from jmbeam.ao import AoParams, AoTrace, dof_power_split, initialize, run_ao
 from jmbeam.awsmse import (
+    AwmmseComponents,
     accumulate_components,
     awmse_values,
     awsmse_objective,
@@ -238,24 +239,26 @@ def test_bc_run_is_the_alpha_one_joint_run(monkeypatch):
         cfg, draw, sample = random_system(seed, snr_db=snr_db, m=15)
         steps = []
 
-        def blocks(sample, p, sigma_n2):
-            assert np.all(p[:, 0] == 0)
-            return update_blocks(sample, p, sigma_n2)
+        def blocks(items):
+            # the block update server, one item (sample, p, ...) per run
+            assert all(np.all(it[1][:, 0] == 0) for it in items)
+            return updates(items)
 
         def recording_build(comps, *args, **kw):
-            q = build(comps, *args, **kw)
-            steps.append((comps, q))
-            return q
+            (q,) = build(comps, *args, **kw)  # the one run of the batch
+            steps.append((_run_of(comps, 0), q))
+            return [q]
 
         def recording_solve(q, **kw):
-            sol = solve(q, **kw)
+            sol = yield from solve_steps(q, **kw)
             steps[-1] += (sol,)
             return sol
 
+        updates, solve_steps = ao._updates, qcqp.solve_steps
         with monkeypatch.context() as m:
-            m.setattr(ao, "update_blocks", blocks)
+            m.setattr(ao, "_updates", blocks)
             m.setattr(qcqp, "build", recording_build)
-            m.setattr(qcqp, "solve", recording_solve)
+            m.setattr(qcqp, "solve_steps", recording_solve)
             p, trace = run_ao(draw.h_est, sample, cfg, AoParams(), common=False)
         assert len(steps) == len(trace) > 1
         assert np.all(p[:, 0] == 0)
@@ -269,6 +272,11 @@ def test_bc_run_is_the_alpha_one_joint_run(monkeypatch):
         assert np.array_equal(p, p_1)
         assert trace_1.awsmse_obj == trace.awsmse_obj
         assert trace_1.asr_audit == trace.asr_audit
+
+
+def _run_of(comps, r):
+    """Run r's components from components with a leading run axis."""
+    return AwmmseComponents(**{f: getattr(comps, f)[r] for f in vars(comps)})
 
 
 def test_stationarity_at_convergence():

@@ -7,8 +7,8 @@ from _oracles import fsum_components, loop_mse, loop_powers, loop_wmse
 from conftest import random_precoder, random_system
 from jmbeam.awsmse import (
     EqualizerWeightSet,
-    _buffers,
     _component_rows,
+    _sum_buffers,
     _sum_rows,
     accumulate_components,
     awmse_values,
@@ -355,7 +355,7 @@ def test_sample_workspace_is_safe():
     # the reduction leaves its rows intact, with or without the buffers
     rows = _component_rows(a, update_blocks(a, ps[2], 1.0))
     before = rows.copy()
-    assert _sum_rows(rows, _buffers(a)[2]).tobytes() == _sum_rows(rows).tobytes()
+    assert _sum_rows(rows, _sum_buffers(*rows.shape)).tobytes() == _sum_rows(rows).tobytes()
     assert np.array_equal(rows, before)
 
     # alternating two samples gives the bits of fresh samples

@@ -291,35 +291,37 @@ def test_sweep_matches_golden_fixture(tmp_path):
 
 
 def _kill_worker_at(monkeypatch, cfg, channel):
-    """Make the pool worker that runs `channel` of cfg's one cell exit,
-    once the other tasks have had time to report."""
+    """Make the pool worker whose block draws `channel` of cfg's one cell
+    exit, once the other blocks have had time to report."""
     dying_seed = cell_seed(cfg.master_seed, cfg.alphas[0], cfg.snr_db[0], channel)
-    run_single = harness.run_single
+    draw = harness._draw
 
-    def dying_run_single(cfg, scheme, snr_db, alpha, seed):
+    def dying_draw(cfg, snr_db, alpha, seed):
         if seed == dying_seed:
             time.sleep(1.0)
             os._exit(1)
-        return run_single(cfg, scheme, snr_db, alpha, seed)
+        return draw(cfg, snr_db, alpha, seed)
 
-    monkeypatch.setattr(harness, "run_single", dying_run_single)
+    monkeypatch.setattr(harness, "_draw", dying_draw)
 
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="pool workers must inherit the patched run_single",
+    reason="pool workers must inherit the patched channel draw",
 )
 def test_sweep_flushes_finished_tasks_when_a_worker_dies(tmp_path, monkeypatch):
-    cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=4, threads=2)
-    serial = tiny_cfg(schemes=("ZF-WF",), n_channels=3)
+    # blocks of 2 channels: the block of channels 4 and 5 dies
+    monkeypatch.setattr(harness, "BLOCK_CHANNELS", 2)
+    cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=6, threads=2)
+    serial = tiny_cfg(schemes=("ZF-WF",), n_channels=4)
     run_sweep(serial, out_dir=str(tmp_path / "serial"))
-    _kill_worker_at(monkeypatch, cfg, channel=3)
+    _kill_worker_at(monkeypatch, cfg, channel=5)
     with pytest.raises(BrokenProcessPool):
         run_sweep(cfg, out_dir=str(tmp_path / "pool"))
     meta = json.loads((tmp_path / "pool" / "meta.json").read_text())
     assert meta["interrupted"] is True
     assert meta["abort_reason"].startswith("BrokenProcessPool")
-    assert meta["tasks_completed"] == 3 and meta["tasks_total"] == 4
+    assert meta["tasks_completed"] == 4 and meta["tasks_total"] == 6
     for name in ("esr.csv", "sr_detail.csv"):
         assert (tmp_path / "pool" / name).read_bytes() == (
             tmp_path / "serial" / name
@@ -328,15 +330,15 @@ def test_sweep_flushes_finished_tasks_when_a_worker_dies(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="pool workers must inherit the patched run_single",
+    reason="pool workers must inherit the patched channel draw",
 )
 def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
-    # the first task dies last: the three tasks after it must survive
-    cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=4, threads=2)
-    task = harness._channel_task
-    rest = [(0.6, 5.0, ch) for ch in (1, 2, 3)]
+    # the first block dies last: the two blocks after it must survive
+    monkeypatch.setattr(harness, "BLOCK_CHANNELS", 2)
+    cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=6, threads=2)
+    rest = [(0.6, 5.0, ch) for ch in (2, 3, 4, 5)]
     records, _, details = harness._reduce(
-        cfg, [(t, task(cfg, *t)) for t in rest]
+        cfg, list(zip(rest, harness._block_task(cfg, rest)))
     )
     (tmp_path / "serial").mkdir()
     write_esr_csv(tmp_path / "serial" / "esr.csv", records)
@@ -346,7 +348,7 @@ def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
         run_sweep(cfg, out_dir=str(tmp_path / "pool"))
     meta = json.loads((tmp_path / "pool" / "meta.json").read_text())
     assert meta["interrupted"] is True
-    assert meta["tasks_completed"] == 3 and meta["tasks_total"] == 4
+    assert meta["tasks_completed"] == 4 and meta["tasks_total"] == 6
     for name in ("esr.csv", "sr_detail.csv"):
         assert (tmp_path / "pool" / name).read_bytes() == (
             tmp_path / "serial" / name
@@ -355,30 +357,32 @@ def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="pool workers must inherit the patched run_single",
+    reason="pool workers must inherit the patched channel draw",
 )
 def test_sweep_interrupt_cancels_queued_tasks(tmp_path, monkeypatch):
-    # an interrupt that reaches only the parent, after the first result
-    cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=12, threads=2)
-    run_single = harness.run_single
+    # an interrupt that reaches only the parent, after the first result;
+    # 12 blocks of 2 channels, each drawing for 0.2 s
+    monkeypatch.setattr(harness, "BLOCK_CHANNELS", 2)
+    cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=24, threads=2)
+    draw = harness._draw
 
-    def slow_run_single(*args):
-        time.sleep(0.2)
-        return run_single(*args)
+    def slow_draw(*args):
+        time.sleep(0.1)
+        return draw(*args)
 
     def interrupted(futures):
         for fut in as_completed(futures):
             yield fut
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(harness, "run_single", slow_run_single)
+    monkeypatch.setattr(harness, "_draw", slow_draw)
     monkeypatch.setattr(harness, "as_completed", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(cfg, out_dir=str(tmp_path))
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["interrupted"] is True
     assert meta["abort_reason"] == "KeyboardInterrupt: "
-    assert 1 <= meta["tasks_completed"] < meta["tasks_total"] == 12
+    assert 1 <= meta["tasks_completed"] < meta["tasks_total"] == 24
 
 
 def test_sweep_single_cell_matches_run_single():
@@ -662,3 +666,19 @@ def test_cli_convergence(tmp_path):
     assert code == 0
     assert (out / "trace_5_zf-svd.csv").exists()
     assert (out / "meta.json").exists()
+
+
+def test_convergence_rejects_more_than_one_alpha(tmp_path, capsys):
+    # the traces are of one alpha; a second one used to be dropped silently
+    cfg = tiny_cfg(alphas=(0.6, 0.8), m=6, n_max=3)
+    with pytest.raises(ConfigError, match="one alpha"):
+        run_convergence(cfg, snrs=[5.0], out_dir=str(tmp_path / "api"))
+    assert not (tmp_path / "api").exists()
+
+    from jmbeam.cli import main
+
+    cfgp = _write_cfg(tmp_path, alphas=[0.6, 0.8], m=6, n_max=3)
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", cfgp, "--out", str(out)]) == 2
+    assert "one alpha" in capsys.readouterr().err
+    assert not out.exists()

@@ -251,11 +251,12 @@ def _ao_solves(monkeypatch, scheme, snr_db, alpha=0.6, **over):
     out = []
 
     def recording_solve(q, **kw):
-        sol = solve(q, **kw)
+        sol = yield from solve_steps(q, **kw)
         out.append((q, sol))
         return sol
 
-    monkeypatch.setattr(qcqp, "solve", recording_solve)
+    solve_steps = qcqp.solve_steps
+    monkeypatch.setattr(qcqp, "solve_steps", recording_solve)
     run_single(cfg, scheme, snr_db, alpha, cell_seed(cfg.master_seed, alpha, snr_db, 0))
     monkeypatch.undo()
     return out
@@ -367,7 +368,7 @@ def test_uncertified_solve_returns_best_start(monkeypatch):
     face_newton = qcqp._face_newton
 
     def counted(q, z):
-        fin = face_newton(q, z)
+        fin = yield from face_newton(q, z)
         steps.append(fin[3])
         return fin
 
@@ -511,8 +512,7 @@ def test_dual_derivatives_match_differences(include_common, n, snr_db):
     rng = np.random.default_rng(n)
     mu = rng.uniform(0.5, 1.5, q.k if include_common else 0)
     z = np.append(mu / mu.sum(), rng.uniform(0.5, 1.5))
-    _, grad, hessian, _ = qcqp._dual(q, z)
-    hess = hessian()
+    _, grad, hess, _ = qcqp._dual(q, z)
     assert hess.shape == (z.size, z.size)
     assert np.allclose(hess, hess.T, rtol=1e-9, atol=1e-12 * np.abs(hess).max())
     assert np.linalg.eigvalsh(hess).max() <= 1e-9 * np.abs(hess).max()  # concave
