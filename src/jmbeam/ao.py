@@ -40,7 +40,13 @@ from . import qcqp
 from .awsmse import accumulate_components, equalizers_of, update_blocks
 from .linalg import dominant_left_singular_vector, mf_directions, zf_directions
 from .lockstep import drive, run_one
-from .receivers import _batch_powers, average_rates, precoder_power, rates_of
+from .receivers import (
+    _batch_powers,
+    average_rates,
+    precoder_power,
+    rates_of,
+    stacked_channels,
+)
 
 __all__ = [
     "EXTRAPOLATE_FROM",
@@ -59,11 +65,16 @@ INIT_SCHEMES = ("zf-svd", "zf-e", "mf-svd", "mf-e")
 # first iteration whose update is extrapolated (see the module docstring)
 EXTRAPOLATE_FROM = 20
 
-# realization rows (runs x m) that a block update stacks at once: its
-# calls serve more runs, and its arrays grow, with them. On the desk grid
-# (m = 200) 3 runs at once took 0.9x the sweep time of 2 for 1% more
-# peak memory, 10 runs 0.8x for 6% more; at m = 1000 it takes one run.
-CHUNK_ROWS = 600
+# realization rows (runs x m) that one stacked call of a block update or
+# of the extrapolation's rates serves at most; the runs of a block are
+# served in consecutive chunks (`_chunks`). Such a call's arrays grow
+# with its rows. Measured by the benchmark's peak memory against one run
+# at a time: on the desk grid (m = 200, 10 runs a block) +1.9% at 600
+# rows, +3.5% at 1000 (and faster in 4 of 4 runs), +6.7% for the whole
+# block; at m = 1000 the whole block gave +27% and no speed, since the
+# work there grows with the rows. 1000 rows is 5 runs at m = 200 and one
+# at m = 1000.
+CHUNK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -278,15 +289,15 @@ def ao_steps(h_est, sample, cfg, params, common=True):
 
 def _chunks(items):
     """Consecutive slices of request items (sample, p, sigma_n2, ...) of
-    at most CHUNK_ROWS realization rows, with their samples, stacked
-    precoders and noise powers."""
+    at most CHUNK_ROWS realization rows (one item at least), with their
+    samples, stacked precoders and noise powers."""
     step = max(1, CHUNK_ROWS // items[0][0].m)
     for lo in range(0, len(items), step):
         part = items[lo:lo + step]
         yield (
             part,
             [it[0] for it in part],
-            np.stack([it[1] for it in part]),
+            np.array([it[1] for it in part]),
             np.array([it[2] for it in part]),
         )
 
@@ -299,23 +310,27 @@ def _updates(items):
     forms."""
     out = []
     for part, samples, p, sigma_n2 in _chunks(items):
-        powers = _batch_powers(samples, p, sigma_n2)
-        comps = accumulate_components(samples, equalizers_of(powers))
+        chans = stacked_channels(samples)
+        powers = _batch_powers(samples, p, sigma_n2, chans)
+        gw = equalizers_of(powers)
+        asr = rates_of(powers).asr.tolist()
+        del powers  # freed before the accumulation's buffers peak
+        comps = accumulate_components(samples, gw, chans)
         rbar = np.min(comps.v_c, axis=-1) + np.sum(comps.v_p, axis=-1)
         problems = qcqp.build(comps, sigma_n2, [it[3] for it in part])
-        out += zip(problems, rbar.tolist(), rates_of(powers).asr.tolist())
+        out += zip(problems, rbar.tolist(), asr)
     return out
 
 
 def _rates(payloads):
     """Average sum rates at each point (sample, p, sigma_n2) of each
     payload, a sequence of points, in stacked calls."""
-    points = [pt for points in payloads for pt in points]
+    points = [pt for pts in payloads for pt in pts]
     asr = iter([
         x for _, samples, p, sigma_n2 in _chunks(points)
         for x in average_rates(samples, p, sigma_n2).asr.tolist()
     ])
-    return [[next(asr) for _ in points] for points in payloads]
+    return [[next(asr) for _ in pts] for pts in payloads]
 
 
 # the extrapolation closes an iteration, and the next update starts one:

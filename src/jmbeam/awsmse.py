@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateMmse
 from .channel import MonteCarloSample
-from .receivers import _batch_powers, stacked_channels
+from .receivers import _batch_powers, _stack, stacked_channels
 
 # MMSE values below this are treated as a modeling error (sigma_n2 ~ 0),
 # not a valid operating point.
@@ -173,22 +173,23 @@ def _hermitian_gather(n):
     return idx
 
 
-def _component_rows(sample, gw):
+def _component_rows(sample, gw, chans=None):
     """Per-realization terms of all ten fields, one real row per realization.
 
     Returns an (m, D) array, or (m, R*D) for R runs (a sequence of
     samples with `gw` carrying a leading run axis), run r's terms in
     columns r*D to (r+1)*D: a view of the row buffer of `_work`, which
-    the next call overwrites. Outer products come first (exactly
-    Hermitian), then the real scaling.
+    the next call overwrites. `chans` is as in `accumulate_components`.
+    Outer products come first (exactly Hermitian), then the real scaling.
     """
     samples = (sample,) if isinstance(sample, MonteCarloSample) else tuple(sample)
+    if chans is None:
+        chans = stacked_channels(samples)
     r = len(samples)
     m, n_t, k = samples[0].realizations.shape
     rows = _work(m, r * (2 * k * n_t * (n_t + 2) + 6 * k))[0]
     v = _field_views(rows.reshape(m, r, -1).transpose(1, 0, 2), k, n_t)
-    outer = np.stack([_packed_outer(s) for s in samples])
-    chans = stacked_channels(samples)
+    outer = _stack([_packed_outer(s) for s in samples])
     for i, layer in enumerate(("c", "p")):
         g, u = (np.reshape(getattr(gw, x + layer), (r, m, k)) for x in ("g_", "u_"))
         t = np.multiply(u, g.real**2 + g.imag**2, out=v["t"][..., i, :])
@@ -262,7 +263,7 @@ def _sum_rows(rows, work=None):
     return x[0] + err
 
 
-def accumulate_components(sample, gw):
+def accumulate_components(sample, gw, chans=None):
     """Sample averages of the per-realization component forms.
 
     Per realization m and user k, with h the user's channel in that
@@ -291,13 +292,14 @@ def accumulate_components(sample, gw):
     axis) are summed side by side, as extra columns of one cascade, and
     every output field gets a leading run axis. The cascade acts on each
     column alone, so each run's components have the bits they have
-    alone.
+    alone. `chans`, the samples' `receivers.stacked_channels`, may be
+    passed when the caller has them.
     """
     samples = (sample,) if isinstance(sample, MonteCarloSample) else tuple(sample)
     m, n_t, k = samples[0].realizations.shape
     if gw.g_c.shape[-2:] != (m, k):
         raise ValueError("equalizer set does not match the sample")
-    rows = _component_rows(samples, gw)
+    rows = _component_rows(samples, gw, chans)
     sums = _sum_rows(rows, _work(*rows.shape)[1]).reshape(gw.g_c.shape[:-2] + (-1,))
     v = _field_views(sums, k, n_t)
     # t, u and v end the row as one real block: one division serves them

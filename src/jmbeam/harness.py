@@ -482,7 +482,9 @@ def run_convergence(cfg, snrs=None, inits=None, out_dir=None):
     error scale changes with the SNR and every trace sees the same
     underlying randomness. Returns
     {(snr_db, init): AoTrace} and writes one trace_<snr>_<init>.csv per
-    pair when out_dir is given.
+    pair when out_dir is given. All runs step in lockstep as one block
+    (`run_block`), each with the bits `run_ao` gives it alone; the first
+    run to fail, in (snr, init) order, raises its error.
 
     The traces are of the config's one alpha; a config with more than
     one raises ConfigError before anything runs or is written.
@@ -497,12 +499,17 @@ def run_convergence(cfg, snrs=None, inits=None, out_dir=None):
     alpha = float(cfg.alphas[0])
 
     t0 = time.perf_counter()
-    traces = {}
+    keys, runs = [], []
     for snr_db in snrs:
         csit, draw, sample = _draw(cfg, snr_db, alpha, cfg.master_seed)
         for init in inits:
-            _, trace = run_ao(draw.h_est, sample, csit, cfg.ao_params(init))
-            traces[(snr_db, init)] = trace
+            keys.append((snr_db, init))
+            runs.append((draw.h_est, sample, csit, cfg.ao_params(init), True))
+    traces = {}
+    for key, result in zip(keys, run_block(runs)):
+        if isinstance(result, JmbeamError):
+            raise result
+        traces[key] = result[1]
 
     if out_dir is not None:
         import os

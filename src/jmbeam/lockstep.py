@@ -24,7 +24,7 @@ unless the run catches it.
 
 from .errors import JmbeamError
 
-__all__ = ["IdentityCache", "drive", "run_one"]
+__all__ = ["drive", "run_one"]
 
 
 def drive(runs):
@@ -81,23 +81,3 @@ def run_one(run):
         raise result
     return result
 
-
-class IdentityCache:
-    """The last few values made from sequences of objects, keyed by the
-    identity of the objects. An entry holds its objects, so their ids
-    cannot be reused while it lives. Servers keep the arrays they stack
-    from the same runs round after round here."""
-
-    def __init__(self, size=8):
-        self.size = size
-        self.entries = {}
-
-    def get(self, objs, make):
-        """make(objs), or the value made for these very objects before."""
-        key = tuple(map(id, objs))
-        hit = self.entries.get(key)
-        if hit is None:
-            if len(self.entries) >= self.size:
-                del self.entries[next(iter(self.entries))]
-            hit = self.entries[key] = (tuple(objs), make(objs))
-        return hit[1]

@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import cholesky_psd
-from .lockstep import IdentityCache, run_one
-from .receivers import precoder_power
+from .lockstep import run_one
+from .receivers import _stack, precoder_power
 
 __all__ = [
     "QcqpProblem",
@@ -164,10 +164,6 @@ def build(components, sigma_n2, p_t):
     return problems if lead else problems[0]
 
 
-# stacked arrays of the problems of recent calls
-_FIELDS = IdentityCache()
-
-
 def _joint_first(problems):
     """Indices of `problems`, those of the joint form first, in order."""
     return sorted(range(len(problems)), key=lambda i: not problems[i].include_common)
@@ -177,16 +173,13 @@ def _fields(problems):
     """The arrays of problems listed joint form first, stacked: psi_obj,
     f_obj and p_t over all of them, and psi_con, f_con and con_const
     over the first nc, the joint ones."""
-    def make(qs):
-        nc = sum(q.include_common for q in qs)
-        out = {"nc": nc, "p_t": np.array([q.p_t for q in qs])}
-        for name, n in (("psi_obj", None), ("f_obj", None), ("psi_con", nc),
-                        ("f_con", nc), ("con_const", nc)):
-            if qs[:n]:
-                out[name] = np.stack([getattr(q, name) for q in qs[:n]])
-        return out
-
-    return _FIELDS.get(problems, make)
+    nc = sum(q.include_common for q in problems)
+    out = {"nc": nc, "p_t": np.array([q.p_t for q in problems])}
+    for name, n in (("psi_obj", None), ("f_obj", None), ("psi_con", nc),
+                    ("f_con", nc), ("con_const", nc)):
+        if problems[:n]:
+            out[name] = _stack([getattr(q, name) for q in problems[:n]])
+    return out
 
 
 def _dots(x, y):
@@ -628,8 +621,8 @@ def _points(payloads):
     nc, r = f["nc"], len(order)
     psi_obj, f_obj = f["psi_obj"], f["f_obj"]
     n_t = psi_obj.shape[-1]
-    p_obj = np.stack([items[i][1] for i in order])
-    p = np.stack([items[i][2] for i in order])
+    p_obj = np.array([items[i][1] for i in order])
+    p = np.array([items[i][2] for i in order])
     mu_pow = np.array([items[i][4] for i in order], dtype=float)
 
     priv = p_obj[:, :, 1:]

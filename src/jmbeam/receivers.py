@@ -32,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import MonteCarloSample
-from .lockstep import IdentityCache
 
 _LN2 = math.log(2.0)
 
@@ -72,13 +71,17 @@ def _interference_mask(k):
     return mask
 
 
-# stacked channels of the samples of recent calls
-_CHANNELS = IdentityCache(2)
+def _stack(arrays):
+    """Arrays of one shape stacked on a new leading axis: a view when
+    there is one, else a copy (np.array, a few times faster than np.stack
+    on small arrays)."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def stacked_channels(samples):
-    """The samples' `stacked` channels as one (R, m, k, n_t) array."""
-    return _CHANNELS.get(samples, lambda ss: np.stack([s.stacked for s in ss]))
+    """The `stacked` channels of a sequence of samples as one (R, m, k,
+    n_t) array."""
+    return _stack([s.stacked for s in samples])
 
 
 def _runs_of(sample, p):
@@ -92,7 +95,7 @@ def _runs_of(sample, p):
     return tuple(sample), np.asarray(p, dtype=complex), False
 
 
-def _batch_powers(sample, p, sigma_n2):
+def _batch_powers(sample, p, sigma_n2, chans=None):
     """Receive-power bookkeeping over a Monte-Carlo sample.
 
     Parameters
@@ -100,6 +103,8 @@ def _batch_powers(sample, p, sigma_n2):
     sample : MonteCarloSample, or a sequence of R of them (`_runs_of`)
     p : (n_t, k+1) complex ndarray, or (R, n_t, k+1)
     sigma_n2 : float, or one per run
+    chans : optional (R, m, k, n_t) ndarray
+        `stacked_channels` of the samples, when the caller has them
 
     Returns
     -------
@@ -116,7 +121,8 @@ def _batch_powers(sample, p, sigma_n2):
     read-only.
     """
     samples, p, one = _runs_of(sample, p)
-    chans = stacked_channels(samples)
+    if chans is None:
+        chans = stacked_channels(samples)
     r, m, k, n_t = chans.shape
     y = (chans.reshape(r, m * k, n_t) @ p.conj()).reshape(r, m, k, k + 1)
     a2 = y.real**2 + y.imag**2

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import tiny_cfg
 from jmbeam import harness
-from jmbeam.ao import AoTrace
+from jmbeam.ao import AoTrace, run_ao
 from jmbeam.baselines import zf_wf
 from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
 from jmbeam.errors import ConfigError
@@ -455,12 +455,13 @@ def test_convergence_draws_through_the_channel_model(monkeypatch):
     cfg = tiny_cfg(m=6, n_max=2)
     seen = []
 
-    def recording_run_ao(h_est, sample, csit, params, **kw):
-        seen.append((csit.p_t, h_est, sample.realizations))
-        return run_ao(h_est, sample, csit, params, **kw)
+    def recording_run_block(runs):
+        for h_est, sample, csit, _, _ in runs:
+            seen.append((csit.p_t, h_est, sample.realizations))
+        return run_block(runs)
 
-    run_ao = harness.run_ao
-    monkeypatch.setattr(harness, "run_ao", recording_run_ao)
+    run_block = harness.run_block
+    monkeypatch.setattr(harness, "run_block", recording_run_block)
     snrs = [0.0, 5.0, 20.0, 40.0]
     run_convergence(cfg, snrs=snrs, inits=["zf-svd"])
     assert len(seen) == len(snrs)
@@ -473,6 +474,26 @@ def test_convergence_draws_through_the_channel_model(monkeypatch):
         )
         assert np.array_equal(h_est, draw.h_est), snr_db
         assert np.array_equal(realizations, sample.realizations), snr_db
+
+
+def test_convergence_runs_step_as_one_block_with_the_bits_of_runs_alone(monkeypatch):
+    cfg = tiny_cfg(m=6, n_max=30, epsilon_r=1e-4)
+    sizes = []
+
+    def recording_run_block(runs):
+        sizes.append(len(runs))
+        return run_block(runs)
+
+    run_block = harness.run_block
+    monkeypatch.setattr(harness, "run_block", recording_run_block)
+    snrs = [0.0, 10.0, 20.0, 30.0, 40.0]
+    traces = run_convergence(cfg, snrs=snrs)
+    assert sizes == [len(snrs) * 4]
+    for snr_db in snrs:
+        csit, draw, sample = harness._draw(cfg, snr_db, cfg.alphas[0], cfg.master_seed)
+        for init in ("zf-svd", "zf-e", "mf-svd", "mf-e"):
+            _, alone = run_ao(draw.h_est, sample, csit, cfg.ao_params(init))
+            assert vars(traces[(snr_db, init)]) == vars(alone), (snr_db, init)
 
 
 def test_convergence_deterministic():

@@ -201,18 +201,43 @@ def test_degenerate_mmse_from_the_block_update_fails_one_run(tmp_path, monkeypat
 # certification, run by run
 
 
-def test_desk_blocks_certify_every_solve(monkeypatch):
-    # what the benchmark's traced gates checked one solve and one AO run at
-    # a time, read off the blocks of the desk sweep at 2 channels per cell
-    cfg = replace(ExperimentConfig.from_json(DESK_CONFIG), n_channels=2)
+def _certified_runs(monkeypatch, cfg):
+    """The traces of every AWSMSE run of cfg's sweep, after checking what
+    the benchmark's traced gates checked one solve and one AO run at a
+    time: every solve Optimal with a recomputed KKT residual of at most
+    1e-8, and the AO objective never rising by more than 1e-7."""
     blocks = _recorded_sweep(monkeypatch, cfg, None)
     results = [r for _, res in blocks for r in res]
     assert len(results) == 2 * len(cfg.snr_db) * cfg.n_channels
+    traces = []
     for result in results:
         assert not isinstance(result, JmbeamError)
         _, trace = result
         assert trace.solver_status == ["Optimal"] * len(trace)
-        assert max(trace.kkt_residual) <= 1e-8
-        assert trace.stop_reason == "converged"
         assert all(math.isfinite(x) for x in trace.kkt_residual)
+        assert max(trace.kkt_residual) <= 1e-8
         assert np.diff(trace.awsmse_obj).max(initial=-np.inf) <= 1e-7
+        traces.append(trace)
+    return traces
+
+
+def test_desk_blocks_certify_every_solve(monkeypatch):
+    # the desk sweep at 2 channels per cell: every run also converges
+    cfg = replace(ExperimentConfig.from_json(DESK_CONFIG), n_channels=2)
+    traces = _certified_runs(monkeypatch, cfg)
+    assert all(t.stop_reason == "converged" for t in traces)
+
+
+def test_paper_scale_blocks_certify_every_solve(monkeypatch):
+    # the benchmark's m = 1000 grid: one channel per cell on every other
+    # SNR, whose block updates take one run per stacked call; the 30 dB
+    # runs extrapolate
+    desk = ExperimentConfig.from_json(DESK_CONFIG)
+    cfg = replace(desk.paper_scale(), snr_db=desk.snr_db[::2], n_channels=1)
+    assert ao.CHUNK_ROWS // cfg.m <= 1
+    traces = _certified_runs(monkeypatch, cfg)
+    assert max(len(t) for t in traces) > ao.EXTRAPOLATE_FROM
+    # with a tighter threshold the 30 dB runs reach the cap and stop there
+    tight = replace(cfg, epsilon_r=1e-7, n_max=40)
+    stops = {t.stop_reason for t in _certified_runs(monkeypatch, tight)}
+    assert stops == {"converged", "n_max"}
