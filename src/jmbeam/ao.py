@@ -23,10 +23,10 @@ The loop of one run is written once, as the generator `ao_steps`, which
 yields its array work to the lockstep driver (`lockstep.drive`): the
 block update with its rates (`_updates`), the extrapolation's rates
 (`_rates`) and the requests of `qcqp.solve_steps`. `run_block` steps
-many runs together, one stacked numpy call per request kind and round,
-each run keeping its own warm starts, faces, line searches, incumbent
-fallbacks, extrapolation and stop test; `run_ao` is `run_block` on one
-run. A run's bits do not depend on the runs it is stepped with.
+many runs together, one stacked numpy call per request kind, round and
+CHUNK_ROWS realization rows, each run keeping its own warm starts, faces,
+line searches, incumbent fallbacks, extrapolation and stop test; `run_ao`
+is `run_block` on one run. A run's bits do not depend on its companions.
 """
 
 import math
@@ -70,7 +70,7 @@ EXTRAPOLATE_FROM = 20
 # served in consecutive chunks (`_chunks`). Such a call's arrays grow
 # with its rows. Measured by the benchmark's peak memory against one run
 # at a time: on the desk grid (m = 200, 10 runs a block) +1.9% at 600
-# rows, +3.5% at 1000 (and faster in 4 of 4 runs), +6.7% for the whole
+# rows, +3.6% at 1000 (and faster in 3 of 4 runs), +6.7% for the whole
 # block; at m = 1000 the whole block gave +27% and no speed, since the
 # work there grows with the rows. 1000 rows is 5 runs at m = 200 and one
 # at m = 1000.
