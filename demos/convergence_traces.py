@@ -14,13 +14,12 @@ from jmbeam.harness import ExperimentConfig, run_convergence
 
 
 def main():
-    cfg = ExperimentConfig(m=100, master_seed=12345)
-    snrs = [5.0, 20.0, 35.0]
-    traces = run_convergence(cfg, snrs=snrs)
+    cfg = ExperimentConfig(m=100, master_seed=12345, snr_db=(5.0, 20.0, 35.0))
+    traces = run_convergence(cfg)
 
     print(f"{'snr_db':>6} {'init':>8} {'iters':>6} {'final rbar':>12} "
           f"{'final ASR':>12} {'stop':>10}")
-    for snr in snrs:
+    for snr in cfg.snr_db:
         finals = []
         for init in INIT_SCHEMES:
             tr = traces[(snr, init)]

@@ -40,13 +40,7 @@ from . import qcqp
 from .awsmse import accumulate_components, equalizers_of, update_blocks
 from .linalg import dominant_left_singular_vector, mf_directions, zf_directions
 from .lockstep import drive, run_one
-from .receivers import (
-    _batch_powers,
-    average_rates,
-    precoder_power,
-    rates_of,
-    stacked_channels,
-)
+from .receivers import _batch_powers, average_rates, precoder_power, rates_of
 
 __all__ = [
     "EXTRAPOLATE_FROM",
@@ -117,7 +111,7 @@ class AoTrace:
     kkt_residual: list = field(default_factory=list)
     stop_reason: str = ""
 
-    def append(self, it, rbar, obj, power, status, iters, asr, kkt=math.nan):
+    def append(self, it, rbar, obj, power, status, iters, asr, kkt):
         self.iters.append(int(it))
         self.rbar.append(float(rbar))
         self.awsmse_obj.append(float(obj))
@@ -189,7 +183,7 @@ def initialize(scheme, h_est, p_t, alpha):
     return p
 
 
-def run_ao(h_est, sample, cfg, params, common=True):
+def run_ao(h_est, sample, cfg, params):
     """Alternate block updates and precoder solves until rbar settles.
 
     Parameters
@@ -199,12 +193,11 @@ def run_ao(h_est, sample, cfg, params, common=True):
     sample : MonteCarloSample
         Conditional realizations the averages run over.
     cfg : CsitConfig
-        Provides p_t, alpha, sigma_n2.
+        Provides p_t, alpha, sigma_n2; alpha only sets the starting power
+        split. At alpha = 1 the common column starts with no power, and a
+        zero common column stays zero under every update, so that run is
+        the broadcast-only one.
     params : AoParams
-    common : bool
-        False starts from the alpha = 1 split, whose common column has
-        no power. A zero common column stays zero under every update, so
-        this is the broadcast-only run.
 
     Returns
     -------
@@ -215,13 +208,13 @@ def run_ao(h_est, sample, cfg, params, common=True):
 
     This is `run_block` on one run.
     """
-    return run_one(ao_steps(h_est, sample, cfg, params, common))
+    return run_one(ao_steps(h_est, sample, cfg, params))
 
 
 def run_block(runs):
     """Step several AO runs in lockstep (`lockstep.drive`).
 
-    `runs` holds (h_est, sample, cfg, params, common) tuples, as
+    `runs` holds (h_est, sample, cfg, params) tuples, as
     `run_ao` takes them. The runs must share n_t, k and the sample size
     m; runs may share a sample. Each keeps its own warm starts, faces,
     line searches, incumbent fallbacks, extrapolation and stop test, and
@@ -231,11 +224,11 @@ def run_block(runs):
     return drive([ao_steps(*run) for run in runs])
 
 
-def ao_steps(h_est, sample, cfg, params, common=True):
+def ao_steps(h_est, sample, cfg, params):
     """`run_ao` as a generator for the lockstep driver: its requests are
     the block updates with their rates, the extrapolation's rates and
     those of `qcqp.solve_steps`, and it returns (p, trace)."""
-    p = initialize(params.init_scheme, h_est, cfg.p_t, cfg.alpha if common else 1.0)
+    p = initialize(params.init_scheme, h_est, cfg.p_t, cfg.alpha)
     trace = AoTrace()
     rbar_prev = 0.0
     p_prev = None
@@ -310,12 +303,11 @@ def _updates(items):
     forms."""
     out = []
     for part, samples, p, sigma_n2 in _chunks(items):
-        chans = stacked_channels(samples)
-        powers = _batch_powers(samples, p, sigma_n2, chans)
+        powers = _batch_powers(samples, p, sigma_n2)
         gw = equalizers_of(powers)
         asr = rates_of(powers).asr.tolist()
         del powers  # freed before the accumulation's buffers peak
-        comps = accumulate_components(samples, gw, chans)
+        comps = accumulate_components(samples, gw)
         rbar = np.min(comps.v_c, axis=-1) + np.sum(comps.v_p, axis=-1)
         problems = qcqp.build(comps, sigma_n2, [it[3] for it in part])
         out += zip(problems, rbar.tolist(), asr)

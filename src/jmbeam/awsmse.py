@@ -173,18 +173,17 @@ def _hermitian_gather(n):
     return idx
 
 
-def _component_rows(sample, gw, chans=None):
+def _component_rows(sample, gw):
     """Per-realization terms of all ten fields, one real row per realization.
 
     Returns an (m, D) array, or (m, R*D) for R runs (a sequence of
     samples with `gw` carrying a leading run axis), run r's terms in
     columns r*D to (r+1)*D: a view of the row buffer of `_work`, which
-    the next call overwrites. `chans` is as in `accumulate_components`.
-    Outer products come first (exactly Hermitian), then the real scaling.
+    the next call overwrites. Outer products come first (exactly
+    Hermitian), then the real scaling.
     """
     samples = (sample,) if isinstance(sample, MonteCarloSample) else tuple(sample)
-    if chans is None:
-        chans = stacked_channels(samples)
+    chans = stacked_channels(samples)
     r = len(samples)
     m, n_t, k = samples[0].realizations.shape
     rows = _work(m, r * (2 * k * n_t * (n_t + 2) + 6 * k))[0]
@@ -218,14 +217,7 @@ def _work(m, d):
     return rows, tuple(scratch)
 
 
-def _sum_buffers(m, d):
-    """Scratch for `_sum_rows` on (m, d) input: two ping-pong row blocks,
-    two for the error terms, one column vector."""
-    half = (m + 1) // 2
-    return tuple(np.empty((half, d)) for _ in range(4)) + (np.empty(d),)
-
-
-def _sum_rows(rows, work=None):
+def _sum_rows(rows):
     """Column sums of a real (m, D) array by an error-free pairwise cascade.
 
     Each level adds row pairs, t = a + b, and recovers every rounding
@@ -237,11 +229,11 @@ def _sum_rows(rows, work=None):
     column's condition number sum|x| / |sum x| nears 1/eps. TwoSum is odd
     in its arguments, so negated columns sum to negated results exactly.
 
-    `rows` is left intact; `work` (from `_sum_buffers`) holds every
-    intermediate, fresh ones are made when it is None.
+    `rows` is left intact; the intermediates live in the `_work` scratch
+    for its shape, which the next call overwrites.
     """
     n, d = rows.shape
-    t_next, t_spare, e, y, s = _sum_buffers(n, d) if work is None else work
+    t_next, t_spare, e, y, s = _work(n, d)[1]
     err = np.zeros(d)
     x = rows
     while n > 1:
@@ -263,7 +255,7 @@ def _sum_rows(rows, work=None):
     return x[0] + err
 
 
-def accumulate_components(sample, gw, chans=None):
+def accumulate_components(sample, gw):
     """Sample averages of the per-realization component forms.
 
     Per realization m and user k, with h the user's channel in that
@@ -292,15 +284,14 @@ def accumulate_components(sample, gw, chans=None):
     axis) are summed side by side, as extra columns of one cascade, and
     every output field gets a leading run axis. The cascade acts on each
     column alone, so each run's components have the bits they have
-    alone. `chans`, the samples' `receivers.stacked_channels`, may be
-    passed when the caller has them.
+    alone.
     """
     samples = (sample,) if isinstance(sample, MonteCarloSample) else tuple(sample)
     m, n_t, k = samples[0].realizations.shape
     if gw.g_c.shape[-2:] != (m, k):
         raise ValueError("equalizer set does not match the sample")
-    rows = _component_rows(samples, gw, chans)
-    sums = _sum_rows(rows, _work(*rows.shape)[1]).reshape(gw.g_c.shape[:-2] + (-1,))
+    rows = _component_rows(samples, gw)
+    sums = _sum_rows(rows).reshape(gw.g_c.shape[:-2] + (-1,))
     v = _field_views(sums, k, n_t)
     # t, u and v end the row as one real block: one division serves them
     psi = _unpack_hermitian(v["psi"]) / m

@@ -6,7 +6,8 @@ p_t = 10**(snr_db/10). Each (alpha, snr, channel) cell owns an RNG
 substream derived from the master seed; the scheme is deliberately not
 part of the key, so all schemes see identical channel draws and Monte
 Carlo samples (paired comparison). The true channel is only ever used
-for evaluation, never inside an optimizer.
+for evaluation, never inside an optimizer. BC-AWSMSE is the JMB-AWSMSE
+run at alpha = 1 (`_ao_run`), on the cell's channel.
 
 A sweep task is a block of up to BLOCK_CHANNELS consecutive channels of
 the grid. It draws each channel and sample once for all schemes and
@@ -245,17 +246,25 @@ def run_single(cfg, scheme, snr_db, alpha, seed):
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
     csit, draw, sample = _draw(cfg, snr_db, alpha, seed)
-
-    # the broadcast schemes are the alpha = 1 cases: no common power
     if scheme.endswith("AWSMSE"):
-        p, trace = run_ao(
-            draw.h_est, sample, csit, cfg.ao_params(), common=scheme.startswith("JMB")
-        )
+        p, trace = run_ao(*_ao_run(cfg, scheme, csit, draw, sample))
     else:
         p, trace = _baseline(scheme, draw, csit), None
 
     sr = sum_rate(draw.h_true, p, SIGMA_N2)
     return p, float(sr), trace
+
+
+def _ao_run(cfg, scheme, csit, draw, sample):
+    """The `run_ao` arguments of an AWSMSE scheme on one drawn channel.
+
+    BC-AWSMSE is the joint design at alpha = 1: its common column starts
+    with no power and, being zero, stays so under every update. Only the
+    optimizer sees that alpha; the channel keeps the cell's.
+    """
+    if scheme.startswith("BC"):
+        csit = replace(csit, alpha=1.0)
+    return draw.h_est, sample, csit, cfg.ao_params()
 
 
 def _baseline(scheme, draw, csit):
@@ -281,7 +290,7 @@ def _block_task(cfg, cells):
     ]
     ao_schemes = [s for s in cfg.schemes if s.endswith("AWSMSE")]
     runs = [
-        (draw.h_est, sample, csit, cfg.ao_params(), scheme.startswith("JMB"))
+        _ao_run(cfg, scheme, csit, draw, sample)
         for csit, draw, sample in draws
         for scheme in ao_schemes
     ]
@@ -474,8 +483,9 @@ def _fmt_snr(snr_db):
     return "%g" % float(snr_db)
 
 
-def run_convergence(cfg, snrs=None, inits=None, out_dir=None):
-    """Optimization traces on one channel across SNRs and starts.
+def run_convergence(cfg, out_dir=None):
+    """Optimization traces on one channel for every SNR of the config
+    and every start in INIT_SCHEMES.
 
     Every SNR draws its channel and sample as run_single does, from the
     same substreams (master_seed, 0) and (master_seed, 1), so only the
@@ -494,8 +504,8 @@ def run_convergence(cfg, snrs=None, inits=None, out_dir=None):
             f"convergence runs at one alpha, got {len(cfg.alphas)}: "
             f"{', '.join(map(repr, cfg.alphas))}"
         )
-    snrs = list(cfg.snr_db) if snrs is None else [float(s) for s in snrs]
-    inits = list(INIT_SCHEMES) if inits is None else list(inits)
+    snrs = list(cfg.snr_db)
+    inits = list(INIT_SCHEMES)
     alpha = float(cfg.alphas[0])
 
     t0 = time.perf_counter()
@@ -504,7 +514,7 @@ def run_convergence(cfg, snrs=None, inits=None, out_dir=None):
         csit, draw, sample = _draw(cfg, snr_db, alpha, cfg.master_seed)
         for init in inits:
             keys.append((snr_db, init))
-            runs.append((draw.h_est, sample, csit, cfg.ao_params(init), True))
+            runs.append((draw.h_est, sample, csit, cfg.ao_params(init)))
     traces = {}
     for key, result in zip(keys, run_block(runs)):
         if isinstance(result, JmbeamError):

@@ -227,12 +227,6 @@ def _guard(problems):
     return [None] * len(problems)
 
 
-def _dual(q, z):
-    """Lagrange dual function at z = (mu, mu_pow * p_t) with derivatives;
-    `_duals` on one item."""
-    return _duals([(q, z)])[0]
-
-
 def _duals(items):
     """Lagrange dual function with derivatives at each (problem, z) item,
     z = (mu, mu_pow * p_t), in stacked calls.

@@ -95,7 +95,7 @@ def _runs_of(sample, p):
     return tuple(sample), np.asarray(p, dtype=complex), False
 
 
-def _batch_powers(sample, p, sigma_n2, chans=None):
+def _batch_powers(sample, p, sigma_n2):
     """Receive-power bookkeeping over a Monte-Carlo sample.
 
     Parameters
@@ -103,8 +103,6 @@ def _batch_powers(sample, p, sigma_n2, chans=None):
     sample : MonteCarloSample, or a sequence of R of them (`_runs_of`)
     p : (n_t, k+1) complex ndarray, or (R, n_t, k+1)
     sigma_n2 : float, or one per run
-    chans : optional (R, m, k, n_t) ndarray
-        `stacked_channels` of the samples, when the caller has them
 
     Returns
     -------
@@ -121,8 +119,7 @@ def _batch_powers(sample, p, sigma_n2, chans=None):
     read-only.
     """
     samples, p, one = _runs_of(sample, p)
-    if chans is None:
-        chans = stacked_channels(samples)
+    chans = stacked_channels(samples)
     r, m, k, n_t = chans.shape
     y = (chans.reshape(r, m * k, n_t) @ p.conj()).reshape(r, m, k, k + 1)
     a2 = y.real**2 + y.imag**2

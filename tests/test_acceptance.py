@@ -147,8 +147,8 @@ def test_criterion_4_ao_descent_and_stopping():
 
 def test_criterion_5_convergence_spread_grows_with_snr():
     t0 = time.perf_counter()
-    cfg = ExperimentConfig()
-    traces = run_convergence(cfg, snrs=[5.0, 20.0, 35.0])
+    cfg = ExperimentConfig(snr_db=(5.0, 20.0, 35.0))
+    traces = run_convergence(cfg)
     all_conv = all(t.stop_reason == "converged" for t in traces.values())
 
     def spread(snr):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_system
+from conftest import random_system, tiny_cfg
 from jmbeam import ao, qcqp
 from jmbeam.ao import AoParams, AoTrace, dof_power_split, initialize, run_ao
 from jmbeam.awsmse import (
@@ -15,7 +15,7 @@ from jmbeam.awsmse import (
 )
 from jmbeam.channel import CsitConfig, MonteCarloSample
 from jmbeam.errors import RankDeficient
-from jmbeam.harness import cell_seed
+from jmbeam.harness import cell_seed, run_single
 from jmbeam.linalg import zf_directions
 from jmbeam.qcqp import OPTIMAL_TOL, build, solve
 from jmbeam.receivers import average_rates, precoder_power
@@ -155,8 +155,8 @@ def test_params_defaults_and_validation():
 
 def test_trace_csv_round_trip(tmp_path):
     tr = AoTrace()
-    tr.append(1, 1.23456789012345678, -0.5, 9.99, "Optimal", 12, 1.2)
-    tr.append(2, 1.3, -0.6, 10.0, "Optimal", 9, 1.3)
+    tr.append(1, 1.23456789012345678, -0.5, 9.99, "Optimal", 12, 1.2, 1e-12)
+    tr.append(2, 1.3, -0.6, 10.0, "Optimal", 9, 1.3, 1e-12)
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     lines = open(path).read().splitlines()
@@ -222,16 +222,16 @@ def test_descent_and_audit_identity():
 
 def test_bc_mode_common_column_stays_zero():
     cfg, draw, sample = random_system(5, snr_db=20.0, m=15)
-    p, trace = run_ao(draw.h_est, sample, cfg, AoParams(), common=False)
+    p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
     assert np.all(p[:, 0] == 0)
     obj = np.array(trace.awsmse_obj)
     assert np.all(np.diff(obj) <= 1e-7)
 
 
 def test_bc_run_is_the_alpha_one_joint_run(monkeypatch):
-    # the broadcast run is the joint machinery from the alpha = 1 start:
-    # at every update the common column is exactly zero and build poses
-    # the broadcast form, and the traced objective is the true averaged
+    # the broadcast run is the joint machinery at alpha = 1: at every
+    # update the common column is exactly zero and build poses the
+    # broadcast form, and the traced objective is the true averaged
     # WSMSE, the silent common layer's constant included, as for a joint
     # run. The 20 dB run takes 37 updates, so extrapolated precoders are
     # checked too
@@ -259,7 +259,7 @@ def test_bc_run_is_the_alpha_one_joint_run(monkeypatch):
             m.setattr(ao, "_updates", blocks)
             m.setattr(qcqp, "build", recording_build)
             m.setattr(qcqp, "solve_steps", recording_solve)
-            p, trace = run_ao(draw.h_est, sample, cfg, AoParams(), common=False)
+            p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
         assert len(steps) == len(trace) > 1
         assert np.all(p[:, 0] == 0)
         for (comps, q, sol), obj in zip(steps, trace.awsmse_obj):
@@ -267,8 +267,10 @@ def test_bc_run_is_the_alpha_one_joint_run(monkeypatch):
             assert np.all(sol.p_star[:, 0] == 0)
             want = awsmse_objective(*awmse_values(comps, sol.p_star, cfg.sigma_n2))
             assert obj == pytest.approx(want, rel=1e-12)
-        # and it is the joint run at alpha = 1, bit for bit
-        p_1, trace_1 = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
+        # and it is the harness's BC-AWSMSE run on this channel, bit for bit
+        p_1, _, trace_1 = run_single(
+            tiny_cfg(m=15, epsilon_r=1e-3, n_max=200), "BC-AWSMSE", snr_db, cfg.alpha, seed
+        )
         assert np.array_equal(p, p_1)
         assert trace_1.awsmse_obj == trace.awsmse_obj
         assert trace_1.asr_audit == trace.asr_audit
@@ -312,12 +314,12 @@ def test_extrapolation_converges_where_plain_loop_crawls(monkeypatch):
     cfg, draw, sample = random_system(seed, snr_db=30.0, m=200)
     with monkeypatch.context() as m:
         m.setattr(ao, "EXTRAPOLATE_FROM", 201)
-        p, trace = run_ao(draw.h_est, sample, cfg, AoParams(), common=False)
+        p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
     assert trace.stop_reason == "n_max"
     assert trace.asr_audit[-1] - trace.asr_audit[-51] > 0.3
     assert average_rates(sample, p, cfg.sigma_n2).asr < 8.8
 
-    p, trace = run_ao(draw.h_est, sample, cfg, AoParams(), common=False)
+    p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
     assert trace.stop_reason == "converged" and len(trace) < 100
     assert average_rates(sample, p, cfg.sigma_n2).asr > 10.8
     assert np.all(np.diff(trace.awsmse_obj) <= 1e-7)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import multiprocessing
@@ -5,14 +6,15 @@ import os
 import time
 from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import tiny_cfg
-from jmbeam import harness
-from jmbeam.ao import AoTrace, run_ao
+from jmbeam import ao, awsmse, harness, receivers
+from jmbeam.ao import INIT_SCHEMES, AoTrace, run_ao
 from jmbeam.baselines import zf_wf
 from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
 from jmbeam.errors import ConfigError
@@ -412,31 +414,54 @@ def test_csv_writers_round_trip(tmp_path):
     assert float(row[4]) == rec.esr
 
 
+def test_bc_rows_are_the_alpha_one_run_and_no_option_selects_them(tmp_path):
+    # the broadcast scheme has no switch of its own: none of the options
+    # that selected or fed its run is left, and every BC-AWSMSE row of a
+    # sweep is run_ao on the cell's draw at alpha = 1, to the bit
+    removed = {"common", "chans", "work", "snrs", "inits"}
+    for fn in (ao.run_ao, ao.ao_steps, harness.run_convergence, awsmse._sum_rows,
+               awsmse.accumulate_components, awsmse._component_rows,
+               receivers._batch_powers):
+        assert removed.isdisjoint(inspect.signature(fn).parameters), fn.__name__
+    params = inspect.signature(AoTrace.append).parameters.values()
+    assert all(x.default is inspect.Parameter.empty for x in params)
+
+    cfg = tiny_cfg(schemes=SCHEMES, snr_db=(5.0, 30.0), m=12, n_channels=2)
+    run_sweep(cfg, out_dir=str(tmp_path))
+    rows = [r.split(",") for r in (tmp_path / "sr_detail.csv").read_text().splitlines()[1:]]
+    bc = [r for r in rows if r[0] == "BC-AWSMSE"]
+    assert len(bc) == len(cfg.snr_db) * cfg.n_channels
+    for _, alpha, snr_db, ch, sr in bc:
+        seed = cell_seed(cfg.master_seed, float(alpha), float(snr_db), int(ch))
+        csit, draw, sample = harness._draw(cfg, float(snr_db), float(alpha), seed)
+        p, _ = run_ao(draw.h_est, sample, replace(csit, alpha=1.0), cfg.ao_params())
+        assert sr == repr(float(sum_rate(draw.h_true, p, harness.SIGMA_N2))), (snr_db, ch)
+
+
 # ---------------------------------------------------------------------------
 # run_convergence
 
 
 def test_convergence_mini(tmp_path):
     cfg = tiny_cfg(m=12, n_max=30)
-    traces = run_convergence(
-        cfg, snrs=[5.0], inits=["zf-svd", "mf-e"], out_dir=str(tmp_path)
-    )
-    assert set(traces) == {(5.0, "zf-svd"), (5.0, "mf-e")}
+    traces = run_convergence(cfg, out_dir=str(tmp_path))
+    assert set(traces) == {(5.0, init) for init in INIT_SCHEMES}
     for trace in traces.values():
         r = np.array(trace.rbar)
         # monotone after the first update has taken effect
         assert np.all(np.diff(r[1:]) >= -1e-6)
-    assert (tmp_path / "trace_5_zf-svd.csv").exists()
-    assert (tmp_path / "trace_5_mf-e.csv").exists()
+    for init in INIT_SCHEMES:
+        assert (tmp_path / f"trace_5_{init}.csv").exists()
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["kind"] == "convergence"
-    assert meta["inits"] == ["zf-svd", "mf-e"]
+    assert meta["snrs"] == [5.0]
+    assert meta["inits"] == list(INIT_SCHEMES)
 
 
 def test_convergence_low_snr_init_agreement():
     # at 5 dB the four starts land on nearly the same surrogate rate
-    cfg = tiny_cfg(m=30, epsilon_r=1e-3, n_max=60)
-    traces = run_convergence(cfg, snrs=[5.0])
+    cfg = tiny_cfg(m=30, epsilon_r=1e-3, n_max=60, snr_db=(5.0,))
+    traces = run_convergence(cfg)
     finals = [tr.rbar[-1] for tr in traces.values()]
     assert len(finals) == 4
     assert max(finals) - min(finals) <= 0.05
@@ -444,28 +469,31 @@ def test_convergence_low_snr_init_agreement():
 
 def test_convergence_n_max_one():
     cfg = tiny_cfg(m=6, n_max=1)
-    traces = run_convergence(cfg, snrs=[5.0], inits=["zf-e"])
-    (trace,) = traces.values()
-    assert len(trace) == 1
+    traces = run_convergence(cfg)
+    assert len(traces) == len(INIT_SCHEMES)
+    for trace in traces.values():
+        assert len(trace) == 1
 
 
 def test_convergence_draws_through_the_channel_model(monkeypatch):
     # every SNR's channel and sample are make_draw and draw_sample on the
     # substreams (master_seed, 0) and (master_seed, 1), bit for bit
-    cfg = tiny_cfg(m=6, n_max=2)
+    snrs = [0.0, 5.0, 20.0, 40.0]
+    cfg = tiny_cfg(m=6, n_max=2, snr_db=tuple(snrs))
     seen = []
 
     def recording_run_block(runs):
-        for h_est, sample, csit, _, _ in runs:
+        for h_est, sample, csit, _ in runs:
             seen.append((csit.p_t, h_est, sample.realizations))
         return run_block(runs)
 
     run_block = harness.run_block
     monkeypatch.setattr(harness, "run_block", recording_run_block)
-    snrs = [0.0, 5.0, 20.0, 40.0]
-    run_convergence(cfg, snrs=snrs, inits=["zf-svd"])
-    assert len(seen) == len(snrs)
-    for snr_db, (p_t, h_est, realizations) in zip(snrs, seen):
+    run_convergence(cfg)
+    n_inits = len(INIT_SCHEMES)
+    assert len(seen) == len(snrs) * n_inits
+    for i, (p_t, h_est, realizations) in enumerate(seen):
+        snr_db = snrs[i // n_inits]
         csit = CsitConfig(n_t=cfg.n_t, k=cfg.k, alpha=cfg.alphas[0], p_t=p_t)
         assert p_t == snr_to_pt(snr_db)
         draw = make_draw(substream(cfg.master_seed, 0), csit)
@@ -477,7 +505,8 @@ def test_convergence_draws_through_the_channel_model(monkeypatch):
 
 
 def test_convergence_runs_step_as_one_block_with_the_bits_of_runs_alone(monkeypatch):
-    cfg = tiny_cfg(m=6, n_max=30, epsilon_r=1e-4)
+    snrs = [0.0, 10.0, 20.0, 30.0, 40.0]
+    cfg = tiny_cfg(m=6, n_max=30, epsilon_r=1e-4, snr_db=tuple(snrs))
     sizes = []
 
     def recording_run_block(runs):
@@ -486,8 +515,7 @@ def test_convergence_runs_step_as_one_block_with_the_bits_of_runs_alone(monkeypa
 
     run_block = harness.run_block
     monkeypatch.setattr(harness, "run_block", recording_run_block)
-    snrs = [0.0, 10.0, 20.0, 30.0, 40.0]
-    traces = run_convergence(cfg, snrs=snrs)
+    traces = run_convergence(cfg)
     assert sizes == [len(snrs) * 4]
     for snr_db in snrs:
         csit, draw, sample = harness._draw(cfg, snr_db, cfg.alphas[0], cfg.master_seed)
@@ -498,8 +526,8 @@ def test_convergence_runs_step_as_one_block_with_the_bits_of_runs_alone(monkeypa
 
 def test_convergence_deterministic():
     cfg = tiny_cfg(m=6, n_max=5)
-    t1 = run_convergence(cfg, snrs=[5.0], inits=["zf-svd"])
-    t2 = run_convergence(cfg, snrs=[5.0], inits=["zf-svd"])
+    t1 = run_convergence(cfg)
+    t2 = run_convergence(cfg)
     a = t1[(5.0, "zf-svd")]
     b = t2[(5.0, "zf-svd")]
     assert a.rbar == b.rbar
@@ -693,7 +721,7 @@ def test_convergence_rejects_more_than_one_alpha(tmp_path, capsys):
     # the traces are of one alpha; a second one used to be dropped silently
     cfg = tiny_cfg(alphas=(0.6, 0.8), m=6, n_max=3)
     with pytest.raises(ConfigError, match="one alpha"):
-        run_convergence(cfg, snrs=[5.0], out_dir=str(tmp_path / "api"))
+        run_convergence(cfg, out_dir=str(tmp_path / "api"))
     assert not (tmp_path / "api").exists()
 
     from jmbeam.cli import main

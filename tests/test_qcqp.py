@@ -504,7 +504,7 @@ def test_solve_accepts_rank_deficient_component():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
 def test_dual_derivatives_match_differences(include_common, n, snr_db):
-    # the gradient _dual returns is the central difference of its value
+    # the gradient _duals returns is the central difference of its value
     # and the Hessian the central difference of its gradient, at an
     # interior z (every mu and mu_pow positive)
     q, _, _ = problem_from_seed(11 * n, n_t=n, k=n, snr_db=snr_db, common=include_common)
@@ -512,7 +512,7 @@ def test_dual_derivatives_match_differences(include_common, n, snr_db):
     rng = np.random.default_rng(n)
     mu = rng.uniform(0.5, 1.5, q.k if include_common else 0)
     z = np.append(mu / mu.sum(), rng.uniform(0.5, 1.5))
-    _, grad, hess, _ = qcqp._dual(q, z)
+    _, grad, hess, _ = qcqp._duals([(q, z)])[0]
     assert hess.shape == (z.size, z.size)
     assert np.allclose(hess, hess.T, rtol=1e-9, atol=1e-12 * np.abs(hess).max())
     assert np.linalg.eigvalsh(hess).max() <= 1e-9 * np.abs(hess).max()  # concave
@@ -521,7 +521,7 @@ def test_dual_derivatives_match_differences(include_common, n, snr_db):
         up, down = z.copy(), z.copy()
         up[v] += h
         down[v] -= h
-        ev_up, ev_down = qcqp._dual(q, up), qcqp._dual(q, down)
+        ev_up, ev_down = qcqp._duals([(q, up)])[0], qcqp._duals([(q, down)])[0]
         d_value = (ev_up[0] - ev_down[0]) / (2 * h)
         assert d_value == pytest.approx(grad[v], rel=1e-6, abs=1e-6), v
         d_grad = (ev_up[1] - ev_down[1]) / (2 * h)
