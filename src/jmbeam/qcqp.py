@@ -465,7 +465,12 @@ def _face_newton(q, z):
         for _ in range(30):
             zn = y if s == 1.0 else z + s * d
             ev = yield _duals, (q, zn)
-            if ev is not None and (small or ev[0] - value >= 0.01 * s * dec):
+            # the dual is concave, so a value above its tangent at z comes
+            # from a system that is singular but rounds invertible
+            if ev is not None and (
+                ev[0] - value <= s * dec + 1e-9 * (1.0 + abs(value))
+                and (small or ev[0] - value >= 0.01 * s * dec)
+            ):
                 break
             s *= 0.5
         else:

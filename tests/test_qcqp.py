@@ -486,8 +486,11 @@ def test_solve_accepts_rank_deficient_component():
     # accepts them. Where the budget binds (0 and 10 dB) every solve is
     # certified. Above that the budget price can fall to zero, where the
     # common column's system is singular and the face Newton can only
-    # halve mu_pow; some of those solves end 'MaxIter' (CHANGES.md), so
-    # they are only checked to return a feasible point
+    # halve mu_pow; 7 of those solves end 'MaxIter' (CHANGES.md), so they
+    # are only checked to return a feasible point. Dual values above the
+    # tangent, from a singular system that rounds invertible, are rejected
+    # by the line search, which keeps the 0/10 dB rows certified whatever
+    # the last bits of the components (the test below)
     for seed in range(20):
         for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
             q, _, _ = problem_from_seed(seed, n_t=3, k=2, snr_db=snr_db, m=1)
@@ -498,6 +501,36 @@ def test_solve_accepts_rank_deficient_component():
             if snr_db <= 10.0:
                 assert sol.status == "Optimal", (seed, snr_db)
                 assert sol.kkt_residual <= qcqp.WARM_TOL, (seed, snr_db)
+
+
+def _ulps_away(a, rng, ulps):
+    """`a` with every float moved `ulps` ulps up or down at random."""
+    a = np.array(a)
+    x = a.view(float) if np.iscomplexobj(a) else a
+    toward = rng.choice([-np.inf, np.inf], x.shape)
+    for _ in range(ulps):
+        x[...] = np.nextafter(x, toward)
+    return a
+
+
+def test_rank_deficient_solves_survive_ulp_perturbations():
+    # the rows of test_solve_accepts_rank_deficient_component where the
+    # budget binds, with psi_obj (kept exactly Hermitian) and f_con moved
+    # by 1-3 ulp: a common system that is singular but rounds invertible
+    # gives a garbage dual value above the tangent, which the line search
+    # must reject, whatever the last bits of the components
+    for seed in range(20):
+        for snr_db in (0.0, 10.0):
+            q, _, _ = problem_from_seed(seed, n_t=3, k=2, snr_db=snr_db, m=1)
+            for ulps in (1, 2, 3):
+                rng = np.random.default_rng([seed, int(snr_db), ulps])
+                upper = np.triu(_ulps_away(q.psi_obj, rng, ulps))
+                psi_obj = upper + np.triu(upper, 1).conj().T
+                psi_obj[np.diag_indices(3)] = psi_obj.diagonal().real
+                f_con = _ulps_away(q.f_con, rng, ulps)
+                sol = solve(replace(q, psi_obj=psi_obj, f_con=f_con))
+                assert sol.status == "Optimal", (seed, snr_db, ulps)
+                assert sol.kkt_residual <= qcqp.WARM_TOL, (seed, snr_db, ulps)
 
 
 @pytest.mark.parametrize("include_common", [True, False])
