@@ -109,20 +109,15 @@ class ChannelDraw:
 @dataclass(frozen=True, eq=False)
 class MonteCarloSample:
     """Ordered sample of conditional channel realizations, shape
-    (m, n_t, k). The ordering is fixed by draw index; `average_rates`
-    averages in this order. `accumulate_components` sums pairwise,
-    correctly rounded in practice, so the order does not change it.
+    (m, n_t, k). The ordering is fixed by draw index, and every sample
+    average (`average_rates`, `accumulate_components`) is taken over
+    it in this order, so the same realizations give the same bits.
 
     The sample holds its own read-only complex copy of the realizations,
-    so what is derived from them cannot go stale:
-
-    * `stacked`, (m, k, n_t): row [mi, u] is user u's channel in
-      realization mi; as an (m*k, n_t) matrix it gives P^H h for the
-      whole sample in one GEMM;
-    * `outer`, (m, k, n_t, n_t): the per-realization outer products h h^H,
-      computed on each access (`awsmse` keeps only a packed form);
-    * `workspace`: a dict of per-sample values owned by the evaluation
-      layers (the packed outer products of `awsmse`).
+    so what is derived from them cannot go stale: `stacked`,
+    (m, k, n_t), where row [mi, u] is user u's channel in realization
+    mi; as an (m*k, n_t) matrix it gives P^H h for the whole sample in
+    one GEMM.
     """
 
     realizations: np.ndarray = field(repr=False)
@@ -140,15 +135,6 @@ class MonteCarloSample:
     @cached_property
     def stacked(self):
         return _read_only(self.realizations.transpose(0, 2, 1).copy())
-
-    @property
-    def outer(self):
-        h = self.realizations
-        return _read_only(np.einsum("mik,mjk->mkij", h, h.conj()))
-
-    @cached_property
-    def workspace(self):
-        return {}
 
 
 def _read_only(a):

@@ -2,8 +2,8 @@
 
 Everything in this file recomputes a quantity the library also produces,
 but by a deliberately different route: explicit Python loops instead of
-einsum, einsum instead of a GEMM on cached sample data, fsum instead of a
-pairwise error-free reduction, dual ascent, bisection and a cone
+einsum, einsum instead of a GEMM on cached sample data, fsum instead of
+matrix products over the realizations, dual ascent, bisection and a cone
 interior-point method instead of a dual Newton path, symbol-level
 simulation instead of closed forms. Agreement between the two routes is
 the evidence; nothing here imports the implementation path it is

@@ -419,9 +419,8 @@ def test_bc_rows_are_the_alpha_one_run_and_no_option_selects_them(tmp_path):
     # that selected or fed its run is left, and every BC-AWSMSE row of a
     # sweep is run_ao on the cell's draw at alpha = 1, to the bit
     removed = {"common", "chans", "work", "snrs", "inits"}
-    for fn in (ao.run_ao, ao.ao_steps, harness.run_convergence, awsmse._sum_rows,
-               awsmse.accumulate_components, awsmse._component_rows,
-               receivers._batch_powers):
+    for fn in (ao.run_ao, ao.ao_steps, harness.run_convergence,
+               awsmse.accumulate_components, receivers._batch_powers):
         assert removed.isdisjoint(inspect.signature(fn).parameters), fn.__name__
     params = inspect.signature(AoTrace.append).parameters.values()
     assert all(x.default is inspect.Parameter.empty for x in params)
