@@ -30,11 +30,11 @@ def main(seed=3, snr_db=20.0, alpha=0.6, m=200):
     p0 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     p0 *= np.sqrt(p_t) / np.linalg.norm(p0)
 
-    gw = update_blocks(sample, p0, csit.sigma_n2)
+    gw = update_blocks(sample, p0)
     comps = accumulate_components(sample, gw)
-    before = awsmse_objective(*awmse_values(comps, p0, csit.sigma_n2))
+    before = awsmse_objective(*awmse_values(comps, p0))
 
-    q = build(comps, csit.sigma_n2, p_t)
+    q = build(comps, p_t)
     sol = solve(q, warm=p0)
     after = sol.objective + q.omitted_constant
 
@@ -52,8 +52,8 @@ def main(seed=3, snr_db=20.0, alpha=0.6, m=200):
 
     print("update  steps warm  steps cold  KKT res warm  precoder gap")
     for n in range(2, 8):
-        gw = update_blocks(sample, sol.p_star, csit.sigma_n2)
-        q = build(accumulate_components(sample, gw), csit.sigma_n2, p_t)
+        gw = update_blocks(sample, sol.p_star)
+        q = build(accumulate_components(sample, gw), p_t)
         cold = solve(q, warm=sol.p_star)
         sol = solve(q, warm=sol.p_star, warm_dual=(sol.mu, sol.mu_pow))
         gap = np.abs(sol.p_star - cold.p_star).max() / np.abs(cold.p_star).max()

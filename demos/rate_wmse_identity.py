@@ -30,10 +30,10 @@ def main(seed=7, n_t=2, k=2, snr_db=20.0, alpha=0.6, m=400):
     p = rng.normal(size=(n_t, k + 1)) + 1j * rng.normal(size=(n_t, k + 1))
     p *= np.sqrt(p_t) / np.linalg.norm(p)
 
-    gw = update_blocks(sample, p, csit.sigma_n2)
+    gw = update_blocks(sample, p)
     comps = accumulate_components(sample, gw)
-    xi_c, xi_p = awmse_values(comps, p, csit.sigma_n2)
-    ar = average_rates(sample, p, csit.sigma_n2)
+    xi_c, xi_p = awmse_values(comps, p)
+    ar = average_rates(sample, p)
 
     print(f"n_t={n_t} k={k} snr={snr_db:g} dB alpha={alpha:g} m={m}")
     print(f"{'user':>4} {'rbar_c':>10} {'xi_c':>10} {'1-xi_c':>10} "

@@ -193,10 +193,11 @@ def run_ao(h_est, sample, cfg, params):
     sample : MonteCarloSample
         Conditional realizations the averages run over.
     cfg : CsitConfig
-        Provides p_t, alpha, sigma_n2; alpha only sets the starting power
-        split. At alpha = 1 the common column starts with no power, and a
-        zero common column stays zero under every update, so that run is
-        the broadcast-only one.
+        Provides p_t, which is the SNR since the noise power is one, and
+        alpha, which only sets the starting power split. At alpha = 1
+        the common column starts with no power, and a zero common column
+        stays zero under every update, so that run is the broadcast-only
+        one.
     params : AoParams
 
     Returns
@@ -236,7 +237,7 @@ def ao_steps(h_est, sample, cfg, params):
     stop = "n_max"
     sol = None
     for n in range(1, params.n_max + 1):
-        q, rbar, asr = yield _updates, (sample, p, cfg.sigma_n2, cfg.p_t)
+        q, rbar, asr = yield _updates, (sample, p, cfg.p_t)
         sol = yield from qcqp.solve_steps(
             q, warm=p, warm_dual=None if sol is None else (sol.mu, sol.mu_pow)
         )
@@ -267,9 +268,7 @@ def ao_steps(h_est, sample, cfg, params):
             power = precoder_power(p_try)
             if power > cfg.p_t:
                 p_try *= math.sqrt(cfg.p_t / power)
-            asr, asr_try = yield _rates, (
-                (sample, p_new, cfg.sigma_n2), (sample, p_try, cfg.sigma_n2)
-            )
+            asr, asr_try = yield _rates, ((sample, p_new), (sample, p_try))
             if asr_try > asr:
                 p = p_try
                 beta *= 1.5
@@ -281,9 +280,9 @@ def ao_steps(h_est, sample, cfg, params):
 
 
 def _chunks(items):
-    """Consecutive slices of request items (sample, p, sigma_n2, ...) of
-    at most CHUNK_ROWS realization rows (one item at least), with their
-    samples, stacked precoders and noise powers."""
+    """Consecutive slices of request items (sample, p, ...) of at most
+    CHUNK_ROWS realization rows (one item at least), with their samples
+    and stacked precoders."""
     step = max(1, CHUNK_ROWS // items[0][0].m)
     for lo in range(0, len(items), step):
         part = items[lo:lo + step]
@@ -291,36 +290,34 @@ def _chunks(items):
             part,
             [it[0] for it in part],
             np.array([it[1] for it in part]),
-            np.array([it[2] for it in part]),
         )
 
 
 def _updates(items):
-    """Per item (sample, p, sigma_n2, p_t), in stacked calls: the
-    precoder-update problem after the block update at p, the surrogate
-    rate rbar from its averaged log-weights, and the average sum rate at
-    p. At zero common power v_c is exactly zero, so rbar holds for both
-    forms."""
+    """Per item (sample, p, p_t), in stacked calls: the precoder-update
+    problem after the block update at p, the surrogate rate rbar from its
+    averaged log-weights, and the average sum rate at p. At zero common
+    power v_c is exactly zero, so rbar holds for both forms."""
     out = []
-    for part, samples, p, sigma_n2 in _chunks(items):
-        powers = _batch_powers(samples, p, sigma_n2)
+    for part, samples, p in _chunks(items):
+        powers = _batch_powers(samples, p)
         gw = equalizers_of(powers)
         asr = rates_of(powers).asr.tolist()
         del powers  # freed before the accumulation's buffers peak
         comps = accumulate_components(samples, gw)
         rbar = np.min(comps.v_c, axis=-1) + np.sum(comps.v_p, axis=-1)
-        problems = qcqp.build(comps, sigma_n2, [it[3] for it in part])
+        problems = qcqp.build(comps, [it[2] for it in part])
         out += zip(problems, rbar.tolist(), asr)
     return out
 
 
 def _rates(payloads):
-    """Average sum rates at each point (sample, p, sigma_n2) of each
-    payload, a sequence of points, in stacked calls."""
+    """Average sum rates at each point (sample, p) of each payload, a
+    sequence of points, in stacked calls."""
     points = [pt for pts in payloads for pt in pts]
     asr = iter([
-        x for _, samples, p, sigma_n2 in _chunks(points)
-        for x in average_rates(samples, p, sigma_n2).asr.tolist()
+        x for _, samples, p in _chunks(points)
+        for x in average_rates(samples, p).asr.tolist()
     ])
     return [[next(asr) for _ in pts] for pts in payloads]
 

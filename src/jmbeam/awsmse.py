@@ -8,13 +8,14 @@ a small set of components (psi, t, f, u, v) that make the precoder
 update a deterministic convex QCQP:
 
     xi_c[k](P) = p_c^H psi_c[k] p_c + sum_i p_i^H psi_c[k] p_i
-                 + sigma_n2*t_c[k] - 2 Re{f_c[k]^H p_c} + u_c[k] - v_c[k]
+                 + t_c[k] - 2 Re{f_c[k]^H p_c} + u_c[k] - v_c[k]
     xi_p[k](P) = sum_i p_i^H psi_p[k] p_i
-                 + sigma_n2*t_p[k] - 2 Re{f_p[k]^H p_k} + u_p[k] - v_p[k]
+                 + t_p[k] - 2 Re{f_p[k]^H p_k} + u_p[k] - v_p[k]
 
-(i runs over private columns). Every sample average is a matrix
-product over the realization axis (psi, f) or a sum along it (t, u, v),
-one numpy call for all runs, layers and users. The v values are the
+(i runs over private columns; the noise power is one, so t enters
+alone). Every sample average is a matrix product over the realization
+axis (psi, f) or a sum along it (t, u, v), one numpy call for all runs,
+layers and users. The v values are the
 running rate estimates used by the alternating loop's stopping rule.
 """
 
@@ -26,8 +27,8 @@ from .errors import DegenerateMmse
 from .channel import MonteCarloSample
 from .receivers import _batch_powers, stacked_channels
 
-# MMSE values below this are treated as a modeling error (sigma_n2 ~ 0),
-# not a valid operating point.
+# MMSE values below this are treated as a modeling error (a noise power
+# negligible against the receive power), not a valid operating point.
 EPS_FLOOR = 1e-300
 
 __all__ = [
@@ -74,7 +75,7 @@ class AwmmseComponents:
     v_p: np.ndarray
 
 
-def update_blocks(sample, p, sigma_n2):
+def update_blocks(sample, p):
     """Exact minimization over equalizers and weights at a fixed precoder.
 
     For every user and realization: the MMSE equalizers and the inverse
@@ -83,7 +84,7 @@ def update_blocks(sample, p, sigma_n2):
     `receivers._batch_powers` does; with R runs every field has a
     leading run axis.
     """
-    return equalizers_of(_batch_powers(sample, p, sigma_n2))
+    return equalizers_of(_batch_powers(sample, p))
 
 
 def equalizers_of(powers):
@@ -91,7 +92,7 @@ def equalizers_of(powers):
     DegenerateMmse if the MMSE of any run underflows."""
     y, _, _, i_p, t_p, t_c = powers
     if np.any(t_p <= EPS_FLOOR * t_c) or np.any(i_p <= EPS_FLOOR * t_p):
-        raise DegenerateMmse("MMSE underflow; is sigma_n2 zero?")
+        raise DegenerateMmse("MMSE underflow; a signal power is 1e300 times the noise")
     *lead, m, k, _ = y.shape
     g_c = y[..., 0] / t_c
     g_p = y.reshape(*lead, m, k * (k + 1))[..., 1 :: k + 2] / t_p  # y[..., u, u + 1]
@@ -149,7 +150,7 @@ def accumulate_components(sample, gw):
     return AwmmseComponents(**means)
 
 
-def awmse_values(c, p, sigma_n2):
+def awmse_values(c, p):
     """Average augmented WMSEs at a precoder, from the components.
 
     Returns (xi_c, xi_p), each shape (k,). Equals the mean over the
@@ -165,8 +166,8 @@ def awmse_values(c, p, sigma_n2):
     quad_c_common = np.einsum("n,unm,m->u", p_c.conj(), c.psi_c, p_c).real
     lin_c = 2.0 * np.einsum("un,n->u", c.f_c.conj(), p_c).real
     lin_p = 2.0 * np.einsum("un,nu->u", c.f_p.conj(), priv).real
-    xi_c = quad_c_common + quad_c_priv + sigma_n2 * c.t_c - lin_c + c.u_c - c.v_c
-    xi_p = quad_p_priv + sigma_n2 * c.t_p - lin_p + c.u_p - c.v_p
+    xi_c = quad_c_common + quad_c_priv + c.t_c - lin_c + c.u_c - c.v_c
+    xi_p = quad_p_priv + c.t_p - lin_p + c.u_p - c.v_p
     return xi_c, xi_p
 
 

@@ -64,22 +64,22 @@ def water_fill(gains, budget):
     return WaterfillResult(powers=powers, water_level=float(level))
 
 
-def _zf_gains(h_est, dirs, sigma_n2):
-    # per-user effective SNR gain |h_k^H d_k|^2 / sigma_n2 on the estimate
+def _zf_gains(h_est, dirs):
+    # per-user effective SNR gain |h_k^H d_k|^2 (unit noise) on the estimate
     proj = np.einsum("nk,nk->k", h_est.conj(), dirs)
-    return (proj.real**2 + proj.imag**2) / sigma_n2
+    return proj.real**2 + proj.imag**2
 
 
-def zf_wf(h_est, p_t, sigma_n2):
+def zf_wf(h_est, p_t):
     """Zero-forcing directions with water-filled powers, no common column:
     the alpha = 1 case of jmb_zf_svd_wf, whose common column then gets
     no power. The allocation optimizes the nominal interference-free
     rates on the estimate; estimation error is ignored by design.
     """
-    return jmb_zf_svd_wf(h_est, p_t, 1.0, sigma_n2)
+    return jmb_zf_svd_wf(h_est, p_t, 1.0)
 
 
-def jmb_zf_svd_wf(h_est, p_t, alpha, sigma_n2):
+def jmb_zf_svd_wf(h_est, p_t, alpha):
     """DoF power split with water-filling inside the private budget.
 
     Private budget p_t**alpha (capped at p_t) is water-filled over the
@@ -97,7 +97,7 @@ def jmb_zf_svd_wf(h_est, p_t, alpha, sigma_n2):
     dirs = zf_directions(h_est)
 
     private_budget = min(p_t**alpha, p_t)
-    wf = water_fill(_zf_gains(h_est, dirs, sigma_n2), private_budget)
+    wf = water_fill(_zf_gains(h_est, dirs), private_budget)
     pow_c = p_t - private_budget
 
     p = np.zeros((n_t, k + 1), dtype=complex)

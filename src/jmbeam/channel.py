@@ -65,14 +65,13 @@ def error_variance(p_t, alpha):
 @dataclass(frozen=True)
 class CsitConfig:
     """Static system parameters: n_t antennas, k single-antenna users
-    (k <= n_t), CSIT quality exponent alpha, power budget p_t and noise
-    variance sigma_n2 (both linear)."""
+    (k <= n_t), CSIT quality exponent alpha and power budget p_t
+    (linear). The noise variance is one, so p_t is the SNR."""
 
     n_t: int
     k: int
     alpha: float
     p_t: float
-    sigma_n2: float = 1.0
 
     def __post_init__(self):
         if self.k > self.n_t:
@@ -81,8 +80,6 @@ class CsitConfig:
             raise ValueError("n_t and k must be >= 1")
         if self.p_t <= 0:
             raise ValueError("p_t must be positive")
-        if self.sigma_n2 <= 0:
-            raise ValueError("sigma_n2 must be positive")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
 

@@ -21,14 +21,16 @@ class ZeroChannel(JmbeamError):
 
 
 class DegenerateMmse(JmbeamError):
-    """An MMSE value underflowed to (numerically) zero, which the noise
-    model rules out; usually means sigma_n2 was set to ~0."""
+    """An MMSE value underflowed to (numerically) zero: a signal power
+    is some 1e300 times the unit noise, which no finite SNR of the
+    experiments reaches."""
 
 
 class NumericalBreakdown(JmbeamError):
-    """The cone interior-point kernel (jmbeam.socp, a reference solver
-    off the precoder-update path) could not factorize its Newton system
-    even after regularization."""
+    """A solver could not compute a usable step: the precoder update's
+    dual is not finite at any start (qcqp.solve), or the reference cone
+    interior-point kernel (jmbeam.socp) could not factorize its Newton
+    system even after regularization."""
 
 
 class ConfigError(JmbeamError):

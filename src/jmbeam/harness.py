@@ -34,7 +34,6 @@ from .receivers import sum_rate
 
 __all__ = [
     "SCHEMES",
-    "SIGMA_N2",
     "ExperimentConfig",
     "EsrRecord",
     "cell_seed",
@@ -46,8 +45,6 @@ __all__ = [
 ]
 
 SCHEMES = ("JMB-AWSMSE", "BC-AWSMSE", "JMB-ZF-SVD", "ZF-WF")
-
-SIGMA_N2 = 1.0
 
 # Channels per sweep task (`_block_task`), whose AWSMSE runs step in
 # lockstep. A fixed constant, not a config key, so serial and pooled
@@ -212,7 +209,8 @@ def _is_number(x, kind=(int, float)):
 
 
 def snr_to_pt(snr_db):
-    return 10.0 ** (float(snr_db) / 10.0) * SIGMA_N2
+    """The power budget p_t = 10**(snr_db/10) at unit noise power."""
+    return 10.0 ** (float(snr_db) / 10.0)
 
 
 def _usable_snr(snr_db):
@@ -229,8 +227,7 @@ def _draw(cfg, snr_db, alpha, seed):
     """(CsitConfig, ChannelDraw, MonteCarloSample) of one operating point:
     the channel from substream (seed, 0), the sample from (seed, 1)."""
     csit = CsitConfig(
-        n_t=cfg.n_t, k=cfg.k, alpha=float(alpha), p_t=snr_to_pt(snr_db),
-        sigma_n2=SIGMA_N2,
+        n_t=cfg.n_t, k=cfg.k, alpha=float(alpha), p_t=snr_to_pt(snr_db)
     )
     draw = make_draw(substream(seed, 0), csit)
     sample = draw_sample(substream(seed, 1), draw.h_est, draw.sigma_e2, cfg.m)
@@ -251,7 +248,7 @@ def run_single(cfg, scheme, snr_db, alpha, seed):
     else:
         p, trace = _baseline(scheme, draw, csit), None
 
-    sr = sum_rate(draw.h_true, p, SIGMA_N2)
+    sr = sum_rate(draw.h_true, p)
     return p, float(sr), trace
 
 
@@ -270,8 +267,8 @@ def _ao_run(cfg, scheme, csit, draw, sample):
 def _baseline(scheme, draw, csit):
     """The precoder of a non-iterative scheme on the channel estimate."""
     if scheme.startswith("JMB"):
-        return jmb_zf_svd_wf(draw.h_est, csit.p_t, csit.alpha, SIGMA_N2)
-    return zf_wf(draw.h_est, csit.p_t, SIGMA_N2)
+        return jmb_zf_svd_wf(draw.h_est, csit.p_t, csit.alpha)
+    return zf_wf(draw.h_est, csit.p_t)
 
 
 def _block_task(cfg, cells):
@@ -308,7 +305,7 @@ def _block_task(cfg, cells):
                     p = found[0]
                 else:
                     p = _baseline(scheme, draw, csit)
-                outcomes.append((scheme, float(sum_rate(draw.h_true, p, SIGMA_N2)), ""))
+                outcomes.append((scheme, float(sum_rate(draw.h_true, p)), ""))
             except JmbeamError as e:
                 outcomes.append((scheme, math.nan, f"{type(e).__name__}: {e}"))
         out.append(outcomes)
@@ -380,7 +377,7 @@ def _write_meta(path, cfg, extra):
         pkg_version = "unknown"
     meta = {
         "config": cfg.to_dict(),
-        "sigma_n2": SIGMA_N2,
+        "sigma_n2": 1.0,
         "error_model": "variance p_t**-alpha, capped at 1",
         "versions": {
             "python": sys.version.split()[0],

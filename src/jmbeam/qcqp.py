@@ -12,8 +12,8 @@ subject to, for every user k,
         + const[k] <= xi_c,
     ||P||_F^2 <= p_t,
 
-with const[k] = sigma_n2*t_c[k] + u_c[k] - v_c[k]. The additive constant
-sum_k (sigma_n2*t_p[k] + u_p[k] - v_p[k]) is dropped from the objective
+with const[k] = t_c[k] + u_c[k] - v_c[k] at unit noise. The additive
+constant sum_k (t_p[k] + u_p[k] - v_p[k]) is dropped from the objective
 and recorded so reported values can be rebased to the true average
 weighted sum-MSE. Without common power every common constraint is a
 constant, and the problem is the broadcast form: the same problem with
@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalBreakdown
 from .linalg import cholesky_psd
 from .lockstep import run_one
 from .receivers import _stack, precoder_power
@@ -120,7 +121,7 @@ class QcqpSolution:
     mu_pow: float
 
 
-def build(components, sigma_n2, p_t):
+def build(components, p_t):
     """Assemble the precoder-update problem from averaged components.
 
     Common components that are exactly zero, as at a common column
@@ -131,15 +132,14 @@ def build(components, sigma_n2, p_t):
     omitted constant is unchanged.
 
     Components with a leading run axis (from `accumulate_components` on
-    R runs) give a list of R problems, each in its own form; sigma_n2
-    and p_t may then hold one value per run.
+    R runs) give a list of R problems, each in its own form; p_t may
+    then hold one value per run.
     """
     c = components
     *lead, k, n_t = c.f_p.shape
     r = math.prod(lead)
-    sig = np.reshape(sigma_n2, (-1, 1))
-    con_const = (sig * c.t_c + c.u_c - c.v_c).reshape(r, k)
-    omitted = np.sum(sig * c.t_p + c.u_p - c.v_p, axis=-1).reshape(r).tolist()
+    con_const = (c.t_c + c.u_c - c.v_c).reshape(r, k)
+    omitted = np.sum(c.t_p + c.u_p - c.v_p, axis=-1).reshape(r).tolist()
     largest = con_const.max(axis=-1).tolist()
     silent = ~(c.psi_c.reshape(r, -1).any(axis=1) | c.f_c.reshape(r, -1).any(axis=1))
     psi_obj = c.psi_p.sum(axis=-3).reshape(r, n_t, n_t)
@@ -521,6 +521,9 @@ def solve(q, warm=None, warm_dual=None):
     NotPsd
         If a component matrix is not PSD within tolerance (convexity
         guard, via the Cholesky factorization).
+    NumericalBreakdown
+        If the dual cannot be evaluated at any start, as when the
+        problem's data overflow.
     """
     return run_one(solve_steps(q, warm=warm, warm_dual=warm_dual))
 
@@ -554,6 +557,8 @@ def solve_steps(q, warm=None, warm_dual=None):
         if best is None or sol.kkt_residual < best[0]:
             best = sol.kkt_residual, fin
     else:
+        if best is None:
+            raise NumericalBreakdown("the dual is not finite at any start")
         # no start certified: the best result, scaled into the budget
         z, p, cons, _ = best[1]
         pw = precoder_power(p)

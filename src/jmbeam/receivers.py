@@ -10,10 +10,12 @@ Conventions used throughout the package:
 
 Every quantity here descends from the receive powers at user k:
 
-    t_p = sum_i |p_i^H h_k|^2 + sigma_n2        (private-decoding power)
-    t_c = |p_c^H h_k|^2 + t_p                   (common-decoding power)
+    t_p = sum_i |p_i^H h_k|^2 + 1        (private-decoding power)
+    t_c = |p_c^H h_k|^2 + t_p            (common-decoding power)
 
 with MMSEs e_c/t_c and e_p/t_p where e_c = t_p and e_p = t_p - |p_k^H h_k|^2.
+The noise power is one: rates depend on the precoder and the noise only
+through P/sigma_n, so the precoder carries the scale (SNR = p_t).
 To avoid cancellation at high SNR, the interference-plus-noise term
 (t_p minus the own-signal power) is always accumulated directly rather
 than by subtraction.
@@ -95,14 +97,13 @@ def _runs_of(sample, p):
     return tuple(sample), np.asarray(p, dtype=complex), False
 
 
-def _batch_powers(sample, p, sigma_n2):
+def _batch_powers(sample, p):
     """Receive-power bookkeeping over a Monte-Carlo sample.
 
     Parameters
     ----------
     sample : MonteCarloSample, or a sequence of R of them (`_runs_of`)
     p : (n_t, k+1) complex ndarray, or (R, n_t, k+1)
-    sigma_n2 : float, or one per run
 
     Returns
     -------
@@ -112,7 +113,8 @@ def _batch_powers(sample, p, sigma_n2):
     s_c, s_p, i_p, t_p, t_c : (m, k) float ndarrays
         Common-signal power |p_c^H h_k|^2, own private-signal power,
         interference-plus-noise (sum over other private columns plus
-        sigma_n2, accumulated directly), t_p = i_p + s_p, t_c = s_c + t_p.
+        the unit noise, accumulated directly), t_p = i_p + s_p,
+        t_c = s_c + t_p.
 
     With R runs every output has a leading run axis; each run's GEMM is
     its own, so its slice has the bits it has alone. All six are
@@ -126,7 +128,7 @@ def _batch_powers(sample, p, sigma_n2):
     flat = a2.reshape(r, m, k * (k + 1))
     s_c = flat[..., :: k + 1]
     s_p = flat[..., 1 :: k + 2]  # a2[..., u, u + 1]
-    i_p = flat @ _interference_mask(k) + np.reshape(sigma_n2, (-1, 1, 1))
+    i_p = flat @ _interference_mask(k) + 1.0
     t_p = i_p + s_p
     t_c = s_c + t_p
     out = (y, s_c, s_p, i_p, t_p, t_c)
@@ -137,17 +139,17 @@ def _batch_powers(sample, p, sigma_n2):
     return out
 
 
-def sum_rate(h_all, p, sigma_n2):
+def sum_rate(h_all, p):
     """Sum rate min_k r_c[k] + sum_k r_p[k] on one channel matrix.
 
     With a zero common column the min term is exactly 0 and the system
     reduces to conventional per-user transmission.
     """
     sample = MonteCarloSample(realizations=np.asarray(h_all)[None])
-    return average_rates(sample, p, sigma_n2).asr
+    return average_rates(sample, p).asr
 
 
-def average_rates(sample, p, sigma_n2):
+def average_rates(sample, p):
     """Sample-average rates over a Monte-Carlo sample for a fixed precoder.
 
     Per-user common and private rates are averaged over the realizations
@@ -155,7 +157,7 @@ def average_rates(sample, p, sigma_n2):
     run or R runs as `_batch_powers` does; with R runs every field has a
     leading run axis and asr is an (R,) array.
     """
-    return rates_of(_batch_powers(sample, p, sigma_n2))
+    return rates_of(_batch_powers(sample, p))
 
 
 def rates_of(powers):

@@ -48,7 +48,7 @@ def _mmse_point(seed, n_t, k, m):
     cfg, draw, sample = random_system(seed, n_t=n_t, k=k, m=m)
     rng = np.random.default_rng(seed + 9000)
     p = random_precoder(rng, n_t, k, cfg.p_t)
-    gw = update_blocks(sample, p, 1.0)
+    gw = update_blocks(sample, p)
     comps = accumulate_components(sample, gw)
     return comps, sample, p, cfg
 
@@ -63,8 +63,8 @@ def test_criterion_1_rate_wmse_identity():
         k = int(rng.integers(1, n_t + 1))
         m = int(rng.integers(1, 101))
         comps, sample, p, _ = _mmse_point(3000 + i, n_t, k, m)
-        xi_c, xi_p = awmse_values(comps, p, 1.0)
-        ar = average_rates(sample, p, 1.0)
+        xi_c, xi_p = awmse_values(comps, p)
+        ar = average_rates(sample, p)
         worst = max(
             worst,
             float(np.max(np.abs(xi_c - (1.0 - ar.r_c)))),
@@ -86,8 +86,8 @@ def test_criterion_2_objective_equals_k_plus_1_minus_asr():
         n_t = int(rng.integers(1, 5))
         k = int(rng.integers(1, n_t + 1))
         comps, sample, p, _ = _mmse_point(4000 + i, n_t, k, 40)
-        obj = awsmse_objective(*awmse_values(comps, p, 1.0))
-        asr = average_rates(sample, p, 1.0).asr
+        obj = awsmse_objective(*awmse_values(comps, p))
+        asr = average_rates(sample, p).asr
         worst = max(worst, abs(obj - ((k + 1) - asr)))
     _criterion(
         "2",
@@ -104,7 +104,7 @@ def test_criterion_3_qcqp_against_dual_ascent_oracle():
     worst_gap = 0.0
     for i in range(100):
         comps, sample, p, cfg = _mmse_point(5000 + i, 2, 2, 50)
-        q = build(comps, 1.0, cfg.p_t)
+        q = build(comps, cfg.p_t)
         sol = solve(q)
         assert sol.status == "Optimal"
         kkt = kkt_residual(q, sol)

@@ -185,7 +185,7 @@ def test_scalar_capacity():
     # transmission at rate log2(1 + p_t)
     cfg, h_est, sample = _scalar_setup(10.0)
     p, trace = run_ao(h_est, sample, cfg, AoParams(epsilon_r=1e-6))
-    asr = average_rates(sample, p, 1.0).asr
+    asr = average_rates(sample, p).asr
     assert asr == pytest.approx(np.log2(11.0), abs=1e-4)
     assert precoder_power(p) == pytest.approx(10.0, abs=1e-6)
     assert trace.stop_reason == "converged"
@@ -265,7 +265,7 @@ def test_bc_run_is_the_alpha_one_joint_run(monkeypatch):
         for (comps, q, sol), obj in zip(steps, trace.awsmse_obj):
             assert not q.include_common
             assert np.all(sol.p_star[:, 0] == 0)
-            want = awsmse_objective(*awmse_values(comps, sol.p_star, cfg.sigma_n2))
+            want = awsmse_objective(*awmse_values(comps, sol.p_star))
             assert obj == pytest.approx(want, rel=1e-12)
         # and it is the harness's BC-AWSMSE run on this channel, bit for bit
         p_1, _, trace_1 = run_single(
@@ -288,9 +288,9 @@ def test_stationarity_at_convergence():
     params = AoParams()
     p, trace = run_ao(draw.h_est, sample, cfg, params)
     assert trace.stop_reason == "converged"
-    gw = update_blocks(sample, p, cfg.sigma_n2)
+    gw = update_blocks(sample, p)
     comps = accumulate_components(sample, gw)
-    q = build(comps, cfg.sigma_n2, cfg.p_t)
+    q = build(comps, cfg.p_t)
     sol = solve(q, warm=p)
     extra = sol.objective + q.omitted_constant
     last = trace.awsmse_obj[-1]
@@ -317,9 +317,9 @@ def test_extrapolation_converges_where_plain_loop_crawls(monkeypatch):
         p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
     assert trace.stop_reason == "n_max"
     assert trace.asr_audit[-1] - trace.asr_audit[-51] > 0.3
-    assert average_rates(sample, p, cfg.sigma_n2).asr < 8.8
+    assert average_rates(sample, p).asr < 8.8
 
     p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
     assert trace.stop_reason == "converged" and len(trace) < 100
-    assert average_rates(sample, p, cfg.sigma_n2).asr > 10.8
+    assert average_rates(sample, p).asr > 10.8
     assert np.all(np.diff(trace.awsmse_obj) <= 1e-7)

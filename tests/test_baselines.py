@@ -107,7 +107,7 @@ def test_waterfill_beats_alternatives():
 
 
 def test_zf_wf_identity_channel():
-    p = zf_wf(np.eye(2, dtype=complex), 8.0, 1.0)
+    p = zf_wf(np.eye(2, dtype=complex), 8.0)
     assert np.all(p[:, 0] == 0)
     assert np.allclose(np.abs(p[:, 1]), [2.0, 0.0], atol=1e-12)
     assert np.allclose(np.abs(p[:, 2]), [0.0, 2.0], atol=1e-12)
@@ -116,7 +116,7 @@ def test_zf_wf_identity_channel():
 def test_zf_wf_single_user_matched():
     rng = np.random.default_rng(3)
     h = (rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
-    p = zf_wf(h, 5.0, 1.0)
+    p = zf_wf(h, 5.0)
     # zero forcing with one user is matched filtering at full power
     d = p[:, 1] / np.linalg.norm(p[:, 1])
     hd = h[:, 0] / np.linalg.norm(h[:, 0])
@@ -130,14 +130,14 @@ def test_zf_wf_nominal_rate_identity():
     rng = np.random.default_rng(4)
     for _ in range(20):
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        p = zf_wf(h, 10.0, 1.0)
+        p = zf_wf(h, 10.0)
         dirs = zf_directions(h)
         gains = np.array(
             [abs(h[:, k].conj() @ dirs[:, k]) ** 2 for k in range(2)]
         )
         q = water_fill(gains, 10.0)
         want = float(np.sum(np.log2(1 + gains * q.powers)))
-        assert sum_rate(h, p, 1.0) == pytest.approx(want, abs=1e-10)
+        assert sum_rate(h, p) == pytest.approx(want, abs=1e-10)
 
 
 def test_zf_wf_residual_interference_on_true_channel():
@@ -145,8 +145,8 @@ def test_zf_wf_residual_interference_on_true_channel():
     hits = 0
     for seed in range(20):
         draw = make_draw(substream(seed, 0), cfg)
-        p = zf_wf(draw.h_est, cfg.p_t, 1.0)
-        i_p = _batch_powers(MonteCarloSample(realizations=draw.h_true[None]), p, 1.0)[3]
+        p = zf_wf(draw.h_est, cfg.p_t)
+        i_p = _batch_powers(MonteCarloSample(realizations=draw.h_true[None]), p)[3]
         # i_p is cross interference plus noise; strictly above the noise
         # floor whenever the estimate is imperfect
         hits += int(np.sum(i_p > 1.0 + 1e-12))
@@ -155,7 +155,7 @@ def test_zf_wf_residual_interference_on_true_channel():
 
 def test_zf_wf_rank_deficient():
     with pytest.raises(RankDeficient):
-        zf_wf(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex), 4.0, 1.0)
+        zf_wf(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex), 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +170,15 @@ def test_jmb_zf_svd_alpha_one_equals_zf_wf():
         k = int(rng.integers(1, n_t + 1))
         h = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
         p_t = 10.0 ** rng.uniform(-2.0, 5.0)
-        a = jmb_zf_svd_wf(h, p_t, 1.0, 1.0)
+        a = jmb_zf_svd_wf(h, p_t, 1.0)
         assert np.all(a[:, 0] == 0)
-        assert np.array_equal(a, zf_wf(h, p_t, 1.0)), (n_t, k, p_t)
+        assert np.array_equal(a, zf_wf(h, p_t)), (n_t, k, p_t)
 
 
 def test_jmb_zf_svd_alpha_zero_split():
     rng = np.random.default_rng(6)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    p = jmb_zf_svd_wf(h, 10.0, 0.0, 1.0)
+    p = jmb_zf_svd_wf(h, 10.0, 0.0)
     # private budget p_t**0 = 1, the rest rides the common column
     assert np.linalg.norm(p[:, 0]) ** 2 == pytest.approx(9.0, rel=1e-10)
     assert np.linalg.norm(p[:, 1:]) ** 2 == pytest.approx(1.0, rel=1e-10)
@@ -190,14 +190,14 @@ def test_jmb_zf_svd_power_accounting():
         h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         p_t = float(rng.uniform(0.5, 300.0))
         alpha = float(rng.uniform(0.0, 1.0))
-        p = jmb_zf_svd_wf(h, p_t, alpha, 1.0)
+        p = jmb_zf_svd_wf(h, p_t, alpha)
         assert precoder_power(p) == pytest.approx(p_t, rel=1e-10)
 
 
 def test_jmb_zf_svd_common_direction():
     rng = np.random.default_rng(8)
     h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    p = jmb_zf_svd_wf(h, 100.0, 0.6, 1.0)
+    p = jmb_zf_svd_wf(h, 100.0, 0.6)
     u0 = np.linalg.svd(h)[0][:, 0]
     d = p[:, 0] / np.linalg.norm(p[:, 0])
     assert abs(d.conj() @ u0) == pytest.approx(1.0, abs=1e-8)
@@ -207,7 +207,7 @@ def test_jmb_zf_svd_private_waterfill():
     rng = np.random.default_rng(9)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     p_t, alpha = 50.0, 0.6
-    p = jmb_zf_svd_wf(h, p_t, alpha, 1.0)
+    p = jmb_zf_svd_wf(h, p_t, alpha)
     dirs = zf_directions(h)
     gains = np.array([abs(h[:, k].conj() @ dirs[:, k]) ** 2 for k in range(2)])
     q = water_fill(gains, p_t ** alpha)

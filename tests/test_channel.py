@@ -54,7 +54,7 @@ def test_csit_config_validation():
     with pytest.raises(ValueError):
         CsitConfig(n_t=2, k=2, alpha=0.6, p_t=0.0)
     with pytest.raises(ValueError):
-        CsitConfig(n_t=2, k=2, alpha=0.6, p_t=10.0, sigma_n2=0.0)
+        CsitConfig(n_t=2, k=2, alpha=-0.1, p_t=10.0)
 
 
 # ---------------------------------------------------------------------------

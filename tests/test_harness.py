@@ -176,9 +176,9 @@ def test_run_single_pairs_channel_across_schemes():
     assert trace is None
     csit = CsitConfig(n_t=2, k=2, alpha=0.6, p_t=snr_to_pt(5.0))
     draw = make_draw(substream(seed, 0), csit)
-    want = zf_wf(draw.h_est, csit.p_t, 1.0)
+    want = zf_wf(draw.h_est, csit.p_t)
     assert np.array_equal(p, want)
-    assert sr == pytest.approx(sum_rate(draw.h_true, p, 1.0), rel=1e-14)
+    assert sr == pytest.approx(sum_rate(draw.h_true, p), rel=1e-14)
 
 
 def test_run_single_ao_schemes_return_traces():
@@ -199,7 +199,7 @@ def test_run_single_near_perfect_csit_matches_nominal():
     p, sr, _ = run_single(cfg, "ZF-WF", 10.0, 25.0, seed)
     csit = CsitConfig(n_t=2, k=2, alpha=25.0, p_t=snr_to_pt(10.0))
     draw = make_draw(substream(seed, 0), csit)
-    nominal = sum_rate(draw.h_est, p, 1.0)
+    nominal = sum_rate(draw.h_est, p)
     assert sr == pytest.approx(nominal, abs=1e-8)
 
 
@@ -434,7 +434,7 @@ def test_bc_rows_are_the_alpha_one_run_and_no_option_selects_them(tmp_path):
         seed = cell_seed(cfg.master_seed, float(alpha), float(snr_db), int(ch))
         csit, draw, sample = harness._draw(cfg, float(snr_db), float(alpha), seed)
         p, _ = run_ao(draw.h_est, sample, replace(csit, alpha=1.0), cfg.ao_params())
-        assert sr == repr(float(sum_rate(draw.h_true, p, harness.SIGMA_N2))), (snr_db, ch)
+        assert sr == repr(float(sum_rate(draw.h_true, p))), (snr_db, ch)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from conftest import tiny_cfg
 from jmbeam import ao, harness, qcqp
 from jmbeam.ao import run_ao
-from jmbeam.errors import DegenerateMmse, JmbeamError, NotPsd
+from jmbeam.errors import DegenerateMmse, JmbeamError, NotPsd, NumericalBreakdown
 from jmbeam.harness import BLOCK_CHANNELS, ExperimentConfig, cell_seed, run_single, run_sweep
 from jmbeam.lockstep import drive, run_one
 
@@ -195,6 +195,23 @@ def test_degenerate_mmse_from_the_block_update_fails_one_run(tmp_path, monkeypat
                          "channel": 3, "error": "DegenerateMmse: injected underflow"}]
     clean, failed = rows
     assert failed == [r for r in clean if not r.startswith(f"{scheme},0.6,20.0,3,")]
+
+
+def test_numerical_breakdown_fails_one_run_of_a_block():
+    # at 3080 dB the receive powers overflow, and the dual of that run's
+    # first update is not finite at any start: the run ends in
+    # NumericalBreakdown, and the runs of its block have their bits alone
+    cfg = _block_cfg()
+    runs = []
+    for snr_db in (20.0, 3080.0, 30.0):
+        seed = cell_seed(cfg.master_seed, 0.6, snr_db, 0)
+        cell = harness._draw(cfg, snr_db, 0.6, seed)
+        runs.append(harness._ao_run(cfg, "JMB-AWSMSE", *cell))
+    with np.errstate(all="ignore"):
+        out = ao.run_block(runs)
+    assert isinstance(out[1], NumericalBreakdown)
+    for i in (0, 2):
+        assert _same_run(out[i], run_ao(*runs[i]))
 
 
 # ---------------------------------------------------------------------------

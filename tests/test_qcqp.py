@@ -13,7 +13,7 @@ from jmbeam.awsmse import (
     awsmse_objective,
     update_blocks,
 )
-from jmbeam.errors import NotPsd
+from jmbeam.errors import NotPsd, NumericalBreakdown
 from jmbeam.harness import cell_seed, run_single
 from jmbeam.qcqp import (
     QcqpProblem,
@@ -35,9 +35,9 @@ def problem_from_seed(seed, n_t=2, k=2, snr_db=20.0, m=20, common=True):
     p = random_precoder(rng, n_t, k, cfg.p_t)
     if not common:
         p[:, 0] = 0.0
-    gw = update_blocks(sample, p, 1.0)
+    gw = update_blocks(sample, p)
     c = accumulate_components(sample, gw)
-    return build(c, 1.0, cfg.p_t), sample, p
+    return build(c, cfg.p_t), sample, p
 
 
 def _trivial_components(k, n_t, psi_scale=1.0, f_c=None, common=True):
@@ -71,7 +71,7 @@ def test_build_shapes_and_constants():
     assert q.psi_con.shape == (2, 2, 2)
     assert q.con_const.shape == (2,)
     assert np.isfinite(q.omitted_constant)
-    gw = update_blocks(sample, p, 1.0)
+    gw = update_blocks(sample, p)
     c = accumulate_components(sample, gw)
     assert np.allclose(q.psi_obj, c.psi_p.sum(axis=0))
     want_const = 1.0 * c.t_c + c.u_c - c.v_c
@@ -85,7 +85,7 @@ def test_build_trivial_ridge_minimizer_is_zero():
     # identity quadratics, no linear pull: P = 0 is optimal and xi_c sits
     # at the constraint constant (here 1.0 from u_c)
     c = _trivial_components(1, 2)
-    q = build(c, 1.0, 4.0)
+    q = build(c, 4.0)
     sol = solve(q)
     assert sol.status == "Optimal"
     assert np.linalg.norm(sol.p_star) <= 1e-4
@@ -98,11 +98,11 @@ def test_build_objective_cross_module_identity():
     # AWSMSE assembled from the same components
     for seed in range(12):
         q, sample, p0 = problem_from_seed(seed, n_t=3, k=2, m=15)
-        gw = update_blocks(sample, p0, 1.0)
+        gw = update_blocks(sample, p0)
         c = accumulate_components(sample, gw)
         rng = np.random.default_rng(seed + 9000)
         p = random_precoder(rng, 3, 2, q.p_t, power_fraction=0.8)
-        xi_c, xi_p = awmse_values(c, p, 1.0)
+        xi_c, xi_p = awmse_values(c, p)
         want = awsmse_objective(xi_c, xi_p)
         xi_worst = float(np.max(constraint_values(q, p)))
         got = objective_value(q, p, xi_worst) + q.omitted_constant
@@ -149,7 +149,7 @@ def test_broadcast_form_is_data():
 def test_solve_pure_power_min():
     # min ||p||^2 with no linear term and slack power: p = 0
     c = _trivial_components(2, 2, common=False)
-    q = build(c, 1.0, 10.0)
+    q = build(c, 10.0)
     assert not q.include_common
     sol = solve(q)
     assert sol.status == "Optimal"
@@ -167,7 +167,7 @@ def test_solve_unconstrained_stationarity():
         psi_c=c.psi_c, psi_p=c.psi_p, t_c=c.t_c, t_p=c.t_p,
         f_c=c.f_c, f_p=f_p, u_c=c.u_c, u_p=c.u_p, v_c=c.v_c, v_p=c.v_p,
     )
-    q = build(c, 1.0, 1e6)
+    q = build(c, 1e6)
     assert not q.include_common
     sol = solve(q)
     assert sol.status == "Optimal"
@@ -188,7 +188,7 @@ def test_solve_power_cap_scaling():
         f_c=base.f_c, f_p=f_p, u_c=base.u_c, u_p=base.u_p,
         v_c=base.v_c, v_p=base.v_p,
     )
-    q = build(c, 1.0, 0.5)
+    q = build(c, 0.5)
     assert not q.include_common
     sol = solve(q)
     assert sol.status == "Optimal"
@@ -230,15 +230,15 @@ def test_polish_reaches_round_off():
     cfg, draw, sample = random_system(3, snr_db=0.0, m=20)
     p = random_precoder(np.random.default_rng(3), 2, 2, cfg.p_t)
     p[:, 0] = 0.0
-    c = accumulate_components(sample, update_blocks(sample, p, 1.0))
-    q = build(c, 1.0, cfg.p_t)
+    c = accumulate_components(sample, update_blocks(sample, p))
+    q = build(c, cfg.p_t)
     sol = solve(q, warm=p)
     assert not q.include_common
     assert np.all(sol.p_star[:, 0] == 0) and sol.mu.size == 0
     assert sol.kkt_residual <= 1e-13
     # the largest constant, the optimal xi_c, moved into the omitted
     # constant: objective plus omitted constant is still the AWSMSE
-    want = awsmse_objective(*awmse_values(c, sol.p_star, 1.0))
+    want = awsmse_objective(*awmse_values(c, sol.p_star))
     assert sol.objective + q.omitted_constant == pytest.approx(want, rel=1e-13)
     # a warm start of the full problem's size does not fit and is ignored
     assert np.array_equal(solve(q, warm_dual=(np.full(2, 0.5), 1.0)).p_star, sol.p_star)
@@ -379,6 +379,24 @@ def test_uncertified_solve_returns_best_start(monkeypatch):
     assert precoder_power(sol.p_star) <= q.p_t
     monkeypatch.setattr(qcqp, "OPTIMAL_TOL", 0.5 * sol.kkt_residual)
     assert solve(q).status == "MaxIter"
+
+
+def test_dual_not_finite_at_any_start_raises():
+    # the private columns M^-1 f_obj of every start overflow the power
+    # sum, so no start yields a face result to fall back on
+    q = QcqpProblem(
+        n_t=2,
+        k=2,
+        p_t=1.0,
+        psi_obj=np.eye(2, dtype=complex),
+        f_obj=np.full((2, 2), 1e200, dtype=complex),
+        psi_con=np.zeros((0, 2, 2), dtype=complex),
+        f_con=np.zeros((0, 2), dtype=complex),
+        con_const=np.zeros(0),
+        omitted_constant=0.0,
+    )
+    with np.errstate(over="ignore"), pytest.raises(NumericalBreakdown):
+        solve(q)
 
 
 def test_kkt_residual_increases_under_perturbation():

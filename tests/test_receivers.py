@@ -21,15 +21,15 @@ def _one(h):
     return MonteCarloSample(realizations=np.asarray(h, dtype=complex)[None])
 
 
-def _powers(h, p, sigma_n2):
+def _powers(h, p):
     """(s_c, s_p, i_p, t_p, t_c) on one channel matrix, each (k,): the
     batch kernel on a sample of one realization."""
-    return tuple(x[0] for x in _batch_powers(_one(h), p, sigma_n2)[1:])
+    return tuple(x[0] for x in _batch_powers(_one(h), p)[1:])
 
 
-def _rates(h, p, sigma_n2):
+def _rates(h, p):
     """Per-user rates on one channel matrix."""
-    return average_rates(_one(h), p, sigma_n2)
+    return average_rates(_one(h), p)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def test_precoder_power():
 
 def test_link_terms_zero_precoder():
     h = np.array([[1.0 + 1j], [0.5]])
-    s_c, s_p, i_p, t_p, t_c = _powers(h, np.zeros((2, 2), dtype=complex), 1.0)
+    s_c, s_p, i_p, t_p, t_c = _powers(h, np.zeros((2, 2), dtype=complex))
     assert s_c[0] == 0.0 and s_p[0] == 0.0
     assert i_p[0] == 1.0 and t_p[0] == 1.0 and t_c[0] == 1.0
 
@@ -56,7 +56,7 @@ def test_link_terms_scalar_case():
     # single antenna, single user, matched private precoder
     power = 7.0
     p = np.array([[0.0, np.sqrt(power)]], dtype=complex)
-    s_c, s_p, i_p, t_p, t_c = _powers(np.array([[1.0 + 0j]]), p, 1.0)
+    s_c, s_p, i_p, t_p, t_c = _powers(np.array([[1.0 + 0j]]), p)
     assert t_p[0] == pytest.approx(power + 1.0, rel=1e-14)
     assert i_p[0] == pytest.approx(1.0, rel=1e-14)
     assert t_c[0] == pytest.approx(power + 1.0, rel=1e-14)
@@ -65,7 +65,7 @@ def test_link_terms_scalar_case():
 def test_link_terms_against_loop_oracle():
     for seed in range(40):
         h, p = _rand(seed)
-        got = _powers(h, p, 1.0)
+        got = _powers(h, p)
         for user in range(2):
             want = loop_powers(h[:, user], p, 1.0, user)
             for g, w in zip(got, want):
@@ -74,7 +74,7 @@ def test_link_terms_against_loop_oracle():
 
 def test_link_terms_structure():
     h, p = _rand(99)
-    s_c, s_p, i_p, t_p, t_c = _powers(h, p, 0.7)
+    s_c, s_p, i_p, t_p, t_c = _powers(h, p)
     for user in range(2):
         own = abs(p[:, user + 1].conj() @ h[:, user]) ** 2
         com = abs(p[:, 0].conj() @ h[:, user]) ** 2
@@ -90,7 +90,7 @@ def test_link_terms_structure():
 def test_equalizer_scalar_case():
     power = 9.0
     p = np.array([[0.0, 3.0]], dtype=complex)
-    gw = update_blocks(_one(np.array([[1.0 + 0j]])), p, 1.0)
+    gw = update_blocks(_one(np.array([[1.0 + 0j]])), p)
     assert gw.g_c[0, 0] == 0.0
     assert gw.g_p[0, 0] == pytest.approx(np.sqrt(power) / (power + 1.0), rel=1e-14)
 
@@ -98,7 +98,7 @@ def test_equalizer_scalar_case():
 def test_equalizer_grid_optimality():
     # the closed form must beat a 401-point complex grid around itself
     h, p = _rand(5)
-    gw = update_blocks(_one(h), p, 1.0)
+    gw = update_blocks(_one(h), p)
     for user in range(2):
         g_c, g_p = gw.g_c[0, user], gw.g_p[0, user]
         base_c, base_p = loop_mse(h[:, user], p, g_c, g_p, 1.0, user)
@@ -117,7 +117,7 @@ def test_mse_at_mmse_equals_ratio_form():
     # the weight update_blocks sets
     for seed in range(30):
         h, p = _rand(seed)
-        gw = update_blocks(_one(h), p, 1.0)
+        gw = update_blocks(_one(h), p)
         for user in range(2):
             eps_c, eps_p = loop_mse(
                 h[:, user], p, gw.g_c[0, user], gw.g_p[0, user], 1.0, user
@@ -131,7 +131,7 @@ def test_mse_matches_symbol_level_simulation():
     # equalizers lands on the MMSEs 1/u, 3 std errors
     h, p = _rand(9, n_t=2, k=2, p_t=4.0)
     user = 0
-    gw = update_blocks(_one(h), p, 1.0)
+    gw = update_blocks(_one(h), p)
     est_c, est_p, se_c, se_p = symbol_level_mse(
         h[:, user], p, gw.g_c[0, user], gw.g_p[0, user], 1.0, user,
         n_draws=1_000_000, rng=substream(123, 0),
@@ -148,14 +148,14 @@ def test_rates_scalar_awgn_capacity():
     power = 15.0
     p = np.zeros((1, 2), dtype=complex)
     p[0, 1] = np.sqrt(power)
-    ur = _rates(np.array([[1.0 + 0j]]), p, 1.0)
+    ur = _rates(np.array([[1.0 + 0j]]), p)
     assert ur.r_p[0] == pytest.approx(np.log2(1.0 + power), rel=1e-14)
     assert ur.r_c[0] == 0.0
 
 
 def test_rates_zero_precoder():
     h = np.array([[1.0, 0.3], [1j, 2.0]])
-    ur = _rates(h, np.zeros((2, 3), dtype=complex), 1.0)
+    ur = _rates(h, np.zeros((2, 3), dtype=complex))
     assert np.all(ur.r_c == 0.0)
     assert np.all(ur.r_p == 0.0)
     assert ur.asr == 0.0
@@ -165,8 +165,8 @@ def test_rates_two_routes_agree():
     # -log2(mmse) and log2(1+sinr) are the same number
     for seed in range(30):
         h, p = _rand(seed)
-        ur = _rates(h, p, 1.0)
-        gw = update_blocks(_one(h), p, 1.0)
+        ur = _rates(h, p)
+        gw = update_blocks(_one(h), p)
         for user in range(2):
             assert ur.r_c[user] == pytest.approx(np.log2(gw.u_c[0, user]), rel=1e-12)
             assert ur.r_p[user] == pytest.approx(np.log2(gw.u_p[0, user]), rel=1e-12)
@@ -177,7 +177,7 @@ def test_rates_two_routes_agree():
 
 def test_rates_sinr_oracle():
     h, p = _rand(11)
-    ur = _rates(h, p, 1.0)
+    ur = _rates(h, p)
     for user in range(2):
         hk = h[:, user]
         own = abs(p[:, user + 1].conj() @ hk) ** 2
@@ -190,12 +190,12 @@ def test_rates_sinr_oracle():
 
 def test_mmse_sinr_identity():
     h, p = _rand(12)
-    _, s_p, i_p, t_p, _ = _powers(h, p, 1.0)
+    _, s_p, i_p, t_p, _ = _powers(h, p)
     for user in range(2):
         eps = i_p[user] / t_p[user]
         hk = h[:, user]
         own = abs(p[:, user + 1].conj() @ hk) ** 2
-        gamma = own / i_p[user]  # i_p includes sigma_n2
+        gamma = own / i_p[user]  # i_p includes the unit noise
         assert gamma == pytest.approx((1.0 - eps) / eps, rel=1e-12)
 
 
@@ -203,18 +203,25 @@ def test_mmse_in_unit_interval():
     rng = np.random.default_rng(13)
     for seed in range(200):
         h, p = _rand(seed, p_t=float(rng.uniform(0.01, 1000.0)))
-        gw = update_blocks(_one(h), p, 1.0)
+        gw = update_blocks(_one(h), p)
         for eps in (1.0 / gw.u_c, 1.0 / gw.u_p):
             assert np.all((0.0 < eps) & (eps <= 1.0))
 
 
 def test_rates_noise_monotonicity():
+    # the rates at noise power s2 are the unit-noise rates of p/sqrt(s2),
+    # so they fall as the noise grows, that is as the precoder shrinks
     h, p = _rand(14)
-    prev = _rates(h, p, 0.25)
-    for s2 in (0.5, 1.0, 2.0, 4.0):
-        cur = _rates(h, p, s2)
-        assert np.all(cur.r_c <= prev.r_c + 1e-14)
-        assert np.all(cur.r_p <= prev.r_p + 1e-14)
+    prev = None
+    for s2 in (0.25, 0.5, 1.0, 2.0, 4.0):
+        cur = _rates(h, p / np.sqrt(s2))
+        for u in range(2):
+            oc, op = loop_rates(h[:, u], p, s2, u)
+            assert cur.r_c[u] == pytest.approx(oc, rel=1e-12)
+            assert cur.r_p[u] == pytest.approx(op, rel=1e-12)
+        if prev is not None:
+            assert np.all(cur.r_c <= prev.r_c + 1e-14)
+            assert np.all(cur.r_p <= prev.r_p + 1e-14)
         prev = cur
 
 
@@ -230,13 +237,13 @@ def test_sum_rate_no_common():
     h, p = _rand(15)
     p[:, 0] = 0.0
     want = sum(r_p for _, r_p in _loop_rates(h, p))
-    assert sum_rate(h, p, 1.0) == pytest.approx(want, rel=1e-12)
+    assert sum_rate(h, p) == pytest.approx(want, rel=1e-12)
 
 
 def test_sum_rate_single_user():
     h, p = _rand(16, n_t=2, k=1)
     ((r_c, r_p),) = _loop_rates(h, p)
-    assert sum_rate(h, p, 1.0) == pytest.approx(r_c + r_p, rel=1e-12)
+    assert sum_rate(h, p) == pytest.approx(r_c + r_p, rel=1e-12)
 
 
 def test_sum_rate_symmetric_channel():
@@ -246,10 +253,10 @@ def test_sum_rate_symmetric_channel():
     p = random_precoder(rng, 3, 2, 10.0)
     (rc0, rp0), (rc1, rp1) = _loop_rates(h, p)
     assert rc0 == pytest.approx(rc1, rel=1e-12)
-    ur = _rates(h, p, 1.0)
+    ur = _rates(h, p)
     assert ur.r_c[0] == pytest.approx(ur.r_c[1], rel=1e-12)
     want = min(rc0, rc1) + rp0 + rp1
-    assert sum_rate(h, p, 1.0) == pytest.approx(want, rel=1e-12)
+    assert sum_rate(h, p) == pytest.approx(want, rel=1e-12)
 
 
 def test_sum_rate_matches_per_user_assembly():
@@ -257,7 +264,7 @@ def test_sum_rate_matches_per_user_assembly():
         h, p = _rand(seed)
         urs = _loop_rates(h, p)
         want = min(r_c for r_c, _ in urs) + sum(r_p for _, r_p in urs)
-        assert sum_rate(h, p, 1.0) == pytest.approx(want, rel=1e-12)
+        assert sum_rate(h, p) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +274,8 @@ def test_sum_rate_matches_per_user_assembly():
 def test_average_rates_single_realization():
     h, p = _rand(18)
     s = MonteCarloSample(realizations=h[None, :, :])
-    ar = average_rates(s, p, 1.0)
-    assert ar.asr == sum_rate(h, p, 1.0)
+    ar = average_rates(s, p)
+    assert ar.asr == sum_rate(h, p)
     for u, (r_c, r_p) in enumerate(_loop_rates(h, p)):
         assert ar.r_c[u] == pytest.approx(r_c, rel=1e-12)
         assert ar.r_p[u] == pytest.approx(r_p, rel=1e-12)
@@ -278,21 +285,21 @@ def test_average_rates_degenerate_sample():
     # all realizations equal: any M behaves like M=1
     h, p = _rand(19)
     s = MonteCarloSample(realizations=np.broadcast_to(h, (6,) + h.shape).copy())
-    ar = average_rates(s, p, 1.0)
-    assert ar.asr == pytest.approx(sum_rate(h, p, 1.0), rel=1e-12)
+    ar = average_rates(s, p)
+    assert ar.asr == pytest.approx(sum_rate(h, p), rel=1e-12)
 
 
 def test_average_rates_doubling_and_permutation():
     rng = np.random.default_rng(20)
     hs = rng.standard_normal((8, 3, 2)) + 1j * rng.standard_normal((8, 3, 2))
     p = random_precoder(rng, 3, 2, 10.0)
-    base = average_rates(MonteCarloSample(realizations=hs), p, 1.0)
+    base = average_rates(MonteCarloSample(realizations=hs), p)
     doubled = average_rates(
-        MonteCarloSample(realizations=np.concatenate([hs, hs])), p, 1.0
+        MonteCarloSample(realizations=np.concatenate([hs, hs])), p
     )
     assert doubled.asr == pytest.approx(base.asr, rel=1e-12)
     perm = rng.permutation(8)
-    shuffled = average_rates(MonteCarloSample(realizations=hs[perm]), p, 1.0)
+    shuffled = average_rates(MonteCarloSample(realizations=hs[perm]), p)
     assert shuffled.asr == pytest.approx(base.asr, rel=1e-12)
     assert np.allclose(shuffled.r_c, base.r_c, rtol=1e-12)
 
@@ -301,7 +308,7 @@ def test_average_rates_is_mean_of_per_realization():
     rng = np.random.default_rng(21)
     hs = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
     p = random_precoder(rng, 2, 2, 10.0)
-    ar = average_rates(MonteCarloSample(realizations=hs), p, 1.0)
+    ar = average_rates(MonteCarloSample(realizations=hs), p)
     for u in range(2):
         per = [loop_rates(hs[m, :, u], p, 1.0, u) for m in range(5)]
         rc = np.mean([r_c for r_c, _ in per])
@@ -324,19 +331,19 @@ def _assert_near(got, want, mag, n_t, what):
     assert np.all(np.abs(got - want) <= 4 * (n_t + 1) * ULP * mag), what
 
 
-def _check_against_einsum(sample, p, sigma_n2, what):
+def _check_against_einsum(sample, p, what):
     """_batch_powers and update_blocks on a sample against einsum_powers,
     with magnitudes from the same route on |h| and |p|."""
     h = sample.realizations
     _, n_t, k = h.shape
-    want = einsum_powers(h, p, sigma_n2)
-    mag = einsum_powers(np.abs(h), np.abs(p), sigma_n2)
-    got = _batch_powers(sample, p, sigma_n2)
+    want = einsum_powers(h, p, 1.0)
+    mag = einsum_powers(np.abs(h), np.abs(p), 1.0)
+    got = _batch_powers(sample, p)
     _assert_near(got[0].transpose(0, 2, 1), want[0], mag[0], n_t, what)
     for g, w, s in zip(got[1:], want[1:], mag[1:]):
         _assert_near(g, w, s, n_t, what)
     # update_blocks divides them: first-order propagation of both gaps
-    gw = update_blocks(sample, p, sigma_n2)
+    gw = update_blocks(sample, p)
     idx = np.arange(k)
     y, _, _, i_p, t_p, t_c = want
     y_m, _, _, i_m, tp_m, tc_m = mag
@@ -353,9 +360,9 @@ def _check_against_einsum(sample, p, sigma_n2, what):
 def test_batch_powers_match_einsum_oracle(monkeypatch):
     calls = []
 
-    def recording(sample, p, sigma_n2):
+    def recording(sample, p):
         calls.append(sample)
-        return _batch_powers(sample, p, sigma_n2)
+        return _batch_powers(sample, p)
 
     monkeypatch.setattr(receivers, "_batch_powers", recording)
     seed = 0
@@ -369,12 +376,12 @@ def test_batch_powers_match_einsum_oracle(monkeypatch):
                     )
                     p = random_precoder(np.random.default_rng(seed), n_t, k, cfg.p_t)
                     what = (n_t, k, snr_db, m)
-                    _check_against_einsum(sample, p, 1.0, what)
+                    _check_against_einsum(sample, p, what)
                     # sum_rate's single-realization call on the true channel
-                    sum_rate(draw.h_true, p, 1.0)
+                    sum_rate(draw.h_true, p)
                     assert calls[-1].m == 1
                     assert np.array_equal(calls[-1].realizations[0], draw.h_true)
-                    _check_against_einsum(calls[-1], p, 1.0, what + ("sum_rate",))
+                    _check_against_einsum(calls[-1], p, what + ("sum_rate",))
                 # no CSIT error: m copies of the estimate
                 copies = draw_sample(substream(seed, 2), draw.h_est, 0.0, 200)
-                _check_against_einsum(copies, p, 1.0, what + ("copies",))
+                _check_against_einsum(copies, p, what + ("copies",))
