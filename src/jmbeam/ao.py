@@ -63,11 +63,11 @@ EXTRAPOLATE_FROM = 20
 # of the extrapolation's rates serves at most; the runs of a block are
 # served in consecutive chunks (`_chunks`). Such a call's arrays grow
 # with its rows. Measured by the benchmark's peak memory against one run
-# at a time: on the desk grid (m = 200, 10 runs a block) +1.9% at 600
+# at a time, when a desk block held 10 runs at m = 200: +1.9% at 600
 # rows, +3.6% at 1000 (and faster in 3 of 4 runs), +6.7% for the whole
 # block; at m = 1000 the whole block gave +27% and no speed, since the
 # work there grows with the rows. 1000 rows is 5 runs at m = 200 and one
-# at m = 1000.
+# at m = 1000, whatever the block (`harness.BLOCK_ROWS`) holds.
 CHUNK_ROWS = 1000
 
 

@@ -26,8 +26,6 @@ __all__ = [
     "draw_channel",
     "make_draw",
     "draw_sample",
-    "save_fixture",
-    "load_fixture",
 ]
 
 
@@ -169,31 +167,3 @@ def draw_sample(rng, h_est, sigma_e2, m):
     h_est = np.asarray(h_est, dtype=complex)
     err = complex_gaussian(rng, (m,) + h_est.shape, var=sigma_e2)
     return MonteCarloSample(realizations=h_est + err)
-
-
-def save_fixture(path, h, seed):
-    """Write a channel matrix as a regression fixture.
-
-    Format: header line "nt k seed", then one "re im" pair per line in
-    row-major order, using round-trip float repr.
-    """
-    h = np.asarray(h, dtype=complex)
-    n_t, k = h.shape
-    with open(path, "w") as f:
-        f.write(f"{n_t} {k} {seed}\n")
-        for i in range(n_t):
-            for j in range(k):
-                f.write(f"{float(h[i, j].real)!r} {float(h[i, j].imag)!r}\n")
-
-
-def load_fixture(path):
-    """Read a fixture written by save_fixture; returns (h, seed)."""
-    with open(path) as f:
-        header = f.readline().split()
-        n_t, k, seed = int(header[0]), int(header[1]), int(header[2])
-        h = np.empty((n_t, k), dtype=complex)
-        for i in range(n_t):
-            for j in range(k):
-                re, im = f.readline().split()
-                h[i, j] = float(re) + 1j * float(im)
-    return h, seed

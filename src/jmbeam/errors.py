@@ -27,10 +27,11 @@ class DegenerateMmse(JmbeamError):
 
 
 class NumericalBreakdown(JmbeamError):
-    """A solver could not compute a usable step: the precoder update's
-    dual is not finite at any start (qcqp.solve), or the reference cone
-    interior-point kernel (jmbeam.socp) could not factorize its Newton
-    system even after regularization."""
+    """A computation broke down numerically: the receive powers of a
+    precoder are not finite (receivers._batch_powers), the precoder
+    update's dual is not finite at any start (qcqp.solve), or the
+    reference cone interior-point kernel (jmbeam.socp) could not
+    factorize its Newton system even after regularization."""
 
 
 class ConfigError(JmbeamError):

@@ -9,11 +9,11 @@ Carlo samples (paired comparison). The true channel is only ever used
 for evaluation, never inside an optimizer. BC-AWSMSE is the JMB-AWSMSE
 run at alpha = 1 (`_ao_run`), on the cell's channel.
 
-A sweep task is a block of up to BLOCK_CHANNELS consecutive channels of
-the grid. It draws each channel and sample once for all schemes and
-steps the block's AWSMSE runs in lockstep (`ao.run_block`); every run
-has the bits `run_single` gives it, so outputs depend neither on the
-blocks nor on the worker count.
+A sweep task is a block of consecutive channels of the grid, sized by
+`_blocks` from the grid, m and the worker count. It draws each channel
+and sample once for all schemes and steps the block's AWSMSE runs in
+lockstep (`ao.run_block`); every run has the bits `run_single` gives
+it, so outputs depend neither on the blocks nor on the worker count.
 """
 
 import json
@@ -46,13 +46,14 @@ __all__ = [
 
 SCHEMES = ("JMB-AWSMSE", "BC-AWSMSE", "JMB-ZF-SVD", "ZF-WF")
 
-# Channels per sweep task (`_block_task`), whose AWSMSE runs step in
-# lockstep. A fixed constant, not a config key, so serial and pooled
-# sweeps form the same blocks. Sized on the desk grid at 2 channels per
-# cell: 10-channel blocks ran faster than 5-channel ones (0.6x against
-# 0.8x of one run at a time) but raised the peak memory of repeated
-# sweeps by 8% against 6%, since a block's runs hold their state at once.
-BLOCK_CHANNELS = 5
+# Monte-Carlo rows (channels x m) that one sweep task (`_block_task`)
+# holds at most, unless it holds a single channel. Its AWSMSE runs step
+# in lockstep, so fewer, larger blocks pay fewer rounds of stacked calls,
+# but a block's runs hold their state at once. On the full desk grid
+# (m = 200, serial) 45-channel blocks took 0.57x the time of 5-channel
+# ones for +4.5% peak memory; one 180-channel block was no faster and
+# took +19%.
+BLOCK_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -271,6 +272,17 @@ def _baseline(scheme, draw, csit):
     return zf_wf(draw.h_est, csit.p_t)
 
 
+def _blocks(cells, m, threads):
+    """`cells` cut into consecutive blocks whose sizes differ by at most
+    one: the fewest blocks, in a multiple of `threads`, of at most
+    BLOCK_ROWS // m cells each (one at least), and never an empty one."""
+    per = max(1, BLOCK_ROWS // m)
+    count = min(len(cells), threads * math.ceil(len(cells) / (threads * per)))
+    size, extra = divmod(len(cells), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _block_task(cfg, cells):
     """Every scheme on a block of channels; failures stay local to their
     (scheme, channel).
@@ -407,10 +419,13 @@ def write_detail_csv(path, details):
 def run_sweep(cfg, out_dir=None):
     """Evaluate every scheme on the (alpha, snr) grid over paired channels.
 
-    A task is a block of up to BLOCK_CHANNELS consecutive channels of the
-    grid, in (alpha, snr, channel) order (`_block_task`). The blocks
-    depend on the grid alone, so the serial and pooled sweeps run the
-    same blocks. Writes esr.csv, sr_detail.csv and meta.json into
+    A task is a block of consecutive channels of the grid, in (alpha,
+    snr, channel) order (`_block_task`). `_blocks` cuts the grid into the
+    fewest blocks of at most BLOCK_ROWS Monte-Carlo rows, in a multiple
+    of cfg.threads, so a serial sweep runs as few lockstep blocks as
+    memory allows and the pool gets one block per worker. The blocks
+    depend on the grid, m and threads; a run's bits on none of them.
+    Writes esr.csv, sr_detail.csv and meta.json into
     out_dir when given; meta.json counts completed and total tasks in
     channels. On interrupt or a dead pool worker, every block that
     already completed, in any order, is reduced and flushed, with the
@@ -422,7 +437,7 @@ def run_sweep(cfg, out_dir=None):
         for snr_db in cfg.snr_db
         for ch in range(cfg.n_channels)
     ]
-    tasks = [cells[i:i + BLOCK_CHANNELS] for i in range(0, len(cells), BLOCK_CHANNELS)]
+    tasks = _blocks(cells, cfg.m, cfg.threads)
     results = {}  # task index -> outcomes per channel
     futures = []
     abort = None

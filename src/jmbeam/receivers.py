@@ -34,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import MonteCarloSample
+from .errors import NumericalBreakdown
 
 _LN2 = math.log(2.0)
 
@@ -119,6 +120,10 @@ def _batch_powers(sample, p):
     With R runs every output has a leading run axis; each run's GEMM is
     its own, so its slice has the bits it has alone. All six are
     read-only.
+
+    Raises NumericalBreakdown when some t_c is not finite, as when a
+    power overflows: t_c carries every inf and NaN of y, s_c, s_p and
+    i_p.
     """
     samples, p, one = _runs_of(sample, p)
     chans = stacked_channels(samples)
@@ -131,6 +136,8 @@ def _batch_powers(sample, p):
     i_p = flat @ _interference_mask(k) + 1.0
     t_p = i_p + s_p
     t_c = s_c + t_p
+    if not np.isfinite(t_c).all():
+        raise NumericalBreakdown("a receive power is not finite")
     out = (y, s_c, s_p, i_p, t_p, t_c)
     if one:
         out = tuple(a[0] for a in out)

@@ -7,7 +7,8 @@ matrix products over the realizations, dual ascent, bisection and a cone
 interior-point method instead of a dual Newton path, symbol-level
 simulation instead of closed forms. Agreement between the two routes is
 the evidence; nothing here imports the implementation path it is
-checking.
+checking. The last section reads and writes the committed channel
+fixture.
 """
 
 import math
@@ -569,3 +570,35 @@ def qcqp_cone_oracle(q, tol=1e-8, max_iter=100):
         "status": res.status,
         "iterations": res.iterations,
     }
+
+
+# ---------------------------------------------------------------------------
+# channel fixtures
+
+
+def save_fixture(path, h, seed):
+    """Write a channel matrix as a regression fixture.
+
+    Format: header line "nt k seed", then one "re im" pair per line in
+    row-major order, using round-trip float repr.
+    """
+    h = np.asarray(h, dtype=complex)
+    n_t, k = h.shape
+    with open(path, "w") as f:
+        f.write(f"{n_t} {k} {seed}\n")
+        for i in range(n_t):
+            for j in range(k):
+                f.write(f"{float(h[i, j].real)!r} {float(h[i, j].imag)!r}\n")
+
+
+def load_fixture(path):
+    """Read a fixture written by save_fixture; returns (h, seed)."""
+    with open(path) as f:
+        header = f.readline().split()
+        n_t, k, seed = int(header[0]), int(header[1]), int(header[2])
+        h = np.empty((n_t, k), dtype=complex)
+        for i in range(n_t):
+            for j in range(k):
+                re, im = f.readline().split()
+                h[i, j] = float(re) + 1j * float(im)
+    return h, seed

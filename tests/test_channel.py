@@ -3,15 +3,14 @@ import os
 import numpy as np
 import pytest
 
+from _oracles import load_fixture, save_fixture
 from jmbeam.channel import (
     CsitConfig,
     complex_gaussian,
     draw_channel,
     draw_sample,
     error_variance,
-    load_fixture,
     make_draw,
-    save_fixture,
     substream,
 )
 

@@ -292,14 +292,15 @@ def test_sweep_matches_golden_fixture(tmp_path):
         assert float(g_sr) == pytest.approx(float(w_sr), rel=1e-9, abs=0.0), g_key
 
 
-def _kill_worker_at(monkeypatch, cfg, channel):
-    """Make the pool worker whose block draws `channel` of cfg's one cell
-    exit, once the other blocks have had time to report."""
-    dying_seed = cell_seed(cfg.master_seed, cfg.alphas[0], cfg.snr_db[0], channel)
+def _kill_worker_at(monkeypatch, cfg, *channels):
+    """Make each pool worker whose block draws one of `channels` of cfg's
+    one cell exit, once the other blocks have had time to report."""
+    dying_seeds = {cell_seed(cfg.master_seed, cfg.alphas[0], cfg.snr_db[0], ch)
+                   for ch in channels}
     draw = harness._draw
 
     def dying_draw(cfg, snr_db, alpha, seed):
-        if seed == dying_seed:
+        if seed in dying_seeds:
             time.sleep(1.0)
             os._exit(1)
         return draw(cfg, snr_db, alpha, seed)
@@ -312,12 +313,13 @@ def _kill_worker_at(monkeypatch, cfg, channel):
     reason="pool workers must inherit the patched channel draw",
 )
 def test_sweep_flushes_finished_tasks_when_a_worker_dies(tmp_path, monkeypatch):
-    # blocks of 2 channels: the block of channels 4 and 5 dies
-    monkeypatch.setattr(harness, "BLOCK_CHANNELS", 2)
+    # blocks of at most 2 channels, in a multiple of the 2 workers:
+    # channels 0-1, 2-3, 4 and 5, and the blocks of channels 4 and 5 die
     cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=6, threads=2)
+    monkeypatch.setattr(harness, "BLOCK_ROWS", 2 * cfg.m)
     serial = tiny_cfg(schemes=("ZF-WF",), n_channels=4)
     run_sweep(serial, out_dir=str(tmp_path / "serial"))
-    _kill_worker_at(monkeypatch, cfg, channel=5)
+    _kill_worker_at(monkeypatch, cfg, 4, 5)
     with pytest.raises(BrokenProcessPool):
         run_sweep(cfg, out_dir=str(tmp_path / "pool"))
     meta = json.loads((tmp_path / "pool" / "meta.json").read_text())
@@ -335,9 +337,10 @@ def test_sweep_flushes_finished_tasks_when_a_worker_dies(tmp_path, monkeypatch):
     reason="pool workers must inherit the patched channel draw",
 )
 def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
-    # the first block dies last: the two blocks after it must survive
-    monkeypatch.setattr(harness, "BLOCK_CHANNELS", 2)
+    # blocks 0-1, 2-3, 4 and 5: the first block dies last, and the three
+    # blocks after it must survive
     cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=6, threads=2)
+    monkeypatch.setattr(harness, "BLOCK_ROWS", 2 * cfg.m)
     rest = [(0.6, 5.0, ch) for ch in (2, 3, 4, 5)]
     records, _, details = harness._reduce(
         cfg, list(zip(rest, harness._block_task(cfg, rest)))
@@ -345,7 +348,7 @@ def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
     (tmp_path / "serial").mkdir()
     write_esr_csv(tmp_path / "serial" / "esr.csv", records)
     write_detail_csv(tmp_path / "serial" / "sr_detail.csv", details)
-    _kill_worker_at(monkeypatch, cfg, channel=0)
+    _kill_worker_at(monkeypatch, cfg, 0)
     with pytest.raises(BrokenProcessPool):
         run_sweep(cfg, out_dir=str(tmp_path / "pool"))
     meta = json.loads((tmp_path / "pool" / "meta.json").read_text())
@@ -364,8 +367,8 @@ def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
 def test_sweep_interrupt_cancels_queued_tasks(tmp_path, monkeypatch):
     # an interrupt that reaches only the parent, after the first result;
     # 12 blocks of 2 channels, each drawing for 0.2 s
-    monkeypatch.setattr(harness, "BLOCK_CHANNELS", 2)
     cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=24, threads=2)
+    monkeypatch.setattr(harness, "BLOCK_ROWS", 2 * cfg.m)
     draw = harness._draw
 
     def slow_draw(*args):
@@ -702,6 +705,31 @@ def test_cli_single_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     )
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_overflowing_cell_is_a_failure_not_a_nan(tmp_path, capsys):
+    # at 3080 dB, which the config accepts, JMB-ZF-SVD's receive powers
+    # on the desk config's channel 0 overflow: `single` exits 3, and a
+    # sweep records that channel's failure in meta.json and averages the
+    # cell over the other channel, where both used to give a NaN
+    from jmbeam.cli import main
+
+    cfgp = _write_cfg(tmp_path, schemes=["ZF-WF", "JMB-ZF-SVD"],
+                      snr_db=[20.0, 3080.0], master_seed=12345)
+    with np.errstate(all="ignore"):
+        code = main(["single", "--config", cfgp, "--scheme", "JMB-ZF-SVD",
+                     "--snr-db", "3080", "--alpha", "0.6"])
+        assert code == 3
+        assert "NumericalBreakdown" in capsys.readouterr().err
+        records = run_sweep(ExperimentConfig.from_json(cfgp), out_dir=str(tmp_path / "o"))
+    assert all(math.isfinite(r.esr) for r in records)
+    assert [(r.scheme, r.snr_db, r.n_channels) for r in records] == [
+        ("ZF-WF", 20.0, 2), ("ZF-WF", 3080.0, 2),
+        ("JMB-ZF-SVD", 20.0, 2), ("JMB-ZF-SVD", 3080.0, 1)]
+    (failure,) = json.loads((tmp_path / "o" / "meta.json").read_text())["failures"]
+    assert (failure["scheme"], failure["snr_db"], failure["channel"]) == (
+        "JMB-ZF-SVD", 3080.0, 0)
+    assert failure["error"].startswith("NumericalBreakdown")
 
 
 def test_cli_convergence(tmp_path):

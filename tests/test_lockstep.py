@@ -13,7 +13,7 @@ from conftest import tiny_cfg
 from jmbeam import ao, harness, qcqp
 from jmbeam.ao import run_ao
 from jmbeam.errors import DegenerateMmse, JmbeamError, NotPsd, NumericalBreakdown
-from jmbeam.harness import BLOCK_CHANNELS, ExperimentConfig, cell_seed, run_single, run_sweep
+from jmbeam.harness import ExperimentConfig, cell_seed, run_single, run_sweep
 from jmbeam.lockstep import drive, run_one
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "config_desk.json"
@@ -66,10 +66,21 @@ def test_drive_serves_stacked_and_isolates_errors():
 # blocks of the sweep
 
 
+# channels a block of the tests below holds at most (`small_blocks`)
+BLOCK = 5
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of at most BLOCK channels at _block_cfg's m = 12."""
+    monkeypatch.setattr(harness, "BLOCK_ROWS", BLOCK * 12)
+
+
 def _block_cfg(**over):
-    """Every scheme on two cells of more channels than one block holds."""
+    """Every scheme on two cells of more channels than one small block
+    holds."""
     base = dict(schemes=harness.SCHEMES, snr_db=(5.0, 30.0), m=12,
-                n_channels=BLOCK_CHANNELS + 2, n_max=60, epsilon_r=1e-3)
+                n_channels=BLOCK + 2, n_max=60, epsilon_r=1e-3)
     base.update(over)
     return tiny_cfg(**base)
 
@@ -95,11 +106,11 @@ def _same_run(a, b):
     return p_a.tobytes() == p_b.tobytes() and vars(t_a) == vars(t_b)
 
 
-def test_block_runs_match_runs_alone_and_single(tmp_path, monkeypatch):
+def test_block_runs_match_runs_alone_and_single(tmp_path, monkeypatch, small_blocks):
     cfg = _block_cfg()
     blocks = _recorded_sweep(monkeypatch, cfg, tmp_path / "sweep")
     sizes = [len(runs) for runs, _ in blocks]
-    assert sizes == [2 * BLOCK_CHANNELS, 2 * BLOCK_CHANNELS, 8]
+    assert sizes == [2 * BLOCK, 2 * BLOCK, 8]
     for runs, results in blocks:
         for run, got in zip(runs, results):
             assert _same_run(got, run_ao(*run))
@@ -113,12 +124,54 @@ def test_block_runs_match_runs_alone_and_single(tmp_path, monkeypatch):
         assert sr == repr(want), row
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_blocks_cut_the_grid_by_rows_and_workers(threads):
+    grid = [(0.6, 5.0, ch) for ch in range(901)]
+    for n in (1, 2, 5, 7, 13, 18, 45, 180, 901):
+        cells = grid[:n]
+        for m in (1, 12, 200, 1000, 3000, harness.BLOCK_ROWS + 1):
+            blocks = harness._blocks(cells, m, threads)
+            sizes = [len(b) for b in blocks]
+            what = (n, m, threads, sizes)
+            # contiguous, in order, and never empty
+            assert sum(blocks, []) == cells, what
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1, what
+            assert len(blocks) % threads == 0 or len(blocks) == n, what
+            assert all(s * m <= harness.BLOCK_ROWS or s == 1 for s in sizes), what
+            # the fewest: the next smaller multiple of threads overflows
+            fewer = (math.ceil(len(blocks) / threads) - 1) * threads
+            assert fewer == 0 or math.ceil(n / fewer) * m > harness.BLOCK_ROWS, what
+    if threads <= 2:
+        # the desk grid in 4 blocks of 45 channels, the benchmark's desk
+        # grid in one block per worker, and paper-m's 5 channels in one
+        assert [len(b) for b in harness._blocks(grid[:180], 200, threads)] == [45] * 4
+        assert [len(b) for b in harness._blocks(grid[:18], 200, threads)] == (
+            [18 // threads] * threads)
+        assert [len(b) for b in harness._blocks(grid[:5], 1000, threads)] == (
+            [5] if threads == 1 else [3, 2])
+
+
+def test_sweep_bytes_do_not_depend_on_the_blocks(tmp_path, monkeypatch):
+    # one block, one channel per block, and the default cut (two blocks
+    # of 6 channels at m = 1000) write the same bytes
+    cfg = _block_cfg(m=1000, n_channels=6, n_max=20)
+    assert len(harness._blocks(list(range(12)), cfg.m, cfg.threads)) == 2
+    files = {}
+    for name, rows in (("default", harness.BLOCK_ROWS), ("one", 10**9), ("each", 1)):
+        monkeypatch.setattr(harness, "BLOCK_ROWS", rows)
+        run_sweep(cfg, out_dir=str(tmp_path / name))
+        files[name] = [(tmp_path / name / f).read_bytes()
+                       for f in ("esr.csv", "sr_detail.csv")]
+    assert files["one"] == files["default"] == files["each"]
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="pool workers are forked",
 )
-def test_block_sweep_same_bytes_across_threads(tmp_path):
-    cfg = _block_cfg(snr_db=(20.0,), n_channels=2 * BLOCK_CHANNELS + 3)
+def test_block_sweep_same_bytes_across_threads(tmp_path, small_blocks):
+    # 3 blocks serial and 4 on the pool
+    cfg = _block_cfg(snr_db=(20.0,), n_channels=2 * BLOCK + 3)
     run_sweep(cfg, out_dir=str(tmp_path / "t1"))
     run_sweep(replace(cfg, threads=2), out_dir=str(tmp_path / "t2"))
     for name in ("esr.csv", "sr_detail.csv"):
@@ -162,7 +215,8 @@ def _injected_failure(tmp_path, monkeypatch, module, name, poisoned, error):
 
 
 @pytest.mark.parametrize("scheme", AO_SCHEMES)
-def test_not_psd_from_the_stacked_guard_fails_one_run(tmp_path, monkeypatch, scheme):
+def test_not_psd_from_the_stacked_guard_fails_one_run(tmp_path, monkeypatch, small_blocks,
+                                                     scheme):
     # the guard factors every problem of a round in one stacked call; the
     # target's first private matrix makes that call raise
     cfg = _block_cfg(snr_db=(20.0,))
@@ -180,7 +234,8 @@ def test_not_psd_from_the_stacked_guard_fails_one_run(tmp_path, monkeypatch, sch
 
 
 @pytest.mark.parametrize("scheme", AO_SCHEMES)
-def test_degenerate_mmse_from_the_block_update_fails_one_run(tmp_path, monkeypatch, scheme):
+def test_degenerate_mmse_from_the_block_update_fails_one_run(tmp_path, monkeypatch,
+                                                            small_blocks, scheme):
     # the block update stacks the receive powers of every run it serves;
     # the target's powers at its first update make that call raise
     cfg = _block_cfg(snr_db=(20.0,))
@@ -198,9 +253,9 @@ def test_degenerate_mmse_from_the_block_update_fails_one_run(tmp_path, monkeypat
 
 
 def test_numerical_breakdown_fails_one_run_of_a_block():
-    # at 3080 dB the receive powers overflow, and the dual of that run's
-    # first update is not finite at any start: the run ends in
-    # NumericalBreakdown, and the runs of its block have their bits alone
+    # at 3080 dB the receive powers of that run's first update overflow:
+    # the run ends in NumericalBreakdown, and the runs of its block have
+    # their bits alone
     cfg = _block_cfg()
     runs = []
     for snr_db in (20.0, 3080.0, 30.0):

@@ -6,6 +6,7 @@ from conftest import random_precoder, random_system
 from jmbeam import receivers
 from jmbeam.awsmse import update_blocks
 from jmbeam.channel import MonteCarloSample, draw_sample, substream
+from jmbeam.errors import NumericalBreakdown
 from jmbeam.receivers import _batch_powers, average_rates, precoder_power, sum_rate
 
 
@@ -385,3 +386,27 @@ def test_batch_powers_match_einsum_oracle(monkeypatch):
                 # no CSIT error: m copies of the estimate
                 copies = draw_sample(substream(seed, 2), draw.h_est, 0.0, 200)
                 _check_against_einsum(copies, p, what + ("copies",))
+
+
+def test_overflowing_powers_raise_numerical_breakdown():
+    # a precoder of 1e155 overflows |p^H h|^2 to inf, whose rates would be
+    # NaN: an overflowing common, own or interfering power each raises
+    h = np.array([[1.0, 0.5], [0.25, 1.0]], dtype=complex)
+    sample = MonteCarloSample(realizations=h[None])
+    big = 1e155
+    for col in range(3):
+        p = np.zeros((2, 3), dtype=complex)
+        p[0, col] = big
+        with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown):
+            _batch_powers(sample, p)
+        with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown):
+            sum_rate(h, p)
+    p = np.full((2, 3), np.nan, dtype=complex)
+    with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown):
+        average_rates(sample, p)
+    # a stack of runs raises when any run overflows
+    ok = np.ones((2, 3), dtype=complex)
+    with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown):
+        _batch_powers([sample, sample], np.array([ok, big * ok]))
+    # finite powers near the top of the range pass
+    assert np.isfinite(sum_rate(h, 1e150 * ok))
