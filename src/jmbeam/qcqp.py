@@ -66,7 +66,6 @@ __all__ = [
     "solve",
     "solve_steps",
     "kkt_residual",
-    "objective_value",
     "constraint_values",
 ]
 
@@ -206,11 +205,6 @@ def _cons(psi_con, f_con, con_const, pt):
     return quad[..., 0].real + con_const - 2.0 * lin[..., 0].real
 
 
-def objective_value(q, p, xi_c):
-    """Objective of the problem at (P, xi_c), constant term excluded."""
-    return xi_c + _points([[(q, p, p, np.zeros(q.con_const.size), 0.0)]])[0][0][0]
-
-
 def constraint_values(q, p):
     """Left-hand sides of the common-MSE constraints at P (their value
     must be <= xi_c), including the constant terms; empty in the
@@ -246,80 +240,76 @@ def _duals(items):
     gradients whatever the budget.
 
     Returns per item (value, gradient, Hessian, P), with P a transposed
-    view; or None where the minimizer is not finite (a singular system,
-    or a power sum that is not finite). The joint problems are stacked
+    view; or None where the minimizer is not finite. A singular stack is
+    evaluated item by item, since the inverse does not say which system
+    is singular; a power sum that is not finite is decided by value in
+    the one stacked pass, run without overflow and invalid warnings,
+    whose calls each act on one item. The joint problems are stacked
     first, so what involves the common column acts on a leading slice
     and the rest on all problems of both forms at once.
     """
-    order = _joint_first([q for q, _ in items])
-    qs = [items[i][0] for i in order]
-    zs = [items[i][1] for i in order]
-    f = _fields(qs)
-    nc, r, n_t, k, p_t = f["nc"], len(qs), qs[0].n_t, qs[0].k, f["p_t"]
-    mu_pow = np.array([z[-1] for z in zs]) / p_t
-    # the common matrices of the joint problems, then every private one
-    mats = np.empty((nc + r, n_t, n_t), dtype=complex)
-    m_c, priv = mats[:nc], mats[nc:]
-    if nc:
-        mu = np.array(zs[:nc])[:, None, :-1]
-        np.matmul(mu, f["psi_con"].reshape(nc, k, -1), out=m_c.reshape(nc, 1, -1))
-        _add_diag(m_c, mu_pow[:nc])
-        np.add(m_c, f["psi_obj"][:nc], out=priv[:nc])
-    if nc < r:
-        priv[nc:] = f["psi_obj"][nc:]
-        _add_diag(priv[nc:], mu_pow[nc:])
-    try:
-        inv = np.linalg.inv(mats)
-    except np.linalg.LinAlgError:
-        return [None] if len(items) == 1 else [_duals([it])[0] for it in items]
-    inv_c, inv_p = inv[:nc], inv[nc:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        order = _joint_first([q for q, _ in items])
+        qs = [items[i][0] for i in order]
+        zs = [items[i][1] for i in order]
+        f = _fields(qs)
+        nc, r, n_t, k, p_t = f["nc"], len(qs), qs[0].n_t, qs[0].k, f["p_t"]
+        mu_pow = np.array([z[-1] for z in zs]) / p_t
+        # the common matrices of the joint problems, then every private one
+        mats = np.empty((nc + r, n_t, n_t), dtype=complex)
+        m_c, priv = mats[:nc], mats[nc:]
+        if nc:
+            mu = np.array(zs[:nc])[:, None, :-1]
+            np.matmul(mu, f["psi_con"].reshape(nc, k, -1), out=m_c.reshape(nc, 1, -1))
+            _add_diag(m_c, mu_pow[:nc])
+            np.add(m_c, f["psi_obj"][:nc], out=priv[:nc])
+        if nc < r:
+            priv[nc:] = f["psi_obj"][nc:]
+            _add_diag(priv[nc:], mu_pow[nc:])
+        try:
+            inv = np.linalg.inv(mats)
+        except np.linalg.LinAlgError:
+            return [None] if len(items) == 1 else [_duals([it])[0] for it in items]
+        inv_c, inv_p = inv[:nc], inv[nc:]
 
-    # pt holds the columns of P as rows
-    pt = np.zeros((r, k + 1, n_t), dtype=complex)
-    np.matmul(f["f_obj"], inv_p.transpose(0, 2, 1), out=pt[:, 1:])
-    value = np.zeros(r)
-    if nc:
-        b_c = np.matmul(mu, f["f_con"])
-        np.matmul(b_c, inv_c.transpose(0, 2, 1), out=pt[:nc, :1])
-        value[:nc] = (mu @ f["con_const"][..., None])[:, 0, 0]
-        value[:nc] -= _dots(b_c, pt[:nc, :1]).real
-    pw = _dots(pt, pt).real
-    finite = np.isfinite(pw)
-    if not finite.all():
-        # evaluate the rest alone, with no arithmetic on what is not finite
-        keep = [i for i, ok in zip(order, finite) if ok]
+        # pt holds the columns of P as rows
+        pt = np.zeros((r, k + 1, n_t), dtype=complex)
+        np.matmul(f["f_obj"], inv_p.transpose(0, 2, 1), out=pt[:, 1:])
+        value = np.zeros(r)
+        if nc:
+            b_c = np.matmul(mu, f["f_con"])
+            np.matmul(b_c, inv_c.transpose(0, 2, 1), out=pt[:nc, :1])
+            value[:nc] = (mu @ f["con_const"][..., None])[:, 0, 0]
+            value[:nc] -= _dots(b_c, pt[:nc, :1]).real
+        pw = _dots(pt, pt).real
+        value -= _dots(f["f_obj"], pt[:, 1:]).real + mu_pow * p_t
+        g_pow = (pw - p_t) / p_t
+        grad, hess = [], []
+        if nc:
+            psi_con, f_con = f["psi_con"], f["f_con"]
+            g = np.empty((nc, k + 1))
+            g[:, :-1] = _cons(psi_con, f_con, f["con_const"], pt[:nc])
+            g[:, -1] = g_pow[:nc]
+            # rr[:, v, j]: derivative of column j's stationarity residual in z_v
+            rr = np.empty((nc, k + 1, k + 1, n_t), dtype=complex)
+            np.matmul(pt[:nc, None], psi_con.transpose(0, 1, 3, 2), out=rr[:, :-1])
+            rr[:, :-1, 0] -= f_con
+            np.divide(pt[:nc], p_t[:nc, None, None], out=rr[:, -1])
+            w = np.empty_like(rr)
+            np.matmul(rr[:, :, 0], inv_c.transpose(0, 2, 1), out=w[:, :, 0])
+            np.matmul(rr[:, :, 1:], inv_p[:nc, None].transpose(0, 1, 3, 2), out=w[:, :, 1:])
+            rr, w = rr.reshape(nc, k + 1, -1), w.reshape(nc, k + 1, -1)
+            grad += list(g)
+            hess += list(-2.0 * (rr.conj() @ w.transpose(0, 2, 1)).real)
+        if nc < r:
+            curv = _dots(pt[nc:], pt[nc:] @ inv_p[nc:].transpose(0, 2, 1)).real
+            grad += list(g_pow[nc:, None])
+            hess += list((-2.0 * curv / p_t[nc:] ** 2)[:, None, None])
         out = [None] * len(items)
-        for i, ev in zip(keep, _duals([items[i] for i in keep]) if keep else []):
-            out[i] = ev
+        for j, (i, ok) in enumerate(zip(order, np.isfinite(pw).tolist())):
+            if ok:
+                out[i] = (float(value[j]), grad[j], hess[j], pt[j].T)
         return out
-
-    value -= _dots(f["f_obj"], pt[:, 1:]).real + mu_pow * p_t
-    g_pow = (pw - p_t) / p_t
-    grad, hess = [], []
-    if nc:
-        psi_con, f_con = f["psi_con"], f["f_con"]
-        g = np.empty((nc, k + 1))
-        g[:, :-1] = _cons(psi_con, f_con, f["con_const"], pt[:nc])
-        g[:, -1] = g_pow[:nc]
-        # rr[:, v, j]: derivative of column j's stationarity residual in z_v
-        rr = np.empty((nc, k + 1, k + 1, n_t), dtype=complex)
-        np.matmul(pt[:nc, None], psi_con.transpose(0, 1, 3, 2), out=rr[:, :-1])
-        rr[:, :-1, 0] -= f_con
-        np.divide(pt[:nc], p_t[:nc, None, None], out=rr[:, -1])
-        w = np.empty_like(rr)
-        np.matmul(rr[:, :, 0], inv_c.transpose(0, 2, 1), out=w[:, :, 0])
-        np.matmul(rr[:, :, 1:], inv_p[:nc, None].transpose(0, 1, 3, 2), out=w[:, :, 1:])
-        rr, w = rr.reshape(nc, k + 1, -1), w.reshape(nc, k + 1, -1)
-        grad += list(g)
-        hess += list(-2.0 * (rr.conj() @ w.transpose(0, 2, 1)).real)
-    if nc < r:
-        curv = _dots(pt[nc:], pt[nc:] @ inv_p[nc:].transpose(0, 2, 1)).real
-        grad += list(g_pow[nc:, None])
-        hess += list((-2.0 * curv / p_t[nc:] ** 2)[:, None, None])
-    out = [None] * len(items)
-    for j, i in enumerate(order):
-        out[i] = (float(value[j]), grad[j], hess[j], pt[j].T)
-    return out
 
 
 def _eqps(items):
@@ -596,9 +586,9 @@ def _solution(q, fin, warm):
     xi = float(max(cons, default=0.0))
     mu, mu_pow = z[:-1], float(z[-1]) / q.p_t
     p_star = np.ascontiguousarray(p)  # _duals' P is a transposed view
-    points = [(q, p, p_star, mu, mu_pow)]
+    points = [(q, p_star, mu, mu_pow)]
     if warm is not None:
-        points.append((q, warm, warm, mu, mu_pow))
+        points.append((q, warm, mu, mu_pow))
     (obj, cons, pw, res), *incumbent = yield _points, points
     sol = QcqpSolution(
         p_star=p_star,
@@ -614,9 +604,9 @@ def _solution(q, fin, warm):
 
 
 def _points(payloads):
-    """For each point (problem, p_obj, p, mu, mu_pow) of each payload, a
-    sequence of points, in stacked calls: the objective at p_obj without
-    xi_c, and at p the constraint values, the power and the normalized
+    """For each point (problem, P, mu, mu_pow) of each payload, a
+    sequence of points, in stacked calls: the objective at P without
+    xi_c, the constraint values, the power and the normalized
     stationarity residual (in P and xi_c) of `kkt_residual` under the
     multipliers (mu, mu_pow). Returns one list of results per payload."""
     items = [it for points in payloads for it in points]
@@ -625,11 +615,10 @@ def _points(payloads):
     nc, r = f["nc"], len(order)
     psi_obj, f_obj = f["psi_obj"], f["f_obj"]
     n_t = psi_obj.shape[-1]
-    p_obj = np.array([items[i][1] for i in order])
-    p = np.array([items[i][2] for i in order])
-    mu_pow = np.array([items[i][4] for i in order], dtype=float)
+    p = np.array([items[i][1] for i in order])
+    mu_pow = np.array([items[i][3] for i in order], dtype=float)
 
-    priv = p_obj[:, :, 1:]
+    priv = p[:, :, 1:]
     quad = _dots(priv, psi_obj @ priv).real
     obj = quad - 2.0 * _dots(f_obj.transpose(0, 2, 1), priv).real
 
@@ -639,7 +628,7 @@ def _points(payloads):
     m_0 = np.zeros((r, n_t, n_t), dtype=complex)
     cons = [[]] * r
     if nc:
-        mu = np.array([items[i][3] for i in order[:nc]])[:, None]
+        mu = np.array([items[i][2] for i in order[:nc]])[:, None]
         np.matmul(mu, f["psi_con"].reshape(nc, -1, n_t * n_t),
                   out=m_0[:nc].reshape(nc, 1, -1))
     _add_diag(m_0, mu_pow)
@@ -675,8 +664,7 @@ def kkt_residual(q, sol):
     values certify the solve independently of the Newton iterates. The
     broadcast form's common column is zero, and so is its stationarity.
     """
-    p = sol.p_star
-    ((_, cons, pw, res),) = _points([[(q, p, p, sol.mu, sol.mu_pow)]])[0]
+    ((_, cons, pw, res),) = _points([[(q, sol.p_star, sol.mu, sol.mu_pow)]])[0]
     return _residual(q, sol.xi_c_star, cons, pw, res, sol.mu, sol.mu_pow)
 
 

@@ -123,19 +123,21 @@ def _batch_powers(sample, p):
 
     Raises NumericalBreakdown when some t_c is not finite, as when a
     power overflows: t_c carries every inf and NaN of y, s_c, s_p and
-    i_p.
+    i_p. The powers are formed with overflow and invalid warnings off,
+    since that test decides them by value.
     """
     samples, p, one = _runs_of(sample, p)
     chans = stacked_channels(samples)
     r, m, k, n_t = chans.shape
-    y = (chans.reshape(r, m * k, n_t) @ p.conj()).reshape(r, m, k, k + 1)
-    a2 = y.real**2 + y.imag**2
-    flat = a2.reshape(r, m, k * (k + 1))
-    s_c = flat[..., :: k + 1]
-    s_p = flat[..., 1 :: k + 2]  # a2[..., u, u + 1]
-    i_p = flat @ _interference_mask(k) + 1.0
-    t_p = i_p + s_p
-    t_c = s_c + t_p
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (chans.reshape(r, m * k, n_t) @ p.conj()).reshape(r, m, k, k + 1)
+        a2 = y.real**2 + y.imag**2
+        flat = a2.reshape(r, m, k * (k + 1))
+        s_c = flat[..., :: k + 1]
+        s_p = flat[..., 1 :: k + 2]  # a2[..., u, u + 1]
+        i_p = flat @ _interference_mask(k) + 1.0
+        t_p = i_p + s_p
+        t_c = s_c + t_p
     if not np.isfinite(t_c).all():
         raise NumericalBreakdown("a receive power is not finite")
     out = (y, s_c, s_p, i_p, t_p, t_c)

@@ -536,6 +536,17 @@ def test_convergence_deterministic():
     assert a.awsmse_obj == b.awsmse_obj
 
 
+def test_convergence_raises_a_failed_runs_error_and_writes_nothing(tmp_path):
+    # at 3080 dB the receive powers of the runs' first update overflow:
+    # the block's first failure is raised before any file is written
+    from jmbeam.errors import NumericalBreakdown
+
+    cfg = tiny_cfg(snr_db=(20.0, 3080.0), m=12, n_max=30)
+    with pytest.raises(NumericalBreakdown):
+        run_convergence(cfg, out_dir=str(tmp_path / "conv"))
+    assert not (tmp_path / "conv").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -598,6 +609,46 @@ def test_cli_single(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sum_rate=" in out
     assert "common_power_fraction=" in out
+
+
+def test_cli_sweep_threads_writes_the_serial_bytes(tmp_path):
+    from jmbeam.cli import main
+
+    cfgp = _write_cfg(tmp_path, n_channels=4, schemes=["ZF-WF", "BC-AWSMSE"])
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"t{threads}")
+        assert main(["sweep", "--config", cfgp, "--out", out, "--threads", threads]) == 0
+    for name in ("esr.csv", "sr_detail.csv"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+    meta = json.loads((tmp_path / "t2" / "meta.json").read_text())
+    assert meta["config"]["threads"] == 2
+
+
+def test_cli_sweep_paper_scale_sets_the_full_protocol(tmp_path, monkeypatch, capsys):
+    # a real paper-scale sweep takes about a minute, so only the config
+    # that reaches run_sweep is checked
+    import jmbeam.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, out_dir: seen.append(cfg) or [])
+    out = str(tmp_path / "o")
+    assert cli.main(["sweep", "--config", _write_cfg(tmp_path), "--out", out,
+                     "--paper-scale"]) == 0
+    (cfg,) = seen
+    assert (cfg.m, cfg.n_channels) == (1000, 100)
+    assert "wrote 0 records" in capsys.readouterr().out
+
+
+def test_cli_single_ao_scheme_prints_its_trace_summary(tmp_path, capsys):
+    from jmbeam.cli import main
+
+    cfgp = _write_cfg(tmp_path, n_max=5)
+    code = main(["single", "--config", cfgp, "--scheme", "BC-AWSMSE",
+                 "--snr-db", "5", "--alpha", "0.6"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "iterations=" in out
+    assert "stop_reason=" in out
 
 
 def test_cli_single_alpha_out_of_range(tmp_path, capsys):
@@ -716,12 +767,11 @@ def test_overflowing_cell_is_a_failure_not_a_nan(tmp_path, capsys):
 
     cfgp = _write_cfg(tmp_path, schemes=["ZF-WF", "JMB-ZF-SVD"],
                       snr_db=[20.0, 3080.0], master_seed=12345)
-    with np.errstate(all="ignore"):
-        code = main(["single", "--config", cfgp, "--scheme", "JMB-ZF-SVD",
-                     "--snr-db", "3080", "--alpha", "0.6"])
-        assert code == 3
-        assert "NumericalBreakdown" in capsys.readouterr().err
-        records = run_sweep(ExperimentConfig.from_json(cfgp), out_dir=str(tmp_path / "o"))
+    code = main(["single", "--config", cfgp, "--scheme", "JMB-ZF-SVD",
+                 "--snr-db", "3080", "--alpha", "0.6"])
+    assert code == 3
+    assert "NumericalBreakdown" in capsys.readouterr().err
+    records = run_sweep(ExperimentConfig.from_json(cfgp), out_dir=str(tmp_path / "o"))
     assert all(math.isfinite(r.esr) for r in records)
     assert [(r.scheme, r.snr_db, r.n_channels) for r in records] == [
         ("ZF-WF", 20.0, 2), ("ZF-WF", 3080.0, 2),
@@ -730,6 +780,22 @@ def test_overflowing_cell_is_a_failure_not_a_nan(tmp_path, capsys):
     assert (failure["scheme"], failure["snr_db"], failure["channel"]) == (
         "JMB-ZF-SVD", 3080.0, 0)
     assert failure["error"].startswith("NumericalBreakdown")
+
+
+def test_sweep_drops_a_cell_without_a_successful_channel(tmp_path):
+    # JMB-ZF-SVD fails on the one channel of its 3080 dB cell: that cell
+    # gets no esr.csv row and one failure in meta.json, the others a row
+    cfg = tiny_cfg(schemes=("ZF-WF", "JMB-ZF-SVD"), snr_db=(20.0, 3080.0),
+                   n_channels=1, master_seed=12345)
+    records = run_sweep(cfg, out_dir=str(tmp_path))
+    assert [(r.scheme, r.snr_db) for r in records] == [
+        ("ZF-WF", 20.0), ("ZF-WF", 3080.0), ("JMB-ZF-SVD", 20.0)]
+    rows = (tmp_path / "esr.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert not any(r.startswith("JMB-ZF-SVD,0.6,3080.0,") for r in rows)
+    (failure,) = json.loads((tmp_path / "meta.json").read_text())["failures"]
+    assert (failure["scheme"], failure["snr_db"], failure["channel"]) == (
+        "JMB-ZF-SVD", 3080.0, 0)
 
 
 def test_cli_convergence(tmp_path):

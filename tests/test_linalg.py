@@ -110,6 +110,16 @@ def test_cholesky_stack_applies_the_rules_per_matrix():
             cholesky_psd(bad)
 
 
+def test_cholesky_stack_with_a_pivot_inside_the_tolerance():
+    # LAPACK factors both matrices, but the second's pivot 1e-6 squares
+    # to within EPS_PSD: that matrix alone goes through the pivot loop,
+    # which zeroes its column, and the first keeps LAPACK's bits
+    eye = np.eye(2, dtype=complex)
+    L = cholesky_psd(np.array([eye, np.diag([1.0, 1e-12])], dtype=complex))
+    assert np.array_equal(L[0], np.linalg.cholesky(eye))
+    assert np.array_equal(L[1], np.diag([1.0, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # dominant_left_singular_vector
 

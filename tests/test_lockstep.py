@@ -262,8 +262,7 @@ def test_numerical_breakdown_fails_one_run_of_a_block():
         seed = cell_seed(cfg.master_seed, 0.6, snr_db, 0)
         cell = harness._draw(cfg, snr_db, 0.6, seed)
         runs.append(harness._ao_run(cfg, "JMB-AWSMSE", *cell))
-    with np.errstate(all="ignore"):
-        out = ao.run_block(runs)
+    out = ao.run_block(runs)
     assert isinstance(out[1], NumericalBreakdown)
     for i in (0, 2):
         assert _same_run(out[i], run_ao(*runs[i]))

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -21,7 +22,6 @@ from jmbeam.qcqp import (
     build,
     constraint_values,
     kkt_residual,
-    objective_value,
     solve,
 )
 from jmbeam.receivers import precoder_power
@@ -104,8 +104,7 @@ def test_build_objective_cross_module_identity():
         p = random_precoder(rng, 3, 2, q.p_t, power_fraction=0.8)
         xi_c, xi_p = awmse_values(c, p)
         want = awsmse_objective(xi_c, xi_p)
-        xi_worst = float(np.max(constraint_values(q, p)))
-        got = objective_value(q, p, xi_worst) + q.omitted_constant
+        got = oracle_primal_value(q, p) + q.omitted_constant
         assert got == pytest.approx(want, abs=1e-10)
         # and the constraint lhs values are exactly the common AWMSEs
         assert np.allclose(constraint_values(q, p), xi_c, atol=1e-10)
@@ -395,8 +394,49 @@ def test_dual_not_finite_at_any_start_raises():
         con_const=np.zeros(0),
         omitted_constant=0.0,
     )
-    with np.errstate(over="ignore"), pytest.raises(NumericalBreakdown):
+    with pytest.raises(NumericalBreakdown):
         solve(q)
+
+
+def test_duals_decides_a_non_finite_item_in_the_stacked_pass():
+    # the overflowing problem above, stacked with a normal one of either
+    # form: it gets None, the other the bits it gets alone, and no
+    # warning escapes the stacked arithmetic on the overflowing item
+    bad = QcqpProblem(
+        n_t=2, k=2, p_t=1.0, psi_obj=np.eye(2, dtype=complex),
+        f_obj=np.full((2, 2), 1e200, dtype=complex),
+        psi_con=np.zeros((0, 2, 2), dtype=complex), f_con=np.zeros((0, 2), dtype=complex),
+        con_const=np.zeros(0), omitted_constant=0.0,
+    )
+    for common in (True, False):
+        q, _, _ = problem_from_seed(3, common=common)
+        z = np.full(q.con_const.size + 1, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev, none = qcqp._duals([(q, z), (bad, np.ones(1))])
+            (alone,) = qcqp._duals([(q, z)])
+        assert none is None
+        assert ev[0] == alone[0]
+        for got, want in zip(ev[1:], alone[1:]):
+            assert np.array_equal(got, want)
+
+
+def test_incumbent_fallback_returns_the_warm_point():
+    # solved cold, no start certifies this one-realization problem; the
+    # cone oracle's point has the lower objective, so a solve started
+    # there returns it as it is, with the residual kkt_residual gives
+    q, _, _ = problem_from_seed(11, n_t=3, k=2, snr_db=30.0, m=1)
+    cold = solve(q)
+    assert cold.status == "MaxIter"
+    assert cold.kkt_residual > 0.1
+    warm = qcqp_cone_oracle(q)["p"]
+    sol = solve(q, warm=warm)
+    assert np.array_equal(sol.p_star, warm) and sol.p_star is not warm
+    assert sol.objective < cold.objective
+    assert sol.objective == pytest.approx(oracle_primal_value(q, warm), abs=1e-9)
+    assert sol.objective == pytest.approx(-7.425, abs=1e-3)
+    assert sol.status == "MaxIter"
+    assert sol.kkt_residual == kkt_residual(q, sol)
 
 
 def test_kkt_residual_increases_under_perturbation():
@@ -428,8 +468,7 @@ def test_monotone_embedding():
     for seed in range(10):
         q, _, warm = problem_from_seed(seed + 40, snr_db=25.0)
         warm = warm * np.sqrt(0.9)  # strictly feasible incumbent
-        xi_w = float(np.max(constraint_values(q, warm)))
-        obj_w = objective_value(q, warm, xi_w)
+        obj_w = oracle_primal_value(q, warm)
         sol = solve(q, warm=warm)
         assert sol.objective <= obj_w + 1e-12 * (1 + abs(obj_w))
 
@@ -446,10 +485,7 @@ def test_solve_oracle_cross_check():
         assert sol.objective <= ref + 1e-5 * (1 + abs(ref))
         assert sol.objective >= ora["dual"] - 1e-6 * (1 + abs(ref))
         # oracle's primal evaluator agrees with the module's
-        assert oracle_primal_value(q, sol.p_star) == pytest.approx(
-            objective_value(q, sol.p_star, float(np.max(constraint_values(q, sol.p_star)))),
-            abs=1e-9,
-        )
+        assert oracle_primal_value(q, sol.p_star) == pytest.approx(sol.objective, abs=1e-9)
 
 
 def test_solve_bc_mode_oracle_cross_check():

@@ -397,16 +397,16 @@ def test_overflowing_powers_raise_numerical_breakdown():
     for col in range(3):
         p = np.zeros((2, 3), dtype=complex)
         p[0, col] = big
-        with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown):
+        with pytest.raises(NumericalBreakdown):
             _batch_powers(sample, p)
-        with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown):
+        with pytest.raises(NumericalBreakdown):
             sum_rate(h, p)
     p = np.full((2, 3), np.nan, dtype=complex)
-    with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown):
+    with pytest.raises(NumericalBreakdown):
         average_rates(sample, p)
     # a stack of runs raises when any run overflows
     ok = np.ones((2, 3), dtype=complex)
-    with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown):
+    with pytest.raises(NumericalBreakdown):
         _batch_powers([sample, sample], np.array([ok, big * ok]))
     # finite powers near the top of the range pass
     assert np.isfinite(sum_rate(h, 1e150 * ok))
