@@ -40,7 +40,7 @@ from . import qcqp
 from .awsmse import accumulate_components, equalizers_of, update_blocks
 from .linalg import dominant_left_singular_vector, mf_directions, zf_directions
 from .lockstep import drive, run_one
-from .receivers import _batch_powers, average_rates, precoder_power, rates_of
+from .receivers import Arena, _batch_powers, average_rates, precoder_power, rates_of
 
 __all__ = [
     "EXTRAPOLATE_FROM",
@@ -61,14 +61,15 @@ EXTRAPOLATE_FROM = 20
 
 # realization rows (runs x m) that one stacked call of a block update or
 # of the extrapolation's rates serves at most; the runs of a block are
-# served in consecutive chunks (`_chunks`). Such a call's arrays grow
-# with its rows. Measured by the benchmark's peak memory against one run
-# at a time, when a desk block held 10 runs at m = 200: +1.9% at 600
-# rows, +3.6% at 1000 (and faster in 3 of 4 runs), +6.7% for the whole
-# block; at m = 1000 the whole block gave +27% and no speed, since the
-# work there grows with the rows. 1000 rows is 5 runs at m = 200 and one
-# at m = 1000, whatever the block (`harness.BLOCK_ROWS`) holds.
+# served in consecutive chunks (`_chunks`). `_SCRATCH` keeps one chunk's
+# arrays, about 1.2 MB of peak memory per 1000 rows. Against 1000 rows,
+# a whole block at m = 1000 (10 runs) cost 7.2 MB (+17%) for no speed
+# (CPU 1.02x, faster in 6 of 16 in-process pairs), and one at m = 200
+# (36 runs) cost 5.1 MB (+12%) for 7% (faster in 9 of 10). 1000 rows is
+# 5 runs at m = 200 and one at m = 1000, whatever the block
+# (`harness.BLOCK_ROWS`) holds.
 CHUNK_ROWS = 1000
+_SCRATCH = Arena()  # per-realization arrays of `_updates` and `_rates`
 
 
 @dataclass(frozen=True)
@@ -300,11 +301,10 @@ def _updates(items):
     power v_c is exactly zero, so rbar holds for both forms."""
     out = []
     for part, samples, p in _chunks(items):
-        powers = _batch_powers(samples, p)
-        gw = equalizers_of(powers)
-        asr = rates_of(powers).asr.tolist()
-        del powers  # freed before the accumulation's buffers peak
-        comps = accumulate_components(samples, gw)
+        powers = _batch_powers(samples, p, _SCRATCH)
+        gw = equalizers_of(powers, _SCRATCH)
+        asr = rates_of(powers, _SCRATCH).asr.tolist()
+        comps = accumulate_components(samples, gw, _SCRATCH)
         rbar = np.min(comps.v_c, axis=-1) + np.sum(comps.v_p, axis=-1)
         problems = qcqp.build(comps, [it[2] for it in part])
         out += zip(problems, rbar.tolist(), asr)
@@ -317,7 +317,7 @@ def _rates(payloads):
     points = [pt for pts in payloads for pt in pts]
     asr = iter([
         x for _, samples, p in _chunks(points)
-        for x in average_rates(samples, p).asr.tolist()
+        for x in average_rates(samples, p, _SCRATCH).asr.tolist()
     ])
     return [[next(asr) for _ in pts] for pts in payloads]
 

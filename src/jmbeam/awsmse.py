@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateMmse
 from .channel import MonteCarloSample
-from .receivers import _batch_powers, stacked_channels
+from .receivers import _batch_powers, _stack, fresh, stacked_channels
 
 # MMSE values below this are treated as a modeling error (a noise power
 # negligible against the receive power), not a valid operating point.
@@ -87,22 +87,23 @@ def update_blocks(sample, p):
     return equalizers_of(_batch_powers(sample, p))
 
 
-def equalizers_of(powers):
-    """`update_blocks` from the outputs of `_batch_powers`; raises
-    DegenerateMmse if the MMSE of any run underflows."""
+def equalizers_of(powers, scratch=fresh):
+    """`update_blocks` from the outputs of `_batch_powers`, in `scratch`;
+    raises DegenerateMmse if the MMSE of any run underflows."""
     y, _, _, i_p, t_p, t_c = powers
     if np.any(t_p <= EPS_FLOOR * t_c) or np.any(i_p <= EPS_FLOOR * t_p):
         raise DegenerateMmse("MMSE underflow; a signal power is 1e300 times the noise")
     *lead, m, k, _ = y.shape
-    g_c = y[..., 0] / t_c
-    g_p = y.reshape(*lead, m, k * (k + 1))[..., 1 :: k + 2] / t_p  # y[..., u, u + 1]
+    g_p = y.reshape(*lead, m, k * (k + 1))[..., 1 :: k + 2]  # y[..., u, u + 1]
     # eps_c = t_p/t_c, eps_p = i_p/t_p; weights are the inverses
-    u_c = t_c / t_p
-    u_p = t_p / i_p
-    return EqualizerWeightSet(g_c=g_c, g_p=g_p, u_c=u_c, u_p=u_p)
+    return EqualizerWeightSet(**{
+        name: np.divide(a, b, out=scratch(name, t_c.shape, a.dtype))
+        for name, a, b in (("g_c", y[..., 0], t_c), ("g_p", g_p, t_p),
+                           ("u_c", t_c, t_p), ("u_p", t_p, i_p))
+    })
 
 
-def accumulate_components(sample, gw):
+def accumulate_components(sample, gw, scratch=fresh):
     """Sample averages of the per-realization component forms.
 
     Per realization m and user k, with h the user's channel in that
@@ -115,11 +116,13 @@ def accumulate_components(sample, gw):
 
     for both the common and private layers; each output is the arithmetic
     mean over realizations. With H_k the user's (m, n_t) channels, each
-    psi average is one matrix product (H_k^T diag t) conj(H_k) and each f
-    average one product (u conj g)^T H_k, stacked over layers and users
-    in one matmul each. The sum psi + psi^H halved makes psi exactly
-    Hermitian, with a real diagonal, as the convexity guard needs. The
-    t, u and v means are sums along the contiguous realization axis.
+    psi average is one matrix product (H_k^T diag t) conj(H_k), its left
+    factor formed from `sample.by_user`, and each f average one product
+    (u conj g)^T H_k, stacked over layers and users in one matmul each.
+    The sum psi + psi^H halved makes psi exactly Hermitian, with a real
+    diagonal, as the convexity guard needs. The t, u and v means are one
+    sum over an (r, m, 6k) array, in realization order. The
+    per-realization arrays live in `scratch`; the means do not.
 
     R runs (a sequence of samples of one shape, `gw` with a leading run
     axis) are stacked too, and every output field gets a leading run
@@ -131,23 +134,33 @@ def accumulate_components(sample, gw):
     if gw.g_c.shape[-2:] != (m, k):
         raise ValueError("equalizer set does not match the sample")
     lead, r = gw.g_c.shape[:-2], len(samples)
-    h = stacked_channels(samples).transpose(0, 2, 1, 3)[:, None]  # (r, 1, k, m, n_t)
-    # (r, 2, k, m): the common layer first, realizations contiguous
-    g, u = (
-        np.stack([np.reshape(getattr(gw, x + layer), (r, m, k)).transpose(0, 2, 1)
-                  for layer in "cp"], axis=1)
-        for x in ("g_", "u_")
-    )
-    t = u * (g.real**2 + g.imag**2)
-    psi = (h.swapaxes(-1, -2) * t[..., None, :]) @ h.conj()
+    h = stacked_channels(samples)
+    h_conj = np.conjugate(h, out=scratch("h_conj", h.shape, complex))
+    h, h_conj = (x.transpose(0, 2, 1, 3)[:, None] for x in (h, h_conj))  # (r, 1, k, m, n_t)
+    ug = scratch("ug", (r, m, k, 2), complex)  # conj(g), then u conj(g)
+    tuv = scratch("tuv", (r, m, k, 2, 3))
+    t, u, v = tuv.transpose(4, 0, 1, 2, 3)  # (r, m, k, 2): the common layer first
+    for i, layer in enumerate("cp"):
+        np.conjugate(np.reshape(getattr(gw, "g_" + layer), (r, m, k)), out=ug[..., i])
+        u[..., i] = u_layer = np.reshape(getattr(gw, "u_" + layer), (r, m, k))
+        # log2 reads gw, not u: on overlapping memory numpy drops its SIMD bits
+        np.log2(u_layer, out=v[..., i])
+    np.square(ug.real, out=t)
+    t += np.square(ug.imag, out=scratch("im2", t.shape))
+    t *= u
+    np.multiply(u, ug, out=ug)
+    by_user = _stack([s.by_user for s in samples])[:, None]  # (r, 1, k, n_t, m)
+    ht = np.multiply(by_user, t.transpose(0, 3, 2, 1)[..., None, :],
+                     out=scratch("ht", (r, 2, k, n_t, m), complex))
+    psi = ht @ h_conj
     psi = (psi + psi.conj().swapaxes(-1, -2)) / (2 * m)
-    f = ((u * g.conj())[..., None, :] @ h)[..., 0, :] / m
-    t, u, v = np.stack((t, u, np.log2(u))).sum(axis=-1) / m
-    means = {}
-    for name, x in (("psi", psi), ("f", f), ("t", t), ("u", u), ("v", v)):
-        x = x.reshape(lead + x.shape[1:])
-        means[name + "_c"], means[name + "_p"] = np.moveaxis(x, len(lead), 0)
-    return AwmmseComponents(**means)
+    f = (ug.transpose(0, 3, 2, 1)[..., None, :] @ h)[..., 0, :] / m
+    t, u, v = (tuv.sum(axis=1) / m).transpose(3, 0, 2, 1)  # each (r, 2, k)
+    return AwmmseComponents(**{
+        name + "_" + layer: x[:, i].reshape(lead + x.shape[2:])
+        for name, x in (("psi", psi), ("f", f), ("t", t), ("u", u), ("v", v))
+        for i, layer in enumerate("cp")
+    })
 
 
 def awmse_values(c, p):

@@ -112,7 +112,7 @@ class MonteCarloSample:
     so what is derived from them cannot go stale: `stacked`,
     (m, k, n_t), where row [mi, u] is user u's channel in realization
     mi; as an (m*k, n_t) matrix it gives P^H h for the whole sample in
-    one GEMM.
+    one GEMM; `by_user`, (k, n_t, m), holds user u's channels at [u].
     """
 
     realizations: np.ndarray = field(repr=False)
@@ -130,6 +130,10 @@ class MonteCarloSample:
     @cached_property
     def stacked(self):
         return _read_only(self.realizations.transpose(0, 2, 1).copy())
+
+    @cached_property
+    def by_user(self):
+        return _read_only(self.realizations.transpose(2, 1, 0).copy())
 
 
 def _read_only(a):

@@ -81,6 +81,24 @@ def _stack(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
+def fresh(name, shape, dtype=float):
+    """The scratch allocator of a kernel's public form: a new array."""
+    return np.empty(shape, dtype)
+
+
+class Arena(dict):
+    """A scratch allocator that hands out the same memory on every call:
+    one flat buffer per name, grown to the largest request, whose front is
+    a C-contiguous array of the requested shape, valid until the name's
+    next request. It holds one call's arrays at the largest shape served."""
+
+    def __call__(self, name, shape, dtype=float):
+        n, buf = math.prod(shape), self.get(name)
+        if buf is None or buf.size < n:
+            buf = self[name] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
+
 def stacked_channels(samples):
     """The `stacked` channels of a sequence of samples as one (R, m, k,
     n_t) array."""
@@ -98,7 +116,7 @@ def _runs_of(sample, p):
     return tuple(sample), np.asarray(p, dtype=complex), False
 
 
-def _batch_powers(sample, p):
+def _batch_powers(sample, p, scratch=fresh):
     """Receive-power bookkeeping over a Monte-Carlo sample.
 
     Parameters
@@ -119,7 +137,7 @@ def _batch_powers(sample, p):
 
     With R runs every output has a leading run axis; each run's GEMM is
     its own, so its slice has the bits it has alone. All six are
-    read-only.
+    read-only, and they live in `scratch` (`Arena`).
 
     Raises NumericalBreakdown when some t_c is not finite, as when a
     power overflows: t_c carries every inf and NaN of y, s_c, s_p and
@@ -130,14 +148,17 @@ def _batch_powers(sample, p):
     chans = stacked_channels(samples)
     r, m, k, n_t = chans.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (chans.reshape(r, m * k, n_t) @ p.conj()).reshape(r, m, k, k + 1)
-        a2 = y.real**2 + y.imag**2
+        y = scratch("y", (r, m, k, k + 1), complex)
+        np.matmul(chans.reshape(r, m * k, n_t), p.conj(), out=y.reshape(r, m * k, k + 1))
+        a2 = np.square(y.real, out=scratch("a2", y.shape))
+        a2 += np.square(y.imag, out=scratch("im2", y.shape))
         flat = a2.reshape(r, m, k * (k + 1))
         s_c = flat[..., :: k + 1]
         s_p = flat[..., 1 :: k + 2]  # a2[..., u, u + 1]
-        i_p = flat @ _interference_mask(k) + 1.0
-        t_p = i_p + s_p
-        t_c = s_c + t_p
+        i_p = np.matmul(flat, _interference_mask(k), out=scratch("i_p", (r, m, k)))
+        i_p += 1.0
+        t_p = np.add(i_p, s_p, out=scratch("t_p", i_p.shape))
+        t_c = np.add(s_c, t_p, out=scratch("t_c", i_p.shape))
     if not np.isfinite(t_c).all():
         raise NumericalBreakdown("a receive power is not finite")
     out = (y, s_c, s_p, i_p, t_p, t_c)
@@ -158,7 +179,7 @@ def sum_rate(h_all, p):
     return average_rates(sample, p).asr
 
 
-def average_rates(sample, p):
+def average_rates(sample, p, scratch=fresh):
     """Sample-average rates over a Monte-Carlo sample for a fixed precoder.
 
     Per-user common and private rates are averaged over the realizations
@@ -166,16 +187,18 @@ def average_rates(sample, p):
     run or R runs as `_batch_powers` does; with R runs every field has a
     leading run axis and asr is an (R,) array.
     """
-    return rates_of(_batch_powers(sample, p))
+    return rates_of(_batch_powers(sample, p, scratch), scratch)
 
 
-def rates_of(powers):
-    """`average_rates` from the outputs of `_batch_powers`."""
+def rates_of(powers, scratch=fresh):
+    """`average_rates` from the outputs of `_batch_powers`; both layers'
+    means are one sum over an (..., m, 2k) array, in realization order."""
     _, s_c, s_p, i_p, t_p, _ = powers
-    r_c = np.log1p(s_c / t_p) / _LN2  # (..., m, k)
-    r_p = np.log1p(s_p / i_p) / _LN2
-    r_c_bar = r_c.mean(axis=-2)
-    r_p_bar = r_p.mean(axis=-2)
+    rates = scratch("rates", t_p.shape + (2,))
+    np.divide(s_c, t_p, out=rates[..., 0])
+    np.divide(s_p, i_p, out=rates[..., 1])
+    np.divide(np.log1p(rates, out=rates), _LN2, out=rates)
+    r_c_bar, r_p_bar = np.moveaxis(rates.sum(axis=-3) / t_p.shape[-2], -1, 0)
     asr = np.min(r_c_bar, axis=-1) + np.sum(r_p_bar, axis=-1)
     return AverageRates(
         r_c=r_c_bar, r_p=r_p_bar, asr=float(asr) if asr.ndim == 0 else asr

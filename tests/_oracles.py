@@ -3,7 +3,9 @@
 Everything in this file recomputes a quantity the library also produces,
 but by a deliberately different route: explicit Python loops instead of
 einsum, einsum instead of a GEMM on cached sample data, fsum instead of
-matrix products over the realizations, dual ascent, bisection and a cone
+matrix products over the realizations, fresh temporaries in the earlier
+array layout instead of a scratch arena and one-pass sums (which must
+give the same bits), dual ascent, bisection and a cone
 interior-point method instead of a dual Newton path, symbol-level
 simulation instead of closed forms. Agreement between the two routes is
 the evidence; nothing here imports the implementation path it is
@@ -169,6 +171,73 @@ def fsum_components(sample, gw):
                 hh = [h[i, a, u] * h[i, b, u].conjugate() for i in range(m)]
                 out["psi_c"][u, a, b] = mean_over_m([tc[i] * hh[i] for i in range(m)])
                 out["psi_p"][u, a, b] = mean_over_m([tp[i] * hh[i] for i in range(m)])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo averages, fresh-temporaries route
+
+
+def fresh_layout_powers(samples, p):
+    """Receive powers of R runs (samples of one shape, (R, n_t, k+1)
+    precoders) by the GEMM formulas of `receivers._batch_powers`, every
+    intermediate a fresh numpy array: (y, s_c, s_p, i_p, t_p, t_c)."""
+    chans = np.array([s.realizations.transpose(0, 2, 1) for s in samples])
+    r, m, k, n_t = chans.shape
+    y = (chans.reshape(r, m * k, n_t) @ p.conj()).reshape(r, m, k, k + 1)
+    a2 = y.real**2 + y.imag**2
+    flat = a2.reshape(r, m, k * (k + 1))
+    s_c = flat[..., :: k + 1]
+    s_p = flat[..., 1 :: k + 2]
+    others = np.hstack([np.zeros((k, 1)), 1.0 - np.eye(k)])
+    mask = (others[:, :, None] * np.eye(k)[:, None, :]).reshape(k * (k + 1), k)
+    i_p = flat @ mask + 1.0
+    t_p = i_p + s_p
+    return y, s_c, s_p, i_p, t_p, s_c + t_p
+
+
+def fresh_layout_equalizers(powers):
+    """(g_c, g_p, u_c, u_p) from `fresh_layout_powers`."""
+    y, _, _, i_p, t_p, t_c = powers
+    r, m, k, _ = y.shape
+    g_p = y.reshape(r, m, k * (k + 1))[..., 1 :: k + 2] / t_p
+    return y[..., 0] / t_c, g_p, t_c / t_p, t_p / i_p
+
+
+def fresh_layout_rates(powers):
+    """(r_c, r_p, asr) of R runs: per-realization rates averaged by one
+    `mean` per layer over an (R, m, k) array."""
+    _, s_c, s_p, i_p, t_p, _ = powers
+    r_c = (np.log1p(s_c / t_p) / math.log(2.0)).mean(axis=-2)
+    r_p = (np.log1p(s_p / i_p) / math.log(2.0)).mean(axis=-2)
+    return r_c, r_p, np.min(r_c, axis=-1) + np.sum(r_p, axis=-1)
+
+
+def fresh_layout_components(samples, equalizers):
+    """Components of R runs as dict of (R, ...) arrays, from per-run
+    (R, m, k) equalizers and weights (g_c, g_p, u_c, u_p): the psi and f
+    matrix products on the channels with realizations in rows, and the t,
+    u and v means summed along the realization axis of an (r, 2, k, m)
+    array whose realizations are k entries apart.
+
+    For k >= 2 numpy adds those realizations in order, as the one-pass
+    sum over an (m, 6k) array does; for k = 1 the axis is contiguous and
+    numpy sums it pairwise, so the two routes differ there by rounding.
+    """
+    g_c, g_p, u_c, u_p = equalizers
+    chans = np.array([s.realizations.transpose(0, 2, 1) for s in samples])
+    m = chans.shape[1]
+    h = chans.transpose(0, 2, 1, 3)[:, None]  # (r, 1, k, m, n_t)
+    g = np.stack([g_c.transpose(0, 2, 1), g_p.transpose(0, 2, 1)], axis=1)
+    u = np.stack([u_c.transpose(0, 2, 1), u_p.transpose(0, 2, 1)], axis=1)
+    t = u * (g.real**2 + g.imag**2)
+    psi = (h.swapaxes(-1, -2) * t[..., None, :]) @ h.conj()
+    psi = (psi + psi.conj().swapaxes(-1, -2)) / (2 * m)
+    f = ((u * g.conj())[..., None, :] @ h)[..., 0, :] / m
+    t, u, v = np.stack((t, u, np.log2(u))).sum(axis=-1) / m
+    out = {}
+    for name, x in (("psi", psi), ("f", f), ("t", t), ("u", u), ("v", v)):
+        out[name + "_c"], out[name + "_p"] = x[:, 0], x[:, 1]
     return out
 
 

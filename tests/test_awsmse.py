@@ -336,7 +336,7 @@ def test_read_only_sample_caches():
                    for f in ("g_c", "g_p", "u_c", "u_p"))
 
     # nothing cached can be written through
-    for x in (a.realizations, a.stacked, *_batch_powers(a, p)):
+    for x in (a.realizations, a.stacked, a.by_user, *_batch_powers(a, p)):
         with pytest.raises(ValueError):
             x.flat[0] = 0.0
     # and the sample owns its data: the caller's array stays writable

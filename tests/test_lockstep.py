@@ -1,5 +1,6 @@
 """The lockstep driver and the sweep's blocks of AWSMSE runs."""
 
+import copy
 import json
 import math
 import multiprocessing
@@ -179,12 +180,14 @@ def test_block_sweep_same_bytes_across_threads(tmp_path, small_blocks):
 
 
 def _first_call_arg(monkeypatch, module, name, cfg, scheme, snr_db, channel):
-    """The first positional argument of module.name in one run made alone."""
+    """A copy of the first positional argument of module.name in one run
+    made alone (the block update's arrays live in a scratch arena that
+    the next call overwrites)."""
     seen = []
     original = getattr(module, name)
 
     def recording(*args):
-        seen.append(args[0])
+        seen.append(copy.deepcopy(args[0]))
         return original(*args)
 
     with monkeypatch.context() as m:

@@ -361,9 +361,9 @@ def _check_against_einsum(sample, p, what):
 def test_batch_powers_match_einsum_oracle(monkeypatch):
     calls = []
 
-    def recording(sample, p):
+    def recording(sample, *args):
         calls.append(sample)
-        return _batch_powers(sample, p)
+        return _batch_powers(sample, *args)
 
     monkeypatch.setattr(receivers, "_batch_powers", recording)
     seed = 0
