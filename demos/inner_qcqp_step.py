@@ -16,12 +16,13 @@ import numpy as np
 
 from jmbeam.awsmse import accumulate_components, awsmse_objective, awmse_values, update_blocks
 from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
+from jmbeam.harness import snr_to_pt
 from jmbeam.qcqp import build, constraint_values, kkt_residual, solve
 from jmbeam.receivers import precoder_power
 
 
 def main(seed=3, snr_db=20.0, alpha=0.6, m=200):
-    p_t = 10.0 ** (snr_db / 10.0)
+    p_t = snr_to_pt(snr_db)
     csit = CsitConfig(n_t=2, k=2, alpha=alpha, p_t=p_t)
     draw = make_draw(substream(seed, 0), csit)
     sample = draw_sample(substream(seed, 1), draw.h_est, draw.sigma_e2, m)

@@ -17,11 +17,12 @@ from jmbeam.awsmse import (
     update_blocks,
 )
 from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
+from jmbeam.harness import snr_to_pt
 from jmbeam.receivers import average_rates
 
 
 def main(seed=7, n_t=2, k=2, snr_db=20.0, alpha=0.6, m=400):
-    p_t = 10.0 ** (snr_db / 10.0)
+    p_t = snr_to_pt(snr_db)
     csit = CsitConfig(n_t=n_t, k=k, alpha=alpha, p_t=p_t)
     draw = make_draw(substream(seed, 0), csit)
     sample = draw_sample(substream(seed, 1), draw.h_est, draw.sigma_e2, m)

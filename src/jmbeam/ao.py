@@ -18,6 +18,9 @@ low-SNR runs at poorer stationary points.
 Initializations follow the DoF-motivated power split: the common column
 gets p_t - p_t**alpha (clamped at zero when p_t < 1) and the private
 columns share the rest over zero-forcing or matched-filter directions.
+The one-shot designs treat the estimate as exact: `jmb_zf_svd_wf` is
+the 'zf-svd' start with its private total water-filled over the
+zero-forcing gains, and `zf_wf` is its alpha = 1 case.
 
 The loop of one run is written once, as the generator `ao_steps`, which
 yields its array work to the lockstep driver (`lockstep.drive`): the
@@ -49,6 +52,10 @@ __all__ = [
     "AoTrace",
     "dof_power_split",
     "initialize",
+    "WaterfillResult",
+    "water_fill",
+    "zf_wf",
+    "jmb_zf_svd_wf",
     "run_ao",
     "run_block",
     "ao_steps",
@@ -138,9 +145,9 @@ class AoTrace:
 
 
 def dof_power_split(p_t, alpha, k):
-    """Power budget split between the common column and each private one.
+    """Power budget split between the common column and the k private ones.
 
-    Returns (power_common, power_per_private) with power_common =
+    Returns (power_common, private_total) with power_common =
     p_t - p_t**alpha clamped at zero (the clamp only binds for p_t < 1,
     where the private budget is capped at p_t so totals stay exact).
     """
@@ -151,7 +158,7 @@ def dof_power_split(p_t, alpha, k):
     if k < 1:
         raise ValueError("k must be at least 1")
     private_total = min(p_t**alpha, p_t)
-    return p_t - private_total, private_total / k
+    return p_t - private_total, private_total
 
 
 def initialize(scheme, h_est, p_t, alpha):
@@ -162,7 +169,7 @@ def initialize(scheme, h_est, p_t, alpha):
     filtering, common direction from the dominant left singular vector
     of the estimate or the first standard basis vector. The budget is
     split by dof_power_split; at alpha = 1 the common column gets no
-    power and the private ones share p_t (the broadcast start).
+    power and the private ones share p_t equally (the broadcast start).
     """
     scheme = scheme.lower()
     if scheme not in INIT_SCHEMES:
@@ -173,7 +180,7 @@ def initialize(scheme, h_est, p_t, alpha):
 
     dirs = zf_directions(h_est) if scheme.startswith("zf") else mf_directions(h_est)
     p = np.zeros((n_t, k + 1), dtype=complex)
-    p[:, 1:] = math.sqrt(pow_p) * dirs
+    p[:, 1:] = math.sqrt(pow_p / k) * dirs
     if pow_c > 0.0:
         if scheme.endswith("svd"):
             d_c = dominant_left_singular_vector(h_est)
@@ -181,6 +188,76 @@ def initialize(scheme, h_est, p_t, alpha):
             d_c = np.zeros(n_t, dtype=complex)
             d_c[0] = 1.0
         p[:, 0] = math.sqrt(pow_c) * d_c
+    return p
+
+
+@dataclass(frozen=True)
+class WaterfillResult:
+    """Allocation maximizing sum log2(1 + gain*power) under a budget.
+
+    Satisfies the exact optimality conditions: active entries sit at
+    1/gain + power == water_level, inactive ones have 1/gain >= level.
+    """
+
+    powers: np.ndarray
+    water_level: float
+
+
+def water_fill(gains, budget):
+    """Exact water-filling by sorted active-set search.
+
+    gains must be strictly positive, budget nonnegative. The active set
+    is found by trying the largest candidate set first and shrinking
+    until the implied level clears the worst included inverse gain, so
+    the result is exact up to round-off (no bisection).
+    """
+    gains = np.asarray(gains, dtype=float)
+    if gains.ndim != 1 or gains.size == 0:
+        raise ValueError("gains must be a nonempty 1-d array")
+    if np.any(gains <= 0) or not np.all(np.isfinite(gains)):
+        raise ValueError("gains must be positive and finite")
+    if not budget >= 0:
+        raise ValueError("budget must be nonnegative")
+
+    inv = 1.0 / gains
+    order = np.argsort(inv, kind="stable")
+    inv_s = inv[order]
+    csum = np.cumsum(inv_s)
+    k = gains.size
+
+    powers_s = np.zeros(k)
+    level = inv_s[0]
+    for r in range(k, 0, -1):
+        level = (budget + csum[r - 1]) / r
+        if level > inv_s[r - 1] or r == 1:
+            powers_s[:r] = level - inv_s[:r]
+            break
+
+    powers = np.empty(k)
+    powers[order] = powers_s
+    return WaterfillResult(powers=powers, water_level=float(level))
+
+
+def _zf_gains(h_est, dirs):
+    # per-user effective SNR gain |h_k^H d_k|^2 (unit noise) on the estimate
+    proj = np.einsum("nk,nk->k", h_est.conj(), dirs)
+    return proj.real**2 + proj.imag**2
+
+
+def zf_wf(h_est, p_t):
+    """Zero-forcing directions with water-filled powers, no common column:
+    jmb_zf_svd_wf at alpha = 1."""
+    return jmb_zf_svd_wf(h_est, p_t, 1.0)
+
+
+def jmb_zf_svd_wf(h_est, p_t, alpha):
+    """The 'zf-svd' start with its private total water-filled over the
+    zero-forcing gains on the estimate."""
+    p = initialize("zf-svd", h_est, p_t, alpha)
+    h_est = np.asarray(h_est)
+    dirs = zf_directions(h_est)
+    _, private_total = dof_power_split(p_t, alpha, dirs.shape[1])
+    p[:, 1:] = dirs * np.sqrt(water_fill(_zf_gains(h_est, dirs), private_total).powers)
     return p
 
 

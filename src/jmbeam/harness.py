@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .ao import INIT_SCHEMES, AoParams, run_ao, run_block
-from .baselines import jmb_zf_svd_wf, zf_wf
+from .ao import INIT_SCHEMES, AoParams, jmb_zf_svd_wf, run_ao, run_block, zf_wf
 from .channel import CsitConfig, draw_sample, make_draw, substream
 from .errors import ConfigError, JmbeamError
 from .receivers import sum_rate

@@ -15,14 +15,13 @@ import pytest
 
 from _oracles import qcqp_dual_oracle
 from conftest import random_precoder, random_system
-from jmbeam.ao import AoParams, run_ao
+from jmbeam.ao import AoParams, run_ao, water_fill
 from jmbeam.awsmse import (
     accumulate_components,
     awmse_values,
     awsmse_objective,
     update_blocks,
 )
-from jmbeam.baselines import water_fill
 from jmbeam.channel import complex_gaussian, substream
 from jmbeam.harness import (
     ExperimentConfig,

@@ -28,22 +28,22 @@ from jmbeam.receivers import average_rates, precoder_power
 def test_power_split_alpha_one():
     pc, pp = dof_power_split(10.0, 1.0, 2)
     assert pc == 0.0
-    assert pp == pytest.approx(5.0, rel=1e-14)
+    assert pp == pytest.approx(10.0, rel=1e-14)
 
 
 def test_power_split_paper_point():
     pc, pp = dof_power_split(100.0, 0.6, 2)
     assert pc == pytest.approx(100.0 - 100.0 ** 0.6, rel=1e-12)
     assert pc == pytest.approx(84.15, abs=0.01)
-    assert pp == pytest.approx(100.0 ** 0.6 / 2.0, rel=1e-12)
-    assert pp == pytest.approx(7.92, abs=0.01)
+    assert pp == pytest.approx(100.0 ** 0.6, rel=1e-12)
+    assert pp == pytest.approx(15.85, abs=0.01)
 
 
 def test_power_split_unit_budget():
     for alpha in (0.0, 0.3, 0.6, 1.0):
         pc, pp = dof_power_split(1.0, alpha, 2)
         assert pc == 0.0
-        assert pp == pytest.approx(0.5, rel=1e-14)
+        assert pp == pytest.approx(1.0, rel=1e-14)
 
 
 def test_power_split_sub_unit_budget_clamped():
@@ -51,7 +51,7 @@ def test_power_split_sub_unit_budget_clamped():
     # so the total stays exactly p_t
     pc, pp = dof_power_split(0.5, 0.5, 2)
     assert pc == 0.0
-    assert pp == pytest.approx(0.25, rel=1e-14)
+    assert pp == pytest.approx(0.5, rel=1e-14)
 
 
 def test_power_split_total_conserved():
@@ -62,7 +62,7 @@ def test_power_split_total_conserved():
         k = int(rng.integers(1, 5))
         pc, pp = dof_power_split(p_t, alpha, k)
         assert pc >= 0.0 and pp > 0.0
-        assert pc + k * pp == pytest.approx(p_t, rel=1e-12)
+        assert pc + pp == pytest.approx(p_t, rel=1e-12)
 
 
 def test_power_split_validation():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import waterfill_bisection
-from jmbeam.baselines import jmb_zf_svd_wf, water_fill, zf_wf
+from jmbeam.ao import _zf_gains, initialize, jmb_zf_svd_wf, water_fill, zf_wf
 from jmbeam.channel import CsitConfig, MonteCarloSample, make_draw, substream
 from jmbeam.errors import RankDeficient
 from jmbeam.linalg import zf_directions
@@ -213,3 +213,20 @@ def test_jmb_zf_svd_private_waterfill():
     q = water_fill(gains, p_t ** alpha)
     got = np.array([np.linalg.norm(p[:, k + 1]) ** 2 for k in range(2)])
     assert np.allclose(got, q.powers, rtol=1e-10)
+
+
+def test_jmb_zf_svd_is_the_zf_svd_start_water_filled():
+    # the common column is the AO's 'zf-svd' start bit for bit; the
+    # private columns carry the water-filled private total p_t**alpha
+    # (capped at p_t) along the zero-forcing directions
+    rng = np.random.default_rng(10)
+    cases = [(2, 2, 100.0, 0.6), (3, 2, 50.0, 1.0), (3, 3, 0.5, 0.4),
+             (4, 2, 0.05, 1.0), (2, 1, 1e4, 0.0), (4, 3, 1.0, 0.7)]
+    for n_t, k, p_t, alpha in cases:
+        h = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
+        p = jmb_zf_svd_wf(h, p_t, alpha)
+        start = initialize("zf-svd", h, p_t, alpha)
+        assert np.array_equal(p[:, 0], start[:, 0]), (n_t, k, p_t, alpha)
+        dirs = zf_directions(h)
+        q = water_fill(_zf_gains(h, dirs), min(p_t**alpha, p_t))
+        assert np.array_equal(p[:, 1:], dirs * np.sqrt(q.powers)), (n_t, k, p_t, alpha)

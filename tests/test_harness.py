@@ -14,8 +14,7 @@ import pytest
 
 from conftest import tiny_cfg
 from jmbeam import ao, awsmse, harness, receivers
-from jmbeam.ao import INIT_SCHEMES, AoTrace, run_ao
-from jmbeam.baselines import zf_wf
+from jmbeam.ao import INIT_SCHEMES, AoTrace, run_ao, zf_wf
 from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
 from jmbeam.errors import ConfigError
 from jmbeam.harness import (
