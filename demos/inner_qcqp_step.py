@@ -14,11 +14,16 @@ from the centre. The warm start saves more steps as the updates settle.
 
 import numpy as np
 
-from jmbeam.awsmse import accumulate_components, awsmse_objective, awmse_values, update_blocks
 from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
 from jmbeam.harness import snr_to_pt
 from jmbeam.qcqp import build, constraint_values, kkt_residual, solve
-from jmbeam.receivers import precoder_power
+from jmbeam.receivers import (
+    accumulate_components,
+    awmse_values,
+    awsmse_objective,
+    precoder_power,
+    update_blocks,
+)
 
 
 def main(seed=3, snr_db=20.0, alpha=0.6, m=200):

@@ -10,15 +10,15 @@ rate. This is the identity that lets a rate maximizer run on MSEs.
 
 import numpy as np
 
-from jmbeam.awsmse import (
+from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
+from jmbeam.harness import snr_to_pt
+from jmbeam.receivers import (
     accumulate_components,
+    average_rates,
     awmse_values,
     awsmse_objective,
     update_blocks,
 )
-from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
-from jmbeam.harness import snr_to_pt
-from jmbeam.receivers import average_rates
 
 
 def main(seed=7, n_t=2, k=2, snr_db=20.0, alpha=0.6, m=400):

@@ -38,12 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcqp
-# update_blocks stays importable here with the other layer calls, which
-# perfbench/layers.py wraps in this namespace
-from .awsmse import accumulate_components, equalizers_of, update_blocks
 from .linalg import dominant_left_singular_vector, mf_directions, zf_directions
 from .lockstep import drive, run_one
-from .receivers import Arena, _batch_powers, average_rates, precoder_power, rates_of
+# update_blocks, accumulate_components and average_rates are imported by
+# name, the first though this module does not call it: perfbench/layers.py
+# wraps the three in this namespace
+from .receivers import (Arena, _batch_powers, accumulate_components, average_rates,
+                        equalizers_of, precoder_power, rates_of, update_blocks)
 
 __all__ = [
     "EXTRAPOLATE_FROM",
@@ -144,8 +145,8 @@ class AoTrace:
                 )
 
 
-def dof_power_split(p_t, alpha, k):
-    """Power budget split between the common column and the k private ones.
+def dof_power_split(p_t, alpha):
+    """Power budget split between the common column and the private ones.
 
     Returns (power_common, private_total) with power_common =
     p_t - p_t**alpha clamped at zero (the clamp only binds for p_t < 1,
@@ -155,8 +156,6 @@ def dof_power_split(p_t, alpha, k):
         raise ValueError("p_t must be positive")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     private_total = min(p_t**alpha, p_t)
     return p_t - private_total, private_total
 
@@ -176,7 +175,7 @@ def initialize(scheme, h_est, p_t, alpha):
         raise ValueError(f"unknown init scheme {scheme!r}")
     h_est = np.asarray(h_est)
     n_t, k = h_est.shape
-    pow_c, pow_p = dof_power_split(p_t, alpha, k)
+    pow_c, pow_p = dof_power_split(p_t, alpha)
 
     dirs = zf_directions(h_est) if scheme.startswith("zf") else mf_directions(h_est)
     p = np.zeros((n_t, k + 1), dtype=complex)
@@ -256,7 +255,7 @@ def jmb_zf_svd_wf(h_est, p_t, alpha):
     p = initialize("zf-svd", h_est, p_t, alpha)
     h_est = np.asarray(h_est)
     dirs = zf_directions(h_est)
-    _, private_total = dof_power_split(p_t, alpha, dirs.shape[1])
+    _, private_total = dof_power_split(p_t, alpha)
     p[:, 1:] = dirs * np.sqrt(water_fill(_zf_gains(h_est, dirs), private_total).powers)
     return p
 

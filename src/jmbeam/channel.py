@@ -12,7 +12,6 @@ order.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -108,32 +107,27 @@ class MonteCarloSample:
     average (`average_rates`, `accumulate_components`) is taken over
     it in this order, so the same realizations give the same bits.
 
-    The sample holds its own read-only complex copy of the realizations,
-    so what is derived from them cannot go stale: `stacked`,
-    (m, k, n_t), where row [mi, u] is user u's channel in realization
-    mi; as an (m*k, n_t) matrix it gives P^H h for the whole sample in
-    one GEMM; `by_user`, (k, n_t, m), holds user u's channels at [u].
+    The sample holds one read-only complex copy of its channels, so
+    writing the caller's array does not reach it: `stacked`, (m, k, n_t),
+    where row [mi, u] is user u's channel in realization mi; as an
+    (m*k, n_t) matrix it gives P^H h for the whole sample in one GEMM.
+    `realizations` is a read-only (m, n_t, k) view of it.
     """
 
     realizations: np.ndarray = field(repr=False)
+    stacked: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        r = np.array(self.realizations, dtype=complex)
+        r = np.asarray(self.realizations)
         if r.ndim != 3 or r.shape[0] < 1:
             raise ValueError("realizations must be a nonempty (m, n_t, k) array")
-        object.__setattr__(self, "realizations", _read_only(r))
+        stacked = _read_only(np.array(r.transpose(0, 2, 1), dtype=complex, order="C"))
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "realizations", stacked.transpose(0, 2, 1))
 
     @property
     def m(self):
         return self.realizations.shape[0]
-
-    @cached_property
-    def stacked(self):
-        return _read_only(self.realizations.transpose(0, 2, 1).copy())
-
-    @cached_property
-    def by_user(self):
-        return _read_only(self.realizations.transpose(2, 1, 0).copy())
 
 
 def _read_only(a):

@@ -72,7 +72,6 @@ class ExperimentConfig:
     m: int = 200
     n_channels: int = 20
     schemes: tuple = SCHEMES
-    init_scheme: str = "zf-svd"
     epsilon_r: float = 1e-3
     n_max: int = 200
     master_seed: int = 12345
@@ -111,8 +110,6 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 bad(f"unknown scheme {s!r}; valid: {', '.join(SCHEMES)}")
-        if self.init_scheme not in INIT_SCHEMES:
-            bad(f"unknown init_scheme {self.init_scheme!r}")
         if not (isinstance(self.epsilon_r, float) and self.epsilon_r > 0):
             bad(f"epsilon_r must be a positive float")
 
@@ -164,12 +161,8 @@ class ExperimentConfig:
             d[name] = list(d[name])
         return d
 
-    def ao_params(self, init_scheme=None):
-        return AoParams(
-            epsilon_r=self.epsilon_r,
-            n_max=self.n_max,
-            init_scheme=init_scheme or self.init_scheme,
-        )
+    def ao_params(self, init_scheme=AoParams.init_scheme):
+        return AoParams(epsilon_r=self.epsilon_r, n_max=self.n_max, init_scheme=init_scheme)
 
 
 @dataclass(frozen=True)

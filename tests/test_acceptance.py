@@ -16,12 +16,6 @@ import pytest
 from _oracles import qcqp_dual_oracle
 from conftest import random_precoder, random_system
 from jmbeam.ao import AoParams, run_ao, water_fill
-from jmbeam.awsmse import (
-    accumulate_components,
-    awmse_values,
-    awsmse_objective,
-    update_blocks,
-)
 from jmbeam.channel import complex_gaussian, substream
 from jmbeam.harness import (
     ExperimentConfig,
@@ -33,7 +27,14 @@ from jmbeam.harness import (
 )
 from jmbeam.linalg import cholesky_psd, zf_directions
 from jmbeam.qcqp import build, kkt_residual, solve
-from jmbeam.receivers import average_rates, precoder_power
+from jmbeam.receivers import (
+    accumulate_components,
+    average_rates,
+    awmse_values,
+    awsmse_objective,
+    precoder_power,
+    update_blocks,
+)
 
 AO_SCHEMES = ("JMB-AWSMSE", "BC-AWSMSE", "JMB-ZF-SVD")
 

@@ -6,19 +6,20 @@ import pytest
 from conftest import random_system, tiny_cfg
 from jmbeam import ao, qcqp
 from jmbeam.ao import AoParams, AoTrace, dof_power_split, initialize, run_ao
-from jmbeam.awsmse import (
-    AwmmseComponents,
-    accumulate_components,
-    awmse_values,
-    awsmse_objective,
-    update_blocks,
-)
 from jmbeam.channel import CsitConfig, MonteCarloSample
 from jmbeam.errors import RankDeficient
 from jmbeam.harness import cell_seed, run_single
 from jmbeam.linalg import zf_directions
 from jmbeam.qcqp import OPTIMAL_TOL, build, solve
-from jmbeam.receivers import average_rates, precoder_power
+from jmbeam.receivers import (
+    AwmmseComponents,
+    accumulate_components,
+    average_rates,
+    awmse_values,
+    awsmse_objective,
+    precoder_power,
+    update_blocks,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -26,13 +27,13 @@ from jmbeam.receivers import average_rates, precoder_power
 
 
 def test_power_split_alpha_one():
-    pc, pp = dof_power_split(10.0, 1.0, 2)
+    pc, pp = dof_power_split(10.0, 1.0)
     assert pc == 0.0
     assert pp == pytest.approx(10.0, rel=1e-14)
 
 
 def test_power_split_paper_point():
-    pc, pp = dof_power_split(100.0, 0.6, 2)
+    pc, pp = dof_power_split(100.0, 0.6)
     assert pc == pytest.approx(100.0 - 100.0 ** 0.6, rel=1e-12)
     assert pc == pytest.approx(84.15, abs=0.01)
     assert pp == pytest.approx(100.0 ** 0.6, rel=1e-12)
@@ -41,7 +42,7 @@ def test_power_split_paper_point():
 
 def test_power_split_unit_budget():
     for alpha in (0.0, 0.3, 0.6, 1.0):
-        pc, pp = dof_power_split(1.0, alpha, 2)
+        pc, pp = dof_power_split(1.0, alpha)
         assert pc == 0.0
         assert pp == pytest.approx(1.0, rel=1e-14)
 
@@ -49,7 +50,7 @@ def test_power_split_unit_budget():
 def test_power_split_sub_unit_budget_clamped():
     # p_t**alpha would exceed p_t below one; the private pool is capped
     # so the total stays exactly p_t
-    pc, pp = dof_power_split(0.5, 0.5, 2)
+    pc, pp = dof_power_split(0.5, 0.5)
     assert pc == 0.0
     assert pp == pytest.approx(0.5, rel=1e-14)
 
@@ -59,19 +60,16 @@ def test_power_split_total_conserved():
     for _ in range(200):
         p_t = float(rng.uniform(0.05, 500.0))
         alpha = float(rng.uniform(0.0, 1.0))
-        k = int(rng.integers(1, 5))
-        pc, pp = dof_power_split(p_t, alpha, k)
+        pc, pp = dof_power_split(p_t, alpha)
         assert pc >= 0.0 and pp > 0.0
         assert pc + pp == pytest.approx(p_t, rel=1e-12)
 
 
 def test_power_split_validation():
     with pytest.raises(ValueError):
-        dof_power_split(0.0, 0.5, 2)
+        dof_power_split(0.0, 0.5)
     with pytest.raises(ValueError):
-        dof_power_split(1.0, 1.5, 2)
-    with pytest.raises(ValueError):
-        dof_power_split(1.0, 0.5, 0)
+        dof_power_split(1.0, 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,17 @@ import pytest
 
 from _oracles import fsum_components, loop_mse, loop_powers, loop_wmse
 from conftest import random_precoder, random_system
-from jmbeam.awsmse import (
+from jmbeam.channel import MonteCarloSample
+from jmbeam.errors import DegenerateMmse
+from jmbeam.receivers import (
     EqualizerWeightSet,
+    _batch_powers,
     accumulate_components,
+    average_rates,
     awmse_values,
     awsmse_objective,
     update_blocks,
 )
-from jmbeam.channel import MonteCarloSample
-from jmbeam.errors import DegenerateMmse
-from jmbeam.receivers import _batch_powers, average_rates
 
 LN2 = math.log(2.0)
 
@@ -336,7 +337,7 @@ def test_read_only_sample_caches():
                    for f in ("g_c", "g_p", "u_c", "u_p"))
 
     # nothing cached can be written through
-    for x in (a.realizations, a.stacked, a.by_user, *_batch_powers(a, p)):
+    for x in (a.realizations, a.stacked, *_batch_powers(a, p)):
         with pytest.raises(ValueError):
             x.flat[0] = 0.0
     # and the sample owns its data: the caller's array stays writable

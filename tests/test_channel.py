@@ -6,6 +6,7 @@ import pytest
 from _oracles import load_fixture, save_fixture
 from jmbeam.channel import (
     CsitConfig,
+    MonteCarloSample,
     complex_gaussian,
     draw_channel,
     draw_sample,
@@ -182,6 +183,28 @@ def test_draw_sample_variance():
     h_est = np.zeros((1, 1), dtype=complex)
     s = draw_sample(substream(10, 0), h_est, 0.09, 100_000)
     assert np.mean(np.abs(s.realizations) ** 2) == pytest.approx(0.09, rel=0.02)
+
+
+def test_draw_sample_holds_one_read_only_copy():
+    # realizations (m, n_t, k) is a view of the stacked (m, k, n_t)
+    # channels, the one copy the sample keeps, and neither is writable
+    h_est = substream(5, 0).standard_normal((3, 2)) + 0j
+    s = draw_sample(substream(5, 1), h_est, 0.2, 4)
+    assert s.stacked.shape == (4, 2, 3) and s.stacked.flags.c_contiguous
+    assert np.shares_memory(s.realizations, s.stacked)
+    assert np.array_equal(s.realizations, s.stacked.transpose(0, 2, 1))
+    for x in (s.realizations, s.stacked):
+        with pytest.raises(ValueError):
+            x.flat[0] = 0.0
+    assert not hasattr(s, "by_user")
+    # writing an input array afterwards does not reach a sample
+    kept = s.realizations.copy()
+    h_est[:] = 0.0
+    h = kept.copy()
+    t = MonteCarloSample(realizations=h)
+    h[:] = 0.0
+    assert np.array_equal(s.realizations, kept)
+    assert np.array_equal(t.realizations, kept)
 
 
 def test_channel_and_sample_streams_independent():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_cfg
-from jmbeam import ao, awsmse, harness, receivers
+from jmbeam import ao, harness, receivers
 from jmbeam.ao import INIT_SCHEMES, AoTrace, run_ao, zf_wf
 from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
 from jmbeam.errors import ConfigError
@@ -62,8 +62,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(epsilon_r=0.0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(init_scheme="zf")
-    with pytest.raises(ConfigError):
         ExperimentConfig(master_seed=-1)
 
 
@@ -73,7 +71,7 @@ def test_config_from_dict_rejects_unknown_keys():
     assert "n_channel" in str(exc.value)
     # keys that were once valid are no longer known
     for key, value in (("solver_max_iter", 100), ("solver_tol", 1e-8),
-                       ("cap_sigma_e2", True)):
+                       ("cap_sigma_e2", True), ("init_scheme", "zf-svd")):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict({key: value})
         assert key in str(exc.value)
@@ -118,7 +116,7 @@ def test_config_ao_params():
     ap = cfg.ao_params()
     assert ap.epsilon_r == cfg.epsilon_r
     assert ap.n_max == cfg.n_max
-    assert ap.init_scheme == cfg.init_scheme
+    assert ap.init_scheme == "zf-svd"
     assert cfg.ao_params("mf-e").init_scheme == "mf-e"
 
 
@@ -422,7 +420,7 @@ def test_bc_rows_are_the_alpha_one_run_and_no_option_selects_them(tmp_path):
     # sweep is run_ao on the cell's draw at alpha = 1, to the bit
     removed = {"common", "chans", "work", "snrs", "inits"}
     for fn in (ao.run_ao, ao.ao_steps, harness.run_convergence,
-               awsmse.accumulate_components, receivers._batch_powers):
+               receivers.accumulate_components, receivers._batch_powers):
         assert removed.isdisjoint(inspect.signature(fn).parameters), fn.__name__
     params = inspect.signature(AoTrace.append).parameters.values()
     assert all(x.default is inspect.Parameter.empty for x in params)

@@ -7,13 +7,6 @@ import pytest
 from _oracles import oracle_primal_value, qcqp_cone_oracle, qcqp_dual_oracle
 from conftest import random_precoder, random_system, tiny_cfg
 from jmbeam import qcqp
-from jmbeam.awsmse import (
-    AwmmseComponents,
-    accumulate_components,
-    awmse_values,
-    awsmse_objective,
-    update_blocks,
-)
 from jmbeam.errors import NotPsd, NumericalBreakdown
 from jmbeam.harness import cell_seed, run_single
 from jmbeam.qcqp import (
@@ -24,7 +17,14 @@ from jmbeam.qcqp import (
     kkt_residual,
     solve,
 )
-from jmbeam.receivers import precoder_power
+from jmbeam.receivers import (
+    AwmmseComponents,
+    accumulate_components,
+    awmse_values,
+    awsmse_objective,
+    precoder_power,
+    update_blocks,
+)
 
 
 def problem_from_seed(seed, n_t=2, k=2, snr_db=20.0, m=20, common=True):

@@ -4,10 +4,9 @@ import pytest
 from _oracles import einsum_powers, loop_mse, loop_powers, loop_rates, symbol_level_mse
 from conftest import random_precoder, random_system
 from jmbeam import receivers
-from jmbeam.awsmse import update_blocks
 from jmbeam.channel import MonteCarloSample, draw_sample, substream
 from jmbeam.errors import NumericalBreakdown
-from jmbeam.receivers import _batch_powers, average_rates, precoder_power, sum_rate
+from jmbeam.receivers import _batch_powers, average_rates, precoder_power, sum_rate, update_blocks
 
 
 def _rand(seed, n_t=3, k=2, p_t=10.0):

@@ -17,10 +17,17 @@ from _oracles import (
     fresh_layout_rates,
 )
 from jmbeam import ao, lockstep, qcqp
-from jmbeam.awsmse import AwmmseComponents, accumulate_components, equalizers_of
 from jmbeam.channel import MonteCarloSample
 from jmbeam.errors import DegenerateMmse, NumericalBreakdown
-from jmbeam.receivers import Arena, _batch_powers, fresh, rates_of
+from jmbeam.receivers import (
+    Arena,
+    AwmmseComponents,
+    _batch_powers,
+    accumulate_components,
+    equalizers_of,
+    fresh,
+    rates_of,
+)
 
 FIELDS = list(AwmmseComponents.__dataclass_fields__)
 
