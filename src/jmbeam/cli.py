@@ -59,12 +59,8 @@ def _build_parser():
     return p
 
 
-def _load_config(path):
-    return ExperimentConfig.from_json(path)
-
-
 def _cmd_sweep(args):
-    cfg = _load_config(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if args.threads is not None:
@@ -77,7 +73,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_convergence(args):
-    cfg = _load_config(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     traces = run_convergence(cfg, out_dir=args.out)
     print(f"wrote {len(traces)} traces to {args.out}")
     return EXIT_OK
@@ -85,7 +81,7 @@ def _cmd_convergence(args):
 
 def _cmd_single(args):
     # the config's own checks vet the cell and raise ConfigError
-    cfg = _load_config(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     cfg = replace(cfg, snr_db=(args.snr_db,), alphas=(args.alpha,))
     if args.channel < 0:
         raise ConfigError(f"channel must be nonnegative, got {args.channel}")

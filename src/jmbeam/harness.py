@@ -18,11 +18,12 @@ it, so outputs depend neither on the blocks nor on the worker count.
 
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -62,7 +63,11 @@ class ExperimentConfig:
     Unknown keys are rejected rather than ignored; a silently dropped
     typo ("n_channel") would corrupt a long sweep. So are two alphas or
     two SNRs that key the same cell seed, which would repeat one cell's
-    channel draws, and booleans where numbers belong.
+    channel draws, a repeated scheme, which would count each channel
+    twice, and booleans where numbers belong. Keywords, JSON and
+    replace() are normalized alike, here only: the lists become tuples
+    and the numbers of alphas, snr_db and epsilon_r floats, so equal
+    configs compare and hash equal.
     """
 
     n_t: int = 2
@@ -81,6 +86,14 @@ class ExperimentConfig:
         def bad(msg):
             raise ConfigError(msg)
 
+        for name in ("alphas", "snr_db", "schemes"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                bad(f"{name} must be a list")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("alphas", "snr_db"):
+            object.__setattr__(self, name, _floats(name, getattr(self, name)))
+        object.__setattr__(self, "epsilon_r", *_floats("epsilon_r", (self.epsilon_r,)))
+
         for name in ("n_t", "k", "m", "n_channels", "n_max", "threads"):
             v = getattr(self, name)
             if not _is_number(v, int) or v < 1:
@@ -89,13 +102,9 @@ class ExperimentConfig:
             bad(f"k={self.k} exceeds n_t={self.n_t}")
         if not _is_number(self.master_seed, int) or self.master_seed < 0:
             bad(f"master_seed must be a nonnegative integer")
-        if len(self.alphas) == 0 or any(
-            not (_is_number(a) and 0.0 <= a <= 1.0) for a in self.alphas
-        ):
+        if not self.alphas or not all(0.0 <= a <= 1.0 for a in self.alphas):
             bad(f"alphas must be a nonempty list of values in [0, 1]")
-        if len(self.snr_db) == 0 or not all(
-            _is_number(s) and _usable_snr(s) for s in self.snr_db
-        ):
+        if not self.snr_db or not all(map(_usable_snr, self.snr_db)):
             bad(
                 "snr_db must be a nonempty list of values that key a cell "
                 "seed and give a finite positive power budget"
@@ -105,40 +114,24 @@ class ExperimentConfig:
         for name, keyed in zip(("alphas", "snr_db"), seeds):
             if len(keyed) < len(getattr(self, name)):
                 bad(f"{name} holds two values that key the same cell seed")
-        if len(self.schemes) == 0:
+        if not self.schemes:
             bad("schemes must be nonempty")
         for s in self.schemes:
             if s not in SCHEMES:
                 bad(f"unknown scheme {s!r}; valid: {', '.join(SCHEMES)}")
-        if not (isinstance(self.epsilon_r, float) and self.epsilon_r > 0):
-            bad(f"epsilon_r must be a positive float")
+        if len(set(self.schemes)) < len(self.schemes):
+            bad("schemes holds a scheme twice")
+        if not 0.0 < self.epsilon_r < math.inf:
+            bad("epsilon_r must be a positive finite number")
 
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(d) - known)
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        kw = dict(d)
-        for name in ("alphas", "snr_db", "schemes"):
-            if name in kw:
-                if not isinstance(kw[name], (list, tuple)):
-                    raise ConfigError(f"{name} must be a list")
-                kw[name] = tuple(kw[name])
-        eps = kw.get("epsilon_r")
-        if isinstance(eps, int) and not isinstance(eps, bool):
-            kw["epsilon_r"] = float(eps)
-        for name in ("alphas", "snr_db"):
-            try:
-                if name in kw:
-                    if not all(map(_is_number, kw[name])):
-                        raise TypeError
-                    kw[name] = tuple(float(x) for x in kw[name])
-            except (TypeError, OverflowError):
-                raise ConfigError(f"{name} must be a list of numbers")
-        return cls(**kw)
+        return cls(**d)
 
     @classmethod
     def from_json(cls, path):
@@ -156,10 +149,7 @@ class ExperimentConfig:
         return replace(self, m=1000, n_channels=100)
 
     def to_dict(self):
-        d = asdict(self)
-        for name in ("alphas", "snr_db", "schemes"):
-            d[name] = list(d[name])
-        return d
+        return asdict(self)
 
     def ao_params(self, init_scheme=AoParams.init_scheme):
         return AoParams(epsilon_r=self.epsilon_r, n_max=self.n_max, init_scheme=init_scheme)
@@ -199,6 +189,17 @@ def cell_seed(master_seed, alpha, snr_db, channel):
 
 def _is_number(x, kind=(int, float)):
     return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _floats(name, values):
+    """`values` as a tuple of floats; a bool, a string or an int too
+    large for a float among them is a ConfigError that names the field."""
+    try:
+        if all(map(_is_number, values)):
+            return tuple(map(float, values))
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} takes numbers only")
 
 
 def snr_to_pt(snr_db):
@@ -361,18 +362,32 @@ def _reduce(cfg, done):
     return records, failures, details
 
 
-def write_esr_csv(path, records):
-    """Fixed-column CSV; floats via repr for lossless round-trip."""
+def _write_rows(path, header, rows):
+    """CSV of `header` and `rows`, unquoted; the str of a float is its
+    repr, so floats round-trip losslessly."""
     with open(path, "w") as f:
-        f.write("scheme,alpha,snr_db,esr,std_err,n_channels,m,seed\n")
-        for r in records:
-            f.write(
-                f"{r.scheme},{r.alpha!r},{r.snr_db!r},{r.esr!r},"
-                f"{r.std_err!r},{r.n_channels},{r.m},{r.seed}\n"
-            )
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _write_meta(path, cfg, extra):
+def write_esr_csv(path, records):
+    """One row per EsrRecord, its fields in order."""
+    _write_rows(path, [f.name for f in fields(EsrRecord)], map(astuple, records))
+
+
+def write_detail_csv(path, details):
+    """Per-channel sum rates: one row per (scheme, cell, channel).
+
+    Schemes share channels within a cell, so paired comparisons (e.g.
+    the standard error of a per-channel scheme difference) can be read
+    straight off this file.
+    """
+    _write_rows(path, ("scheme", "alpha", "snr_db", "channel", "sr"), details)
+
+
+def _write_meta(out_dir, cfg, extra):
+    """Create out_dir and write its meta.json: the config, the versions
+    and `extra`."""
     from importlib.metadata import PackageNotFoundError, version
 
     try:
@@ -390,22 +405,10 @@ def _write_meta(path, cfg, extra):
         },
     }
     meta.update(extra)
-    with open(path, "w") as f:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "meta.json"), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def write_detail_csv(path, details):
-    """Per-channel sum rates: one row per (scheme, cell, channel).
-
-    Schemes share channels within a cell, so paired comparisons (e.g.
-    the standard error of a per-channel scheme difference) can be read
-    straight off this file.
-    """
-    with open(path, "w") as f:
-        f.write("scheme,alpha,snr_db,channel,sr\n")
-        for scheme, alpha, snr_db, ch, sr in details:
-            f.write(f"{scheme},{alpha!r},{snr_db!r},{ch},{sr!r}\n")
 
 
 def run_sweep(cfg, out_dir=None):
@@ -415,13 +418,14 @@ def run_sweep(cfg, out_dir=None):
     snr, channel) order (`_block_task`). `_blocks` cuts the grid into the
     fewest blocks of at most BLOCK_ROWS Monte-Carlo rows, in a multiple
     of cfg.threads, so a serial sweep runs as few lockstep blocks as
-    memory allows and the pool gets one block per worker. The blocks
-    depend on the grid, m and threads; a run's bits on none of them.
-    Writes esr.csv, sr_detail.csv and meta.json into
-    out_dir when given; meta.json counts completed and total tasks in
-    channels. On interrupt or a dead pool worker, every block that
-    already completed, in any order, is reduced and flushed, with the
-    abort reason in meta.json, before the exception propagates.
+    memory allows and the pool gets one block per worker; it starts no
+    more workers than there are blocks. The blocks depend on the grid,
+    m and threads; a run's bits on none of them. Writes esr.csv,
+    sr_detail.csv and meta.json into out_dir when given; meta.json
+    counts completed and total tasks in channels. On interrupt or a dead
+    pool worker, every block that already completed, in any order, is
+    reduced and flushed, with the abort reason in meta.json, before the
+    exception propagates.
     """
     cells = [
         (alpha, snr_db, ch)
@@ -439,7 +443,7 @@ def run_sweep(cfg, out_dir=None):
             for i, t in enumerate(tasks):
                 results[i] = _block_task(cfg, t)
         else:
-            with ProcessPoolExecutor(max_workers=cfg.threads) as ex:
+            with ProcessPoolExecutor(max_workers=min(cfg.threads, len(tasks))) as ex:
                 futures = [ex.submit(_block_task, cfg, t) for t in tasks]
                 try:
                     for fut in as_completed(futures):
@@ -459,13 +463,8 @@ def run_sweep(cfg, out_dir=None):
     done = [cell for i in sorted(results) for cell in zip(tasks[i], results[i])]
     records, failures, details = _reduce(cfg, done)
     if out_dir is not None:
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        write_esr_csv(os.path.join(out_dir, "esr.csv"), records)
-        write_detail_csv(os.path.join(out_dir, "sr_detail.csv"), details)
         _write_meta(
-            os.path.join(out_dir, "meta.json"),
+            out_dir,
             cfg,
             {
                 "kind": "sweep",
@@ -478,13 +477,11 @@ def run_sweep(cfg, out_dir=None):
                 "tasks_total": len(cells),
             },
         )
+        write_esr_csv(os.path.join(out_dir, "esr.csv"), records)
+        write_detail_csv(os.path.join(out_dir, "sr_detail.csv"), details)
     if abort is not None:
         raise abort
     return records
-
-
-def _fmt_snr(snr_db):
-    return "%g" % float(snr_db)
 
 
 def run_convergence(cfg, out_dir=None):
@@ -526,13 +523,8 @@ def run_convergence(cfg, out_dir=None):
         traces[key] = result[1]
 
     if out_dir is not None:
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        for (snr_db, init), trace in traces.items():
-            trace.to_csv(os.path.join(out_dir, f"trace_{_fmt_snr(snr_db)}_{init}.csv"))
         _write_meta(
-            os.path.join(out_dir, "meta.json"),
+            out_dir,
             cfg,
             {
                 "kind": "convergence",
@@ -542,4 +534,6 @@ def run_convergence(cfg, out_dir=None):
                 "wall_time_s": time.perf_counter() - t0,
             },
         )
+        for (snr_db, init), trace in traces.items():
+            trace.to_csv(os.path.join(out_dir, f"trace_{snr_db:g}_{init}.csv"))
     return traces

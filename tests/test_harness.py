@@ -4,7 +4,7 @@ import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import as_completed
+from concurrent.futures import Future, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -109,6 +109,45 @@ def test_config_paper_scale_and_round_trip():
     assert full.n_t == cfg.n_t
     d = cfg.to_dict()
     assert ExperimentConfig.from_dict(d) == cfg
+
+
+def test_config_keywords_json_and_replace_normalize_alike():
+    kw = dict(alphas=[0.6, 1], snr_db=[0, 10], schemes=["ZF-WF"], epsilon_r=1)
+    cfg = ExperimentConfig(**kw)
+    twins = (ExperimentConfig.from_dict(kw), replace(ExperimentConfig(), **kw),
+             ExperimentConfig.from_dict(cfg.to_dict()))
+    for twin in twins:
+        assert twin == cfg and hash(twin) == hash(cfg)
+    assert cfg.alphas == (0.6, 1.0) and cfg.snr_db == (0.0, 10.0)
+    assert all(type(x) is float for x in cfg.alphas + cfg.snr_db)
+    assert cfg.schemes == ("ZF-WF",)
+
+
+def test_config_int_epsilon_r_is_a_float():
+    cfg = ExperimentConfig(epsilon_r=1)
+    assert cfg.epsilon_r == 1.0 and type(cfg.epsilon_r) is float
+
+
+def test_config_scalar_where_a_list_belongs_is_a_config_error():
+    for name, value in (("alphas", 0.6), ("snr_db", 10.0), ("schemes", "ZF-WF")):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{name: value})
+        assert name in str(exc.value)
+
+
+def test_config_rejects_a_repeated_scheme(tmp_path, capsys):
+    # a repeated scheme used to write two esr.csv rows, each over every
+    # channel counted twice, with the standard error understated
+    from jmbeam.cli import main
+
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(schemes=("ZF-WF", "ZF-WF"))
+    assert "schemes" in str(exc.value)
+    out = tmp_path / "o"
+    cfgp = _write_cfg(tmp_path, schemes=["ZF-WF", "JMB-ZF-SVD", "ZF-WF"])
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
+    assert "schemes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_ao_params():
@@ -269,6 +308,37 @@ def test_sweep_thread_count_invariance(tmp_path):
     for name in ("esr.csv", "sr_detail.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == (
             tmp_path / "t2" / name
+        ).read_bytes()
+
+
+def test_sweep_pool_starts_one_worker_per_task(tmp_path, monkeypatch):
+    # an executor that runs each task inline and starts no process; the
+    # sweep asks it for no more workers than the grid has blocks
+    asked = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=2)
+    run_sweep(cfg, out_dir=str(tmp_path / "serial"))
+    run_sweep(replace(cfg, threads=1000), out_dir=str(tmp_path / "pool"))
+    assert asked == [2]
+    for name in ("esr.csv", "sr_detail.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() == (
+            tmp_path / "serial" / name
         ).read_bytes()
 
 
@@ -592,6 +662,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     nojson = tmp_path / "broken.json"
     nojson.write_text("{")
     assert main(["sweep", "--config", str(nojson), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("literal", ["1" + "0" * 400, "1e400", "Infinity"],
+                         ids=["10**400", "1e400", "Infinity"])
+def test_cli_sweep_overflowing_epsilon_r_exits_2(tmp_path, capsys, literal):
+    # an integer too large for a float, and a float literal that json
+    # reads as infinity, which would stop every AO run after one step
+    from jmbeam.cli import main
+
+    out = tmp_path / "o"
+    cfgp = Path(_write_cfg(tmp_path, epsilon_r="EPS"))
+    cfgp.write_text(cfgp.read_text().replace('"EPS"', literal))
+    assert main(["sweep", "--config", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon_r" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_single(tmp_path, capsys):
