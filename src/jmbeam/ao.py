@@ -100,17 +100,17 @@ class AoParams:
 
 @dataclass
 class AoTrace:
-    """Per-iteration history of one run.
+    """Per-iteration history of one run, held in memory; entry i is
+    iteration i + 1.
 
     rbar is the surrogate rate from the averaged log-weights;
     awsmse_obj is the true averaged weighted sum-MSE (omitted constant
     re-added); asr_audit is the independently computed average sum rate
     at the precoder the blocks were updated on, and kkt_residual the
-    recomputed KKT residual of each update's solve; these two are kept
-    in memory only.
+    recomputed KKT residual of each update's solve. The trace files of
+    `harness.run_convergence` hold every list but these two.
     """
 
-    iters: list = field(default_factory=list)
     rbar: list = field(default_factory=list)
     awsmse_obj: list = field(default_factory=list)
     power: list = field(default_factory=list)
@@ -120,8 +120,7 @@ class AoTrace:
     kkt_residual: list = field(default_factory=list)
     stop_reason: str = ""
 
-    def append(self, it, rbar, obj, power, status, iters, asr, kkt):
-        self.iters.append(int(it))
+    def append(self, rbar, obj, power, status, iters, asr, kkt):
         self.rbar.append(float(rbar))
         self.awsmse_obj.append(float(obj))
         self.power.append(float(power))
@@ -131,18 +130,7 @@ class AoTrace:
         self.kkt_residual.append(float(kkt))
 
     def __len__(self):
-        return len(self.iters)
-
-    def to_csv(self, path):
-        """Serialize the trace; floats use repr for lossless round-trip."""
-        with open(path, "w") as f:
-            f.write("iter,rbar,awsmse_obj,power,solver_status,solver_iters\n")
-            for i in range(len(self.iters)):
-                f.write(
-                    f"{self.iters[i]},{self.rbar[i]!r},{self.awsmse_obj[i]!r},"
-                    f"{self.power[i]!r},{self.solver_status[i]},"
-                    f"{self.solver_iters[i]}\n"
-                )
+        return len(self.rbar)
 
 
 def dof_power_split(p_t, alpha):
@@ -321,7 +309,6 @@ def ao_steps(h_est, sample, cfg, params):
         p_new = sol.p_star
 
         trace.append(
-            n,
             rbar,
             sol.objective + q.omitted_constant,
             precoder_power(p_new),

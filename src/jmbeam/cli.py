@@ -4,7 +4,7 @@ Three subcommands: `sweep` runs the ESR-vs-SNR grid and writes esr.csv
 plus meta.json; `convergence` writes per-(SNR, init) optimization
 traces on one fixed channel; `single` optimizes one channel draw and
 prints the outcome. Exit codes: 0 success, 2 configuration error, 3
-solver failure inside `single`.
+solver failure in `single` or `convergence`.
 """
 
 import argparse
@@ -86,13 +86,7 @@ def _cmd_single(args):
     if args.channel < 0:
         raise ConfigError(f"channel must be nonnegative, got {args.channel}")
     seed = cell_seed(cfg.master_seed, args.alpha, args.snr_db, args.channel)
-    try:
-        p, sr, trace = run_single(cfg, args.scheme, args.snr_db, args.alpha, seed)
-    except ConfigError:
-        raise
-    except JmbeamError as e:
-        print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_SOLVER
+    p, sr, trace = run_single(cfg, args.scheme, args.snr_db, args.alpha, seed)
     pw = precoder_power(p)
     pc = float((p[:, 0].conj() @ p[:, 0]).real)
     print(f"scheme={args.scheme}")
@@ -121,6 +115,9 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except JmbeamError as e:
+        print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -13,9 +13,13 @@ A sweep task is a block of consecutive channels of the grid, sized by
 `_blocks` from the grid, m and the worker count. It draws each channel
 and sample once for all schemes and steps the block's AWSMSE runs in
 lockstep (`ao.run_block`); every run has the bits `run_single` gives
-it, so outputs depend neither on the blocks nor on the worker count.
+it, so outputs depend neither on the blocks nor on the worker count. A
+task returns its sr_detail.csv rows, which `_records` averages into
+esr.csv; every CSV the package writes, the convergence traces too, goes
+through `_write_rows`.
 """
 
+import itertools
 import json
 import math
 import os
@@ -283,8 +287,8 @@ def _block_task(cfg, cells):
     `cells` holds (alpha, snr_db, channel) triples. Each channel and its
     sample are drawn once for all schemes. The AWSMSE runs of the whole
     block step in lockstep (`run_block`), and each run's result has the
-    bits `run_single` gives it. Returns per channel the (scheme, sum
-    rate, error) outcomes in scheme order.
+    bits `run_single` gives it. Returns the block's sr_detail.csv rows
+    and its meta.json failures, both in cell and scheme order.
     """
     draws = [
         _draw(cfg, snr_db, alpha, cell_seed(cfg.master_seed, alpha, snr_db, ch))
@@ -297,69 +301,37 @@ def _block_task(cfg, cells):
         for scheme in ao_schemes
     ]
     results = iter(run_block(runs))
-    out = []
-    for csit, draw, _ in draws:
+    rows, failures = [], []
+    for (alpha, snr_db, ch), (csit, draw, _) in zip(cells, draws):
         ao_results = {scheme: next(results) for scheme in ao_schemes}
-        outcomes = []
         for scheme in cfg.schemes:
             try:
-                if scheme in ao_results:
-                    found = ao_results[scheme]
-                    if isinstance(found, JmbeamError):
-                        raise found
-                    p = found[0]
-                else:
-                    p = _baseline(scheme, draw, csit)
-                outcomes.append((scheme, float(sum_rate(draw.h_true, p)), ""))
+                found = ao_results.get(scheme)
+                if isinstance(found, JmbeamError):
+                    raise found
+                p = _baseline(scheme, draw, csit) if found is None else found[0]
+                rows.append((scheme, alpha, snr_db, ch, float(sum_rate(draw.h_true, p))))
             except JmbeamError as e:
-                outcomes.append((scheme, math.nan, f"{type(e).__name__}: {e}"))
-        out.append(outcomes)
-    return out
+                failures.append({"scheme": scheme, "alpha": alpha, "snr_db": snr_db,
+                                 "channel": ch, "error": f"{type(e).__name__}: {e}"})
+    return rows, failures
 
 
-def _reduce(cfg, done):
-    """Ordered aggregation of completed channels into records.
-
-    `done` holds ((alpha, snr_db, channel), outcomes) pairs in task order.
-    """
+def _records(cfg, rows):
+    """One EsrRecord per (scheme, alpha, snr_db) of the config, in that
+    order, that has sr_detail.csv rows: the mean sum rate over them and
+    its standard error."""
     srs = {}
-    failures = []
-    details = []
-    for (alpha, snr_db, channel), outcomes in done:
-        for scheme, sr, err in outcomes:
-            if err:
-                failures.append(
-                    {"scheme": scheme, "alpha": alpha, "snr_db": snr_db,
-                     "channel": channel, "error": err}
-                )
-            else:
-                srs.setdefault((scheme, alpha, snr_db), []).append(sr)
-                details.append((scheme, float(alpha), float(snr_db), channel, sr))
-
+    for scheme, alpha, snr_db, _, sr in rows:
+        srs.setdefault((scheme, alpha, snr_db), []).append(sr)
     records = []
-    for scheme in cfg.schemes:
-        for alpha in cfg.alphas:
-            for snr_db in cfg.snr_db:
-                vals = srs.get((scheme, alpha, snr_db), [])
-                n = len(vals)
-                if n == 0:
-                    continue
-                arr = np.asarray(vals)
-                esr = float(arr.mean())
-                se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-                records.append(
-                    EsrRecord(
-                        scheme=scheme,
-                        alpha=float(alpha),
-                        snr_db=float(snr_db),
-                        esr=esr,
-                        std_err=se,
-                        n_channels=n,
-                        m=cfg.m,
-                        seed=cfg.master_seed,
-                    )
-                )
-    return records, failures, details
+    for key in itertools.product(cfg.schemes, cfg.alphas, cfg.snr_db):
+        if key in srs:
+            arr = np.asarray(srs[key])
+            n = len(arr)
+            se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            records.append(EsrRecord(*key, float(arr.mean()), se, n, cfg.m, cfg.master_seed))
+    return records
 
 
 def _write_rows(path, header, rows):
@@ -420,12 +392,13 @@ def run_sweep(cfg, out_dir=None):
     of cfg.threads, so a serial sweep runs as few lockstep blocks as
     memory allows and the pool gets one block per worker; it starts no
     more workers than there are blocks. The blocks depend on the grid,
-    m and threads; a run's bits on none of them. Writes esr.csv,
-    sr_detail.csv and meta.json into out_dir when given; meta.json
-    counts completed and total tasks in channels. On interrupt or a dead
-    pool worker, every block that already completed, in any order, is
-    reduced and flushed, with the abort reason in meta.json, before the
-    exception propagates.
+    m and threads; a run's bits on none of them. The detail rows and
+    failures of finished blocks are joined in block order, and the rows
+    averaged into the returned records. Writes esr.csv, sr_detail.csv
+    and meta.json into out_dir when given; meta.json counts completed
+    and total tasks in channels. On interrupt or a dead pool worker,
+    every block that already completed, in any order, is flushed, with
+    the abort reason in meta.json, before the exception propagates.
     """
     cells = [
         (alpha, snr_db, ch)
@@ -434,7 +407,7 @@ def run_sweep(cfg, out_dir=None):
         for ch in range(cfg.n_channels)
     ]
     tasks = _blocks(cells, cfg.m, cfg.threads)
-    results = {}  # task index -> outcomes per channel
+    results = {}  # task index -> (detail rows, failures)
     futures = []
     abort = None
     t0 = time.perf_counter()
@@ -460,8 +433,10 @@ def run_sweep(cfg, out_dir=None):
             results[i] = fut.result()
     wall = time.perf_counter() - t0
 
-    done = [cell for i in sorted(results) for cell in zip(tasks[i], results[i])]
-    records, failures, details = _reduce(cfg, done)
+    done = [results[i] for i in sorted(results)]
+    rows = [row for task_rows, _ in done for row in task_rows]
+    failures = [f for _, task_failures in done for f in task_failures]
+    records = _records(cfg, rows)
     if out_dir is not None:
         _write_meta(
             out_dir,
@@ -473,12 +448,12 @@ def run_sweep(cfg, out_dir=None):
                 "abort_reason": None if abort is None
                 else f"{type(abort).__name__}: {abort}",
                 "failures": failures,
-                "tasks_completed": len(done),
+                "tasks_completed": sum(len(tasks[i]) for i in results),
                 "tasks_total": len(cells),
             },
         )
         write_esr_csv(os.path.join(out_dir, "esr.csv"), records)
-        write_detail_csv(os.path.join(out_dir, "sr_detail.csv"), details)
+        write_detail_csv(os.path.join(out_dir, "sr_detail.csv"), rows)
     if abort is not None:
         raise abort
     return records
@@ -534,6 +509,11 @@ def run_convergence(cfg, out_dir=None):
                 "wall_time_s": time.perf_counter() - t0,
             },
         )
-        for (snr_db, init), trace in traces.items():
-            trace.to_csv(os.path.join(out_dir, f"trace_{snr_db:g}_{init}.csv"))
+        for (snr_db, init), t in traces.items():
+            _write_rows(
+                os.path.join(out_dir, f"trace_{snr_db:g}_{init}.csv"),
+                ("iter", "rbar", "awsmse_obj", "power", "solver_status", "solver_iters"),
+                zip(itertools.count(1), t.rbar, t.awsmse_obj, t.power,
+                    t.solver_status, t.solver_iters),
+            )
     return traces

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import random_system, tiny_cfg
 from jmbeam import ao, qcqp
-from jmbeam.ao import AoParams, AoTrace, dof_power_split, initialize, run_ao
+from jmbeam.ao import AoParams, dof_power_split, initialize, run_ao
 from jmbeam.channel import CsitConfig, MonteCarloSample
 from jmbeam.errors import RankDeficient
-from jmbeam.harness import cell_seed, run_single
+from jmbeam.harness import cell_seed, run_convergence, run_single
 from jmbeam.linalg import zf_directions
 from jmbeam.qcqp import OPTIMAL_TOL, build, solve
 from jmbeam.receivers import (
@@ -152,19 +152,22 @@ def test_params_defaults_and_validation():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    tr = AoTrace()
-    tr.append(1, 1.23456789012345678, -0.5, 9.99, "Optimal", 12, 1.2, 1e-12)
-    tr.append(2, 1.3, -0.6, 10.0, "Optimal", 9, 1.3, 1e-12)
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "iter,rbar,awsmse_obj,power,solver_status,solver_iters"
-    assert len(lines) == 3
-    cells = lines[1].split(",")
-    assert int(cells[0]) == 1
-    assert float(cells[1]) == tr.rbar[0]  # repr round-trip, no loss
-    assert cells[4] == "Optimal"
-    assert int(cells[5]) == 12
+    # the trace files run_convergence writes: one row per iteration,
+    # numbered from 1, whose floats parse back to the trace's exactly
+    traces = run_convergence(tiny_cfg(m=6, n_max=3), out_dir=str(tmp_path))
+    for (snr_db, init), tr in traces.items():
+        lines = (tmp_path / f"trace_{snr_db:g}_{init}.csv").read_text().splitlines()
+        assert lines[0] == "iter,rbar,awsmse_obj,power,solver_status,solver_iters"
+        assert len(lines) == 1 + len(tr) >= 2
+        for i, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert int(cells[0]) == i + 1
+            # repr round-trip, no loss
+            assert float(cells[1]) == tr.rbar[i]
+            assert float(cells[2]) == tr.awsmse_obj[i]
+            assert float(cells[3]) == tr.power[i]
+            assert cells[4] == tr.solver_status[i] == "Optimal"
+            assert int(cells[5]) == tr.solver_iters[i]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import Future, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -285,9 +287,28 @@ def test_sweep_output_files(tmp_path):
     assert meta["failures"] == []
     assert "numpy" in meta["versions"]
     # detail rows parse and average to the esr records
-    for ln in det_lines[1:]:
+    _assert_esr_averages_detail(cfg, tmp_path)
+
+
+def _assert_esr_averages_detail(cfg, out_dir):
+    """Each esr.csv row of a sweep in out_dir holds exactly the mean, the
+    ddof-1 standard error over sqrt(n) and the count n of its
+    sr_detail.csv rows, read in file order; the rows follow grid order."""
+    srs = {}
+    for ln in (out_dir / "sr_detail.csv").read_text().splitlines()[1:]:
         scheme, alpha, snr, ch, sr = ln.split(",")
-        float(alpha), float(snr), int(ch), float(sr)
+        assert int(ch) >= 0
+        srs.setdefault((scheme, float(alpha), float(snr)), []).append(float(sr))
+    rows = [ln.split(",") for ln in (out_dir / "esr.csv").read_text().splitlines()[1:]]
+    keys = [(scheme, float(alpha), float(snr)) for scheme, alpha, snr, *_ in rows]
+    grid = [(s, a, snr) for s in cfg.schemes for a in cfg.alphas for snr in cfg.snr_db]
+    assert keys == [key for key in grid if key in srs] and set(keys) == set(srs)
+    for key, (*_, esr, std_err, n, m, seed) in zip(keys, rows):
+        vals = np.asarray(srs[key])
+        assert float(esr) == float(vals.mean()), key
+        want_se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        assert float(std_err) == want_se, key
+        assert int(n) == len(vals) and int(m) == cfg.m and int(seed) == cfg.master_seed
 
 
 def test_sweep_deterministic_bytes(tmp_path):
@@ -409,12 +430,10 @@ def test_sweep_keeps_tasks_finished_after_a_dead_worker(tmp_path, monkeypatch):
     cfg = tiny_cfg(schemes=("ZF-WF",), n_channels=6, threads=2)
     monkeypatch.setattr(harness, "BLOCK_ROWS", 2 * cfg.m)
     rest = [(0.6, 5.0, ch) for ch in (2, 3, 4, 5)]
-    records, _, details = harness._reduce(
-        cfg, list(zip(rest, harness._block_task(cfg, rest)))
-    )
+    rows, _ = harness._block_task(cfg, rest)
     (tmp_path / "serial").mkdir()
-    write_esr_csv(tmp_path / "serial" / "esr.csv", records)
-    write_detail_csv(tmp_path / "serial" / "sr_detail.csv", details)
+    write_esr_csv(tmp_path / "serial" / "esr.csv", harness._records(cfg, rows))
+    write_detail_csv(tmp_path / "serial" / "sr_detail.csv", rows)
     _kill_worker_at(monkeypatch, cfg, 0)
     with pytest.raises(BrokenProcessPool):
         run_sweep(cfg, out_dir=str(tmp_path / "pool"))
@@ -863,6 +882,7 @@ def test_overflowing_cell_is_a_failure_not_a_nan(tmp_path, capsys):
     assert (failure["scheme"], failure["snr_db"], failure["channel"]) == (
         "JMB-ZF-SVD", 3080.0, 0)
     assert failure["error"].startswith("NumericalBreakdown")
+    _assert_esr_averages_detail(ExperimentConfig.from_json(cfgp), tmp_path / "o")
 
 
 def test_sweep_drops_a_cell_without_a_successful_channel(tmp_path):
@@ -891,6 +911,27 @@ def test_cli_convergence(tmp_path):
     assert code == 0
     assert (out / "trace_5_zf-svd.csv").exists()
     assert (out / "meta.json").exists()
+
+
+def test_cli_convergence_solver_failure_exits_3(tmp_path):
+    # at 3080 dB, which the config accepts, the receive powers of the
+    # first update overflow: a solver failure, exit 3, as `single` gives
+    # it, with no traceback, no warning and no output directory
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text('{"snr_db": [3080], "n_channels": 1, "m": 20, "master_seed": 1}')
+    out = tmp_path / "conv"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jmbeam.cli", "convergence", "--config", str(cfgp),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("solver failure: NumericalBreakdown")
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
 
 
 def test_convergence_rejects_more_than_one_alpha(tmp_path, capsys):
