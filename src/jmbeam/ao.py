@@ -24,7 +24,7 @@ zero-forcing gains, and `zf_wf` is its alpha = 1 case.
 
 The loop of one run is written once, as the generator `ao_steps`, which
 yields its array work to the lockstep driver (`lockstep.drive`): the
-block update with its rates (`_updates`), the extrapolation's rates
+block update with its rbar (`_updates`), the extrapolation's rates
 (`_rates`) and the requests of `qcqp.solve_steps`. `run_block` steps
 many runs together, one stacked numpy call per request kind, round and
 CHUNK_ROWS realization rows, each run keeping its own warm starts, faces,
@@ -44,7 +44,7 @@ from .lockstep import drive, run_one
 # name, the first though this module does not call it: perfbench/layers.py
 # wraps the three in this namespace
 from .receivers import (Arena, _batch_powers, accumulate_components, average_rates,
-                        equalizers_of, precoder_power, rates_of, update_blocks)
+                        equalizers_of, precoder_power, update_blocks)
 
 __all__ = [
     "EXTRAPOLATE_FROM",
@@ -53,7 +53,6 @@ __all__ = [
     "AoTrace",
     "dof_power_split",
     "initialize",
-    "WaterfillResult",
     "water_fill",
     "zf_wf",
     "jmb_zf_svd_wf",
@@ -90,10 +89,12 @@ class AoParams:
     init_scheme: str = "zf-svd"
 
     def __post_init__(self):
-        if not self.epsilon_r > 0:
-            raise ValueError("epsilon_r must be positive")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        # as ExperimentConfig: an infinite threshold stops every run after
+        # one update, and a bool is not a number
+        if isinstance(self.epsilon_r, bool) or not 0.0 < self.epsilon_r < math.inf:
+            raise ValueError("epsilon_r must be a positive finite number")
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, int) or self.n_max < 1:
+            raise ValueError("n_max must be an integer of at least 1")
         if self.init_scheme.lower() not in INIT_SCHEMES:
             raise ValueError(f"unknown init scheme {self.init_scheme!r}")
 
@@ -103,12 +104,12 @@ class AoTrace:
     """Per-iteration history of one run, held in memory; entry i is
     iteration i + 1.
 
-    rbar is the surrogate rate from the averaged log-weights;
-    awsmse_obj is the true averaged weighted sum-MSE (omitted constant
-    re-added); asr_audit is the independently computed average sum rate
-    at the precoder the blocks were updated on, and kkt_residual the
-    recomputed KKT residual of each update's solve. The trace files of
-    `harness.run_convergence` hold every list but these two.
+    rbar is read off the averaged log-weights, and at the MMSE weights
+    that is the sample-average sum rate at the precoder the blocks were
+    updated on; awsmse_obj is the true averaged weighted sum-MSE
+    (omitted constant re-added) and kkt_residual the recomputed KKT
+    residual of each update's solve. The trace files of
+    `harness.run_convergence` hold every list but kkt_residual.
     """
 
     rbar: list = field(default_factory=list)
@@ -116,17 +117,15 @@ class AoTrace:
     power: list = field(default_factory=list)
     solver_status: list = field(default_factory=list)
     solver_iters: list = field(default_factory=list)
-    asr_audit: list = field(default_factory=list)
     kkt_residual: list = field(default_factory=list)
     stop_reason: str = ""
 
-    def append(self, rbar, obj, power, status, iters, asr, kkt):
+    def append(self, rbar, obj, power, status, iters, kkt):
         self.rbar.append(float(rbar))
         self.awsmse_obj.append(float(obj))
         self.power.append(float(power))
         self.solver_status.append(str(status))
         self.solver_iters.append(int(iters))
-        self.asr_audit.append(float(asr))
         self.kkt_residual.append(float(kkt))
 
     def __len__(self):
@@ -178,25 +177,16 @@ def initialize(scheme, h_est, p_t, alpha):
     return p
 
 
-@dataclass(frozen=True)
-class WaterfillResult:
-    """Allocation maximizing sum log2(1 + gain*power) under a budget.
-
-    Satisfies the exact optimality conditions: active entries sit at
-    1/gain + power == water_level, inactive ones have 1/gain >= level.
-    """
-
-    powers: np.ndarray
-    water_level: float
-
-
 def water_fill(gains, budget):
-    """Exact water-filling by sorted active-set search.
+    """The powers maximizing sum log2(1 + gain*power) under a budget,
+    by sorted active-set search.
 
     gains must be strictly positive, budget nonnegative. The active set
     is found by trying the largest candidate set first and shrinking
     until the implied level clears the worst included inverse gain, so
-    the result is exact up to round-off (no bisection).
+    the result is exact up to round-off (no bisection): active entries
+    share one level 1/gain + power, and inactive ones have 1/gain at
+    least that level.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1 or gains.size == 0:
@@ -213,7 +203,6 @@ def water_fill(gains, budget):
     k = gains.size
 
     powers_s = np.zeros(k)
-    level = inv_s[0]
     for r in range(k, 0, -1):
         level = (budget + csum[r - 1]) / r
         if level > inv_s[r - 1] or r == 1:
@@ -222,7 +211,7 @@ def water_fill(gains, budget):
 
     powers = np.empty(k)
     powers[order] = powers_s
-    return WaterfillResult(powers=powers, water_level=float(level))
+    return powers
 
 
 def _zf_gains(h_est, dirs):
@@ -244,7 +233,7 @@ def jmb_zf_svd_wf(h_est, p_t, alpha):
     h_est = np.asarray(h_est)
     dirs = zf_directions(h_est)
     _, private_total = dof_power_split(p_t, alpha)
-    p[:, 1:] = dirs * np.sqrt(water_fill(_zf_gains(h_est, dirs), private_total).powers)
+    p[:, 1:] = dirs * np.sqrt(water_fill(_zf_gains(h_est, dirs), private_total))
     return p
 
 
@@ -292,7 +281,7 @@ def run_block(runs):
 
 def ao_steps(h_est, sample, cfg, params):
     """`run_ao` as a generator for the lockstep driver: its requests are
-    the block updates with their rates, the extrapolation's rates and
+    the block updates with their rbar, the extrapolation's rates and
     those of `qcqp.solve_steps`, and it returns (p, trace)."""
     p = initialize(params.init_scheme, h_est, cfg.p_t, cfg.alpha)
     trace = AoTrace()
@@ -302,7 +291,7 @@ def ao_steps(h_est, sample, cfg, params):
     stop = "n_max"
     sol = None
     for n in range(1, params.n_max + 1):
-        q, rbar, asr = yield _updates, (sample, p, cfg.p_t)
+        q, rbar = yield _updates, (sample, p, cfg.p_t)
         sol = yield from qcqp.solve_steps(
             q, warm=p, warm_dual=None if sol is None else (sol.mu, sol.mu_pow)
         )
@@ -314,7 +303,6 @@ def ao_steps(h_est, sample, cfg, params):
             precoder_power(p_new),
             sol.status,
             sol.iterations,
-            asr,
             sol.kkt_residual,
         )
         if abs(rbar - rbar_prev) < params.epsilon_r:
@@ -359,18 +347,17 @@ def _chunks(items):
 
 def _updates(items):
     """Per item (sample, p, p_t), in stacked calls: the precoder-update
-    problem after the block update at p, the surrogate rate rbar from its
-    averaged log-weights, and the average sum rate at p. At zero common
-    power v_c is exactly zero, so rbar holds for both forms."""
+    problem after the block update at p, and rbar, read off its averaged
+    log-weights. At the MMSE weights log2 u is the rate of its layer, so
+    rbar is the sample-average sum rate at p (`average_rates`, to
+    round-off). At zero common power v_c is exactly zero, so rbar holds
+    for both forms."""
     out = []
     for part, samples, p in _chunks(items):
-        powers = _batch_powers(samples, p, _SCRATCH)
-        gw = equalizers_of(powers, _SCRATCH)
-        asr = rates_of(powers, _SCRATCH).asr.tolist()
+        gw = equalizers_of(_batch_powers(samples, p, _SCRATCH), _SCRATCH)
         comps = accumulate_components(samples, gw, _SCRATCH)
         rbar = np.min(comps.v_c, axis=-1) + np.sum(comps.v_p, axis=-1)
-        problems = qcqp.build(comps, [it[2] for it in part])
-        out += zip(problems, rbar.tolist(), asr)
+        out += zip(qcqp.build(comps, [it[2] for it in part]), rbar.tolist())
     return out
 
 

@@ -132,7 +132,8 @@ def build(components, p_t):
 
     Components with a leading run axis (from `accumulate_components` on
     R runs) give a list of R problems, each in its own form; p_t may
-    then hold one value per run.
+    then hold one value per run. A problem's f_obj, psi_con and f_con
+    are views of the components' arrays.
     """
     c = components
     *lead, k, n_t = c.f_p.shape
@@ -142,9 +143,9 @@ def build(components, p_t):
     largest = con_const.max(axis=-1).tolist()
     silent = ~(c.psi_c.reshape(r, -1).any(axis=1) | c.f_c.reshape(r, -1).any(axis=1))
     psi_obj = c.psi_p.sum(axis=-3).reshape(r, n_t, n_t)
-    psi_con = c.psi_c.reshape(r, k, n_t, n_t).copy()
-    f_con = c.f_c.reshape(r, k, n_t).copy()
-    f_obj = c.f_p.reshape(r, k, n_t).copy()
+    psi_con = c.psi_c.reshape(r, k, n_t, n_t)
+    f_con = c.f_c.reshape(r, k, n_t)
+    f_obj = c.f_p.reshape(r, k, n_t)
     p_t = np.broadcast_to(np.asarray(p_t, dtype=float).reshape(-1), (r,)).tolist()
     problems = []
     for i in range(r):

@@ -68,7 +68,6 @@ __all__ = [
     "precoder_power",
     "sum_rate",
     "average_rates",
-    "rates_of",
     "update_blocks",
     "equalizers_of",
     "accumulate_components",
@@ -238,22 +237,18 @@ def average_rates(sample, p, scratch=fresh):
     """Sample-average rates over a Monte-Carlo sample for a fixed precoder.
 
     Per-user common and private rates are averaged over the realizations
-    in their stored order; asr = min_k r_c[k] + sum_k r_p[k]. Takes one
-    run or R runs as `_batch_powers` does; with R runs every field has a
+    in their stored order, both layers' means in one sum over an
+    (..., m, 2k) array; asr = min_k r_c[k] + sum_k r_p[k]. Takes one run
+    or R runs as `_batch_powers` does; with R runs every field has a
     leading run axis and asr is an (R,) array.
     """
-    return rates_of(_batch_powers(sample, p, scratch), scratch)
-
-
-def rates_of(powers, scratch=fresh):
-    """`average_rates` from the outputs of `_batch_powers`; both layers'
-    means are one sum over an (..., m, 2k) array, in realization order."""
-    _, s_c, s_p, i_p, t_p, _ = powers
+    _, s_c, s_p, i_p, t_p, _ = _batch_powers(sample, p, scratch)
     rates = scratch("rates", t_p.shape + (2,))
     np.divide(s_c, t_p, out=rates[..., 0])
     np.divide(s_p, i_p, out=rates[..., 1])
     np.divide(np.log1p(rates, out=rates), _LN2, out=rates)
-    r_c_bar, r_p_bar = np.moveaxis(rates.sum(axis=-3) / t_p.shape[-2], -1, 0)
+    means = rates.sum(axis=-3) / t_p.shape[-2]
+    r_c_bar, r_p_bar = means[..., 0], means[..., 1]
     asr = np.min(r_c_bar, axis=-1) + np.sum(r_p_bar, axis=-1)
     return AverageRates(
         r_c=r_c_bar, r_p=r_p_bar, asr=float(asr) if asr.ndim == 0 else asr

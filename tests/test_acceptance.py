@@ -152,7 +152,7 @@ def test_criterion_5_convergence_spread_grows_with_snr():
     all_conv = all(t.stop_reason == "converged" for t in traces.values())
 
     def spread(snr):
-        finals = [t.asr_audit[-1] for (s, _), t in traces.items() if s == snr]
+        finals = [t.rbar[-1] for (s, _), t in traces.items() if s == snr]
         return max(finals) - min(finals)
 
     s5, s35 = spread(5.0), spread(35.0)
@@ -468,7 +468,7 @@ def test_criterion_8_property_suites(tmp_path):
         n = int(rng.integers(1, 9))
         gains = rng.uniform(0.05, 5.0, size=n)
         budget = float(rng.uniform(0.0, 20.0))
-        q = water_fill(gains, budget).powers
+        q = water_fill(gains, budget)
         worst_kkt = max(worst_kkt, abs(q.sum() - budget) / max(budget, 1.0))
         active = q > 0
         if active.any():

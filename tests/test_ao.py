@@ -7,8 +7,8 @@ from conftest import random_system, tiny_cfg
 from jmbeam import ao, qcqp
 from jmbeam.ao import AoParams, dof_power_split, initialize, run_ao
 from jmbeam.channel import CsitConfig, MonteCarloSample
-from jmbeam.errors import RankDeficient
-from jmbeam.harness import cell_seed, run_convergence, run_single
+from jmbeam.errors import ConfigError, RankDeficient
+from jmbeam.harness import ExperimentConfig, cell_seed, run_convergence, run_single
 from jmbeam.linalg import zf_directions
 from jmbeam.qcqp import OPTIMAL_TOL, build, solve
 from jmbeam.receivers import (
@@ -151,6 +151,21 @@ def test_params_defaults_and_validation():
         AoParams(init_scheme="nope")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epsilon_r", float("inf")),  # every run would stop after one update
+    ("epsilon_r", float("nan")),
+    ("epsilon_r", True),
+    ("n_max", 2.5),  # the loop would raise TypeError
+    ("n_max", True),  # one update, as n_max = 1
+    ("n_max", 200.0),
+])
+def test_params_reject_what_the_experiment_config_rejects(field, value):
+    with pytest.raises(ValueError):
+        AoParams(**{field: value})
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{field: value})
+
+
 def test_trace_csv_round_trip(tmp_path):
     # the trace files run_convergence writes: one row per iteration,
     # numbered from 1, whose floats parse back to the trace's exactly
@@ -208,14 +223,27 @@ def test_n_max_one():
     assert trace.stop_reason == "n_max"
 
 
-def test_descent_and_audit_identity():
+def test_descent_and_audit_identity(monkeypatch):
+    def audited(items):
+        # at every block update, the rbar read off the averaged log-weights
+        # is the sample-average sum rate at the precoder it started from
+        out = updates(items)
+        for (sample, p, _), (_, rbar) in zip(items, out):
+            asr = average_rates(sample, p).asr
+            assert abs(rbar - asr) <= 1e-12 * max(1.0, asr)
+        audits.append(len(out))
+        return out
+
+    updates = ao._updates
+    audited.rank = updates.rank
+    monkeypatch.setattr(ao, "_updates", audited)
     for seed in (0, 1, 2):
         cfg, draw, sample = random_system(seed, snr_db=20.0, m=20)
+        audits = []
         p, trace = run_ao(draw.h_est, sample, cfg, AoParams())
+        assert sum(audits) == len(trace)
         obj = np.array(trace.awsmse_obj)
         assert np.all(np.diff(obj) <= 1e-7)
-        # surrogate rate equals the audited sample-average sum rate
-        assert np.allclose(trace.rbar, trace.asr_audit, atol=1e-8)
         assert all(s == "Optimal" for s in trace.solver_status)
         assert all(pw <= cfg.p_t + 1e-9 for pw in trace.power)
         assert trace.stop_reason == "converged"
@@ -274,7 +302,7 @@ def test_bc_run_is_the_alpha_one_joint_run(monkeypatch):
         )
         assert np.array_equal(p, p_1)
         assert trace_1.awsmse_obj == trace.awsmse_obj
-        assert trace_1.asr_audit == trace.asr_audit
+        assert trace_1.rbar == trace.rbar
 
 
 def _run_of(comps, r):
@@ -317,7 +345,7 @@ def test_extrapolation_converges_where_plain_loop_crawls(monkeypatch):
         m.setattr(ao, "EXTRAPOLATE_FROM", 201)
         p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
     assert trace.stop_reason == "n_max"
-    assert trace.asr_audit[-1] - trace.asr_audit[-51] > 0.3
+    assert trace.rbar[-1] - trace.rbar[-51] > 0.3
     assert average_rates(sample, p).asr < 8.8
 
     p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())

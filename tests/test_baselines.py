@@ -16,20 +16,20 @@ from jmbeam.receivers import _batch_powers, precoder_power, sum_rate
 
 
 def test_waterfill_equal_gains():
-    r = water_fill(np.array([2.0, 2.0, 2.0]), 6.0)
-    assert np.allclose(r.powers, 2.0, rtol=1e-12)
+    powers = water_fill(np.array([2.0, 2.0, 2.0]), 6.0)
+    assert np.allclose(powers, 2.0, rtol=1e-12)
 
 
 def test_waterfill_low_budget_picks_best_channel():
-    r = water_fill(np.array([1.0, 100.0]), 0.01)
-    assert r.powers[0] == 0.0
-    assert r.powers[1] == pytest.approx(0.01, rel=1e-12)
+    powers = water_fill(np.array([1.0, 100.0]), 0.01)
+    assert powers[0] == 0.0
+    assert powers[1] == pytest.approx(0.01, rel=1e-12)
 
 
 def test_waterfill_matches_bisection_oracle():
-    r = water_fill(np.array([1.0, 4.0]), 2.0)
+    powers = water_fill(np.array([1.0, 4.0]), 2.0)
     want = waterfill_bisection(np.array([1.0, 4.0]), 2.0)
-    assert np.allclose(r.powers, want, atol=1e-10)
+    assert np.allclose(powers, want, atol=1e-10)
 
 
 def test_waterfill_oracle_sweep():
@@ -38,9 +38,9 @@ def test_waterfill_oracle_sweep():
         k = int(rng.integers(1, 6))
         gains = rng.uniform(0.01, 50.0, size=k)
         budget = float(rng.uniform(0.0, 20.0))
-        r = water_fill(gains, budget)
+        powers = water_fill(gains, budget)
         want = waterfill_bisection(gains, budget)
-        assert np.allclose(r.powers, want, atol=1e-9)
+        assert np.allclose(powers, want, atol=1e-9)
 
 
 def test_waterfill_kkt_exact():
@@ -49,14 +49,15 @@ def test_waterfill_kkt_exact():
         k = int(rng.integers(1, 7))
         gains = rng.uniform(1e-3, 100.0, size=k)
         budget = float(rng.uniform(1e-6, 100.0))
-        r = water_fill(gains, budget)
-        assert np.all(r.powers >= 0)
-        assert np.sum(r.powers) == pytest.approx(budget, abs=1e-10 * max(1, budget))
-        for g, q in zip(gains, r.powers):
-            if q > 0:
-                assert 1.0 / g + q == pytest.approx(r.water_level, abs=1e-10 * r.water_level)
-            else:
-                assert 1.0 / g >= r.water_level - 1e-10 * r.water_level
+        powers = water_fill(gains, budget)
+        assert np.all(powers >= 0)
+        assert np.sum(powers) == pytest.approx(budget, abs=1e-10 * max(1, budget))
+        # the active entries share one water level; the inactive ones sit above it
+        active = powers > 0
+        levels = 1.0 / gains[active] + powers[active]
+        level = levels.max()
+        assert levels.max() - levels.min() <= 1e-10 * level
+        assert np.all(1.0 / gains[~active] >= level - 1e-10 * level)
 
 
 @given(
@@ -66,21 +67,20 @@ def test_waterfill_kkt_exact():
 @settings(max_examples=200, deadline=None)
 def test_waterfill_kkt_property(gains, budget):
     gains = np.array(gains)
-    r = water_fill(gains, budget)
-    assert np.all(r.powers >= 0)
-    assert abs(np.sum(r.powers) - budget) <= 1e-9 * max(1.0, budget)
-    if budget > 0:
-        lvl = r.water_level
-        for g, q in zip(gains, r.powers):
-            if q > 1e-12:
-                assert abs(1.0 / g + q - lvl) <= 1e-9 * max(1.0, lvl)
-            else:
-                assert 1.0 / g >= lvl - 1e-9 * max(1.0, lvl)
+    powers = water_fill(gains, budget)
+    assert np.all(powers >= 0)
+    assert abs(np.sum(powers) - budget) <= 1e-9 * max(1.0, budget)
+    active = powers > 0
+    if active.any():
+        levels = 1.0 / gains[active] + powers[active]
+        lvl = levels.max()
+        assert levels.max() - levels.min() <= 1e-10 * lvl
+        assert np.all(1.0 / gains[~active] >= lvl - 1e-10 * lvl)
 
 
 def test_waterfill_zero_budget():
-    r = water_fill(np.array([1.0, 2.0]), 0.0)
-    assert np.all(r.powers == 0)
+    powers = water_fill(np.array([1.0, 2.0]), 0.0)
+    assert np.all(powers == 0)
 
 
 def test_waterfill_validation():
@@ -95,8 +95,8 @@ def test_waterfill_beats_alternatives():
     rng = np.random.default_rng(2)
     gains = np.array([0.3, 2.0, 9.0])
     budget = 4.0
-    r = water_fill(gains, budget)
-    best = np.sum(np.log2(1 + gains * r.powers))
+    powers = water_fill(gains, budget)
+    best = np.sum(np.log2(1 + gains * powers))
     for _ in range(500):
         q = rng.dirichlet(np.ones(3)) * budget
         assert np.sum(np.log2(1 + gains * q)) <= best + 1e-9
@@ -136,7 +136,7 @@ def test_zf_wf_nominal_rate_identity():
             [abs(h[:, k].conj() @ dirs[:, k]) ** 2 for k in range(2)]
         )
         q = water_fill(gains, 10.0)
-        want = float(np.sum(np.log2(1 + gains * q.powers)))
+        want = float(np.sum(np.log2(1 + gains * q)))
         assert sum_rate(h, p) == pytest.approx(want, abs=1e-10)
 
 
@@ -212,7 +212,7 @@ def test_jmb_zf_svd_private_waterfill():
     gains = np.array([abs(h[:, k].conj() @ dirs[:, k]) ** 2 for k in range(2)])
     q = water_fill(gains, p_t ** alpha)
     got = np.array([np.linalg.norm(p[:, k + 1]) ** 2 for k in range(2)])
-    assert np.allclose(got, q.powers, rtol=1e-10)
+    assert np.allclose(got, q, rtol=1e-10)
 
 
 def test_jmb_zf_svd_is_the_zf_svd_start_water_filled():
@@ -229,4 +229,4 @@ def test_jmb_zf_svd_is_the_zf_svd_start_water_filled():
         assert np.array_equal(p[:, 0], start[:, 0]), (n_t, k, p_t, alpha)
         dirs = zf_directions(h)
         q = water_fill(_zf_gains(h, dirs), min(p_t**alpha, p_t))
-        assert np.array_equal(p[:, 1:], dirs * np.sqrt(q.powers)), (n_t, k, p_t, alpha)
+        assert np.array_equal(p[:, 1:], dirs * np.sqrt(q)), (n_t, k, p_t, alpha)

@@ -540,8 +540,9 @@ def test_solve_accepts_rank_deficient_component():
     # accepts them. Where the budget binds (0 and 10 dB) every solve is
     # certified. Above that the budget price can fall to zero, where the
     # common column's system is singular and the face Newton can only
-    # halve mu_pow; 7 of those solves end 'MaxIter' (CHANGES.md), so they
-    # are only checked to return a feasible point. Dual values above the
+    # halve mu_pow; 6 of those solves end 'MaxIter' (ROADMAP direction 10
+    # tables how far each ends from the cone oracle), so they are only
+    # checked to return a feasible point. Dual values above the
     # tangent, from a singular system that rounds invertible, are rejected
     # by the line search, which keeps the 0/10 dB rows certified whatever
     # the last bits of the components (the test below)

@@ -24,9 +24,9 @@ from jmbeam.receivers import (
     AwmmseComponents,
     _batch_powers,
     accumulate_components,
+    average_rates,
     equalizers_of,
     fresh,
-    rates_of,
 )
 
 FIELDS = list(AwmmseComponents.__dataclass_fields__)
@@ -54,8 +54,8 @@ def _expected(samples, p):
 
 def _kernels(samples, p, scratch):
     """The same, by the library's kernels on one scratch allocator."""
+    rates = average_rates(samples, p, scratch)
     powers = _batch_powers(samples, p, scratch)
-    rates = rates_of(powers, scratch)
     gw = equalizers_of(powers, scratch)
     comps = accumulate_components(samples, gw, scratch)
     eq = (gw.g_c, gw.g_p, gw.u_c, gw.u_p)
@@ -83,9 +83,9 @@ def test_kernels_match_the_fresh_layout_formulas_bit_for_bit(n_t, k, r, m):
     # each run of the stacked call has the bits of that run alone, in the
     # single-run form without a run axis
     for i in range(r):
+        rates = average_rates(samples[i], p[i], arena)
         alone = _batch_powers(samples[i], p[i], arena)
         gw = equalizers_of(alone, arena)
-        rates = rates_of(alone, arena)
         comps = vars(accumulate_components(samples[i], gw, arena))
         assert all(np.array_equal(a, b[i]) for a, b in zip(alone, want[0]))
         assert np.array_equal(rates.asr, want[1][2][i])
@@ -104,10 +104,10 @@ def _expected_updates(items):
     """What `ao._updates` must return, from the oracle formulas run by run."""
     out = []
     for s, p, p_t in items:
-        _, (_, _, asr), _, comps = _expected([s], p[None])
+        comps = _expected([s], p[None])[3]
         c = AwmmseComponents(**{name: x[0] for name, x in comps.items()})
         rbar = np.min(c.v_c) + np.sum(c.v_p)
-        out.append((qcqp.build(c, p_t), float(rbar), float(asr[0])))
+        out.append((qcqp.build(c, p_t), float(rbar)))
     return out
 
 
@@ -116,13 +116,13 @@ def _snapshot(results):
     return [
         [getattr(q, name).tobytes() for name in ("psi_obj", "f_obj", "psi_con", "f_con",
                                                  "con_const")]
-        + [q.omitted_constant, q.p_t, rbar, asr]
-        for q, rbar, asr in results
+        + [q.omitted_constant, q.p_t, rbar]
+        for q, rbar in results
     ]
 
 
 def _arrays(results):
-    return [getattr(q, name) for q, _, _ in results
+    return [getattr(q, name) for q, _ in results
             for name in ("psi_obj", "f_obj", "psi_con", "f_con", "con_const")]
 
 
