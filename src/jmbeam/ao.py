@@ -33,6 +33,7 @@ is `run_block` on one run. A run's bits do not depend on its companions.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,11 +41,8 @@ import numpy as np
 from . import qcqp
 from .linalg import dominant_left_singular_vector, mf_directions, zf_directions
 from .lockstep import drive, run_one
-# update_blocks, accumulate_components and average_rates are imported by
-# name, the first though this module does not call it: perfbench/layers.py
-# wraps the three in this namespace
-from .receivers import (Arena, _batch_powers, accumulate_components, average_rates,
-                        equalizers_of, precoder_power, update_blocks)
+from .receivers import (Arena, accumulate_components, average_rates, precoder_power,
+                        update_blocks)
 
 __all__ = [
     "EXTRAPOLATE_FROM",
@@ -89,14 +87,15 @@ class AoParams:
     init_scheme: str = "zf-svd"
 
     def __post_init__(self):
-        # as ExperimentConfig: an infinite threshold stops every run after
-        # one update, and a bool is not a number
-        if isinstance(self.epsilon_r, bool) or not 0.0 < self.epsilon_r < math.inf:
-            raise ValueError("epsilon_r must be a positive finite number")
-        if isinstance(self.n_max, bool) or not isinstance(self.n_max, int) or self.n_max < 1:
-            raise ValueError("n_max must be an integer of at least 1")
-        if self.init_scheme.lower() not in INIT_SCHEMES:
-            raise ValueError(f"unknown init scheme {self.init_scheme!r}")
+        # ExperimentConfig checks through here too: an infinite threshold
+        # stops every run after one update, and a bool is not a number
+        eps, n_max, scheme = self.epsilon_r, self.n_max, self.init_scheme
+        if type(eps) is bool or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
+            raise ValueError(f"epsilon_r must be a positive finite number, got {eps!r}")
+        if type(n_max) is bool or not isinstance(n_max, int) or n_max < 1:
+            raise ValueError(f"n_max must be an integer of at least 1, got {n_max!r}")
+        if not isinstance(scheme, str) or scheme.lower() not in INIT_SCHEMES:
+            raise ValueError(f"unknown init scheme {scheme!r}")
 
 
 @dataclass
@@ -354,8 +353,7 @@ def _updates(items):
     for both forms."""
     out = []
     for part, samples, p in _chunks(items):
-        gw = equalizers_of(_batch_powers(samples, p, _SCRATCH), _SCRATCH)
-        comps = accumulate_components(samples, gw, _SCRATCH)
+        comps = accumulate_components(samples, update_blocks(samples, p, _SCRATCH), _SCRATCH)
         rbar = np.min(comps.v_c, axis=-1) + np.sum(comps.v_p, axis=-1)
         out += zip(qcqp.build(comps, [it[2] for it in part]), rbar.tolist())
     return out

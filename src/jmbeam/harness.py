@@ -98,7 +98,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _floats(name, getattr(self, name)))
         object.__setattr__(self, "epsilon_r", *_floats("epsilon_r", (self.epsilon_r,)))
 
-        for name in ("n_t", "k", "m", "n_channels", "n_max", "threads"):
+        for name in ("n_t", "k", "m", "n_channels", "threads"):
             v = getattr(self, name)
             if not _is_number(v, int) or v < 1:
                 bad(f"{name} must be a positive integer, got {v!r}")
@@ -125,8 +125,10 @@ class ExperimentConfig:
                 bad(f"unknown scheme {s!r}; valid: {', '.join(SCHEMES)}")
         if len(set(self.schemes)) < len(self.schemes):
             bad("schemes holds a scheme twice")
-        if not 0.0 < self.epsilon_r < math.inf:
-            bad("epsilon_r must be a positive finite number")
+        try:
+            self.ao_params()  # AoParams checks epsilon_r and n_max
+        except ValueError as e:
+            bad(str(e))
 
     @classmethod
     def from_dict(cls, d):

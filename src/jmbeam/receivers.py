@@ -69,7 +69,6 @@ __all__ = [
     "sum_rate",
     "average_rates",
     "update_blocks",
-    "equalizers_of",
     "accumulate_components",
     "awmse_values",
     "awsmse_objective",
@@ -255,22 +254,16 @@ def average_rates(sample, p, scratch=fresh):
     )
 
 
-def update_blocks(sample, p):
+def update_blocks(sample, p, scratch=fresh):
     """Exact minimization over equalizers and weights at a fixed precoder.
 
     For every user and realization: the MMSE equalizers and the inverse
     MMSE weights, evaluated on that realization. This is the (G, U) step
-    of the alternating loop. Takes one run or R runs as
-    `_batch_powers` does; with R runs every field has a
-    leading run axis.
+    of the alternating loop, formed in `scratch`. Takes one run or R runs
+    as `_batch_powers` does; with R runs every field has a leading run
+    axis. Raises DegenerateMmse if the MMSE of any run underflows.
     """
-    return equalizers_of(_batch_powers(sample, p))
-
-
-def equalizers_of(powers, scratch=fresh):
-    """`update_blocks` from the outputs of `_batch_powers`, in `scratch`;
-    raises DegenerateMmse if the MMSE of any run underflows."""
-    y, _, _, i_p, t_p, t_c = powers
+    y, _, _, i_p, t_p, t_c = _batch_powers(sample, p, scratch)
     if np.any(t_p <= EPS_FLOOR * t_c) or np.any(i_p <= EPS_FLOOR * t_p):
         raise DegenerateMmse("MMSE underflow; a signal power is 1e300 times the noise")
     *lead, m, k, _ = y.shape

@@ -147,14 +147,18 @@ def test_params_defaults_and_validation():
         AoParams(epsilon_r=0.0)
     with pytest.raises(ValueError):
         AoParams(n_max=0)
-    with pytest.raises(ValueError):
-        AoParams(init_scheme="nope")
+    # a scheme that is not a string is as unknown as a misspelt one
+    for scheme in ("nope", 5, None):
+        with pytest.raises(ValueError):
+            AoParams(init_scheme=scheme)
 
 
 @pytest.mark.parametrize("field,value", [
     ("epsilon_r", float("inf")),  # every run would stop after one update
     ("epsilon_r", float("nan")),
     ("epsilon_r", True),
+    ("epsilon_r", "0.1"),  # a string is not a number, as in the JSON config
+    ("epsilon_r", None),
     ("n_max", 2.5),  # the loop would raise TypeError
     ("n_max", True),  # one update, as n_max = 1
     ("n_max", 200.0),

@@ -293,6 +293,16 @@ def test_components_psd():
                 assert np.array_equal(psi[u], psi[u].conj().T)
 
 
+def test_components_reject_equalizers_of_another_sample():
+    # equalizers of an m = 3 sample do not fit an m = 5 one; the message
+    # names the check, since the reshape would fail with a ValueError too
+    cfg, _, small = random_system(3, m=3)
+    _, _, large = random_system(4, m=5)
+    gw = update_blocks(small, random_precoder(np.random.default_rng(3), 2, 2, cfg.p_t))
+    with pytest.raises(ValueError, match="does not match"):
+        accumulate_components(large, gw)
+
+
 def _fresh(sample):
     """The same realizations with an empty cache."""
     return MonteCarloSample(realizations=sample.realizations)

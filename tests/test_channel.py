@@ -55,6 +55,9 @@ def test_csit_config_validation():
         CsitConfig(n_t=2, k=2, alpha=0.6, p_t=0.0)
     with pytest.raises(ValueError):
         CsitConfig(n_t=2, k=2, alpha=-0.1, p_t=10.0)
+    for n_t, k in ((2, 0), (0, 0)):  # no user, or no antenna
+        with pytest.raises(ValueError):
+            CsitConfig(n_t=n_t, k=k, alpha=0.6, p_t=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +208,18 @@ def test_draw_sample_holds_one_read_only_copy():
     h[:] = 0.0
     assert np.array_equal(s.realizations, kept)
     assert np.array_equal(t.realizations, kept)
+
+
+def test_sample_validation():
+    # a sample holds at least one (n_t, k) realization, and a draw asks
+    # for one; the messages name the check, since numpy's own errors on
+    # such shapes are ValueErrors too
+    for shape in ((2, 2), (1, 2, 2, 1), (0, 2, 2)):
+        with pytest.raises(ValueError, match="nonempty"):
+            MonteCarloSample(realizations=np.ones(shape, dtype=complex))
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be"):
+            draw_sample(substream(1, 1), np.ones((2, 2)), 0.1, m)
 
 
 def test_channel_and_sample_streams_independent():

@@ -160,6 +160,15 @@ def test_dominant_singular_vector_zero_matrix_raises():
         dominant_left_singular_vector(np.zeros((2, 2)))
 
 
+def test_kernels_reject_what_is_not_a_matrix():
+    # the messages name the check: LinAlgError is a ValueError too
+    for a in (np.ones((2, 3)), np.ones(2)):
+        with pytest.raises(ValueError, match="square"):
+            cholesky_psd(a)
+    with pytest.raises(ValueError, match="expected a matrix"):
+        dominant_left_singular_vector(np.ones(2))
+
+
 def test_dominant_singular_vector_tied_singular_values():
     # a degenerate spectrum has no unique dominant direction: any unit
     # vector of the top eigenspace will do, but always the same one

@@ -179,15 +179,15 @@ def test_block_sweep_same_bytes_across_threads(tmp_path, small_blocks):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
-def _first_call_arg(monkeypatch, module, name, cfg, scheme, snr_db, channel):
-    """A copy of the first positional argument of module.name in one run
-    made alone (the block update's arrays live in a scratch arena that
-    the next call overwrites)."""
+def _first_call_arg(monkeypatch, module, name, index, cfg, scheme, snr_db, channel):
+    """A copy of positional argument `index` of the first call of
+    module.name in one run made alone (the block update's arrays live in
+    a scratch arena that the next call overwrites)."""
     seen = []
     original = getattr(module, name)
 
     def recording(*args):
-        seen.append(copy.deepcopy(args[0]))
+        seen.append(copy.deepcopy(args[index]))
         return original(*args)
 
     with monkeypatch.context() as m:
@@ -196,16 +196,17 @@ def _first_call_arg(monkeypatch, module, name, cfg, scheme, snr_db, channel):
     return seen[0]
 
 
-def _injected_failure(tmp_path, monkeypatch, module, name, poisoned, error):
+def _injected_failure(tmp_path, monkeypatch, module, name, index, poisoned, error):
     """A clean sweep and one in which module.name raises `error` whenever
-    `poisoned` finds the target run's data in its argument; returns the
-    two sets of detail rows and the second sweep's failures."""
+    `poisoned` finds the target run's data in its positional argument
+    `index`; returns the two sets of detail rows and the second sweep's
+    failures."""
     cfg = _block_cfg(snr_db=(20.0,))
     run_sweep(cfg, out_dir=str(tmp_path / "clean"))
     original = getattr(module, name)
 
     def failing(*args):
-        if poisoned(args[0]):
+        if poisoned(args[index]):
             raise error
         return original(*args)
 
@@ -223,10 +224,10 @@ def test_not_psd_from_the_stacked_guard_fails_one_run(tmp_path, monkeypatch, sma
     # the guard factors every problem of a round in one stacked call; the
     # target's first private matrix makes that call raise
     cfg = _block_cfg(snr_db=(20.0,))
-    mats = _first_call_arg(monkeypatch, qcqp, "cholesky_psd", cfg, scheme, 20.0, 3)
+    mats = _first_call_arg(monkeypatch, qcqp, "cholesky_psd", 0, cfg, scheme, 20.0, 3)
     target = mats[0]
     rows, failures = _injected_failure(
-        tmp_path, monkeypatch, qcqp, "cholesky_psd",
+        tmp_path, monkeypatch, qcqp, "cholesky_psd", 0,
         lambda a: any(np.array_equal(x, target) for x in a),
         NotPsd("injected pivot"),
     )
@@ -239,14 +240,14 @@ def test_not_psd_from_the_stacked_guard_fails_one_run(tmp_path, monkeypatch, sma
 @pytest.mark.parametrize("scheme", AO_SCHEMES)
 def test_degenerate_mmse_from_the_block_update_fails_one_run(tmp_path, monkeypatch,
                                                             small_blocks, scheme):
-    # the block update stacks the receive powers of every run it serves;
-    # the target's powers at its first update make that call raise
+    # the block update stacks the precoders of every run it serves; the
+    # target's first precoder makes that call raise. The JMB and BC runs
+    # of a channel share its sample, so the key is the precoder
     cfg = _block_cfg(snr_db=(20.0,))
-    powers = _first_call_arg(monkeypatch, ao, "equalizers_of", cfg, scheme, 20.0, 3)
-    target = powers[0][0]
+    target = _first_call_arg(monkeypatch, ao, "update_blocks", 1, cfg, scheme, 20.0, 3)[0]
     rows, failures = _injected_failure(
-        tmp_path, monkeypatch, ao, "equalizers_of",
-        lambda pw: any(np.array_equal(y, target) for y in pw[0]),
+        tmp_path, monkeypatch, ao, "update_blocks", 1,
+        lambda p: any(np.array_equal(q, target) for q in p),
         DegenerateMmse("injected underflow"),
     )
     assert failures == [{"scheme": scheme, "alpha": 0.6, "snr_db": 20.0,

@@ -421,6 +421,17 @@ def test_duals_decides_a_non_finite_item_in_the_stacked_pass():
             assert np.array_equal(got, want)
 
 
+def test_model_step_ends_with_none_on_a_step_that_is_not_finite():
+    # driven by hand: the first face system goes to `_eqps`, and its
+    # answer, a step with an inf, ends the active-set loop with no point
+    steps = qcqp._model_step(np.array([0.5, 0.5, 1.0]), np.zeros(3), np.eye(3))
+    server, _ = next(steps)
+    assert server is qcqp._eqps
+    with pytest.raises(StopIteration) as end:
+        steps.send(([0.0, float("inf"), 0.0], 0.0))
+    assert end.value.value is None
+
+
 def test_incumbent_fallback_returns_the_warm_point():
     # solved cold, no start certifies this one-realization problem; the
     # cone oracle's point has the lower objective, so a solve started

@@ -25,8 +25,8 @@ from jmbeam.receivers import (
     _batch_powers,
     accumulate_components,
     average_rates,
-    equalizers_of,
     fresh,
+    update_blocks,
 )
 
 FIELDS = list(AwmmseComponents.__dataclass_fields__)
@@ -56,7 +56,7 @@ def _kernels(samples, p, scratch):
     """The same, by the library's kernels on one scratch allocator."""
     rates = average_rates(samples, p, scratch)
     powers = _batch_powers(samples, p, scratch)
-    gw = equalizers_of(powers, scratch)
+    gw = update_blocks(samples, p, scratch)
     comps = accumulate_components(samples, gw, scratch)
     eq = (gw.g_c, gw.g_p, gw.u_c, gw.u_p)
     return powers, (rates.r_c, rates.r_p, rates.asr), eq, vars(comps)
@@ -85,7 +85,7 @@ def test_kernels_match_the_fresh_layout_formulas_bit_for_bit(n_t, k, r, m):
     for i in range(r):
         rates = average_rates(samples[i], p[i], arena)
         alone = _batch_powers(samples[i], p[i], arena)
-        gw = equalizers_of(alone, arena)
+        gw = update_blocks(samples[i], p[i], arena)
         comps = vars(accumulate_components(samples[i], gw, arena))
         assert all(np.array_equal(a, b[i]) for a, b in zip(alone, want[0]))
         assert np.array_equal(rates.asr, want[1][2][i])
@@ -151,8 +151,8 @@ def test_block_update_results_do_not_live_in_the_arena(arena):
     _assert_outside(arena, _arrays(first) + _arrays(second))
     # the components the update reads live outside it too
     samples = [s for s, _, _ in first_items[:5]]
-    powers = _batch_powers(samples, np.array([p for _, p, _ in first_items[:5]]), arena)
-    comps = accumulate_components(samples, equalizers_of(powers, arena), arena)
+    gw = update_blocks(samples, np.array([p for _, p, _ in first_items[:5]]), arena)
+    comps = accumulate_components(samples, gw, arena)
     _assert_outside(arena, vars(comps).values())
     # and the extrapolation's rates, per point, are those of the oracle
     points = [[(s, p), (s, 2.0 * p)] for s, p, _ in first_items]
