@@ -41,8 +41,8 @@ import numpy as np
 from . import qcqp
 from .linalg import dominant_left_singular_vector, mf_directions, zf_directions
 from .lockstep import drive, run_one
-from .receivers import (Arena, accumulate_components, average_rates, precoder_power,
-                        update_blocks)
+from .receivers import (Arena, AwmmseComponents, accumulate_components, average_rates,
+                        precoder_power, update_blocks)
 
 __all__ = [
     "EXTRAPOLATE_FROM",
@@ -67,12 +67,12 @@ EXTRAPOLATE_FROM = 20
 # realization rows (runs x m) that one stacked call of a block update or
 # of the extrapolation's rates serves at most; the runs of a block are
 # served in consecutive chunks (`_chunks`). `_SCRATCH` keeps one chunk's
-# arrays, about 1.2 MB of peak memory per 1000 rows. Against 1000 rows,
-# a whole block at m = 1000 (10 runs) cost 7.2 MB (+17%) for no speed
-# (CPU 1.02x, faster in 6 of 16 in-process pairs), and one at m = 200
-# (36 runs) cost 5.1 MB (+12%) for 7% (faster in 9 of 10). 1000 rows is
-# 5 runs at m = 200 and one at m = 1000, whatever the block
-# (`harness.BLOCK_ROWS`) holds.
+# arrays, 0.50 MB per 1000 rows at n_t = k = 2. Against 1000 rows, a
+# whole block at m = 1000 (10 runs) raised a sweep's peak memory by
+# 5.4 MB (+13%), and one at m = 200 (36 runs) by 3.9 MB (+9%); timed
+# before the per-sample layouts, they were no faster at m = 1000 and 7%
+# faster at m = 200. 1000 rows is 5 runs at m = 200 and one at m = 1000,
+# whatever the block (`harness.BLOCK_ROWS`) holds.
 CHUNK_ROWS = 1000
 _SCRATCH = Arena()  # per-realization arrays of `_updates` and `_rates`
 
@@ -331,17 +331,13 @@ def ao_steps(h_est, sample, cfg, params):
 
 
 def _chunks(items):
-    """Consecutive slices of request items (sample, p, ...) of at most
-    CHUNK_ROWS realization rows (one item at least), with their samples
-    and stacked precoders."""
+    """The samples and stacked precoders of consecutive slices of request
+    items (sample, p, ...) of at most CHUNK_ROWS realization rows (one
+    item at least)."""
     step = max(1, CHUNK_ROWS // items[0][0].m)
     for lo in range(0, len(items), step):
         part = items[lo:lo + step]
-        yield (
-            part,
-            [it[0] for it in part],
-            np.array([it[1] for it in part]),
-        )
+        yield [it[0] for it in part], np.array([it[1] for it in part])
 
 
 def _updates(items):
@@ -350,13 +346,13 @@ def _updates(items):
     log-weights. At the MMSE weights log2 u is the rate of its layer, so
     rbar is the sample-average sum rate at p (`average_rates`, to
     round-off). At zero common power v_c is exactly zero, so rbar holds
-    for both forms."""
-    out = []
-    for part, samples, p in _chunks(items):
-        comps = accumulate_components(samples, update_blocks(samples, p, _SCRATCH), _SCRATCH)
-        rbar = np.min(comps.v_c, axis=-1) + np.sum(comps.v_p, axis=-1)
-        out += zip(qcqp.build(comps, [it[2] for it in part]), rbar.tolist())
-    return out
+    for both forms. The chunks' components are joined, so the round's
+    problems come from one `qcqp.build`."""
+    parts = [vars(accumulate_components(s, update_blocks(s, p, _SCRATCH), _SCRATCH))
+             for s, p in _chunks(items)]
+    comps = AwmmseComponents(**{x: np.concatenate([c[x] for c in parts]) for x in parts[0]})
+    rbar = np.min(comps.v_c, axis=-1) + np.sum(comps.v_p, axis=-1)
+    return list(zip(qcqp.build(comps, [it[2] for it in items]), rbar.tolist()))
 
 
 def _rates(payloads):
@@ -364,7 +360,7 @@ def _rates(payloads):
     sequence of points, in stacked calls."""
     points = [pt for pts in payloads for pt in pts]
     asr = iter([
-        x for _, samples, p in _chunks(points)
+        x for samples, p in _chunks(points)
         for x in average_rates(samples, p, _SCRATCH).asr.tolist()
     ])
     return [[next(asr) for _ in pts] for pts in payloads]

@@ -12,6 +12,7 @@ order.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -111,7 +112,12 @@ class MonteCarloSample:
     writing the caller's array does not reach it: `stacked`, (m, k, n_t),
     where row [mi, u] is user u's channel in realization mi; as an
     (m*k, n_t) matrix it gives P^H h for the whole sample in one GEMM.
-    `realizations` is a read-only (m, n_t, k) view of it.
+    `realizations` is a read-only (m, n_t, k) view of it. The AO block
+    update reads two more read-only per-user layouts, built on first use
+    and freed with the sample (so `sum_rate`'s samples build neither):
+    `user_channels`, (k, m, n_t), and `user_outer`, (k, m, n_t**2 + 1)
+    real GEMM columns of each draw's h_a conj(h_b), real parts for a <= b
+    and imaginary parts for a < b in np.triu_indices order, then ones.
     """
 
     realizations: np.ndarray = field(repr=False)
@@ -128,6 +134,21 @@ class MonteCarloSample:
     @property
     def m(self):
         return self.realizations.shape[0]
+
+    @cached_property
+    def user_channels(self):
+        return _read_only(np.ascontiguousarray(self.stacked.transpose(1, 0, 2)))
+
+    @cached_property
+    def user_outer(self):
+        # real products, so no complex SIMD path of numpy sets the bits
+        hr, hi = self.user_channels.real, self.user_channels.imag
+        a, b = np.triu_indices(hr.shape[-1])
+        up = a < b
+        return _read_only(np.ascontiguousarray(np.concatenate([
+            hr[..., a] * hr[..., b] + hi[..., a] * hi[..., b],
+            hi[..., a[up]] * hr[..., b[up]] - hr[..., a[up]] * hi[..., b[up]],
+            np.ones(hr.shape[:-1] + (1,))], axis=-1)))
 
 
 def _read_only(a):

@@ -31,7 +31,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .ao import INIT_SCHEMES, AoParams, jmb_zf_svd_wf, run_ao, run_block, zf_wf
+from .ao import INIT_SCHEMES, AoParams, dof_power_split, jmb_zf_svd_wf, run_ao, run_block, zf_wf
 from .channel import CsitConfig, draw_sample, make_draw, substream
 from .errors import ConfigError, JmbeamError
 from .receivers import sum_rate
@@ -256,10 +256,11 @@ def _ao_run(cfg, scheme, csit, draw, sample):
     """The `run_ao` arguments of an AWSMSE scheme on one drawn channel.
 
     BC-AWSMSE is the joint design at alpha = 1: its common column starts
-    with no power and, being zero, stays so under every update. Only the
-    optimizer sees that alpha; the channel keeps the cell's.
+    with no power and, being zero, stays so under every update; so is
+    JMB-AWSMSE's, bit for bit, where the DoF split gives it no common
+    power (p_t <= 1). Only the optimizer sees that alpha, not the channel.
     """
-    if scheme.startswith("BC"):
+    if scheme.startswith("BC") or dof_power_split(csit.p_t, csit.alpha)[0] == 0.0:
         csit = replace(csit, alpha=1.0)
     return draw.h_est, sample, csit, cfg.ao_params()
 
@@ -288,27 +289,26 @@ def _block_task(cfg, cells):
 
     `cells` holds (alpha, snr_db, channel) triples. Each channel and its
     sample are drawn once for all schemes. The AWSMSE runs of the whole
-    block step in lockstep (`run_block`), and each run's result has the
-    bits `run_single` gives it. Returns the block's sr_detail.csv rows
-    and its meta.json failures, both in cell and scheme order.
+    block step in lockstep (`run_block`), each distinct run once, with
+    the bits `run_single` gives it. Returns the block's sr_detail.csv
+    rows and its meta.json failures, both in cell and scheme order.
     """
     draws = [
         _draw(cfg, snr_db, alpha, cell_seed(cfg.master_seed, alpha, snr_db, ch))
         for alpha, snr_db, ch in cells
     ]
-    ao_schemes = [s for s in cfg.schemes if s.endswith("AWSMSE")]
-    runs = [
-        _ao_run(cfg, scheme, csit, draw, sample)
-        for csit, draw, sample in draws
-        for scheme in ao_schemes
-    ]
-    results = iter(run_block(runs))
+    runs, keys = {}, {}  # a run per distinct (cell, optimizer alpha)
+    for c, (csit, draw, sample) in enumerate(draws):
+        for scheme in (s for s in cfg.schemes if s.endswith("AWSMSE")):
+            run = _ao_run(cfg, scheme, csit, draw, sample)
+            keys[c, scheme] = c, run[2].alpha
+            runs.setdefault(keys[c, scheme], run)
+    results = dict(zip(runs, run_block(list(runs.values()))))
     rows, failures = [], []
-    for (alpha, snr_db, ch), (csit, draw, _) in zip(cells, draws):
-        ao_results = {scheme: next(results) for scheme in ao_schemes}
+    for c, ((alpha, snr_db, ch), (csit, draw, _)) in enumerate(zip(cells, draws)):
         for scheme in cfg.schemes:
             try:
-                found = ao_results.get(scheme)
+                found = results.get(keys.get((c, scheme)))
                 if isinstance(found, JmbeamError):
                     raise found
                 p = _baseline(scheme, draw, csit) if found is None else found[0]

@@ -452,14 +452,15 @@ def _face_newton(q, z):
         # below this predicted gain the rounding of the dual value hides
         # any gain, so the full step is taken as it stands
         small = dec <= 1e-10 * (1.0 + abs(value))
-        s = 1.0
+        s, tol = 1.0, 1e-9 * (1.0 + abs(value))
         for _ in range(30):
             zn = y if s == 1.0 else z + s * d
             ev = yield _duals, (q, zn)
-            # the dual is concave, so a value above its tangent at z comes
-            # from a system that is singular but rounds invertible
-            if ev is not None and (
-                ev[0] - value <= s * dec + 1e-9 * (1.0 + abs(value))
+            # the dual is concave, so a value above its tangent at z or a
+            # positive curvature comes from a system that is singular but
+            # rounds invertible
+            if ev is not None and ev[2].diagonal().max() <= tol and (
+                ev[0] - value <= s * dec + tol
                 and (small or ev[0] - value >= 0.01 * s * dec)
             ):
                 break

@@ -39,10 +39,10 @@ update a deterministic convex QCQP:
                  + t_p[k] - 2 Re{f_p[k]^H p_k} + u_p[k] - v_p[k]
 
 (i runs over private columns; the noise power is one, so t enters
-alone). Every sample average is a matrix product over the realization
-axis (psi, f) or a sum along it (t, u, v), one numpy call for all runs,
-layers and users. The v values are the running rate estimates used by
-the alternating loop's stopping rule.
+alone). Every sample average is one numpy call for all runs, layers and
+users: a product over the realization axis with the sample's cached
+per-user layouts (psi and t, f) or a contiguous sum along it (u, v).
+The v values are the running rate estimates of the loop's stop rule.
 """
 
 import math
@@ -134,6 +134,20 @@ def _interference_mask(k):
     return mask
 
 
+@lru_cache
+def _hermitian(n_t):
+    """Exact 0/1/-1 weights taking a row of `MonteCarloSample.user_outer`
+    column sums, less the ones, to the n_t x n_t Hermitian matrix they
+    hold, as interleaved real and imaginary parts."""
+    a, b = np.triu_indices(n_t)
+    i, j, up = np.arange(a.size), np.arange(a.size, n_t * n_t), a < b
+    c = np.zeros((n_t * n_t, n_t, n_t, 2))
+    c[i, a, b, 0] = c[i, b, a, 0] = 1.0
+    c[j, a[up], b[up], 1], c[j, b[up], a[up], 1] = 1.0, -1.0
+    c.flags.writeable = False
+    return c.reshape(n_t * n_t, -1)
+
+
 def _stack(arrays):
     """Arrays of one shape stacked on a new leading axis: a view when
     there is one, else a copy (np.array, a few times faster than np.stack
@@ -159,12 +173,12 @@ class Arena(dict):
         return buf[:n].reshape(shape)
 
 
-def _runs_of(sample):
-    """(the stacked channels of the runs, (R, m, k, n_t), whether one run
-    was given): a MonteCarloSample is one run, a sequence of R samples of
-    one shape is R runs."""
+def _runs_of(sample, layout="stacked"):
+    """(the runs' `layout` arrays, such as their (m, k, n_t) channels, on
+    a run axis, whether one run was given): a MonteCarloSample is one
+    run, a sequence of R samples of one shape is R runs."""
     one = isinstance(sample, MonteCarloSample)
-    return _stack([s.stacked for s in ((sample,) if one else sample)]), one
+    return _stack([getattr(s, layout) for s in ((sample,) if one else sample)]), one
 
 
 def _batch_powers(sample, p, scratch=fresh):
@@ -288,50 +302,38 @@ def accumulate_components(sample, gw, scratch=fresh):
         v   = log2(u)
 
     for both the common and private layers; each output is the arithmetic
-    mean over realizations. With H_k the user's (m, n_t) channels, each
-    psi average is one matrix product (H_k^T diag t) conj(H_k) and each
-    f average one product (u conj g)^T H_k, both read from the sample's
-    `stacked` channels and stacked over layers and users in one matmul
-    each. The sum psi + psi^H halved makes psi exactly Hermitian, with a
-    real diagonal, as the convexity guard needs. The t, u and v means are
-    one sum over an (r, m, 6k) array, in realization order. The
-    per-realization arrays live in `scratch`; the means do not.
+    mean over realizations. The per-(run, user) rows of t, u conj(g), u
+    and v, realizations contiguous, live in `scratch`. A real product of
+    the t rows with the sample's `user_outer` columns gives the t sum and
+    psi's upper triangle, which exact weights make an exactly Hermitian
+    psi with a real diagonal, as the convexity guard needs. A complex
+    product with `user_channels` gives f; contiguous sums give u and v.
 
     Takes one run or R runs as `_batch_powers` does, `gw` with a leading
     run axis for R runs; every output field then gets a leading run axis
     too. Each item of a stacked product or sum has the layout it has
     alone, so each run's components have the bits they have alone.
     """
-    h, one = _runs_of(sample)
-    r, m, k, n_t = h.shape
+    (x, one), (h, _) = (_runs_of(sample, name) for name in ("user_outer", "user_channels"))
+    r, k, m, n_t = h.shape
     if gw.g_c.shape[-2:] != (m, k):
         raise ValueError("equalizer set does not match the sample")
-    h_conj = np.conjugate(h, out=scratch("h_conj", h.shape, complex))
-    ug = scratch("ug", (r, m, k, 2), complex)  # conj(g), then u conj(g)
-    tuv = scratch("tuv", (r, m, k, 2, 3))
-    t, u, v = tuv.transpose(4, 0, 1, 2, 3)  # (r, m, k, 2): the common layer first
-    for i, layer in enumerate("cp"):
-        np.conjugate(np.reshape(getattr(gw, "g_" + layer), (r, m, k)), out=ug[..., i])
-        u[..., i] = u_layer = np.reshape(getattr(gw, "u_" + layer), (r, m, k))
-        # log2 reads gw, not u: on overlapping memory numpy drops its SIMD bits
-        np.log2(u_layer, out=v[..., i])
+    ug = scratch("ug", (r, k, 2, m), complex)  # conj(g), then u conj(g)
+    t, u, v = tuv = scratch("tuv", (3, r, k, 2, m))  # the common layer first
+    for i, (g, w) in enumerate(((gw.g_c, gw.u_c), (gw.g_p, gw.u_p))):
+        np.conjugate(np.reshape(g, (r, m, k)).transpose(0, 2, 1), out=ug[:, :, i])
+        u[:, :, i] = np.reshape(w, (r, m, k)).transpose(0, 2, 1)
+    np.log2(u, out=v)
     np.square(ug.real, out=t)
     t += np.square(ug.imag, out=scratch("im2", t.shape))
     t *= u
     np.multiply(u, ug, out=ug)
-    by_user = h.transpose(0, 2, 3, 1)[:, None]  # (r, 1, k, n_t, m)
-    ht = np.multiply(by_user, t.transpose(0, 3, 2, 1)[..., None, :],
-                     out=scratch("ht", (r, 2, k, n_t, m), complex))
-    h, h_conj = (x.transpose(0, 2, 1, 3)[:, None] for x in (h, h_conj))  # (r, 1, k, m, n_t)
-    psi = ht @ h_conj
-    psi = (psi + psi.conj().swapaxes(-1, -2)) / (2 * m)
-    f = (ug.transpose(0, 3, 2, 1)[..., None, :] @ h)[..., 0, :] / m
-    t, u, v = (tuv.sum(axis=1) / m).transpose(3, 0, 2, 1)  # each (r, 2, k)
-    return AwmmseComponents(**{
-        name + "_" + layer: x[0, i] if one else x[:, i]
-        for name, x in (("psi", psi), ("f", f), ("t", t), ("u", u), ("v", v))
-        for i, layer in enumerate("cp")
-    })
+    wt = (t @ x) / m  # (r, k, 2, n_t**2 + 1)
+    psi = (wt[..., :-1] @ _hermitian(n_t)).view(complex).reshape(r, k, 2, n_t, n_t)
+    u, v = tuv[1:].sum(axis=-1) / m
+    fields = {"psi": psi, "f": (ug @ h) / m, "t": wt[..., -1], "u": u, "v": v}
+    return AwmmseComponents(**{name + "_" + layer: x[0, :, i] if one else x[:, :, i]
+                               for name, x in fields.items() for i, layer in enumerate("cp")})
 
 
 def awmse_values(c, p):

@@ -215,29 +215,43 @@ def fresh_layout_rates(powers):
 
 def fresh_layout_components(samples, equalizers):
     """Components of R runs as dict of (R, ...) arrays, from per-run
-    (R, m, k) equalizers and weights (g_c, g_p, u_c, u_p): the psi and f
-    matrix products on the channels with realizations in rows, and the t,
-    u and v means summed along the realization axis of an (r, 2, k, m)
-    array whose realizations are k entries apart.
-
-    For k >= 2 numpy adds those realizations in order, as the one-pass
-    sum over an (m, 6k) array does; for k = 1 the axis is contiguous and
-    numpy sums it pairwise, so the two routes differ there by rounding.
+    (R, m, k) equalizers and weights (g_c, g_p, u_c, u_p), on (R, k, 2, m)
+    rows of both layers with realizations contiguous: per run and user,
+    one real matrix product of the t rows with the draws' columns
+    Re h_a conj(h_b) (a <= b), Im h_a conj(h_b) (a < b) and ones, whose
+    sums give psi entry by entry and the t mean; one complex product of
+    the u conj(g) rows with the channels for f; contiguous sums for the u
+    and v means. The draws' columns are formed here, from the
+    realizations, not read from the sample.
     """
     g_c, g_p, u_c, u_p = equalizers
-    chans = np.array([s.realizations.transpose(0, 2, 1) for s in samples])
-    m = chans.shape[1]
-    h = chans.transpose(0, 2, 1, 3)[:, None]  # (r, 1, k, m, n_t)
-    g = np.stack([g_c.transpose(0, 2, 1), g_p.transpose(0, 2, 1)], axis=1)
-    u = np.stack([u_c.transpose(0, 2, 1), u_p.transpose(0, 2, 1)], axis=1)
+    h = np.array([s.realizations.transpose(2, 0, 1) for s in samples])  # (r, k, m, n_t)
+    r, k, m, n_t = h.shape
+    a, b = np.triu_indices(n_t)
+    up = a < b
+    hr, hi = h.real, h.imag
+    x = np.ascontiguousarray(np.concatenate([
+        hr[..., a] * hr[..., b] + hi[..., a] * hi[..., b],
+        hi[..., a[up]] * hr[..., b[up]] - hr[..., a[up]] * hi[..., b[up]],
+        np.ones((r, k, m, 1)),
+    ], axis=-1))
+    g = np.ascontiguousarray(np.stack([g_c, g_p], axis=1).transpose(0, 3, 1, 2))
+    u = np.ascontiguousarray(np.stack([u_c, u_p], axis=1).transpose(0, 3, 1, 2))
     t = u * (g.real**2 + g.imag**2)
-    psi = (h.swapaxes(-1, -2) * t[..., None, :]) @ h.conj()
-    psi = (psi + psi.conj().swapaxes(-1, -2)) / (2 * m)
-    f = ((u * g.conj())[..., None, :] @ h)[..., 0, :] / m
-    t, u, v = np.stack((t, u, np.log2(u))).sum(axis=-1) / m
+    sums = (t @ x) / m
+    psi = np.zeros((r, k, 2, n_t, n_t), complex)
+    strict = iter(range(a.size, n_t * n_t))  # the imaginary parts' columns
+    for j, (i, l) in enumerate(zip(a, b)):
+        psi.real[..., i, l] = psi.real[..., l, i] = sums[..., j]
+        if i < l:
+            psi.imag[..., i, l] = sums[..., next(strict)]
+            psi.imag[..., l, i] = -psi.imag[..., i, l]
+    f = ((u * g.conj()) @ h) / m
+    t = sums[..., -1]
+    u, v = np.stack((u, np.log2(u))).sum(axis=-1) / m
     out = {}
     for name, x in (("psi", psi), ("f", f), ("t", t), ("u", u), ("v", v)):
-        out[name + "_c"], out[name + "_p"] = x[:, 0], x[:, 1]
+        out[name + "_c"], out[name + "_p"] = x[:, :, 0], x[:, :, 1]
     return out
 
 

@@ -125,6 +125,30 @@ def test_block_runs_match_runs_alone_and_single(tmp_path, monkeypatch, small_blo
         assert sr == repr(want), row
 
 
+def test_zero_db_rows_share_one_alpha_one_run(tmp_path, monkeypatch):
+    # at 0 dB the DoF split gives JMB-AWSMSE's start no common power, so
+    # its run is, bit for bit, BC-AWSMSE's alpha = 1 run: the block runs
+    # it once per channel and writes both rows from it
+    cfg = _block_cfg(snr_db=(0.0, 20.0), n_channels=3)
+    blocks = _recorded_sweep(monkeypatch, cfg, tmp_path / "sweep")
+    runs = [run for block, _ in blocks for run in block]
+    zero = [run for run in runs if run[2].p_t == 1.0]
+    assert len(zero) == cfg.n_channels and all(run[2].alpha == 1.0 for run in zero)
+    assert len(runs) == 3 * cfg.n_channels
+    rows = (tmp_path / "sweep" / "sr_detail.csv").read_text().splitlines()[1:]
+    sr = {(scheme, float(snr_db), int(ch)): value
+          for scheme, _, snr_db, ch, value in (row.split(",") for row in rows)}
+    for ch in range(cfg.n_channels):
+        assert sr["JMB-AWSMSE", 0.0, ch] == sr["BC-AWSMSE", 0.0, ch]
+        assert sr["JMB-AWSMSE", 20.0, ch] != sr["BC-AWSMSE", 20.0, ch]
+        # the premise: the cell's alpha gives the alpha = 1 run's bits
+        seed = cell_seed(cfg.master_seed, 0.6, 0.0, ch)
+        csit, draw, sample = harness._draw(cfg, 0.0, 0.6, seed)
+        joint = run_ao(draw.h_est, sample, csit, cfg.ao_params())
+        assert _same_run(joint, run_ao(draw.h_est, sample, replace(csit, alpha=1.0),
+                                       cfg.ao_params()))
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
 def test_blocks_cut_the_grid_by_rows_and_workers(threads):
     grid = [(0.6, 5.0, ch) for ch in range(901)]
@@ -282,8 +306,14 @@ def _certified_runs(monkeypatch, cfg):
     time: every solve Optimal with a recomputed KKT residual of at most
     1e-8, and the AO objective never rising by more than 1e-7."""
     blocks = _recorded_sweep(monkeypatch, cfg, None)
+    runs = [run for block, _ in blocks for run in block]
     results = [r for _, res in blocks for r in res]
-    assert len(results) == 2 * len(cfg.snr_db) * cfg.n_channels
+    # one run per distinct (channel, optimizer alpha): where JMB's start
+    # has no common power (0 dB), it is BC's alpha = 1 run
+    distinct = {(run[1].stacked.tobytes(), run[2].alpha) for run in runs}
+    assert len(results) == len(runs) == len(distinct) == cfg.n_channels * sum(
+        1 if ao.dof_power_split(harness.snr_to_pt(s), a)[0] == 0 else 2
+        for s in cfg.snr_db for a in cfg.alphas)
     traces = []
     for result in results:
         assert not isinstance(result, JmbeamError)

@@ -1,11 +1,18 @@
-"""The block update's scratch arena and its one-pass realization sums.
+"""The block update's scratch arena, its realization sums and the
+per-sample layouts they read.
 
 `ao._updates` and `ao._rates` keep every per-realization array in one
 reused `receivers.Arena`. These tests hold the kernels to the bits of the
 fresh-temporaries formulas in `_oracles`, and the arena to its contract:
 results never alias it, an error in the middle of a call leaves nothing
-behind, and its size does not grow with the number of calls.
+behind, and its size does not grow with the number of calls. The
+per-user layouts a `MonteCarloSample` builds for the block update are
+built once, read-only, and freed with their sample.
 """
+
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,9 +23,11 @@ from _oracles import (
     fresh_layout_powers,
     fresh_layout_rates,
 )
+from conftest import tiny_cfg
 from jmbeam import ao, lockstep, qcqp
 from jmbeam.channel import MonteCarloSample
 from jmbeam.errors import DegenerateMmse, NumericalBreakdown
+from jmbeam.harness import run_single, run_sweep
 from jmbeam.receivers import (
     Arena,
     AwmmseComponents,
@@ -26,6 +35,7 @@ from jmbeam.receivers import (
     accumulate_components,
     average_rates,
     fresh,
+    sum_rate,
     update_blocks,
 )
 
@@ -203,3 +213,97 @@ def test_arena_size_is_one_chunk_at_the_largest_shape(arena):
     _kernels([s for s, _, _ in items], np.array([p for _, p, _ in items]), one)
     assert sum(buf.nbytes for buf in one.values()) == grown
     assert grown < 2**20
+
+
+# ---------------------------------------------------------------------------
+# the per-sample layouts
+
+LAYOUTS = ("user_channels", "user_outer")
+
+
+@pytest.mark.parametrize("n_t,k", [(2, 2), (3, 2), (3, 3)])
+def test_sample_layouts_are_built_once_and_read_only(n_t, k):
+    samples, p = _runs(n_t + k, 2, 50, n_t, k)
+    s = samples[0]
+    assert not any(name in vars(s) for name in LAYOUTS)
+    first = accumulate_components(samples, update_blocks(samples, p))
+    built = [vars(s)[name] for name in LAYOUTS]
+    again = accumulate_components(samples, update_blocks(samples, p))
+    assert all(getattr(s, name) is x for name, x in zip(LAYOUTS, built))
+    for name in FIELDS:
+        assert np.array_equal(getattr(first, name), getattr(again, name)), name
+    for x in built:
+        assert x.flags.c_contiguous
+        with pytest.raises(ValueError):
+            x.flat[0] = 0.0
+    # user u's channels in realization rows, and per realization the
+    # real and imaginary parts of h_a conj(h_b) over the upper triangle,
+    # then a one
+    h = s.realizations.transpose(2, 0, 1)
+    assert np.array_equal(s.user_channels, h)
+    a, b = np.triu_indices(n_t)
+    outer = h[..., a] * h[..., b].conj()
+    x = s.user_outer
+    assert x.shape == (k, 50, n_t * n_t + 1)
+    np.testing.assert_allclose(x[..., :a.size], outer.real, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(x[..., a.size:-1], outer.imag[..., a < b], rtol=0, atol=1e-14)
+    assert (x[..., -1] == 1.0).all()
+
+
+def test_psi_is_exactly_hermitian_and_the_alpha_one_run_has_no_common_layer():
+    # the first run of _runs has no common power: its common layer is
+    # exactly zero and its problem is the broadcast form
+    samples, p = _runs(9, 5, 200, 3, 3)
+    comps = accumulate_components(samples, update_blocks(samples, p))
+    for name in ("psi_c", "psi_p"):
+        psi = getattr(comps, name)
+        assert np.array_equal(psi, psi.conj().swapaxes(-1, -2)), name
+        assert not np.diagonal(psi, axis1=-2, axis2=-1).imag.any(), name
+    for name in ("psi_c", "f_c", "t_c", "v_c"):
+        assert not getattr(comps, name)[0].any(), name
+        assert getattr(comps, name)[1:].all(), name
+    problems = [q for q, _ in ao._updates([(s, q, 100.0) for s, q in zip(samples, p)])]
+    assert [q.include_common for q in problems] == [False] + [True] * 4
+
+
+def test_one_realization_samples_never_build_the_layouts(monkeypatch):
+    # sum_rate scores every design on one channel matrix; its sample of
+    # one realization needs only the stacked channels
+    def refuse(self):
+        raise AssertionError("a one-realization sample built a block-update layout")
+
+    for name in LAYOUTS:
+        monkeypatch.setattr(MonteCarloSample, name, property(refuse))
+    samples, p = _runs(10, 1, 1)
+    assert np.isfinite(sum_rate(samples[0].realizations[0], p[0]))
+    cfg = tiny_cfg(schemes=("ZF-WF",))
+    assert np.isfinite(run_single(cfg, "ZF-WF", 5.0, 0.6, 3)[1])
+
+
+def test_sample_layouts_are_freed_with_the_sample():
+    # the layouts live on the sample, in no module-level cache: a sample
+    # that held them goes with its last reference, and a sweep repeated
+    # in one process holds no more memory at its peak or after it
+    samples, p = _runs(11, 1, 1000)
+    accumulate_components(samples, update_blocks(samples, p))
+    ref = weakref.ref(samples[0])
+    del samples
+    gc.collect()
+    assert ref() is None
+    cfg = tiny_cfg(schemes=("JMB-AWSMSE", "BC-AWSMSE"), snr_db=(10.0, 20.0), m=500,
+                   n_channels=3)
+    per_sweep = 6 * 500 * (2 * 2 * 16 + 2 * 5 * 8)  # the layouts' bytes
+    tracemalloc.start()
+    try:
+        held, peaks = [], []
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            run_sweep(cfg)
+            gc.collect()
+            current, peak = tracemalloc.get_traced_memory()
+            held.append(current)
+            peaks.append(peak)
+    finally:
+        tracemalloc.stop()
+    assert abs(held[2] - held[1]) < per_sweep / 10
+    assert abs(peaks[2] - peaks[1]) < per_sweep / 10
