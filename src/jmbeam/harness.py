@@ -256,9 +256,9 @@ def _ao_run(cfg, scheme, csit, draw, sample):
     """The `run_ao` arguments of an AWSMSE scheme on one drawn channel.
 
     BC-AWSMSE is the joint design at alpha = 1: its common column starts
-    with no power and, being zero, stays so under every update; so is
-    JMB-AWSMSE's, bit for bit, where the DoF split gives it no common
-    power (p_t <= 1). Only the optimizer sees that alpha, not the channel.
+    with no power and, being zero, stays so under every update. JMB-AWSMSE
+    is that run, bit for bit, where its DoF split gives the common column
+    no power (p_t <= 1). Only the optimizer sees that alpha, not the channel.
     """
     if scheme.startswith("BC") or dof_power_split(csit.p_t, csit.alpha)[0] == 0.0:
         csit = replace(csit, alpha=1.0)
