@@ -138,8 +138,8 @@ def dof_power_split(p_t, alpha):
     p_t - p_t**alpha clamped at zero (the clamp only binds for p_t < 1,
     where the private budget is capped at p_t so totals stay exact).
     """
-    if not p_t > 0:
-        raise ValueError("p_t must be positive")
+    if not 0 < p_t < math.inf:
+        raise ValueError("p_t must be positive and finite")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     private_total = min(p_t**alpha, p_t)
@@ -180,7 +180,7 @@ def water_fill(gains, budget):
     """The powers maximizing sum log2(1 + gain*power) under a budget,
     by sorted active-set search.
 
-    gains must be strictly positive, budget nonnegative. The active set
+    gains must be positive, budget nonnegative, all finite. The active set
     is found by trying the largest candidate set first and shrinking
     until the implied level clears the worst included inverse gain, so
     the result is exact up to round-off (no bisection): active entries
@@ -192,8 +192,8 @@ def water_fill(gains, budget):
         raise ValueError("gains must be a nonempty 1-d array")
     if np.any(gains <= 0) or not np.all(np.isfinite(gains)):
         raise ValueError("gains must be positive and finite")
-    if not budget >= 0:
-        raise ValueError("budget must be nonnegative")
+    if not 0 <= budget < math.inf:
+        raise ValueError("budget must be nonnegative and finite")
 
     inv = 1.0 / gains
     order = np.argsort(inv, kind="stable")

@@ -11,6 +11,7 @@ workers can own disjoint streams and results do not depend on execution
 order.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,9 +54,9 @@ def error_variance(p_t, alpha):
     The power law exceeds the unit channel variance at sub-0 dB budgets;
     the cap keeps the estimate meaningful there.
     """
-    if p_t <= 0:
-        raise ValueError("p_t must be positive")
-    if alpha < 0:
+    if not 0 < p_t < np.inf:
+        raise ValueError("p_t must be positive and finite")
+    if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
     return min(float(p_t) ** (-float(alpha)), 1.0)
 
@@ -76,10 +77,7 @@ class CsitConfig:
             raise ValueError(f"k={self.k} users exceed n_t={self.n_t} antennas")
         if self.k < 1 or self.n_t < 1:
             raise ValueError("n_t and k must be >= 1")
-        if self.p_t <= 0:
-            raise ValueError("p_t must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        error_variance(self.p_t, self.alpha)  # checks p_t and alpha
 
     @property
     def sigma_e2(self):
@@ -181,8 +179,8 @@ def draw_sample(rng, h_est, sigma_e2, m):
     Errors are independent CN(0, sigma_e2) draws; sigma_e2 = 0 draws
     signed zeros, so the realizations are m copies of the estimate.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError("m must be an integer >= 1")
     h_est = np.asarray(h_est, dtype=complex)
     err = complex_gaussian(rng, (m,) + h_est.shape, var=sigma_e2)
     return MonteCarloSample(realizations=h_est + err)

@@ -37,16 +37,17 @@ returned point. P = 0 with a large enough xi_c is strictly feasible, so
 the problems are never infeasible by construction.
 
 The matrices are small (n_t x n_t, K+1 multipliers), so the cost is the
-number of numpy calls, not arithmetic. The solve is therefore written
-once, as the generator `solve_steps`, whose array work the lockstep
-driver (`lockstep.drive`) serves for many problems at once: the
-convexity guard of every problem in one stacked Cholesky call
-(`_guard`), the dual evaluations with their Hessians in one stacked
-inverse over every problem's distinct matrices (`_duals`), the face
-systems of one size in one stacked solve (`_eqps`), and the objective
-and KKT terms of the returned and incumbent points (`_points`). The
-active-set bookkeeping of a step runs on Python floats, per problem.
-`solve` is the driver on one problem.
+number of numpy calls, not arithmetic. `build` therefore guards the
+convexity of all the problems it returns (their component matrices are
+PSD) in one stacked Cholesky call, and the solve is written once, as
+the generator `solve_steps`, whose array work the lockstep driver
+(`lockstep.drive`) serves for many problems at once: the dual
+evaluations with their Hessians in one stacked inverse over every
+problem's distinct matrices (`_duals`), the face systems of one size in
+one stacked solve (`_eqps`), and the objective and KKT terms of the
+returned and incumbent points (`_points`). The active-set bookkeeping
+of a step runs on Python floats, per problem. `solve` is the guard and
+the driver on one problem.
 """
 
 import math
@@ -134,6 +135,10 @@ def build(components, p_t):
     R runs) give a list of R problems, each in its own form; p_t may
     then hold one value per run. A problem's f_obj, psi_con and f_con
     are views of the components' arrays.
+
+    One stacked `cholesky_psd` call guards every problem: the psi_obj of
+    all and the psi_con of the joint ones (each zero psi_c of the
+    broadcast form would go through its pivot loop). Raises NotPsd.
     """
     c = components
     *lead, k, n_t = c.f_p.shape
@@ -146,6 +151,7 @@ def build(components, p_t):
     psi_con = c.psi_c.reshape(r, k, n_t, n_t)
     f_con = c.f_c.reshape(r, k, n_t)
     f_obj = c.f_p.reshape(r, k, n_t)
+    cholesky_psd(np.concatenate([psi_obj, psi_con[~silent].reshape(-1, n_t, n_t)]))
     p_t = np.broadcast_to(np.asarray(p_t, dtype=float).reshape(-1), (r,)).tolist()
     problems = []
     for i in range(r):
@@ -211,15 +217,6 @@ def constraint_values(q, p):
     must be <= xi_c), including the constant terms; empty in the
     broadcast form."""
     return _cons(q.psi_con[None], q.f_con[None], q.con_const[None], p.T[None])[0]
-
-
-def _guard(problems):
-    """The convexity guard of every problem: one stacked Cholesky call
-    over all their component matrices."""
-    cholesky_psd(np.concatenate([
-        m for q in problems for m in (q.psi_obj[None], q.psi_con)
-    ]))
-    return [None] * len(problems)
 
 
 def _duals(items):
@@ -502,7 +499,7 @@ def solve(q, warm=None, warm_dual=None):
     `iterations` counts the Newton steps of all starts. The returned
     point is always feasible to 1e-9.
 
-    This is the lockstep driver on `solve_steps` alone.
+    This is the guard, then the lockstep driver on `solve_steps` alone.
 
     Returns
     -------
@@ -517,15 +514,14 @@ def solve(q, warm=None, warm_dual=None):
         If the dual cannot be evaluated at any start, as when the
         problem's data overflow.
     """
+    cholesky_psd(np.concatenate((q.psi_obj[None], q.psi_con)))
     return run_one(solve_steps(q, warm=warm, warm_dual=warm_dual))
 
 
 def solve_steps(q, warm=None, warm_dual=None):
-    """`solve` as a generator for the lockstep driver: its requests are
-    the guard, dual evaluations, face systems and point checks, and it
-    returns the QcqpSolution."""
-    yield _guard, q
-
+    """`solve` without the guard, as a generator for the lockstep driver:
+    q comes guarded from `build`. Its requests are dual evaluations, face
+    systems and point checks, and it returns the QcqpSolution."""
     centre = np.full(len(q.con_const) + 1, 1.0 / q.k)
     centre[-1] = 1.0
     flat = centre.copy()

@@ -70,6 +70,9 @@ def test_power_split_validation():
         dof_power_split(0.0, 0.5)
     with pytest.raises(ValueError):
         dof_power_split(1.0, 1.5)
+    for p_t, alpha in ((np.inf, 0.6), (np.nan, 0.6), (100.0, np.nan)):
+        with pytest.raises(ValueError):
+            dof_power_split(p_t, alpha)
 
 
 # ---------------------------------------------------------------------------

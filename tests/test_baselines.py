@@ -88,6 +88,9 @@ def test_waterfill_validation():
         water_fill(np.array([1.0, -1.0]), 1.0)
     with pytest.raises(ValueError):
         water_fill(np.array([1.0]), -0.5)
+    for budget in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="budget"):
+            water_fill(np.array([1.0, 2.0]), budget)
     for gains in (np.ones((1, 2)), np.array([])):  # not a nonempty 1-d array
         with pytest.raises(ValueError, match="1-d"):
             water_fill(gains, 1.0)

@@ -41,6 +41,10 @@ def test_error_variance_validation():
         error_variance(0.0, 0.6)
     with pytest.raises(ValueError):
         error_variance(1.0, -0.1)
+    # NaN fails every comparison, so the checks must be written to fail it
+    for p_t, alpha in ((np.nan, 0.6), (np.inf, 0.6), (100.0, np.nan)):
+        with pytest.raises(ValueError):
+            error_variance(p_t, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +62,9 @@ def test_csit_config_validation():
     for n_t, k in ((2, 0), (0, 0)):  # no user, or no antenna
         with pytest.raises(ValueError):
             CsitConfig(n_t=n_t, k=k, alpha=0.6, p_t=10.0)
+    for alpha, p_t in ((np.nan, 100.0), (0.6, np.nan), (0.6, np.inf)):
+        with pytest.raises(ValueError):
+            CsitConfig(n_t=2, k=2, alpha=alpha, p_t=p_t)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +224,7 @@ def test_sample_validation():
     for shape in ((2, 2), (1, 2, 2, 1), (0, 2, 2)):
         with pytest.raises(ValueError, match="nonempty"):
             MonteCarloSample(realizations=np.ones(shape, dtype=complex))
-    for m in (0, -1):
+    for m in (0, -1, 2.5, np.nan):
         with pytest.raises(ValueError, match="m must be"):
             draw_sample(substream(1, 1), np.ones((2, 2)), 0.1, m)
 

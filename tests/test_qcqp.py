@@ -545,6 +545,41 @@ def test_solve_rejects_indefinite_component(field):
             solve(replace(q, **{field: value}))
 
 
+def test_build_guards_every_problem_in_one_stacked_call(monkeypatch):
+    # the convexity guard runs in build: one cholesky_psd call over the
+    # psi_obj of every run and the psi_con of the joint runs only, since
+    # a zero broadcast psi_c would make the stacked LAPACK call fail
+    forms = (True, False, True, False)
+    runs = []
+    for seed, common in enumerate(forms):
+        cfg, _, sample = random_system(seed)
+        p = random_precoder(np.random.default_rng(seed), 2, 2, cfg.p_t)
+        if not common:
+            p[:, 0] = 0.0
+        runs.append(vars(accumulate_components(sample, update_blocks(sample, p))))
+    comps = {x: np.stack([c[x] for c in runs]) for x in runs[0]}
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(qcqp, "cholesky_psd", lambda a: seen.append(a.copy()))
+        problems = build(AwmmseComponents(**comps), 100.0)
+    assert tuple(q.include_common for q in problems) == forms
+    (stack,) = seen
+    assert len(stack) == len(forms) + problems[0].k * sum(forms)
+    want = [q.psi_obj for q in problems] + [psi for q in problems for psi in q.psi_con]
+    assert all(any(np.array_equal(a, w) for a in stack) for w in want)
+    assert all(a.any() for a in stack)
+    # an indefinite psi_p matrix, seen through psi_obj, or an indefinite
+    # psi_c matrix of a joint run raises
+    bad = np.diag([1.0, -1.0]).astype(complex)
+    for field, run, u in (("psi_p", 1, 0), ("psi_p", 2, 1), ("psi_c", 2, 1)):
+        c = {x: v.copy() for x, v in comps.items()}
+        if field == "psi_p":
+            c[field][run] = 0.0
+        c[field][run, u] = bad
+        with pytest.raises(NotPsd):
+            build(AwmmseComponents(**c), 100.0)
+
+
 def test_solve_accepts_rank_deficient_component():
     # one realization at n_t = 3: each psi_con[u] is a rank-one outer
     # product and psi_obj has rank 2, exactly PSD and singular. The
@@ -552,7 +587,7 @@ def test_solve_accepts_rank_deficient_component():
     # accepts them. Where the budget binds (0 and 10 dB) every solve is
     # certified. Above that the budget price can fall to zero, where the
     # common column's system is singular and the face Newton can only
-    # halve mu_pow; 6 of those solves end 'MaxIter' (ROADMAP direction 10
+    # halve mu_pow; 5 of those solves end 'MaxIter' (ROADMAP direction 10
     # tables how far each ends from the cone oracle), so they are only
     # checked to return a feasible point. Dual values above the
     # tangent, from a singular system that rounds invertible, are rejected
