@@ -58,7 +58,8 @@ def error_variance(p_t, alpha):
         raise ValueError("p_t must be positive and finite")
     if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
-    return min(float(p_t) ** (-float(alpha)), 1.0)
+    # at p_t <= 1 the law is at least 1, and p_t ** -alpha may overflow
+    return 1.0 if p_t <= 1 else float(p_t) ** (-float(alpha))
 
 
 @dataclass(frozen=True)

@@ -64,56 +64,34 @@ def cholesky_psd(a):
     Raises
     ------
     NotPsd
-        If a pivot falls below ``-EPS_PSD`` (relative to the largest
-        diagonal entry of its matrix).
+        If a matrix has a non-finite entry, or a pivot falls below
+        ``-EPS_PSD`` (relative to the largest diagonal entry of its
+        matrix).
 
-    The whole stack is factored in one LAPACK call. Only a matrix that
-    call rejects, or factors with a pivot within the tolerance, goes
-    through the pivot loop (`_cholesky_pivots`) that applies the rules.
+    One pivot loop over the n columns factors every matrix of the stack
+    at once; a pivot within ``EPS_PSD`` leaves its column zero.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
-    try:
-        L = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        ok = np.zeros(a.shape[:-2], dtype=bool)
-        L = np.zeros_like(a)
-    else:
-        # the pivots of a factored matrix, and so its diagonal, are positive
-        pivots = L.diagonal(0, -2, -1).real
-        scale = a.diagonal(0, -2, -1).real.max(axis=-1, keepdims=True, initial=0.0)
-        ok = pivots * pivots > EPS_PSD * scale
-        if ok.all():
-            return L
-        ok = ok.all(axis=-1)
-    for i in np.ndindex(ok.shape):
-        if not ok[i]:
-            L[i] = _cholesky_pivots(a[i])
-    return L
-
-
-def _cholesky_pivots(a):
-    """cholesky_psd of one (n, n) matrix by an explicit pivot loop."""
-    n = a.shape[0]
-    diag = np.real(np.diagonal(a))
-    scale = float(np.max(np.abs(diag))) if n else 0.0
-    if scale == 0.0:
-        scale = 1.0
-    tol = EPS_PSD * scale
-
-    L = np.zeros((n, n), dtype=complex)
+    n = a.shape[-1]
+    s = a.reshape(math.prod(a.shape[:-2]), n, n)
+    if not np.isfinite(s).all():
+        raise NotPsd("a matrix has a non-finite entry")
+    tol = EPS_PSD * np.abs(s.diagonal(0, 1, 2).real).max(axis=-1, initial=0.0)
+    L = np.zeros_like(s)
     for j in range(n):
-        d = float(np.real(a[j, j]) - np.sum(np.abs(L[j, :j]) ** 2))
-        if d <= tol:
-            if d < -tol:
-                raise NotPsd(f"pivot {d:.3e} at index {j} (tolerance {tol:.3e})")
-            # numerically zero pivot: singular direction, zero column
-            continue
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j].conj()) / L[j, j]
-    return L
+        row = L[:, j, :j]
+        d = s[:, j, j].real - (row.real**2 + row.imag**2).sum(axis=-1)
+        if (d < -tol).any():
+            i = np.argmax(d < -tol)
+            raise NotPsd(f"matrix {i}: pivot {d[i]:.3e} at {j} below -{tol[i]:.3e}")
+        # the outs are views of L: a pivot within the tolerance leaves a zero column
+        piv = d > tol
+        root = np.sqrt(d, out=L[:, j, j].real, where=piv)
+        col = s[:, j + 1 :, j] - (L[:, j + 1 :, :j] * row[:, None].conj()).sum(axis=-1)
+        np.divide(col, root[:, None], out=L[:, j + 1 :, j], where=piv[:, None])
+    return L.reshape(a.shape)
 
 
 def dominant_left_singular_vector(a):

@@ -137,8 +137,8 @@ def build(components, p_t):
     are views of the components' arrays.
 
     One stacked `cholesky_psd` call guards every problem: the psi_obj of
-    all and the psi_con of the joint ones (each zero psi_c of the
-    broadcast form would go through its pivot loop). Raises NotPsd.
+    all and the psi_con of the joint ones (the broadcast form's psi_c are
+    exactly zero and cannot fail it). Raises NotPsd.
     """
     c = components
     *lead, k, n_t = c.f_p.shape
@@ -508,8 +508,8 @@ def solve(q, warm=None, warm_dual=None):
     Raises
     ------
     NotPsd
-        If a component matrix is not PSD within tolerance (convexity
-        guard, via the Cholesky factorization).
+        If a component matrix is not finite or not PSD within tolerance
+        (convexity guard, via the Cholesky factorization).
     NumericalBreakdown
         If the dual cannot be evaluated at any start, as when the
         problem's data overflow.

@@ -34,6 +34,9 @@ def test_error_variance_cap():
     assert error_variance(0.1, 0.6) == 1.0
     assert error_variance(1.0, 0.6) == 1.0
     assert error_variance(1.01, 0.6) < 1.0
+    # the raw law overflows here, but the cap holds
+    assert error_variance(1e-320, 1.0) == 1.0
+    assert error_variance(1e-200, 2.0) == 1.0
 
 
 def test_error_variance_validation():

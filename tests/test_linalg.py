@@ -111,13 +111,23 @@ def test_cholesky_stack_applies_the_rules_per_matrix():
 
 
 def test_cholesky_stack_with_a_pivot_inside_the_tolerance():
-    # LAPACK factors both matrices, but the second's pivot 1e-6 squares
-    # to within EPS_PSD: that matrix alone goes through the pivot loop,
-    # which zeroes its column, and the first keeps LAPACK's bits
+    # the second matrix's pivot 1e-6 squares to within EPS_PSD, so its
+    # column is zeroed; the first is factored exactly as LAPACK does
     eye = np.eye(2, dtype=complex)
     L = cholesky_psd(np.array([eye, np.diag([1.0, 1e-12])], dtype=complex))
     assert np.array_equal(L[0], np.linalg.cholesky(eye))
     assert np.array_equal(L[1], np.diag([1.0, 0.0]))
+
+
+def test_cholesky_rejects_non_finite():
+    # a NaN entry or an inf diagonal fails the guard, alone and in a stack
+    eye = np.eye(2, dtype=complex)
+    nan_entry = eye.copy()
+    nan_entry[1, 0] = nan_entry[0, 1] = np.nan
+    for bad in (nan_entry, np.diag([np.inf, 1.0]).astype(complex)):
+        for a in (bad, np.array([eye, bad, eye])):
+            with pytest.raises(NotPsd):
+                cholesky_psd(a)
 
 
 # ---------------------------------------------------------------------------

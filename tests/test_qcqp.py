@@ -545,10 +545,20 @@ def test_solve_rejects_indefinite_component(field):
             solve(replace(q, **{field: value}))
 
 
+def test_solve_rejects_non_finite_component():
+    # a NaN entry or an inf diagonal fails the guard instead of passing it
+    q, _, _ = problem_from_seed(2)
+    nan_entry = q.psi_obj.copy()
+    nan_entry[1, 0] = nan_entry[0, 1] = np.nan
+    for bad in (nan_entry, q.psi_obj + np.diag([np.inf, 0.0])):
+        with pytest.raises(NotPsd):
+            solve(replace(q, psi_obj=bad))
+
+
 def test_build_guards_every_problem_in_one_stacked_call(monkeypatch):
     # the convexity guard runs in build: one cholesky_psd call over the
     # psi_obj of every run and the psi_con of the joint runs only, since
-    # a zero broadcast psi_c would make the stacked LAPACK call fail
+    # a broadcast psi_c is exactly zero and cannot fail the guard
     forms = (True, False, True, False)
     runs = []
     for seed, common in enumerate(forms):
@@ -583,9 +593,9 @@ def test_build_guards_every_problem_in_one_stacked_call(monkeypatch):
 def test_solve_accepts_rank_deficient_component():
     # one realization at n_t = 3: each psi_con[u] is a rank-one outer
     # product and psi_obj has rank 2, exactly PSD and singular. The
-    # stacked factorization rejects or flags them and the pivot loop
-    # accepts them. Where the budget binds (0 and 10 dB) every solve is
-    # certified. Above that the budget price can fall to zero, where the
+    # guard's pivot loop accepts them and zeroes their singular columns.
+    # Where the budget binds (0 and 10 dB) every solve is certified.
+    # Above that the budget price can fall to zero, where the
     # common column's system is singular and the face Newton can only
     # halve mu_pow; 5 of those solves end 'MaxIter' (ROADMAP direction 10
     # tables how far each ends from the cone oracle), so they are only
