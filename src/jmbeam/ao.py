@@ -67,12 +67,10 @@ EXTRAPOLATE_FROM = 20
 # realization rows (runs x m) that one stacked call of a block update or
 # of the extrapolation's rates serves at most; the runs of a block are
 # served in consecutive chunks (`_chunks`). `_SCRATCH` keeps one chunk's
-# arrays, 0.50 MB per 1000 rows at n_t = k = 2. Against 1000 rows, a
-# whole block at m = 1000 (10 runs) raised a sweep's peak memory by
-# 5.4 MB (+13%), and one at m = 200 (36 runs) by 3.9 MB (+9%); timed
-# before the per-sample layouts, they were no faster at m = 1000 and 7%
-# faster at m = 200. 1000 rows is 5 runs at m = 200 and one at m = 1000,
-# whatever the block (`harness.BLOCK_ROWS`) holds.
+# arrays, 0.46 MB per 1000 rows at n_t = k = 2. A whole block at once
+# raised a sweep's peak memory by 3.9-5.4 MB (+9-13%) and, before the
+# per-sample layouts, was at most 7% faster. 1000 rows is 5 runs at
+# m = 200 and one at m = 1000, whatever `harness.BLOCK_ROWS` holds.
 CHUNK_ROWS = 1000
 _SCRATCH = Arena()  # per-realization arrays of `_updates` and `_rates`
 

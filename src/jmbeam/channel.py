@@ -108,35 +108,31 @@ class MonteCarloSample:
     it in this order, so the same realizations give the same bits.
 
     The sample holds one read-only complex copy of its channels, so
-    writing the caller's array does not reach it: `stacked`, (m, k, n_t),
-    where row [mi, u] is user u's channel in realization mi; as an
-    (m*k, n_t) matrix it gives P^H h for the whole sample in one GEMM.
-    `realizations` is a read-only (m, n_t, k) view of it. The AO block
-    update reads two more read-only per-user layouts, built on first use
-    and freed with the sample (so `sum_rate`'s samples build neither):
-    `user_channels`, (k, m, n_t), and `user_outer`, (k, m, n_t**2 + 1)
-    real GEMM columns of each draw's h_a conj(h_b), real parts for a <= b
-    and imaginary parts for a < b in np.triu_indices order, then ones.
+    writing the caller's array does not reach it: `user_channels`,
+    (k, m, n_t), row [u, mi] user u's channel in realization mi, which
+    every kernel reads (as a (k*m, n_t) matrix, P^H h for the whole
+    sample is one GEMM); `realizations` is an (m, n_t, k) view of it.
+    The block update also reads `user_outer`, built on first use and
+    freed with the sample (`sum_rate`'s samples never build it): (k, m,
+    n_t**2 + 1) real GEMM columns of each draw's h_a conj(h_b), real
+    parts for a <= b and imaginary parts for a < b in np.triu_indices
+    order, then ones.
     """
 
     realizations: np.ndarray = field(repr=False)
-    stacked: np.ndarray = field(init=False, repr=False)
+    user_channels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r = np.asarray(self.realizations)
         if r.ndim != 3 or r.shape[0] < 1:
             raise ValueError("realizations must be a nonempty (m, n_t, k) array")
-        stacked = _read_only(np.array(r.transpose(0, 2, 1), dtype=complex, order="C"))
-        object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "realizations", stacked.transpose(0, 2, 1))
+        users = _read_only(np.array(r.transpose(2, 0, 1), dtype=complex, order="C"))
+        object.__setattr__(self, "user_channels", users)
+        object.__setattr__(self, "realizations", users.transpose(1, 2, 0))
 
     @property
     def m(self):
         return self.realizations.shape[0]
-
-    @cached_property
-    def user_channels(self):
-        return _read_only(np.ascontiguousarray(self.stacked.transpose(1, 0, 2)))
 
     @cached_property
     def user_outer(self):

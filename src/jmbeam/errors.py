@@ -7,7 +7,7 @@ class JmbeamError(Exception):
 
 class NotPsd(JmbeamError):
     """A matrix required to be positive semidefinite has a significantly
-    negative pivot or a non-finite entry."""
+    negative pivot, a zero pivot over a nonzero column, or a non-finite entry."""
 
 
 class RankDeficient(JmbeamError):

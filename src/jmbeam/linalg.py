@@ -64,9 +64,10 @@ def cholesky_psd(a):
     Raises
     ------
     NotPsd
-        If a matrix has a non-finite entry, or a pivot falls below
+        If a matrix has a non-finite entry, a pivot falls below
         ``-EPS_PSD`` (relative to the largest diagonal entry of its
-        matrix).
+        matrix), or a pivot within it has an entry c below it with
+        |c|^2 > (pivot + tol)(a_ii + tol), which |a_ij|^2 <= a_ii a_jj bars.
 
     One pivot loop over the n columns factors every matrix of the stack
     at once; a pivot within ``EPS_PSD`` leaves its column zero.
@@ -78,7 +79,8 @@ def cholesky_psd(a):
     s = a.reshape(math.prod(a.shape[:-2]), n, n)
     if not np.isfinite(s).all():
         raise NotPsd("a matrix has a non-finite entry")
-    tol = EPS_PSD * np.abs(s.diagonal(0, 1, 2).real).max(axis=-1, initial=0.0)
+    diag = s.diagonal(0, 1, 2).real
+    tol = EPS_PSD * np.abs(diag).max(axis=-1, initial=0.0)
     L = np.zeros_like(s)
     for j in range(n):
         row = L[:, j, :j]
@@ -90,6 +92,10 @@ def cholesky_psd(a):
         piv = d > tol
         root = np.sqrt(d, out=L[:, j, j].real, where=piv)
         col = s[:, j + 1 :, j] - (L[:, j + 1 :, :j] * row[:, None].conj()).sum(axis=-1)
+        if not piv.all():
+            bound = (d + tol)[:, None] * (diag[:, j + 1 :] + tol[:, None])
+            if (off := (np.abs(col) ** 2 > bound).any(axis=-1) & ~piv).any():
+                raise NotPsd(f"matrix {np.argmax(off)}: an entry below the zero pivot at {j}")
         np.divide(col, root[:, None], out=L[:, j + 1 :, j], where=piv[:, None])
     return L.reshape(a.shape)
 

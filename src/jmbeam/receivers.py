@@ -21,9 +21,10 @@ To avoid cancellation at high SNR, the interference-plus-noise term
 than by subtraction.
 
 One kernel forms these powers: `_batch_powers` takes one GEMM over the
-stacked channels a Monte-Carlo sample holds, for one run or for a stack
-of runs at once. `sum_rate`, `average_rates` and `update_blocks` all
-read it; a single channel matrix is a sample of one realization.
+user-major channels a Monte-Carlo sample holds (`user_channels`), for
+one run or for a stack of runs at once. `sum_rate`, `average_rates` and
+`update_blocks` all read it; a single channel matrix is a sample of one
+realization.
 
 The augmented weighted MSE of a layer is xi = u*eps - log2(u); minimizing
 over the weight u gives u* = 1/eps_mmse and min xi = 1 - rate, which is
@@ -39,10 +40,13 @@ update a deterministic convex QCQP:
                  + t_p[k] - 2 Re{f_p[k]^H p_k} + u_p[k] - v_p[k]
 
 (i runs over private columns; the noise power is one, so t enters
-alone). Every sample average is one numpy call for all runs, layers and
-users: a product over the realization axis with the sample's cached
-per-user layouts (psi and t, f) or a contiguous sum along it (u, v).
-The v values are the running rate estimates of the loop's stop rule.
+alone). From the GEMM on every per-realization array is user major,
+(run, user, ..., realization[, column]), so the rows `update_blocks`
+writes are those `accumulate_components` multiplies, with no copy, and
+every sample average is one numpy call for all runs, layers and users:
+a product over the realization axis with the sample's per-user layouts
+(psi and t, f) or a contiguous sum along it (u, v). The v values are the
+running rate estimates of the loop's stop rule.
 """
 
 import math
@@ -87,13 +91,18 @@ class AverageRates:
 
 @dataclass(frozen=True, eq=False)
 class EqualizerWeightSet:
-    """Per-(realization, user) MMSE equalizers and weights; arrays of
-    shape (m, k). Weights are strictly positive."""
+    """MMSE equalizers g and positive weights u, user major: (k, 2, m), or
+    (R, k, 2, m) for R runs, row [user, layer] over the realizations, common
+    layer first, as `update_blocks` writes and `accumulate_components` reads
+    them; g_c, g_p, u_c and u_p are one layer's (..., k, m) views."""
 
-    g_c: np.ndarray
-    g_p: np.ndarray
-    u_c: np.ndarray
-    u_p: np.ndarray
+    g: np.ndarray
+    u: np.ndarray
+
+    g_c = property(lambda self: self.g[..., 0, :])
+    g_p = property(lambda self: self.g[..., 1, :])
+    u_c = property(lambda self: self.u[..., 0, :])
+    u_p = property(lambda self: self.u[..., 1, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +133,10 @@ def precoder_power(p):
 
 @lru_cache
 def _interference_mask(k):
-    """0/1 matrix taking a row of |p_i^H h_u|^2, indexed u*(k+1) + i, to
-    the k interference powers: column u picks the private columns i >= 1
-    other than u + 1. Exact weights add the picked terms exactly as a
-    loop would, up to their order, which at k <= 3 (two terms) is moot."""
-    others = np.hstack([np.zeros((k, 1)), 1.0 - np.eye(k)])  # [u, i]
-    mask = (others[:, :, None] * np.eye(k)[:, None, :]).reshape(k * (k + 1), k)
+    """(k, k+1, 1) 0/1 columns summing user u's private columns i >= 1 but
+    u + 1 of |p_i^H h_u|^2: exact weights add the picked terms as a loop
+    would, up to their order, which at k <= 3 (two terms) is moot."""
+    mask = np.hstack([np.zeros((k, 1)), 1.0 - np.eye(k)])[:, :, None]
     mask.flags.writeable = False
     return mask
 
@@ -173,28 +180,29 @@ class Arena(dict):
         return buf[:n].reshape(shape)
 
 
-def _runs_of(sample, layout="stacked"):
-    """(the runs' `layout` arrays, such as their (m, k, n_t) channels, on
+def _runs_of(sample, layout="user_channels"):
+    """(the runs' `layout` arrays, such as their (k, m, n_t) channels, on
     a run axis, whether one run was given): a MonteCarloSample is one
     run, a sequence of R samples of one shape is R runs."""
     one = isinstance(sample, MonteCarloSample)
     return _stack([getattr(s, layout) for s in ((sample,) if one else sample)]), one
 
 
-def _batch_powers(sample, p, scratch=fresh):
+def _batch_powers(sample, p, scratch=fresh, mmse=False):
     """Receive-power bookkeeping over a Monte-Carlo sample.
 
     Parameters
     ----------
     sample : MonteCarloSample, or a sequence of R of them (`_runs_of`)
     p : (n_t, k+1) complex ndarray, or (R, n_t, k+1)
+    mmse : also raise DegenerateMmse if an MMSE underflows (`update_blocks`)
 
     Returns
     -------
-    y : (m, k, k+1) complex ndarray
-        y[mi, u, i] = p_i^H h_u in realization mi, from one GEMM on the
-        sample's stacked channels.
-    s_c, s_p, i_p, t_p, t_c : (m, k) float ndarrays
+    y : (k, m, k+1) complex ndarray
+        y[u, mi, i] = p_i^H h_u in realization mi, from one GEMM on the
+        sample's (k*m, n_t) `user_channels`.
+    s_c, s_p, i_p, t_p, t_c : (k, m) float ndarrays
         Common-signal power |p_c^H h_k|^2, own private-signal power,
         interference-plus-noise (sum over other private columns plus
         the unit noise, accumulated directly), t_p = i_p + s_p,
@@ -207,27 +215,30 @@ def _batch_powers(sample, p, scratch=fresh):
     Raises NumericalBreakdown when some t_c is not finite, as when a
     power overflows: t_c carries every inf and NaN of y, s_c, s_p and
     i_p. The powers are formed with overflow and invalid warnings off,
-    since that test decides them by value.
+    since that test decides them by value. As t_c >= t_p >= i_p >= 1, no
+    MMSE underflows while t_c < 0.1 / EPS_FLOOR: one max of t_c clears
+    both tests, and the exact ones run only when it does not.
     """
-    chans, one = _runs_of(sample)
+    h, one = _runs_of(sample)
     p = np.asarray(p, dtype=complex)
     if one:
         p = p[None]
-    r, m, k, n_t = chans.shape
+    r, k, m, n_t = h.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        y = scratch("y", (r, m, k, k + 1), complex)
-        np.matmul(chans.reshape(r, m * k, n_t), p.conj(), out=y.reshape(r, m * k, k + 1))
+        y = scratch("y", (r, k, m, k + 1), complex)
+        np.matmul(h.reshape(r, k * m, n_t), p.conj(), out=y.reshape(r, k * m, k + 1))
         a2 = np.square(y.real, out=scratch("a2", y.shape))
         a2 += np.square(y.imag, out=scratch("im2", y.shape))
-        flat = a2.reshape(r, m, k * (k + 1))
-        s_c = flat[..., :: k + 1]
-        s_p = flat[..., 1 :: k + 2]  # a2[..., u, u + 1]
-        i_p = np.matmul(flat, _interference_mask(k), out=scratch("i_p", (r, m, k)))
+        s_c, s_p = a2[..., 0], a2.diagonal(1, -3, -1).swapaxes(-1, -2)  # a2[.., u, :, u + 1]
+        i_p = np.matmul(a2, _interference_mask(k), out=scratch("i_p", (r, k, m, 1)))[..., 0]
         i_p += 1.0
         t_p = np.add(i_p, s_p, out=scratch("t_p", i_p.shape))
         t_c = np.add(s_c, t_p, out=scratch("t_c", i_p.shape))
-    if not np.isfinite(t_c).all():
-        raise NumericalBreakdown("a receive power is not finite")
+        if not t_c.max() < 0.1 / EPS_FLOOR:
+            if not np.isfinite(t_c).all():
+                raise NumericalBreakdown("a receive power is not finite")
+            if mmse and (np.any(t_p <= EPS_FLOOR * t_c) or np.any(i_p <= EPS_FLOOR * t_p)):
+                raise DegenerateMmse("MMSE underflow; a signal power is 1e300 times the noise")
     out = (y, s_c, s_p, i_p, t_p, t_c)
     if one:
         out = tuple(a[0] for a in out)
@@ -250,8 +261,8 @@ def average_rates(sample, p, scratch=fresh):
     """Sample-average rates over a Monte-Carlo sample for a fixed precoder.
 
     Per-user common and private rates are averaged over the realizations
-    in their stored order, both layers' means in one sum over an
-    (..., m, 2k) array; asr = min_k r_c[k] + sum_k r_p[k]. Takes one run
+    in their stored order, both layers' means in one sum over the m axis
+    of a user-major (..., k, m, 2) array; asr = min_k r_c[k] + sum_k r_p[k]. Takes one run
     or R runs as `_batch_powers` does; with R runs every field has a
     leading run axis and asr is an (R,) array.
     """
@@ -260,12 +271,10 @@ def average_rates(sample, p, scratch=fresh):
     np.divide(s_c, t_p, out=rates[..., 0])
     np.divide(s_p, i_p, out=rates[..., 1])
     np.divide(np.log1p(rates, out=rates), _LN2, out=rates)
-    means = rates.sum(axis=-3) / t_p.shape[-2]
-    r_c_bar, r_p_bar = means[..., 0], means[..., 1]
-    asr = np.min(r_c_bar, axis=-1) + np.sum(r_p_bar, axis=-1)
-    return AverageRates(
-        r_c=r_c_bar, r_p=r_p_bar, asr=float(asr) if asr.ndim == 0 else asr
-    )
+    means = rates.sum(axis=-2) / t_p.shape[-1]
+    r_c, r_p = means[..., 0], means[..., 1]
+    asr = np.min(r_c, axis=-1) + np.sum(r_p, axis=-1)
+    return AverageRates(r_c=r_c, r_p=r_p, asr=float(asr) if asr.ndim == 0 else asr)
 
 
 def update_blocks(sample, p, scratch=fresh):
@@ -273,21 +282,21 @@ def update_blocks(sample, p, scratch=fresh):
 
     For every user and realization: the MMSE equalizers and the inverse
     MMSE weights, evaluated on that realization. This is the (G, U) step
-    of the alternating loop, formed in `scratch`. Takes one run or R runs
-    as `_batch_powers` does; with R runs every field has a leading run
-    axis. Raises DegenerateMmse if the MMSE of any run underflows.
+    of the alternating loop, divided from the user-major powers straight
+    into the (k, 2, m) rows `accumulate_components` reads, in `scratch`.
+    Takes one run or R runs as `_batch_powers` does; with R runs the rows
+    have a leading run axis. Raises DegenerateMmse if the MMSE of any run
+    underflows.
     """
-    y, _, _, i_p, t_p, t_c = _batch_powers(sample, p, scratch)
-    if np.any(t_p <= EPS_FLOOR * t_c) or np.any(i_p <= EPS_FLOOR * t_p):
-        raise DegenerateMmse("MMSE underflow; a signal power is 1e300 times the noise")
-    *lead, m, k, _ = y.shape
-    g_p = y.reshape(*lead, m, k * (k + 1))[..., 1 :: k + 2]  # y[..., u, u + 1]
+    y, _, _, i_p, t_p, t_c = _batch_powers(sample, p, scratch, mmse=True)
+    rows = t_c.shape[:-1] + (2, t_c.shape[-1])
+    g, u = scratch("g", rows, complex), scratch("u", rows)
     # eps_c = t_p/t_c, eps_p = i_p/t_p; weights are the inverses
-    return EqualizerWeightSet(**{
-        name: np.divide(a, b, out=scratch(name, t_c.shape, a.dtype))
-        for name, a, b in (("g_c", y[..., 0], t_c), ("g_p", g_p, t_p),
-                           ("u_c", t_c, t_p), ("u_p", t_p, i_p))
-    })
+    np.divide(y[..., 0], t_c, out=g[..., 0, :])
+    np.divide(y.diagonal(1, -3, -1).swapaxes(-1, -2), t_p, out=g[..., 1, :])
+    np.divide(t_c, t_p, out=u[..., 0, :])
+    np.divide(t_p, i_p, out=u[..., 1, :])
+    return EqualizerWeightSet(g=g, u=u)
 
 
 def accumulate_components(sample, gw, scratch=fresh):
@@ -302,9 +311,10 @@ def accumulate_components(sample, gw, scratch=fresh):
         v   = log2(u)
 
     for both the common and private layers; each output is the arithmetic
-    mean over realizations. The per-(run, user) rows of t, u conj(g), u
-    and v, realizations contiguous, live in `scratch`. A real product of
-    the t rows with the sample's `user_outer` columns gives the t sum and
+    mean over realizations. It reads the (run, user, layer, realization)
+    rows of g and u that `update_blocks` wrote, in place, and forms the
+    rows of t (then v) and u conj(g) in `scratch`. A real product of the
+    t rows with the sample's `user_outer` columns gives the t sum and
     psi's upper triangle, which exact weights make an exactly Hermitian
     psi with a real diagonal, as the convexity guard needs. A complex
     product with `user_channels` gives f; contiguous sums give u and v.
@@ -316,22 +326,18 @@ def accumulate_components(sample, gw, scratch=fresh):
     """
     (x, one), (h, _) = (_runs_of(sample, name) for name in ("user_outer", "user_channels"))
     r, k, m, n_t = h.shape
-    if gw.g_c.shape[-2:] != (m, k):
+    if gw.g.shape[-3:] != (k, 2, m):
         raise ValueError("equalizer set does not match the sample")
-    ug = scratch("ug", (r, k, 2, m), complex)  # conj(g), then u conj(g)
-    t, u, v = tuv = scratch("tuv", (3, r, k, 2, m))  # the common layer first
-    for i, (g, w) in enumerate(((gw.g_c, gw.u_c), (gw.g_p, gw.u_p))):
-        np.conjugate(np.reshape(g, (r, m, k)).transpose(0, 2, 1), out=ug[:, :, i])
-        u[:, :, i] = np.reshape(w, (r, m, k)).transpose(0, 2, 1)
-    np.log2(u, out=v)
-    np.square(ug.real, out=t)
-    t += np.square(ug.imag, out=scratch("im2", t.shape))
+    g, u = (np.reshape(a, (r, k, 2, m)) for a in (gw.g, gw.u))
+    ug = np.conjugate(g, out=scratch("ug", g.shape, complex))  # then u conj(g)
+    t = np.square(g.real, out=scratch("t", u.shape))
+    t += np.square(g.imag, out=scratch("im2", t.shape))
     t *= u
     np.multiply(u, ug, out=ug)
     wt = (t @ x) / m  # (r, k, 2, n_t**2 + 1)
     psi = (wt[..., :-1] @ _hermitian(n_t)).view(complex).reshape(r, k, 2, n_t, n_t)
-    u, v = tuv[1:].sum(axis=-1) / m
-    fields = {"psi": psi, "f": (ug @ h) / m, "t": wt[..., -1], "u": u, "v": v}
+    fields = {"psi": psi, "f": (ug @ h) / m, "t": wt[..., -1], "u": u.sum(axis=-1) / m,
+              "v": np.log2(u, out=t).sum(axis=-1) / m}  # the t rows are spent
     return AwmmseComponents(**{name + "_" + layer: x[0, :, i] if one else x[:, :, i]
                                for name, x in fields.items() for i, layer in enumerate("cp")})
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,11 +32,11 @@ def _scalar_xi(p, u_c=None, u_p=None):
     """(xi_c, xi_p) of the one user of SCALAR at precoder p, with the
     MMSE equalizers and the given weights (the MMSE ones where None)."""
     gw = update_blocks(SCALAR, p)
-    gw = EqualizerWeightSet(
-        g_c=gw.g_c, g_p=gw.g_p,
-        u_c=gw.u_c if u_c is None else np.full((1, 1), u_c),
-        u_p=gw.u_p if u_p is None else np.full((1, 1), u_p),
-    )
+    u = gw.u.copy()  # (k, 2, m): the common layer, then the private one
+    for layer, w in enumerate((u_c, u_p)):
+        if w is not None:
+            u[:, layer] = w
+    gw = EqualizerWeightSet(g=gw.g, u=u)
     xi_c, xi_p = awmse_values(accumulate_components(SCALAR, gw), p)
     return float(xi_c[0]), float(xi_p[0])
 
@@ -50,12 +51,11 @@ def test_wmse_unit_weight():
     cfg, draw, sample = random_system(15, m=1)
     p = random_precoder(np.random.default_rng(16), 2, 2, cfg.p_t)
     gw = update_blocks(sample, p)
-    ones = np.ones_like(gw.u_c)
-    gw1 = EqualizerWeightSet(g_c=gw.g_c, g_p=gw.g_p, u_c=ones, u_p=ones)
+    gw1 = EqualizerWeightSet(g=gw.g, u=np.ones_like(gw.u))
     xi_c, xi_p = awmse_values(accumulate_components(sample, gw1), p)
     for u in range(2):
         e_c, e_p = loop_mse(
-            sample.realizations[0, :, u], p, gw.g_c[0, u], gw.g_p[0, u], 1.0, u
+            sample.realizations[0, :, u], p, gw.g_c[u, 0], gw.g_p[u, 0], 1.0, u
         )
         assert xi_c[u] == pytest.approx(e_c, rel=1e-10)
         assert xi_p[u] == pytest.approx(e_p, rel=1e-10)
@@ -148,10 +148,10 @@ def test_update_blocks_matches_per_user_closed_forms():
             # g_c = p_c^H h_k / t_c, g_p = p_k^H h_k / t_p
             g_c = complex(p[:, 0].conj() @ h_k) / t_c
             g_p = complex(p[:, u + 1].conj() @ h_k) / t_p
-            assert gw.g_c[m, u] == pytest.approx(g_c, rel=1e-12)
-            assert gw.g_p[m, u] == pytest.approx(g_p, rel=1e-12)
-            assert gw.u_c[m, u] == pytest.approx(t_c / t_p, rel=1e-12)
-            assert gw.u_p[m, u] == pytest.approx(t_p / i_p, rel=1e-12)
+            assert gw.g_c[u, m] == pytest.approx(g_c, rel=1e-12)
+            assert gw.g_p[u, m] == pytest.approx(g_p, rel=1e-12)
+            assert gw.u_c[u, m] == pytest.approx(t_c / t_p, rel=1e-12)
+            assert gw.u_p[u, m] == pytest.approx(t_p / i_p, rel=1e-12)
 
 
 def test_update_blocks_zero_error_sample_constant_over_m():
@@ -165,7 +165,7 @@ def test_update_blocks_zero_error_sample_constant_over_m():
     p = random_precoder(rng, 2, 2, cfg.p_t)
     gw = update_blocks(s, p)
     for arr in (gw.g_c, gw.g_p, gw.u_c, gw.u_p):
-        assert np.allclose(arr, arr[0][None, :], rtol=1e-14)
+        assert np.allclose(arr, arr[:, :1], rtol=1e-14)
 
 
 def test_update_blocks_weights_positive():
@@ -194,7 +194,7 @@ def test_equalizer_update_descends_at_fixed_weight():
         w_c = float(rng.uniform(0.1, 10.0))
         w_p = float(rng.uniform(0.1, 10.0))
         e0 = loop_mse(h_k, p, g_c0, g_p0, 1.0, u)
-        e1 = loop_mse(h_k, p, gw.g_c[m, u], gw.g_p[m, u], 1.0, u)
+        e1 = loop_mse(h_k, p, gw.g_c[u, m], gw.g_p[u, m], 1.0, u)
         assert loop_wmse(e1[0], w_c) <= loop_wmse(e0[0], w_c) + 1e-12
         assert loop_wmse(e1[1], w_p) <= loop_wmse(e0[1], w_p) + 1e-12
 
@@ -219,14 +219,14 @@ def test_components_single_realization():
     c = accumulate_components(sample, gw)
     h = sample.realizations[0]
     for u in range(2):
-        t_c = gw.u_c[0, u] * abs(gw.g_c[0, u]) ** 2
+        t_c = gw.u_c[u, 0] * abs(gw.g_c[u, 0]) ** 2
         hh = np.outer(h[:, u], h[:, u].conj())
         assert np.allclose(c.psi_c[u], t_c * hh, rtol=1e-12, atol=1e-14)
         assert c.t_c[u] == pytest.approx(t_c, rel=1e-12)
-        f_c = gw.u_c[0, u] * np.conj(gw.g_c[0, u]) * h[:, u]
+        f_c = gw.u_c[u, 0] * np.conj(gw.g_c[u, 0]) * h[:, u]
         assert np.allclose(c.f_c[u], f_c, rtol=1e-12, atol=1e-14)
-        assert c.u_c[u] == pytest.approx(gw.u_c[0, u], rel=1e-14)
-        assert c.v_c[u] == pytest.approx(np.log2(gw.u_c[0, u]), rel=1e-12)
+        assert c.u_c[u] == pytest.approx(gw.u_c[u, 0], rel=1e-14)
+        assert c.v_c[u] == pytest.approx(np.log2(gw.u_c[u, 0]), rel=1e-12)
 
 
 def test_components_inert_blocks():
@@ -234,13 +234,8 @@ def test_components_inert_blocks():
     cfg, draw, sample = random_system(11, m=5)
     k = 2
     m = 5
-    gw_shape = (m, k)
-    gw = EqualizerWeightSet(
-        g_c=np.zeros(gw_shape, dtype=complex),
-        g_p=np.zeros(gw_shape, dtype=complex),
-        u_c=np.ones(gw_shape),
-        u_p=np.ones(gw_shape),
-    )
+    gw_shape = (k, 2, m)
+    gw = EqualizerWeightSet(g=np.zeros(gw_shape, dtype=complex), u=np.ones(gw_shape))
     c = accumulate_components(sample, gw)
     assert np.all(c.psi_c == 0) and np.all(c.psi_p == 0)
     assert np.all(c.f_c == 0) and np.all(c.f_p == 0)
@@ -269,7 +264,9 @@ def test_components_against_fsum_oracle():
                     p = random_precoder(rng, n_t, k, cfg.p_t)
                     gw = update_blocks(sample, p)
                     c = accumulate_components(sample, gw)
-                    want = fsum_components(sample, gw)
+                    # the oracle reads realization-major (m, k) arrays
+                    want = fsum_components(sample, SimpleNamespace(**{
+                        f: getattr(gw, f).T for f in ("g_c", "g_p", "u_c", "u_p")}))
                     for name in ("psi_c", "psi_p", "f_c", "f_p", "t_c", "t_p",
                                  "u_c", "u_p", "v_c", "v_p"):
                         got = getattr(c, name)
@@ -343,11 +340,10 @@ def test_read_only_sample_caches():
     for q in ps + ps[::-1]:
         got = update_blocks(a, q)
         want = update_blocks(_fresh(a), q)
-        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()
-                   for f in ("g_c", "g_p", "u_c", "u_p"))
+        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes() for f in ("g", "u"))
 
     # nothing cached can be written through
-    for x in (a.realizations, a.stacked, *_batch_powers(a, p)):
+    for x in (a.realizations, a.user_channels, *_batch_powers(a, p)):
         with pytest.raises(ValueError):
             x.flat[0] = 0.0
     # and the sample owns its data: the caller's array stays writable
@@ -389,10 +385,10 @@ def test_awmse_values_single_realization_exact():
     for u in range(2):
         e_c, e_p = loop_mse(
             sample.realizations[0, :, u], p,
-            gw.g_c[0, u], gw.g_p[0, u], 1.0, u,
+            gw.g_c[u, 0], gw.g_p[u, 0], 1.0, u,
         )
-        assert xi_c[u] == pytest.approx(loop_wmse(e_c, gw.u_c[0, u]), rel=1e-10)
-        assert xi_p[u] == pytest.approx(loop_wmse(e_p, gw.u_p[0, u]), rel=1e-10)
+        assert xi_c[u] == pytest.approx(loop_wmse(e_c, gw.u_c[u, 0]), rel=1e-10)
+        assert xi_p[u] == pytest.approx(loop_wmse(e_p, gw.u_p[u, 0]), rel=1e-10)
 
 
 def test_awmse_values_equal_mean_of_per_realization():
@@ -402,28 +398,23 @@ def test_awmse_values_equal_mean_of_per_realization():
         p = random_precoder(rng, 3, 2, cfg.p_t)
         gw = update_blocks(sample, p)
         # perturb blocks so the check covers non-MMSE values too
-        gw2 = type(gw)(
-            g_c=gw.g_c * (1 + 0.1j),
-            g_p=gw.g_p * 0.9,
-            u_c=gw.u_c * 1.3,
-            u_p=gw.u_p * 0.7,
-        )
+        gw2 = type(gw)(g=gw.g * [[1 + 0.1j], [0.9]], u=gw.u * [[1.3], [0.7]])
         c = accumulate_components(sample, gw2)
         xi_c, xi_p = awmse_values(c, p)
         for u in range(2):
             want_c = np.mean([
                 loop_wmse(
                     loop_mse(sample.realizations[m, :, u], p,
-                        gw2.g_c[m, u], gw2.g_p[m, u], 1.0, u)[0],
-                    gw2.u_c[m, u],
+                        gw2.g_c[u, m], gw2.g_p[u, m], 1.0, u)[0],
+                    gw2.u_c[u, m],
                 )
                 for m in range(25)
             ])
             want_p = np.mean([
                 loop_wmse(
                     loop_mse(sample.realizations[m, :, u], p,
-                        gw2.g_c[m, u], gw2.g_p[m, u], 1.0, u)[1],
-                    gw2.u_p[m, u],
+                        gw2.g_c[u, m], gw2.g_p[u, m], 1.0, u)[1],
+                    gw2.u_p[u, m],
                 )
                 for m in range(25)
             ])
@@ -476,5 +467,5 @@ def test_loop_powers_consistency_with_update():
             s_c, s_p, i_p, t_p, t_c = loop_powers(
                 sample.realizations[m, :, u], p, 1.0, u
             )
-            assert gw.u_p[m, u] == pytest.approx(t_p / i_p, rel=1e-12)
-            assert gw.u_c[m, u] == pytest.approx(t_c / t_p, rel=1e-12)
+            assert gw.u_p[u, m] == pytest.approx(t_p / i_p, rel=1e-12)
+            assert gw.u_c[u, m] == pytest.approx(t_c / t_p, rel=1e-12)

@@ -199,14 +199,15 @@ def test_draw_sample_variance():
 
 
 def test_draw_sample_holds_one_read_only_copy():
-    # realizations (m, n_t, k) is a view of the stacked (m, k, n_t)
+    # realizations (m, n_t, k) is a view of the user-major (k, m, n_t)
     # channels, the one copy the sample keeps, and neither is writable
     h_est = substream(5, 0).standard_normal((3, 2)) + 0j
     s = draw_sample(substream(5, 1), h_est, 0.2, 4)
-    assert s.stacked.shape == (4, 2, 3) and s.stacked.flags.c_contiguous
-    assert np.shares_memory(s.realizations, s.stacked)
-    assert np.array_equal(s.realizations, s.stacked.transpose(0, 2, 1))
-    for x in (s.realizations, s.stacked):
+    users = s.user_channels
+    assert users.shape == (2, 4, 3) and users.flags.c_contiguous
+    assert np.shares_memory(s.realizations, users)
+    assert np.array_equal(s.realizations, users.transpose(1, 2, 0))
+    for x in (s.realizations, users):
         with pytest.raises(ValueError):
             x.flat[0] = 0.0
     assert not hasattr(s, "by_user")

@@ -119,6 +119,23 @@ def test_cholesky_stack_with_a_pivot_inside_the_tolerance():
     assert np.array_equal(L[1], np.diag([1.0, 0.0]))
 
 
+def test_cholesky_rejects_indefinite_matrices_with_a_pivot_inside_the_tolerance():
+    # a pivot within EPS_PSD leaves its column zero only when the entries
+    # below it are within the tolerance too: [[1e-12, 1], [1, 1]] has an
+    # eigenvalue -0.618 and [[0, 1], [1, 0]] one of -1, alone and in a stack
+    eye = np.eye(2, dtype=complex)
+    for bad in ([[1e-12, 1.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        bad = np.array(bad, dtype=complex)
+        for a in (bad, np.array([eye, bad, eye]), np.array([bad, np.zeros((2, 2))])):
+            with pytest.raises(NotPsd):
+                cholesky_psd(a)
+    # a PSD matrix with a tiny pivot may keep an entry up to its bound
+    tiny = np.array([[1e-12, 9e-7], [9e-7, 1.0]], dtype=complex)
+    assert np.linalg.eigvalsh(tiny).min() >= 0.0
+    L = cholesky_psd(tiny)
+    assert np.array_equal(L, np.diag([0.0, 1.0]))
+
+
 def test_cholesky_rejects_non_finite():
     # a NaN entry or an inf diagonal fails the guard, alone and in a stack
     eye = np.eye(2, dtype=complex)

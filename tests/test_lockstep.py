@@ -310,7 +310,7 @@ def _certified_runs(monkeypatch, cfg):
     results = [r for _, res in blocks for r in res]
     # one run per distinct (channel, optimizer alpha): where JMB's start
     # has no common power (0 dB), it is BC's alpha = 1 run
-    distinct = {(run[1].stacked.tobytes(), run[2].alpha) for run in runs}
+    distinct = {(run[1].user_channels.tobytes(), run[2].alpha) for run in runs}
     assert len(results) == len(runs) == len(distinct) == cfg.n_channels * sum(
         1 if ao.dof_power_split(harness.snr_to_pt(s), a)[0] == 0 else 2
         for s in cfg.snr_db for a in cfg.alphas)

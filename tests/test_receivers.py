@@ -23,8 +23,9 @@ def _one(h):
 
 def _powers(h, p):
     """(s_c, s_p, i_p, t_p, t_c) on one channel matrix, each (k,): the
-    batch kernel on a sample of one realization."""
-    return tuple(x[0] for x in _batch_powers(_one(h), p)[1:])
+    batch kernel on a sample of one realization, whose (k, m) outputs
+    are user major."""
+    return tuple(x[:, 0] for x in _batch_powers(_one(h), p)[1:])
 
 
 def _rates(h, p):
@@ -100,7 +101,7 @@ def test_equalizer_grid_optimality():
     h, p = _rand(5)
     gw = update_blocks(_one(h), p)
     for user in range(2):
-        g_c, g_p = gw.g_c[0, user], gw.g_p[0, user]
+        g_c, g_p = gw.g_c[user, 0], gw.g_p[user, 0]
         base_c, base_p = loop_mse(h[:, user], p, g_c, g_p, 1.0, user)
         offs = np.linspace(-0.2, 0.2, 401)
         for d in offs:
@@ -120,10 +121,10 @@ def test_mse_at_mmse_equals_ratio_form():
         gw = update_blocks(_one(h), p)
         for user in range(2):
             eps_c, eps_p = loop_mse(
-                h[:, user], p, gw.g_c[0, user], gw.g_p[0, user], 1.0, user
+                h[:, user], p, gw.g_c[user, 0], gw.g_p[user, 0], 1.0, user
             )
-            assert eps_c == pytest.approx(1.0 / gw.u_c[0, user], rel=1e-12)
-            assert eps_p == pytest.approx(1.0 / gw.u_p[0, user], rel=1e-12)
+            assert eps_c == pytest.approx(1.0 / gw.u_c[user, 0], rel=1e-12)
+            assert eps_p == pytest.approx(1.0 / gw.u_p[user, 0], rel=1e-12)
 
 
 def test_mse_matches_symbol_level_simulation():
@@ -133,11 +134,11 @@ def test_mse_matches_symbol_level_simulation():
     user = 0
     gw = update_blocks(_one(h), p)
     est_c, est_p, se_c, se_p = symbol_level_mse(
-        h[:, user], p, gw.g_c[0, user], gw.g_p[0, user], 1.0, user,
+        h[:, user], p, gw.g_c[user, 0], gw.g_p[user, 0], 1.0, user,
         n_draws=1_000_000, rng=substream(123, 0),
     )
-    assert abs(est_c - 1.0 / gw.u_c[0, user]) <= 3 * se_c
-    assert abs(est_p - 1.0 / gw.u_p[0, user]) <= 3 * se_p
+    assert abs(est_c - 1.0 / gw.u_c[user, 0]) <= 3 * se_c
+    assert abs(est_p - 1.0 / gw.u_p[user, 0]) <= 3 * se_p
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +169,8 @@ def test_rates_two_routes_agree():
         ur = _rates(h, p)
         gw = update_blocks(_one(h), p)
         for user in range(2):
-            assert ur.r_c[user] == pytest.approx(np.log2(gw.u_c[0, user]), rel=1e-12)
-            assert ur.r_p[user] == pytest.approx(np.log2(gw.u_p[0, user]), rel=1e-12)
+            assert ur.r_c[user] == pytest.approx(np.log2(gw.u_c[user, 0]), rel=1e-12)
+            assert ur.r_p[user] == pytest.approx(np.log2(gw.u_p[user, 0]), rel=1e-12)
             oc, op = loop_rates(h[:, user], p, 1.0, user)
             assert ur.r_c[user] == pytest.approx(oc, rel=1e-12)
             assert ur.r_p[user] == pytest.approx(op, rel=1e-12)
@@ -338,10 +339,10 @@ def _check_against_einsum(sample, p, what):
     _, n_t, k = h.shape
     want = einsum_powers(h, p, 1.0)
     mag = einsum_powers(np.abs(h), np.abs(p), 1.0)
-    got = _batch_powers(sample, p)
-    _assert_near(got[0].transpose(0, 2, 1), want[0], mag[0], n_t, what)
+    got = _batch_powers(sample, p)  # user major: (k, m, k+1) and (k, m)
+    _assert_near(got[0].transpose(1, 2, 0), want[0], mag[0], n_t, what)
     for g, w, s in zip(got[1:], want[1:], mag[1:]):
-        _assert_near(g, w, s, n_t, what)
+        _assert_near(g.T, w, s, n_t, what)
     # update_blocks divides them: first-order propagation of both gaps
     gw = update_blocks(sample, p)
     idx = np.arange(k)
@@ -354,15 +355,15 @@ def _check_against_einsum(sample, p, what):
         (gw.u_p, t_p, i_p, tp_m, i_m),
     ):
         ratio = num / den
-        _assert_near(got_x, ratio, (num_m + np.abs(ratio) * den_m) / den, n_t, what)
+        _assert_near(got_x.T, ratio, (num_m + np.abs(ratio) * den_m) / den, n_t, what)
 
 
 def test_batch_powers_match_einsum_oracle(monkeypatch):
     calls = []
 
-    def recording(sample, *args):
+    def recording(sample, *args, **kwargs):
         calls.append(sample)
-        return _batch_powers(sample, *args)
+        return _batch_powers(sample, *args, **kwargs)
 
     monkeypatch.setattr(receivers, "_batch_powers", recording)
     seed = 0

@@ -62,13 +62,19 @@ def _expected(samples, p):
     return powers, fresh_layout_rates(powers), eq, fresh_layout_components(samples, eq)
 
 
+def _realization_major(arrays, user_axis=1):
+    """User-major kernel outputs, (..., k, m, ...), as the oracle's
+    realization-major (..., m, k, ...) views."""
+    return tuple(np.swapaxes(x, user_axis, user_axis + 1) for x in arrays)
+
+
 def _kernels(samples, p, scratch):
     """The same, by the library's kernels on one scratch allocator."""
     rates = average_rates(samples, p, scratch)
-    powers = _batch_powers(samples, p, scratch)
+    powers = _realization_major(_batch_powers(samples, p, scratch))
     gw = update_blocks(samples, p, scratch)
     comps = accumulate_components(samples, gw, scratch)
-    eq = (gw.g_c, gw.g_p, gw.u_c, gw.u_p)
+    eq = _realization_major((gw.g_c, gw.g_p, gw.u_c, gw.u_p))
     return powers, (rates.r_c, rates.r_p, rates.asr), eq, vars(comps)
 
 
@@ -81,7 +87,7 @@ def _assert_same_bits(got, want):
         assert np.array_equal(g_comps[name], w_comps[name]), name
 
 
-@pytest.mark.parametrize("n_t,k", [(2, 2), (3, 3)])
+@pytest.mark.parametrize("n_t,k", [(2, 2), (3, 3), (3, 2)])
 @pytest.mark.parametrize("r", [1, 3, 5])
 @pytest.mark.parametrize("m", [1, 7, 200, 1000])
 def test_kernels_match_the_fresh_layout_formulas_bit_for_bit(n_t, k, r, m):
@@ -94,7 +100,7 @@ def test_kernels_match_the_fresh_layout_formulas_bit_for_bit(n_t, k, r, m):
     # single-run form without a run axis
     for i in range(r):
         rates = average_rates(samples[i], p[i], arena)
-        alone = _batch_powers(samples[i], p[i], arena)
+        alone = _realization_major(_batch_powers(samples[i], p[i], arena), 0)
         gw = update_blocks(samples[i], p[i], arena)
         comps = vars(accumulate_components(samples[i], gw, arena))
         assert all(np.array_equal(a, b[i]) for a, b in zip(alone, want[0]))
@@ -103,6 +109,29 @@ def test_kernels_match_the_fresh_layout_formulas_bit_for_bit(n_t, k, r, m):
             assert np.array_equal(comps[name], want[3][name][i]), name
     # the alpha = 1 run keeps an exactly zero common layer
     assert not want[3]["psi_c"][0].any() and not want[3]["f_c"][0].any()
+
+
+def test_accumulate_reads_the_block_update_rows_in_place():
+    # update_blocks writes g and u as the user-major (k, 2, m) rows that
+    # accumulate_components multiplies; the layer views share them, and
+    # accumulating copies neither: with fresh scratch its peak holds its
+    # own rows of u conj(g) (16 bytes an entry) and t (8) with one real
+    # temporary (8), where a copy of the u rows would add 8 and of g 16
+    samples, p = _runs(12, 1, 5000)
+    s, q = samples[0], p[0]
+    gw = update_blocks(s, q)
+    for rows, views in ((gw.g, (gw.g_c, gw.g_p)), (gw.u, (gw.u_c, gw.u_p))):
+        assert rows.shape == (2, 2, 5000) and rows.flags.c_contiguous
+        assert all(np.shares_memory(v, rows) for v in views)
+    want = vars(accumulate_components(s, gw))  # builds user_outer first
+    tracemalloc.start()
+    try:
+        got = vars(accumulate_components(s, gw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * gw.u.size
+    assert all(np.array_equal(got[name], want[name]) for name in FIELDS)
 
 
 def _items(seed, n, m, scale=10.0):
@@ -218,7 +247,8 @@ def test_arena_size_is_one_chunk_at_the_largest_shape(arena):
 # ---------------------------------------------------------------------------
 # the per-sample layouts
 
-LAYOUTS = ("user_channels", "user_outer")
+# the layouts built on first use; `user_channels` is the sample's one copy
+LAYOUTS = ("user_outer",)
 
 
 @pytest.mark.parametrize("n_t,k", [(2, 2), (3, 2), (3, 3)])
@@ -232,7 +262,7 @@ def test_sample_layouts_are_built_once_and_read_only(n_t, k):
     assert all(getattr(s, name) is x for name, x in zip(LAYOUTS, built))
     for name in FIELDS:
         assert np.array_equal(getattr(first, name), getattr(again, name)), name
-    for x in built:
+    for x in built + [s.user_channels]:
         assert x.flags.c_contiguous
         with pytest.raises(ValueError):
             x.flat[0] = 0.0
@@ -268,7 +298,7 @@ def test_psi_is_exactly_hermitian_and_the_alpha_one_run_has_no_common_layer():
 
 def test_one_realization_samples_never_build_the_layouts(monkeypatch):
     # sum_rate scores every design on one channel matrix; its sample of
-    # one realization needs only the stacked channels
+    # one realization needs only its user-major channels
     def refuse(self):
         raise AssertionError("a one-realization sample built a block-update layout")
 
