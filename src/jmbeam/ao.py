@@ -20,7 +20,8 @@ gets p_t - p_t**alpha (clamped at zero when p_t < 1) and the private
 columns share the rest over zero-forcing or matched-filter directions.
 The one-shot designs treat the estimate as exact: `jmb_zf_svd_wf` is
 the 'zf-svd' start with its private total water-filled over the
-zero-forcing gains, and `zf_wf` is its alpha = 1 case.
+zero-forcing gains, and `zf_wf` is its alpha = 1 case. `_precoders`
+builds them all, a sweep cell's from one set of directions at once.
 
 The loop of one run is written once, as the generator `ao_steps`, which
 yields its array work to the lockstep driver (`lockstep.drive`): the
@@ -29,7 +30,8 @@ block update with its rbar (`_updates`), the extrapolation's rates
 many runs together, one stacked numpy call per request kind, round and
 CHUNK_ROWS realization rows, each run keeping its own warm starts, faces,
 line searches, incumbent fallbacks, extrapolation and stop test; `run_ao`
-is `run_block` on one run. A run's bits do not depend on its companions.
+drives one from its `initialize` start. A run's bits do not depend on
+its companions.
 """
 
 import math
@@ -157,21 +159,30 @@ def initialize(scheme, h_est, p_t, alpha):
     scheme = scheme.lower()
     if scheme not in INIT_SCHEMES:
         raise ValueError(f"unknown init scheme {scheme!r}")
+    return _precoders(scheme, h_est, p_t, [alpha])[0]
+
+
+def _precoders(scheme, h_est, p_t, starts, designs=()):
+    """The `scheme` starts at budget p_t for the alphas `starts`, then
+    those for the alphas `designs` with their private total water-filled
+    over the directions' gains (`jmb_zf_svd_wf`), from one set of
+    directions and at most one common direction."""
     h_est = np.asarray(h_est)
     n_t, k = h_est.shape
-    pow_c, pow_p = dof_power_split(p_t, alpha)
-
+    splits = [dof_power_split(p_t, alpha) for alpha in [*starts, *designs]]
     dirs = zf_directions(h_est) if scheme.startswith("zf") else mf_directions(h_est)
-    p = np.zeros((n_t, k + 1), dtype=complex)
-    p[:, 1:] = math.sqrt(pow_p / k) * dirs
-    if pow_c > 0.0:
-        if scheme.endswith("svd"):
-            d_c = dominant_left_singular_vector(h_est)
-        else:
-            d_c = np.zeros(n_t, dtype=complex)
-            d_c[0] = 1.0
-        p[:, 0] = math.sqrt(pow_c) * d_c
-    return p
+    d_c, out = None, []
+    for i, (pow_c, pow_p) in enumerate(splits):
+        p = np.zeros((n_t, k + 1), dtype=complex)
+        p[:, 1:] = dirs * np.sqrt(np.full(k, pow_p / k) if i < len(starts)
+                                  else water_fill(_zf_gains(h_est, dirs), pow_p))
+        if pow_c > 0.0:
+            if d_c is None:
+                d_c = (dominant_left_singular_vector(h_est) if scheme.endswith("svd")
+                       else np.eye(n_t, dtype=complex)[0])
+            p[:, 0] = math.sqrt(pow_c) * d_c
+        out.append(p)
+    return out
 
 
 def water_fill(gains, budget):
@@ -226,12 +237,7 @@ def zf_wf(h_est, p_t):
 def jmb_zf_svd_wf(h_est, p_t, alpha):
     """The 'zf-svd' start with its private total water-filled over the
     zero-forcing gains on the estimate."""
-    p = initialize("zf-svd", h_est, p_t, alpha)
-    h_est = np.asarray(h_est)
-    dirs = zf_directions(h_est)
-    _, private_total = dof_power_split(p_t, alpha)
-    p[:, 1:] = dirs * np.sqrt(water_fill(_zf_gains(h_est, dirs), private_total))
-    return p
+    return _precoders("zf-svd", h_est, p_t, [], [alpha])[0]
 
 
 def run_ao(h_est, sample, cfg, params):
@@ -258,29 +264,30 @@ def run_ao(h_est, sample, cfg, params):
     update and its extrapolation. Inner-solver failures propagate; an inner
     MaxIter status is tolerated and visible in the trace.
 
-    This is `run_block` on one run.
+    This is `ao_steps` from the `initialize` start, driven alone.
     """
-    return run_one(ao_steps(h_est, sample, cfg, params))
+    p = initialize(params.init_scheme, h_est, cfg.p_t, cfg.alpha)
+    return run_one(ao_steps(p, sample, cfg, params))
 
 
 def run_block(runs):
     """Step several AO runs in lockstep (`lockstep.drive`).
 
-    `runs` holds (h_est, sample, cfg, params) tuples, as
-    `run_ao` takes them. The runs must share n_t, k and the sample size
-    m; runs may share a sample. Each keeps its own warm starts, faces,
-    line searches, incumbent fallbacks, extrapolation and stop test, and
-    each run's result has the bits `run_ao` gives it alone. Returns, per
-    run, (p, trace) or the JmbeamError that ended it.
+    `runs` holds (start, sample, cfg, params) tuples, as `ao_steps` takes
+    them. The runs must share n_t, k and the sample size m; runs may
+    share a sample. Each keeps its own warm starts, faces, line searches,
+    incumbent fallbacks, extrapolation and stop test, and each run's
+    result has the bits `run_ao` gives it alone. Returns, per run,
+    (p, trace) or the JmbeamError that ended it.
     """
     return drive([ao_steps(*run) for run in runs])
 
 
-def ao_steps(h_est, sample, cfg, params):
-    """`run_ao` as a generator for the lockstep driver: its requests are
-    the block updates with their rbar, the extrapolation's rates and
-    those of `qcqp.solve_steps`, and it returns (p, trace)."""
-    p = initialize(params.init_scheme, h_est, cfg.p_t, cfg.alpha)
+def ao_steps(p, sample, cfg, params):
+    """`run_ao` from the start p, as a generator for the lockstep driver:
+    its requests are the block updates with their rbar, the
+    extrapolation's rates and those of `qcqp.solve_steps`, and it returns
+    (p, trace)."""
     trace = AoTrace()
     rbar_prev = 0.0
     p_prev = None

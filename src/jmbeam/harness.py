@@ -10,13 +10,13 @@ for evaluation, never inside an optimizer. BC-AWSMSE is the JMB-AWSMSE
 run at alpha = 1 (`_ao_run`), on the cell's channel.
 
 A sweep task is a block of consecutive channels of the grid, sized by
-`_blocks` from the grid, m and the worker count. It draws each channel
-and sample once for all schemes and steps the block's AWSMSE runs in
-lockstep (`ao.run_block`); every run has the bits `run_single` gives
-it, so outputs depend neither on the blocks nor on the worker count. A
-task returns its sr_detail.csv rows, which `_records` averages into
-esr.csv; every CSV the package writes, the convergence traces too, goes
-through `_write_rows`.
+`_blocks` from the grid, m and the worker count. It draws a channel and
+its sample, directions and starts once for all schemes, steps the
+block's AWSMSE runs in lockstep (`ao.run_block`) and scores every row
+in one stacked call; each row has the bits `run_single` gives it, so
+outputs depend on neither the blocks nor the worker count. A task
+returns its sr_detail.csv rows, which `_records` averages into esr.csv;
+every CSV the package writes, traces too, goes through `_write_rows`.
 """
 
 import itertools
@@ -31,10 +31,12 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .ao import INIT_SCHEMES, AoParams, dof_power_split, jmb_zf_svd_wf, run_ao, run_block, zf_wf
-from .channel import CsitConfig, draw_sample, make_draw, substream
+from .ao import (INIT_SCHEMES, AoParams, _precoders, dof_power_split, initialize,
+                 jmb_zf_svd_wf, run_ao, run_block, zf_wf)
+from .channel import CsitConfig, MonteCarloSample, draw_sample, make_draw, substream
 from .errors import ConfigError, JmbeamError
-from .receivers import sum_rate
+from .lockstep import serve
+from .receivers import average_rates, sum_rate
 
 __all__ = [
     "SCHEMES",
@@ -245,11 +247,11 @@ def run_single(cfg, scheme, snr_db, alpha, seed):
     csit, draw, sample = _draw(cfg, snr_db, alpha, seed)
     if scheme.endswith("AWSMSE"):
         p, trace = run_ao(*_ao_run(cfg, scheme, csit, draw, sample))
+    elif scheme.startswith("JMB"):
+        p, trace = jmb_zf_svd_wf(draw.h_est, csit.p_t, csit.alpha), None
     else:
-        p, trace = _baseline(scheme, draw, csit), None
-
-    sr = sum_rate(draw.h_true, p)
-    return p, float(sr), trace
+        p, trace = zf_wf(draw.h_est, csit.p_t), None
+    return p, float(sum_rate(draw.h_true, p)), trace
 
 
 def _ao_run(cfg, scheme, csit, draw, sample):
@@ -263,13 +265,6 @@ def _ao_run(cfg, scheme, csit, draw, sample):
     if scheme.startswith("BC") or dof_power_split(csit.p_t, csit.alpha)[0] == 0.0:
         csit = replace(csit, alpha=1.0)
     return draw.h_est, sample, csit, cfg.ao_params()
-
-
-def _baseline(scheme, draw, csit):
-    """The precoder of a non-iterative scheme on the channel estimate."""
-    if scheme.startswith("JMB"):
-        return jmb_zf_svd_wf(draw.h_est, csit.p_t, csit.alpha)
-    return zf_wf(draw.h_est, csit.p_t)
 
 
 def _blocks(cells, m, threads):
@@ -287,36 +282,53 @@ def _block_task(cfg, cells):
     """Every scheme on a block of channels; failures stay local to their
     (scheme, channel).
 
-    `cells` holds (alpha, snr_db, channel) triples. Each channel and its
-    sample are drawn once for all schemes. The AWSMSE runs of the whole
-    block step in lockstep (`run_block`), each distinct run once, with
-    the bits `run_single` gives it. Returns the block's sr_detail.csv
-    rows and its meta.json failures, both in cell and scheme order.
+    `cells` holds (alpha, snr_db, channel) triples. Each channel's draw,
+    sample and `_precoders` call (its AWSMSE starts and one-shot designs)
+    serve all schemes. The block's AWSMSE runs step in lockstep
+    (`run_block`), each distinct run once, and one stacked call scores
+    every precoder on its true channel (`_sum_rates`, row by row if it
+    fails), with the bits `run_single` gives it. Returns the block's
+    sr_detail.csv rows and meta.json failures, in cell and scheme order.
     """
     draws = [
         _draw(cfg, snr_db, alpha, cell_seed(cfg.master_seed, alpha, snr_db, ch))
         for alpha, snr_db, ch in cells
     ]
-    runs, keys = {}, {}  # a run per distinct (cell, optimizer alpha)
+    found, keys, runs = {}, {}, {}  # (cell, scheme) -> precoder, then sum rate, or error
     for c, (csit, draw, sample) in enumerate(draws):
-        for scheme in (s for s in cfg.schemes if s.endswith("AWSMSE")):
-            run = _ao_run(cfg, scheme, csit, draw, sample)
-            keys[c, scheme] = c, run[2].alpha
-            runs.setdefault(keys[c, scheme], run)
+        opt = {s: _ao_run(cfg, s, csit, draw, sample) for s in cfg.schemes if s.endswith("AWSMSE")}
+        wf = [s for s in cfg.schemes if s not in opt]
+        try:
+            ps = _precoders("zf-svd", draw.h_est, csit.p_t, [r[2].alpha for r in opt.values()],
+                            [csit.alpha if s.startswith("JMB") else 1.0 for s in wf])
+        except JmbeamError as e:
+            found.update(dict.fromkeys([(c, s) for s in cfg.schemes], e))
+            continue
+        for (s, run), p in zip(opt.items(), ps):  # a run per (cell, optimizer alpha)
+            keys[c, s] = c, run[2].alpha
+            runs.setdefault(keys[c, s], (p, *run[1:]))
+        found.update(zip([(c, s) for s in wf], ps[len(opt):]))
     results = dict(zip(runs, run_block(list(runs.values()))))
+    for cs, key in keys.items():
+        found[cs] = results[key] if isinstance(results[key], JmbeamError) else results[key][0]
+    order = list(itertools.product(range(len(cells)), cfg.schemes))
+    ok = [cs for cs in order if not isinstance(found[cs], JmbeamError)]
+    truth = [MonteCarloSample(realizations=draw.h_true[None]) for _, draw, _ in draws]
+    found.update(zip(ok, serve(_sum_rates, [(truth[c], found[c, s]) for c, s in ok])))
     rows, failures = [], []
-    for c, ((alpha, snr_db, ch), (csit, draw, _)) in enumerate(zip(cells, draws)):
-        for scheme in cfg.schemes:
-            try:
-                found = results.get(keys.get((c, scheme)))
-                if isinstance(found, JmbeamError):
-                    raise found
-                p = _baseline(scheme, draw, csit) if found is None else found[0]
-                rows.append((scheme, alpha, snr_db, ch, float(sum_rate(draw.h_true, p))))
-            except JmbeamError as e:
-                failures.append({"scheme": scheme, "alpha": alpha, "snr_db": snr_db,
-                                 "channel": ch, "error": f"{type(e).__name__}: {e}"})
+    for c, scheme in order:
+        (alpha, snr_db, ch), x = cells[c], found[c, scheme]
+        if isinstance(x, JmbeamError):
+            failures.append({"scheme": scheme, "alpha": alpha, "snr_db": snr_db,
+                             "channel": ch, "error": f"{type(x).__name__}: {x}"})
+        else:
+            rows.append((scheme, alpha, snr_db, ch, x))
     return rows, failures
+
+
+def _sum_rates(items):
+    """Per (sample, p) item, `sum_rate` on the sample's one matrix, in one stacked call."""
+    return average_rates(*zip(*items)).asr.tolist() if items else []
 
 
 def _records(cfg, rows):
@@ -492,7 +504,8 @@ def run_convergence(cfg, out_dir=None):
         csit, draw, sample = _draw(cfg, snr_db, alpha, cfg.master_seed)
         for init in inits:
             keys.append((snr_db, init))
-            runs.append((draw.h_est, sample, csit, cfg.ao_params(init)))
+            p = initialize(init, draw.h_est, csit.p_t, csit.alpha)
+            runs.append((p, sample, csit, cfg.ao_params(init)))
     traces = {}
     for key, result in zip(keys, run_block(runs)):
         if isinstance(result, JmbeamError):

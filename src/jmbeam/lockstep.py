@@ -19,12 +19,12 @@ below the inner ones keeps the runs of a batch in phase. A run that
 returns, or raises a JmbeamError, leaves the batch. A server that raises
 a JmbeamError is called again on each payload alone, and the error is
 thrown into the runs whose payload raises it, where it ends the run
-unless the run catches it.
+unless the run catches it (`serve`, also for a batch without runs).
 """
 
 from .errors import JmbeamError
 
-__all__ = ["drive", "run_one"]
+__all__ = ["drive", "serve", "run_one"]
 
 
 def drive(runs):
@@ -57,14 +57,18 @@ def drive(runs):
         server, idx = max(
             groups.items(), key=lambda g: (getattr(g[0], "rank", 0), len(g[1]))
         )
-        payloads = [pending.pop(i)[1] for i in idx]
-        try:
-            results = server(payloads)
-        except JmbeamError:
-            results = [_alone(server, p) for p in payloads]
+        results = serve(server, [pending.pop(i)[1] for i in idx])
         for i, result in zip(idx, results):
             step(i, result)
     return out
+
+
+def serve(server, payloads):
+    """server(payloads); if that raises a JmbeamError, each payload's result alone or error."""
+    try:
+        return server(payloads)
+    except JmbeamError:
+        return [_alone(server, p) for p in payloads]
 
 
 def _alone(server, payload):

@@ -571,8 +571,8 @@ def test_convergence_draws_through_the_channel_model(monkeypatch):
     seen = []
 
     def recording_run_block(runs):
-        for h_est, sample, csit, _ in runs:
-            seen.append((csit.p_t, h_est, sample.realizations))
+        for start, sample, csit, params in runs:
+            seen.append((csit.p_t, start, params.init_scheme, sample.realizations))
         return run_block(runs)
 
     run_block = harness.run_block
@@ -580,7 +580,7 @@ def test_convergence_draws_through_the_channel_model(monkeypatch):
     run_convergence(cfg)
     n_inits = len(INIT_SCHEMES)
     assert len(seen) == len(snrs) * n_inits
-    for i, (p_t, h_est, realizations) in enumerate(seen):
+    for i, (p_t, start, init, realizations) in enumerate(seen):
         snr_db = snrs[i // n_inits]
         csit = CsitConfig(n_t=cfg.n_t, k=cfg.k, alpha=cfg.alphas[0], p_t=p_t)
         assert p_t == snr_to_pt(snr_db)
@@ -588,7 +588,8 @@ def test_convergence_draws_through_the_channel_model(monkeypatch):
         sample = draw_sample(
             substream(cfg.master_seed, 1), draw.h_est, draw.sigma_e2, cfg.m
         )
-        assert np.array_equal(h_est, draw.h_est), snr_db
+        # each run starts from its init on the drawn estimate
+        assert np.array_equal(start, ao.initialize(init, draw.h_est, p_t, csit.alpha)), snr_db
         assert np.array_equal(realizations, sample.realizations), snr_db
 
 
@@ -883,6 +884,27 @@ def test_overflowing_cell_is_a_failure_not_a_nan(tmp_path, capsys):
         "JMB-ZF-SVD", 3080.0, 0)
     assert failure["error"].startswith("NumericalBreakdown")
     _assert_esr_averages_detail(ExperimentConfig.from_json(cfgp), tmp_path / "o")
+
+
+def test_overflowing_cell_rows_have_run_single_bits(tmp_path):
+    # the config above: JMB-ZF-SVD overflows on channel 0 at 3080 dB, so
+    # the block's stacked scoring call fails and its rows are scored one
+    # at a time; every row written is still run_single's sum rate to the
+    # bit, and the one missing row is the one run_single fails on
+    from jmbeam.errors import NumericalBreakdown
+
+    cfg = ExperimentConfig.from_json(_write_cfg(
+        tmp_path, schemes=["ZF-WF", "JMB-ZF-SVD"], snr_db=[20.0, 3080.0], master_seed=12345))
+    run_sweep(cfg, out_dir=str(tmp_path / "o"))
+    rows = [r.split(",") for r in (tmp_path / "o" / "sr_detail.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(cfg.schemes) * len(cfg.snr_db) * cfg.n_channels - 1
+    for scheme, alpha, snr_db, ch, sr in rows:
+        seed = cell_seed(cfg.master_seed, float(alpha), float(snr_db), int(ch))
+        _, want, _ = run_single(cfg, scheme, float(snr_db), float(alpha), seed)
+        assert sr == repr(want), (scheme, snr_db, ch)
+    assert ("JMB-ZF-SVD", "3080.0", "0") not in {(r[0], r[2], r[3]) for r in rows}
+    with pytest.raises(NumericalBreakdown):
+        run_single(cfg, "JMB-ZF-SVD", 3080.0, 0.6, cell_seed(cfg.master_seed, 0.6, 3080.0, 0))
 
 
 def test_sweep_drops_a_cell_without_a_successful_channel(tmp_path):

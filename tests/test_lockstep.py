@@ -114,7 +114,7 @@ def test_block_runs_match_runs_alone_and_single(tmp_path, monkeypatch, small_blo
     assert sizes == [2 * BLOCK, 2 * BLOCK, 8]
     for runs, results in blocks:
         for run, got in zip(runs, results):
-            assert _same_run(got, run_ao(*run))
+            assert _same_run(got, run_one(ao.ao_steps(*run)))
     # every detail row is run_single's sum rate for its channel, to the bit
     rows = (tmp_path / "sweep" / "sr_detail.csv").read_text().splitlines()[1:]
     assert len(rows) == len(cfg.schemes) * 2 * cfg.n_channels
@@ -147,6 +147,45 @@ def test_zero_db_rows_share_one_alpha_one_run(tmp_path, monkeypatch):
         joint = run_ao(draw.h_est, sample, csit, cfg.ao_params())
         assert _same_run(joint, run_ao(draw.h_est, sample, replace(csit, alpha=1.0),
                                        cfg.ao_params()))
+
+
+def test_block_does_each_channels_one_shot_work_once(monkeypatch, small_blocks):
+    # per channel, one set of zero-forcing directions and at most one
+    # dominant singular vector serve its AWSMSE starts and both one-shot
+    # designs; a block without a failing row scores all its rows in one
+    # stacked average_rates call and makes no sum_rate call
+    cfg = _block_cfg(snr_db=(0.0, 30.0))
+    calls = {"zf": [], "svd": [], "average_rates": 0, "sum_rate": 0}
+
+    def by_estimate(name, fn):
+        def wrapped(h_est, *args):
+            calls[name].append(np.asarray(h_est).tobytes())
+            return fn(h_est, *args)
+        return wrapped
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(ao, "zf_directions", by_estimate("zf", ao.zf_directions))
+    monkeypatch.setattr(ao, "dominant_left_singular_vector",
+                        by_estimate("svd", ao.dominant_left_singular_vector))
+    for name in ("average_rates", "sum_rate"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    blocks = _recorded_sweep(monkeypatch, cfg, None)
+    estimates = {}
+    for snr_db in cfg.snr_db:
+        for ch in range(cfg.n_channels):
+            seed = cell_seed(cfg.master_seed, 0.6, snr_db, ch)
+            estimates[harness._draw(cfg, snr_db, 0.6, seed)[1].h_est.tobytes()] = snr_db
+    assert len(estimates) == len(cfg.snr_db) * cfg.n_channels
+    assert sorted(calls["zf"]) == sorted(estimates)
+    # only at 30 dB does the DoF split give the common column power
+    assert sorted(calls["svd"]) == sorted(h for h, snr in estimates.items() if snr == 30.0)
+    assert len(blocks) == 3 and calls["average_rates"] == len(blocks)
+    assert calls["sum_rate"] == 0
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
@@ -290,7 +329,8 @@ def test_numerical_breakdown_fails_one_run_of_a_block():
         seed = cell_seed(cfg.master_seed, 0.6, snr_db, 0)
         cell = harness._draw(cfg, snr_db, 0.6, seed)
         runs.append(harness._ao_run(cfg, "JMB-AWSMSE", *cell))
-    out = ao.run_block(runs)
+    out = ao.run_block([(ao.initialize(params.init_scheme, h_est, csit.p_t, csit.alpha),
+                         sample, csit, params) for h_est, sample, csit, params in runs])
     assert isinstance(out[1], NumericalBreakdown)
     for i in (0, 2):
         assert _same_run(out[i], run_ao(*runs[i]))
