@@ -24,9 +24,9 @@ zero-forcing gains, and `zf_wf` is its alpha = 1 case. `_precoders`
 builds them all, a sweep cell's from one set of directions at once.
 
 The loop of one run is written once, as the generator `ao_steps`, which
-yields its array work to the lockstep driver (`lockstep.drive`): the
-block update with its rbar (`_updates`), the extrapolation's rates
-(`_rates`) and the requests of `qcqp.solve_steps`. `run_block` steps
+yields its array work to the lockstep driver (`lockstep.drive`): one
+block update per iteration (`_updates`), which first settles the last
+extrapolation, and the requests of `qcqp.solve_steps`. `run_block` steps
 many runs together, one stacked numpy call per request kind, round and
 CHUNK_ROWS realization rows, each run keeping its own warm starts, faces,
 line searches, incumbent fallbacks, extrapolation and stop test; `run_ao`
@@ -66,15 +66,15 @@ INIT_SCHEMES = ("zf-svd", "zf-e", "mf-svd", "mf-e")
 # first iteration whose update is extrapolated (see the module docstring)
 EXTRAPOLATE_FROM = 20
 
-# realization rows (runs x m) that one stacked call of a block update or
-# of the extrapolation's rates serves at most; the runs of a block are
-# served in consecutive chunks (`_chunks`). `_SCRATCH` keeps one chunk's
-# arrays, 0.46 MB per 1000 rows at n_t = k = 2. A whole block at once
-# raised a sweep's peak memory by 3.9-5.4 MB (+9-13%) and, before the
-# per-sample layouts, was at most 7% faster. 1000 rows is 5 runs at
-# m = 200 and one at m = 1000, whatever `harness.BLOCK_ROWS` holds.
+# realization rows (runs or rated points x m) that one stacked call of
+# `_updates` serves at most; the runs of a block are served in
+# consecutive chunks (`_chunks`). `_SCRATCH` keeps one chunk's arrays,
+# 0.46 MB per 1000 rows at n_t = k = 2. A whole block at once raised a
+# sweep's peak memory by 3.9-5.4 MB (+9-13%) and, before the per-sample
+# layouts, was at most 7% faster. 1000 rows is 5 runs at m = 200 and one
+# at m = 1000, whatever `harness.BLOCK_ROWS` holds.
 CHUNK_ROWS = 1000
-_SCRATCH = Arena()  # per-realization arrays of `_updates` and `_rates`
+_SCRATCH = Arena()  # per-realization arrays of `_updates`
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,9 @@ def run_ao(h_est, sample, cfg, params):
     -------
     (p, trace) : final precoder and the full AoTrace. trace.stop_reason
     is 'converged' or 'n_max'; at n_max p is the better of the last
-    update and its extrapolation. Inner-solver failures propagate; an inner
-    MaxIter status is tolerated and visible in the trace.
+    update and its extrapolation, if any, by sample-average sum rate.
+    Inner-solver failures propagate; an inner MaxIter status is tolerated
+    and visible in the trace.
 
     This is `ao_steps` from the `initialize` start, driven alone.
     """
@@ -285,93 +286,86 @@ def run_block(runs):
 
 def ao_steps(p, sample, cfg, params):
     """`run_ao` from the start p, as a generator for the lockstep driver:
-    its requests are the block updates with their rbar, the
-    extrapolation's rates and those of `qcqp.solve_steps`, and it returns
-    (p, trace)."""
+    its requests are one block update per iteration, which settles the last
+    extrapolation, and those of `qcqp.solve_steps`; it returns (p, trace)."""
     trace = AoTrace()
     rbar_prev = 0.0
-    p_prev = None
+    p_prev = p_try = None
     beta = 1.0
     stop = "n_max"
     sol = None
     for n in range(1, params.n_max + 1):
-        q, rbar = yield _updates, (sample, p, cfg.p_t)
+        q, rbar, tried = yield _updates, (sample, p, p_try, cfg.p_t)
+        if tried:
+            p, beta = p_try, beta * 1.5
+        elif p_try is not None:
+            beta = 1.0
         sol = yield from qcqp.solve_steps(
             q, warm=p, warm_dual=None if sol is None else (sol.mu, sol.mu_pow)
         )
-        p_new = sol.p_star
+        p = sol.p_star
 
         trace.append(
             rbar,
             sol.objective + q.omitted_constant,
-            precoder_power(p_new),
+            precoder_power(p),
             sol.status,
             sol.iterations,
             sol.kkt_residual,
         )
         if abs(rbar - rbar_prev) < params.epsilon_r:
-            p = p_new
             stop = "converged"
             break
         rbar_prev = rbar
 
-        # The objective after this update is at least k+1 - ASR(p_new), and
-        # the next one at most k+1 - ASR(next p), so accepting only a higher
-        # ASR keeps the descent. Zero columns stay zero under extrapolation.
-        p = p_new
+        # The objective after this update is at least k+1 - ASR(p), and the
+        # next one at most k+1 - ASR(next p), so accepting only a higher ASR
+        # keeps the descent. Zero columns stay zero under extrapolation.
         if n >= EXTRAPOLATE_FROM:
-            p_try = p_new + beta * (p_new - p_prev)
+            p_try = p + beta * (p - p_prev)
             power = precoder_power(p_try)
             if power > cfg.p_t:
                 p_try *= math.sqrt(cfg.p_t / power)
-            asr, asr_try = yield _rates, ((sample, p_new), (sample, p_try))
-            if asr_try > asr:
-                p = p_try
-                beta *= 1.5
-            else:
-                beta = 1.0
-        p_prev = p_new
+        p_prev = p
+    if stop == "n_max" and p_try is not None:  # no next update settles p_try
+        asr, asr_try = average_rates([sample, sample], np.array([p, p_try])).asr
+        if asr_try > asr:
+            p = p_try
     trace.stop_reason = stop
     return p, trace
 
 
-def _chunks(items):
-    """The samples and stacked precoders of consecutive slices of request
-    items (sample, p, ...) of at most CHUNK_ROWS realization rows (one
-    item at least)."""
-    step = max(1, CHUNK_ROWS // items[0][0].m)
-    for lo in range(0, len(items), step):
-        part = items[lo:lo + step]
-        yield [it[0] for it in part], np.array([it[1] for it in part])
+def _chunks(points):
+    """The samples and stacked precoders of consecutive slices of points
+    (sample, p), each of at most CHUNK_ROWS realization rows or one point."""
+    step = max(1, CHUNK_ROWS // points[0][0].m) if points else 1
+    for lo in range(0, len(points), step):
+        part = points[lo:lo + step]
+        yield [pt[0] for pt in part], np.array([pt[1] for pt in part])
 
 
 def _updates(items):
-    """Per item (sample, p, p_t), in stacked calls: the precoder-update
-    problem after the block update at p, and rbar, read off its averaged
-    log-weights. At the MMSE weights log2 u is the rate of its layer, so
-    rbar is the sample-average sum rate at p (`average_rates`, to
-    round-off). At zero common power v_c is exactly zero, so rbar holds
-    for both forms. The chunks' components are joined, so the round's
-    problems come from one `qcqp.build`."""
+    """Per item (sample, p, p_try, p_t), in stacked calls: whether p_try,
+    if not None, has the higher average sum rate and so is kept in place of
+    p; then the precoder-update problem after the block update at the kept
+    point, and rbar, read off its averaged log-weights. At the MMSE weights
+    log2 u is the rate of its layer, so rbar is the sample-average sum rate
+    there (`average_rates`, to round-off). At zero common power v_c is
+    exactly zero, so rbar holds for both forms. The chunks' components are
+    joined, so the round's problems come from one `qcqp.build`."""
+    tries = [(s, x) for s, p, p_try, _ in items if p_try is not None for x in (p, p_try)]
+    asr = iter([x for samples, p in _chunks(tries)
+                for x in average_rates(samples, p, _SCRATCH).asr.tolist()])
+    # the rates at p, then at p_try
+    tried = [p_try is not None and next(asr) < next(asr) for _, _, p_try, _ in items]
+    kept = [(s, p_try if t else p) for (s, p, p_try, _), t in zip(items, tried)]
     parts = [vars(accumulate_components(s, update_blocks(s, p, _SCRATCH), _SCRATCH))
-             for s, p in _chunks(items)]
+             for s, p in _chunks(kept)]
     comps = AwmmseComponents(**{x: np.concatenate([c[x] for c in parts]) for x in parts[0]})
     rbar = np.min(comps.v_c, axis=-1) + np.sum(comps.v_p, axis=-1)
-    return list(zip(qcqp.build(comps, [it[2] for it in items]), rbar.tolist()))
+    return list(zip(qcqp.build(comps, [it[3] for it in items]), rbar.tolist(), tried))
 
 
-def _rates(payloads):
-    """Average sum rates at each point (sample, p) of each payload, a
-    sequence of points, in stacked calls."""
-    points = [pt for pts in payloads for pt in pts]
-    asr = iter([
-        x for samples, p in _chunks(points)
-        for x in average_rates(samples, p, _SCRATCH).asr.tolist()
-    ])
-    return [[next(asr) for _ in pts] for pts in payloads]
-
-
-# the extrapolation closes an iteration, and the next update starts one:
-# every run of a batch waits there for the others (`lockstep.drive`)
-_rates.rank = -2
-_updates.rank = -3
+# each iteration starts here: every run of a batch waits for the others
+# (`lockstep.drive`)
+_updates.rank = -2

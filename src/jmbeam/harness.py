@@ -486,8 +486,10 @@ def run_convergence(cfg, out_dir=None):
     (`run_block`), each with the bits `run_ao` gives it alone; the first
     run to fail, in (snr, init) order, raises its error.
 
-    The traces are of the config's one alpha; a config with more than
-    one raises ConfigError before anything runs or is written.
+    The traces are of the config's one alpha, and their file names hold
+    the SNR to 6 digits (:g). A config with more than one alpha, or with
+    two SNRs of one name, raises ConfigError before anything runs or is
+    written.
     """
     if len(cfg.alphas) != 1:
         raise ConfigError(
@@ -495,6 +497,8 @@ def run_convergence(cfg, out_dir=None):
             f"{', '.join(map(repr, cfg.alphas))}"
         )
     snrs = list(cfg.snr_db)
+    if len({f"{snr_db:g}" for snr_db in snrs}) != len(snrs):
+        raise ConfigError(f"two SNRs share a trace file name (6 digits): {snrs!r}")
     inits = list(INIT_SCHEMES)
     alpha = float(cfg.alphas[0])
 

@@ -230,13 +230,35 @@ def test_n_max_one():
     assert trace.stop_reason == "n_max"
 
 
+def test_an_n_max_run_keeps_the_better_of_its_last_update_and_extrapolation(monkeypatch):
+    # the desk BC-AWSMSE run at 30 dB on channel 0, cut at n_max = 30: its
+    # last update is extrapolated, no further update settles the
+    # extrapolation, and that point rates higher, so it is the result
+    def recording_solve(q, **kw):
+        sol = yield from solve_steps(q, **kw)
+        stars.append(sol.p_star)
+        return sol
+
+    seed = cell_seed(12345, 0.6, 30.0, 0)
+    cfg, draw, sample = random_system(seed, snr_db=30.0, m=200)
+    stars, solve_steps = [], qcqp.solve_steps
+    monkeypatch.setattr(qcqp, "solve_steps", recording_solve)
+    p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams(n_max=30))
+    assert trace.stop_reason == "n_max"
+    assert len(stars) == len(trace) == 30
+    assert not np.array_equal(p, stars[-1])
+    asr, asr_last = average_rates(sample, p).asr, average_rates(sample, stars[-1]).asr
+    assert asr > asr_last  # 7.782 against 7.159
+
+
 def test_descent_and_audit_identity(monkeypatch):
     def audited(items):
         # at every block update, the rbar read off the averaged log-weights
-        # is the sample-average sum rate at the precoder it started from
+        # is the sample-average sum rate at the precoder it started from:
+        # the extrapolated one if it was kept
         out = updates(items)
-        for (sample, p, _), (_, rbar) in zip(items, out):
-            asr = average_rates(sample, p).asr
+        for (sample, p, p_try, _), (_, rbar, tried) in zip(items, out):
+            asr = average_rates(sample, p_try if tried else p).asr
             assert abs(rbar - asr) <= 1e-12 * max(1.0, asr)
         audits.append(len(out))
         return out
@@ -276,8 +298,9 @@ def test_bc_run_is_the_alpha_one_joint_run(monkeypatch):
         steps = []
 
         def blocks(items):
-            # the block update server, one item (sample, p, ...) per run
-            assert all(np.all(it[1][:, 0] == 0) for it in items)
+            # the block update server, one item (sample, p, p_try, p_t) per
+            # run
+            assert all(np.all(x[:, 0] == 0) for it in items for x in it[1:3] if x is not None)
             return updates(items)
 
         def recording_build(comps, *args, **kw):

@@ -970,3 +970,20 @@ def test_convergence_rejects_more_than_one_alpha(tmp_path, capsys):
     assert main(["convergence", "--config", cfgp, "--out", str(out)]) == 2
     assert "one alpha" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_convergence_rejects_snrs_that_share_a_trace_name(tmp_path, capsys):
+    # the trace files name the SNR to 6 digits: 1000.01 and 1000.015 dB key
+    # different cells but would write one file, so 4 of 8 traces were lost
+    cfg = tiny_cfg(snr_db=(1000.01, 1000.015), m=6, n_max=3)
+    with pytest.raises(ConfigError, match="trace file name"):
+        run_convergence(cfg, out_dir=str(tmp_path / "api"))
+    assert not (tmp_path / "api").exists()
+
+    from jmbeam.cli import main
+
+    cfgp = _write_cfg(tmp_path, snr_db=[1000.01, 1000.015], n_channels=1, m=20)
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", cfgp, "--out", str(out)]) == 2
+    assert "trace file name" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,13 +1,14 @@
 """The block update's scratch arena, its realization sums and the
 per-sample layouts they read.
 
-`ao._updates` and `ao._rates` keep every per-realization array in one
-reused `receivers.Arena`. These tests hold the kernels to the bits of the
-fresh-temporaries formulas in `_oracles`, and the arena to its contract:
-results never alias it, an error in the middle of a call leaves nothing
-behind, and its size does not grow with the number of calls. The
-per-user layouts a `MonteCarloSample` builds for the block update are
-built once, read-only, and freed with their sample.
+`ao._updates`, with the extrapolation's rates it compares first, keeps
+every per-realization array in one reused `receivers.Arena`. These tests
+hold the kernels to the bits of the fresh-temporaries formulas in
+`_oracles`, and the arena to its contract: results never alias it, an
+error in the middle of a call leaves nothing behind, and its size does
+not grow with the number of calls. The per-user layouts a
+`MonteCarloSample` builds for the block update are built once,
+read-only, and freed with their sample.
 """
 
 import gc
@@ -135,18 +136,26 @@ def test_accumulate_reads_the_block_update_rows_in_place():
 
 
 def _items(seed, n, m, scale=10.0):
+    """Block update items (sample, p, p_try, p_t): in turn no
+    extrapolation, and p_try = 2p, p/2 and p. Scaling every column up
+    raises every rate, so 2p is kept and p/2 is not, and p itself is not
+    either, since p_try must rate strictly higher."""
     samples, p = _runs(seed, n, m, scale=scale)
-    return [(s, q, 100.0) for s, q in zip(samples, p)]
+    return [(s, q, None if c is None else c * q, 100.0)
+            for s, q, c in zip(samples, p, (None, 2.0, 0.5, 1.0) * n)]
 
 
 def _expected_updates(items):
     """What `ao._updates` must return, from the oracle formulas run by run."""
     out = []
-    for s, p, p_t in items:
-        comps = _expected([s], p[None])[3]
+    for s, p, p_try, p_t in items:
+        tried = p_try is not None and (
+            fresh_layout_rates(fresh_layout_powers([s], p_try[None]))[2][0]
+            > fresh_layout_rates(fresh_layout_powers([s], p[None]))[2][0])
+        comps = _expected([s], (p_try if tried else p)[None])[3]
         c = AwmmseComponents(**{name: x[0] for name, x in comps.items()})
         rbar = np.min(c.v_c) + np.sum(c.v_p)
-        out.append((qcqp.build(c, p_t), float(rbar)))
+        out.append((qcqp.build(c, p_t), float(rbar), tried))
     return out
 
 
@@ -155,13 +164,13 @@ def _snapshot(results):
     return [
         [getattr(q, name).tobytes() for name in ("psi_obj", "f_obj", "psi_con", "f_con",
                                                  "con_const")]
-        + [q.omitted_constant, q.p_t, rbar]
-        for q, rbar in results
+        + [q.omitted_constant, q.p_t, rbar, tried]
+        for q, rbar, tried in results
     ]
 
 
 def _arrays(results):
-    return [getattr(q, name) for q, _ in results
+    return [getattr(q, name) for q, *_ in results
             for name in ("psi_obj", "f_obj", "psi_con", "f_con", "con_const")]
 
 
@@ -178,27 +187,24 @@ def arena(monkeypatch):
 
 
 def test_block_update_results_do_not_live_in_the_arena(arena):
-    # 7 runs at m = 200 are two chunks (5 + 2); a second call of the same
-    # shape with other inputs overwrites the arena, not the first results
+    # 7 runs at m = 200 are two chunks (5 + 2), and their 5 rated pairs
+    # two more (5 points + 5); a second call of the same shape with other
+    # inputs overwrites the arena, not the first results. The kept point
+    # is the one the oracle's rates pick: 2p twice, p/2 and p never
     first_items, second_items = _items(1, 7, 200), _items(2, 7, 200)
     first = ao._updates(first_items)
     kept = _snapshot(first)
     assert kept == _snapshot(_expected_updates(first_items))
+    assert [tried for *_, tried in first] == [False, True, False, False, False, True, False]
     second = ao._updates(second_items)
     assert _snapshot(first) == kept
     assert _snapshot(second) == _snapshot(_expected_updates(second_items))
     _assert_outside(arena, _arrays(first) + _arrays(second))
     # the components the update reads live outside it too
-    samples = [s for s, _, _ in first_items[:5]]
-    gw = update_blocks(samples, np.array([p for _, p, _ in first_items[:5]]), arena)
+    samples = [it[0] for it in first_items[:5]]
+    gw = update_blocks(samples, np.array([it[1] for it in first_items[:5]]), arena)
     comps = accumulate_components(samples, gw, arena)
     _assert_outside(arena, vars(comps).values())
-    # and the extrapolation's rates, per point, are those of the oracle
-    points = [[(s, p), (s, 2.0 * p)] for s, p, _ in first_items]
-    got = ao._rates(points)
-    for pts, rates in zip(points, got):
-        for (s, p), asr in zip(pts, rates):
-            assert asr == fresh_layout_rates(fresh_layout_powers([s], p[None]))[2][0]
 
 
 @pytest.mark.parametrize("error,scale", [(NumericalBreakdown, 1e160),
@@ -209,7 +215,7 @@ def test_an_error_mid_call_leaves_the_arena_clean(arena, error, scale):
     # each payload alone, as `drive` does, and every good run and the next
     # full call still have the oracle's bits
     items = _items(3, 7, 200)
-    s, p, p_t = items[-1]
+    s, p, _, p_t = items[-1]
     bad = p.copy()
     if scale is None:
         # a common power about 1e304 times the private ones: the MMSE
@@ -218,7 +224,7 @@ def test_an_error_mid_call_leaves_the_arena_clean(arena, error, scale):
         bad[:, 1:] *= 1e-3
     else:
         bad *= scale
-    payloads = items[:-1] + [(s, bad, p_t)]
+    payloads = items[:-1] + [(s, bad, None, p_t)]
     with pytest.raises(error):
         ao._updates(payloads)
     results = [lockstep._alone(ao._updates, it) for it in payloads]
@@ -235,11 +241,10 @@ def test_arena_size_is_one_chunk_at_the_largest_shape(arena):
     for n, m in ((1, 200), (7, 200), (3, 1000), (12, 200), (2, 50), (9, 200)):
         items = _items(n + m, n, m)
         ao._updates(items)
-        ao._rates([[(s, p)] for s, p, _ in items])
     grown = sum(buf.nbytes for buf in arena.values())
     one = Arena()
     items = _items(4, 5, 200)
-    _kernels([s for s, _, _ in items], np.array([p for _, p, _ in items]), one)
+    _kernels([it[0] for it in items], np.array([it[1] for it in items]), one)
     assert sum(buf.nbytes for buf in one.values()) == grown
     assert grown < 2**20
 
@@ -292,7 +297,7 @@ def test_psi_is_exactly_hermitian_and_the_alpha_one_run_has_no_common_layer():
     for name in ("psi_c", "f_c", "t_c", "v_c"):
         assert not getattr(comps, name)[0].any(), name
         assert getattr(comps, name)[1:].all(), name
-    problems = [q for q, _ in ao._updates([(s, q, 100.0) for s, q in zip(samples, p)])]
+    problems = [q for q, *_ in ao._updates([(s, q, None, 100.0) for s, q in zip(samples, p)])]
     assert [q.include_common for q in problems] == [False] + [True] * 4
 
 
