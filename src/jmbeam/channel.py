@@ -74,10 +74,12 @@ class CsitConfig:
     p_t: float
 
     def __post_init__(self):
+        for name in ("n_t", "k"):  # numpy takes neither a float nor a bool as a size
+            v = getattr(self, name)
+            if type(v) is bool or not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.k > self.n_t:
             raise ValueError(f"k={self.k} users exceed n_t={self.n_t} antennas")
-        if self.k < 1 or self.n_t < 1:
-            raise ValueError("n_t and k must be >= 1")
         error_variance(self.p_t, self.alpha)  # checks p_t and alpha
 
     @property
@@ -176,7 +178,7 @@ def draw_sample(rng, h_est, sigma_e2, m):
     Errors are independent CN(0, sigma_e2) draws; sigma_e2 = 0 draws
     signed zeros, so the realizations are m copies of the estimate.
     """
-    if not isinstance(m, numbers.Integral) or m < 1:
+    if type(m) is bool or not isinstance(m, numbers.Integral) or m < 1:
         raise ValueError("m must be an integer >= 1")
     h_est = np.asarray(h_est, dtype=complex)
     err = complex_gaussian(rng, (m,) + h_est.shape, var=sigma_e2)

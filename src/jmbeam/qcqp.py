@@ -44,8 +44,8 @@ the generator `solve_steps`, whose array work the lockstep driver
 (`lockstep.drive`) serves for many problems at once: the dual
 evaluations with their Hessians in one stacked inverse over every
 problem's distinct matrices (`_duals`), the face systems of one size in
-one stacked solve (`_eqps`), and the objective and KKT terms of the
-returned and incumbent points (`_points`). The active-set bookkeeping
+one stacked solve (`_eqps`), and the objective and KKT terms of each
+start's point with the incumbent (`_points`). The active-set bookkeeping
 of a step runs on Python floats, per problem. `solve` is the guard and
 the driver on one problem.
 """
@@ -58,7 +58,7 @@ import numpy as np
 from .errors import NumericalBreakdown
 from .linalg import cholesky_psd
 from .lockstep import run_one
-from .receivers import _stack, precoder_power
+from .receivers import _stack
 
 __all__ = [
     "QcqpProblem",
@@ -415,10 +415,9 @@ def _face_newton(q, z):
     below FACE_TOL, or below WARM_TOL and no longer halving, since the
     rounding of the constraint values bounds them from below.
 
-    A generator for the lockstep driver. Returns (z, P, constraint
-    values, steps) at the iterate with the smallest terms, steps
-    counting all the Newton steps taken; None if the dual cannot be
-    evaluated at z.
+    A generator for the lockstep driver. Returns (z, P, steps) at the
+    iterate with the smallest terms, steps counting all the Newton steps
+    taken; None if the dual cannot be evaluated at z.
     """
     p_t, max_steps = q.p_t, 20
     ev = yield _duals, (q, z)
@@ -427,18 +426,17 @@ def _face_newton(q, z):
         if ev is None:
             break
         value, grad, hess, p = ev
-        cons = grad[:-1]
+        cons = grad[:-1].tolist()
         *mu, z_pow = z.tolist()
-        cons_l = cons.tolist()
-        xi = max(cons_l, default=0.0)
+        xi = max(cons, default=0.0)
         excess = float(grad[-1]) * p_t
-        res = _slack_terms(q, xi, cons_l, excess, mu, z_pow / p_t)
+        res = _slack_terms(q, xi, cons, excess, mu, z_pow / p_t)
         if z_pow > 0.0:
             # a free mu_pow makes the budget an equality of the face; the
             # slackness product hides its gap when mu_pow is small
             res = max(res, abs(excess) / max(1.0, p_t))
         if res < res_best:
-            best, res_best = (z, p, cons), res
+            best, res_best = (z, p), res
         if res <= FACE_TOL or (res_best <= WARM_TOL and res > 0.5 * res_prev):
             break
         y = None if steps == max_steps else (yield from _model_step(z, grad, hess))
@@ -468,10 +466,6 @@ def _face_newton(q, z):
     return None if best is None else (*best, steps)
 
 
-def _within_budget(q, p):
-    return precoder_power(p) <= q.p_t * (1.0 + 1e-9)
-
-
 def solve(q, warm=None, warm_dual=None):
     """Solve the precoder-update problem.
 
@@ -492,10 +486,9 @@ def solve(q, warm=None, warm_dual=None):
     definite), then from the centre with mu_pow = 0 (a dual linear in
     mu_pow, as when f = 0, gives a zero model step from the first). The
     first result within the budget with a recomputed KKT residual of at
-    most WARM_TOL is kept, with status 'Optimal'. If none is, the result
-    with the smallest residual is scaled into the budget and returned,
-    'Optimal' if its residual is at most OPTIMAL_TOL and 'MaxIter'
-    otherwise.
+    most WARM_TOL is kept; if none is, the one with the smallest residual,
+    scaled into the budget. The status is 'Optimal' if the returned
+    point's recomputed residual is at most OPTIMAL_TOL, else 'MaxIter'.
     `iterations` counts the Newton steps of all starts. The returned
     point is always feasible to 1e-9.
 
@@ -521,84 +514,66 @@ def solve(q, warm=None, warm_dual=None):
 def solve_steps(q, warm=None, warm_dual=None):
     """`solve` without the guard, as a generator for the lockstep driver:
     q comes guarded from `build`. Its requests are dual evaluations, face
-    systems and point checks, and it returns the QcqpSolution."""
-    centre = np.full(len(q.con_const) + 1, 1.0 / q.k)
-    centre[-1] = 1.0
-    flat = centre.copy()
-    flat[-1] = 0.0
-    starts = [centre, flat]
+    systems and point ratings, and it returns the QcqpSolution."""
+    centre = np.append(np.full(len(q.con_const), 1.0 / q.k), 1.0)
+    starts = [centre, np.append(centre[:-1], 0.0)]
     if warm_dual is not None:
         z = np.concatenate((np.ravel(warm_dual[0]), [float(warm_dual[1]) * q.p_t]))
         if z.size == centre.size and np.isfinite(z).all() and z.min() >= 0.0:
             starts.insert(0, z)
-    if warm is not None:
-        warm = np.asarray(warm, dtype=complex)
+    incumbent = [] if warm is None else [np.array(warm, dtype=complex, order="C")]
+    budget = q.p_t * (1.0 + 1e-9)
     best, steps = None, 0
     for z in starts:
         fin = yield from _face_newton(q, z)
         if fin is None:
             continue
-        steps += fin[3]
-        sol, incumbent = yield from _solution(q, fin, warm)
-        if sol.kkt_residual <= WARM_TOL and _within_budget(q, sol.p_star):
+        z, p, n = fin
+        steps += n
+        # _duals' P is a transposed view
+        rated = yield from _rated(q, z, [np.ascontiguousarray(p), *incumbent])
+        _, _, _, residual, pw = rated[0]
+        if residual <= WARM_TOL and pw <= budget:
             break
-        if best is None or sol.kkt_residual < best[0]:
-            best = sol.kkt_residual, fin
+        if best is None or residual < best[0]:
+            best = residual, z, rated
     else:
         if best is None:
             raise NumericalBreakdown("the dual is not finite at any start")
         # no start certified: the best result, scaled into the budget
-        z, p, cons, _ = best[1]
-        pw = precoder_power(p)
+        _, z, rated = best
+        p, _, _, _, pw = rated[0]
         if pw > q.p_t:
-            p = p * np.sqrt(q.p_t / pw)
-            cons = constraint_values(q, p)
-        sol, incumbent = yield from _solution(q, (z, p, cons, 0), warm)
-        sol.status = "MaxIter"
-    sol.iterations = steps
-
+            rated[:1] = yield from _rated(q, z, [p * np.sqrt(q.p_t / pw)])
     # never return a point worse than the incumbent (descent guarantee),
     # judged under the returned multipliers
-    if warm is not None:
-        obj, cons, pw, res = incumbent
-        xi_w = float(max(cons, default=0.0))
-        obj_w = xi_w + obj
-        if pw <= q.p_t * (1.0 + 1e-9) and (
-            obj_w < sol.objective or not np.isfinite(sol.objective)
-        ):
-            sol.p_star, sol.xi_c_star, sol.objective = warm.copy(), xi_w, obj_w
-            sol.kkt_residual = _residual(q, xi_w, cons, pw, res, sol.mu, sol.mu_pow)
-    # a tiny recomputed residual certifies optimality of the returned
-    # point for this convex problem even if no start reached WARM_TOL
-    if sol.status == "MaxIter" and sol.kkt_residual <= OPTIMAL_TOL:
-        sol.status = "Optimal"
-    return sol
-
-
-def _solution(q, fin, warm):
-    """QcqpSolution at a face result (z, P, constraint values, steps),
-    with its recomputed KKT residual and status 'Optimal', and the
-    `_points` result at the incumbent `warm` (None without one) under
-    the same multipliers (a generator)."""
-    z, p, cons, steps = fin
-    xi = float(max(cons, default=0.0))
-    mu, mu_pow = z[:-1], float(z[-1]) / q.p_t
-    p_star = np.ascontiguousarray(p)  # _duals' P is a transposed view
-    points = [(q, p_star, mu, mu_pow)]
-    if warm is not None:
-        points.append((q, warm, mu, mu_pow))
-    (obj, cons, pw, res), *incumbent = yield _points, points
-    sol = QcqpSolution(
-        p_star=p_star,
+    p, xi, objective, residual, _ = rated[0]
+    for w in rated[1:]:
+        if w[4] <= budget and (w[2] < objective or not np.isfinite(objective)):
+            p, xi, objective, residual, _ = w
+    return QcqpSolution(
+        p_star=p,
         xi_c_star=xi,
-        objective=xi + obj,
-        kkt_residual=_residual(q, xi, cons, pw, res, mu, mu_pow),
+        objective=objective,
+        kkt_residual=residual,
         iterations=steps,
-        status="Optimal",
-        mu=mu,
-        mu_pow=mu_pow,
+        status="Optimal" if residual <= OPTIMAL_TOL else "MaxIter",
+        mu=z[:-1],
+        mu_pow=float(z[-1]) / q.p_t,
     )
-    return sol, (incumbent[0] if incumbent else None)
+
+
+def _rated(q, z, points):
+    """Each precoder P of `points` rated under the multipliers of z in one
+    `_points` request (a generator): (P, xi_c, objective, recomputed KKT
+    residual, power), xi_c the largest constraint value at P."""
+    mu, mu_pow = z[:-1], float(z[-1]) / q.p_t
+    values = yield _points, [(q, p, mu, mu_pow) for p in points]
+    out = []
+    for p, (obj, cons, pw, res) in zip(points, values):
+        xi = float(max(cons, default=0.0))
+        out.append((p, xi, xi + obj, _residual(q, xi, cons, pw, res, mu, mu_pow), pw))
+    return out
 
 
 def _points(payloads):

@@ -70,6 +70,20 @@ def test_csit_config_validation():
             CsitConfig(n_t=2, k=2, alpha=alpha, p_t=p_t)
 
 
+def test_sizes_must_be_integers():
+    # numpy takes neither a float nor a bool as an array size, so either
+    # is rejected where it comes in, naming the field, not in make_draw or
+    # in the sample's draw; numpy's own integers are sizes
+    for n_t, k, name in ((2.0, 2, "n_t"), (2, 1.5, "k"), (True, True, "n_t"), (2, True, "k")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            CsitConfig(n_t=n_t, k=k, alpha=0.6, p_t=10.0)
+    with pytest.raises(ValueError, match="^m must be an integer"):
+        draw_sample(substream(1, 1), np.ones((2, 2)), 0.1, True)
+    cfg = CsitConfig(n_t=np.int64(3), k=np.int64(2), alpha=0.6, p_t=10.0)
+    draw = make_draw(substream(1, 0), cfg)
+    assert draw_sample(substream(1, 1), draw.h_est, 0.1, np.int64(4)).realizations.shape == (4, 3, 2)
+
+
 # ---------------------------------------------------------------------------
 # substreams
 

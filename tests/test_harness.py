@@ -907,6 +907,37 @@ def test_overflowing_cell_rows_have_run_single_bits(tmp_path):
         run_single(cfg, "JMB-ZF-SVD", 3080.0, 0.6, cell_seed(cfg.master_seed, 0.6, 3080.0, 0))
 
 
+def test_a_channel_whose_directions_fail_drops_only_its_own_rows(tmp_path, monkeypatch):
+    # the second channel's `_precoders` call (its starts and one-shot
+    # designs) fails: meta.json lists that channel's four schemes, and
+    # every row of the other two channels is written with run_single's bits
+    from jmbeam.errors import RankDeficient
+
+    cfg = ExperimentConfig.from_dict({"snr_db": [20], "n_channels": 3, "m": 20})
+    calls = []
+    precoders = harness._precoders
+
+    def second_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RankDeficient("forced")
+        return precoders(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_precoders", second_fails)
+    run_sweep(cfg, out_dir=str(tmp_path))
+    monkeypatch.undo()
+    failures = json.loads((tmp_path / "meta.json").read_text())["failures"]
+    assert [(f["scheme"], f["channel"], f["error"]) for f in failures] == [
+        (s, 1, "RankDeficient: forced") for s in SCHEMES]
+    rows = [r.split(",") for r in (tmp_path / "sr_detail.csv").read_text().splitlines()[1:]]
+    assert sorted((r[0], r[3]) for r in rows) == sorted(
+        (s, ch) for s in SCHEMES for ch in ("0", "2"))
+    for scheme, alpha, snr_db, ch, sr in rows:
+        seed = cell_seed(cfg.master_seed, float(alpha), float(snr_db), int(ch))
+        _, want, _ = run_single(cfg, scheme, float(snr_db), float(alpha), seed)
+        assert sr == repr(want), (scheme, ch)
+
+
 def test_sweep_drops_a_cell_without_a_successful_channel(tmp_path):
     # JMB-ZF-SVD fails on the one channel of its 3080 dB cell: that cell
     # gets no esr.csv row and one failure in meta.json, the others a row

@@ -368,7 +368,7 @@ def test_uncertified_solve_returns_best_start(monkeypatch):
 
     def counted(q, z):
         fin = yield from face_newton(q, z)
-        steps.append(fin[3])
+        steps.append(fin[-1])
         return fin
 
     monkeypatch.setattr(qcqp, "_face_newton", counted)
@@ -610,6 +610,7 @@ def test_solve_accepts_rank_deficient_component():
             assert all(np.linalg.matrix_rank(psi) == 1 for psi in q.psi_con)
             sol = solve(q)
             assert precoder_power(sol.p_star) <= q.p_t * (1.0 + 1e-9)
+            assert (sol.status == "Optimal") == (sol.kkt_residual <= qcqp.OPTIMAL_TOL)
             if snr_db <= 10.0:
                 assert sol.status == "Optimal", (seed, snr_db)
                 assert sol.kkt_residual <= qcqp.WARM_TOL, (seed, snr_db)
