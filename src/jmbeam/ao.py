@@ -92,7 +92,7 @@ class AoParams:
         eps, n_max, scheme = self.epsilon_r, self.n_max, self.init_scheme
         if type(eps) is bool or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
             raise ValueError(f"epsilon_r must be a positive finite number, got {eps!r}")
-        if type(n_max) is bool or not isinstance(n_max, int) or n_max < 1:
+        if type(n_max) is bool or not isinstance(n_max, numbers.Integral) or n_max < 1:
             raise ValueError(f"n_max must be an integer of at least 1, got {n_max!r}")
         if not isinstance(scheme, str) or scheme.lower() not in INIT_SCHEMES:
             raise ValueError(f"unknown init scheme {scheme!r}")

@@ -180,6 +180,8 @@ def draw_sample(rng, h_est, sigma_e2, m):
     """
     if type(m) is bool or not isinstance(m, numbers.Integral) or m < 1:
         raise ValueError("m must be an integer >= 1")
+    if not 0 <= sigma_e2 < np.inf:
+        raise ValueError(f"sigma_e2 must be nonnegative and finite, got {sigma_e2!r}")
     h_est = np.asarray(h_est, dtype=complex)
     err = complex_gaussian(rng, (m,) + h_est.shape, var=sigma_e2)
     return MonteCarloSample(realizations=h_est + err)

@@ -100,7 +100,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _floats(name, getattr(self, name)))
         object.__setattr__(self, "epsilon_r", *_floats("epsilon_r", (self.epsilon_r,)))
 
-        for name in ("n_t", "k", "m", "n_channels", "threads"):
+        for name in ("n_t", "k", "m", "n_channels", "threads", "n_max"):
             v = getattr(self, name)
             if not _is_number(v, int) or v < 1:
                 bad(f"{name} must be a positive integer, got {v!r}")
@@ -128,7 +128,7 @@ class ExperimentConfig:
         if len(set(self.schemes)) < len(self.schemes):
             bad("schemes holds a scheme twice")
         try:
-            self.ao_params()  # AoParams checks epsilon_r and n_max
+            self.ao_params()  # AoParams checks epsilon_r
         except ValueError as e:
             bad(str(e))
 

@@ -45,7 +45,9 @@ the generator `solve_steps`, whose array work the lockstep driver
 evaluations with their Hessians in one stacked inverse over every
 problem's distinct matrices (`_duals`), the face systems of one size in
 one stacked solve (`_eqps`), and the objective and KKT terms of each
-start's point with the incumbent (`_points`). The active-set bookkeeping
+start's point with the incumbent (`_points`). `_duals` and `_points`
+share one layout of a round, `_round`: joint problems first, fields
+stacked, common-column matrices formed once. The active-set bookkeeping
 of a step runs on Python floats, per problem. `solve` is the guard and
 the driver on one problem.
 """
@@ -170,21 +172,26 @@ def build(components, p_t):
     return problems if lead else problems[0]
 
 
-def _joint_first(problems):
-    """Indices of `problems`, those of the joint form first, in order."""
-    return sorted(range(len(problems)), key=lambda i: not problems[i].include_common)
-
-
-def _fields(problems):
-    """The arrays of problems listed joint form first, stacked: psi_obj,
-    f_obj and p_t over all of them, and psi_con, f_con and con_const
-    over the first nc, the joint ones."""
-    nc = sum(q.include_common for q in problems)
-    out = {"nc": nc, "p_t": np.array([q.p_t for q in problems])}
+def _round(items):
+    """A server round's (problem, mu, mu_pow) items, joint form first
+    (`order`, the first nc), stacked: psi_obj, f_obj, p_t, mu_pow and the
+    common-column matrix m_0 = sum_u mu_u psi_con[u] + mu_pow I of all,
+    and psi_con, f_con, con_const and mu (nc, 1, K) of the joint ones."""
+    order = sorted(range(len(items)), key=lambda i: not items[i][0].include_common)
+    qs = [items[i][0] for i in order]
+    nc, r, n_t = sum(q.include_common for q in qs), len(qs), qs[0].n_t
+    out = {"order": order, "nc": nc, "p_t": np.array([q.p_t for q in qs]),
+           "mu_pow": np.array([items[i][2] for i in order], dtype=float)}
     for name, n in (("psi_obj", None), ("f_obj", None), ("psi_con", nc),
                     ("f_con", nc), ("con_const", nc)):
-        if problems[:n]:
-            out[name] = _stack([getattr(q, name) for q in problems[:n]])
+        if qs[:n]:
+            out[name] = _stack([getattr(q, name) for q in qs[:n]])
+    out["m_0"] = m_0 = np.zeros((r, n_t, n_t), dtype=complex)
+    if nc:
+        out["mu"] = np.array([items[i][1] for i in order[:nc]])[:, None]
+        np.matmul(out["mu"], out["psi_con"].reshape(nc, -1, n_t * n_t),
+                  out=m_0[:nc].reshape(nc, 1, -1))
+    _add_diag(m_0, out["mu_pow"])
     return out
 
 
@@ -242,30 +249,17 @@ def _duals(items):
     evaluated item by item, since the inverse does not say which system
     is singular; a power sum that is not finite is decided by value in
     the one stacked pass, run without overflow and invalid warnings,
-    whose calls each act on one item. The joint problems are stacked
+    whose calls each act on one item. `_round` stacks the joint problems
     first, so what involves the common column acts on a leading slice
     and the rest on all problems of both forms at once.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        order = _joint_first([q for q, _ in items])
-        qs = [items[i][0] for i in order]
-        zs = [items[i][1] for i in order]
-        f = _fields(qs)
-        nc, r, n_t, k, p_t = f["nc"], len(qs), qs[0].n_t, qs[0].k, f["p_t"]
-        mu_pow = np.array([z[-1] for z in zs]) / p_t
-        # the common matrices of the joint problems, then every private one
-        mats = np.empty((nc + r, n_t, n_t), dtype=complex)
-        m_c, priv = mats[:nc], mats[nc:]
-        if nc:
-            mu = np.array(zs[:nc])[:, None, :-1]
-            np.matmul(mu, f["psi_con"].reshape(nc, k, -1), out=m_c.reshape(nc, 1, -1))
-            _add_diag(m_c, mu_pow[:nc])
-            np.add(m_c, f["psi_obj"][:nc], out=priv[:nc])
-        if nc < r:
-            priv[nc:] = f["psi_obj"][nc:]
-            _add_diag(priv[nc:], mu_pow[nc:])
+        f = _round([(q, z[:-1], z[-1] / q.p_t) for q, z in items])
+        order, nc, m_0, p_t, mu_pow = f["order"], f["nc"], f["m_0"], f["p_t"], f["mu_pow"]
+        r, n_t, k = len(order), m_0.shape[-1], items[0][0].k
         try:
-            inv = np.linalg.inv(mats)
+            # the common matrices of the joint problems, then every private one
+            inv = np.linalg.inv(np.concatenate([m_0[:nc], f["psi_obj"] + m_0]))
         except np.linalg.LinAlgError:
             return [None] if len(items) == 1 else [_duals([it])[0] for it in items]
         inv_c, inv_p = inv[:nc], inv[nc:]
@@ -275,9 +269,9 @@ def _duals(items):
         np.matmul(f["f_obj"], inv_p.transpose(0, 2, 1), out=pt[:, 1:])
         value = np.zeros(r)
         if nc:
-            b_c = np.matmul(mu, f["f_con"])
+            b_c = np.matmul(f["mu"], f["f_con"])
             np.matmul(b_c, inv_c.transpose(0, 2, 1), out=pt[:nc, :1])
-            value[:nc] = (mu @ f["con_const"][..., None])[:, 0, 0]
+            value[:nc] = (f["mu"] @ f["con_const"][..., None])[:, 0, 0]
             value[:nc] -= _dots(b_c, pt[:nc, :1]).real
         pw = _dots(pt, pt).real
         value -= _dots(f["f_obj"], pt[:, 1:]).real + mu_pow * p_t
@@ -581,15 +575,12 @@ def _points(payloads):
     sequence of points, in stacked calls: the objective at P without
     xi_c, the constraint values, the power and the normalized
     stationarity residual (in P and xi_c) of `kkt_residual` under the
-    multipliers (mu, mu_pow). Returns one list of results per payload."""
+    multipliers (mu, mu_pow), recomputed from the problem data on
+    `_round`'s layout. Returns one list of results per payload."""
     items = [it for points in payloads for it in points]
-    order = _joint_first([it[0] for it in items])
-    f = _fields([items[i][0] for i in order])
-    nc, r = f["nc"], len(order)
-    psi_obj, f_obj = f["psi_obj"], f["f_obj"]
-    n_t = psi_obj.shape[-1]
+    f = _round([(q, mu, mu_pow) for q, _, mu, mu_pow in items])
+    order, nc, psi_obj, f_obj = f["order"], f["nc"], f["psi_obj"], f["f_obj"]
     p = np.array([items[i][1] for i in order])
-    mu_pow = np.array([items[i][3] for i in order], dtype=float)
 
     priv = p[:, :, 1:]
     quad = _dots(priv, psi_obj @ priv).real
@@ -598,22 +589,15 @@ def _points(payloads):
     # stationarity in each column, M_j p_j - b_j with the M_j, b_j of _duals
     pw = _dots(p, p).real
     scale = 1.0 + np.sqrt(_dots(f_obj, f_obj).real) + np.sqrt(pw)
-    m_0 = np.zeros((r, n_t, n_t), dtype=complex)
-    cons = [[]] * r
-    if nc:
-        mu = np.array([items[i][2] for i in order[:nc]])[:, None]
-        np.matmul(mu, f["psi_con"].reshape(nc, -1, n_t * n_t),
-                  out=m_0[:nc].reshape(nc, 1, -1))
-    _add_diag(m_0, mu_pow)
-    stat = m_0 @ p
+    out, cons = [None] * len(order), [[]] * len(order)
+    stat = f["m_0"] @ p
     stat[:, :, 1:] += psi_obj @ p[:, :, 1:] - f_obj.transpose(0, 2, 1)
     if nc:
-        stat[:nc, :, 0] -= (mu @ f["f_con"])[:, 0]
+        stat[:nc, :, 0] -= (f["mu"] @ f["f_con"])[:, 0]
         cons[:nc] = _cons(
             f["psi_con"], f["f_con"], f["con_const"], p[:nc].transpose(0, 2, 1)
         ).tolist()
     res = np.sqrt((stat.conj() * stat).real.sum(axis=1).max(axis=-1)) / scale
-    out = [None] * r
     for j, i in enumerate(order):
         out[i] = (float(obj[j]), cons[j], float(pw[j]), float(res[j]))
     out = iter(out)

@@ -173,6 +173,15 @@ def test_params_reject_what_the_experiment_config_rejects(field, value):
         ExperimentConfig(**{field: value})
 
 
+def test_params_take_a_numpy_integer_n_max_that_the_config_rejects():
+    # any integer but a bool caps the iterations, as CsitConfig and
+    # draw_sample take numpy integers as sizes; the experiment config
+    # still rejects one, since meta.json must serialize it
+    assert AoParams(n_max=np.int64(5)).n_max == 5
+    with pytest.raises(ConfigError, match="^n_max must be a positive integer"):
+        ExperimentConfig(n_max=np.int64(5))
+
+
 def test_trace_csv_round_trip(tmp_path):
     # the trace files run_convergence writes: one row per iteration,
     # numbered from 1, whose floats parse back to the trace's exactly

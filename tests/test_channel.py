@@ -186,6 +186,15 @@ def test_draw_sample_zero_error_copies():
         assert np.array_equal(s.realizations[m], h_est)
 
 
+def test_draw_sample_rejects_a_variance_that_is_not_one():
+    # a negative or NaN variance drew an all-NaN sample and an infinite
+    # one an infinite sample; each is rejected naming the field, as
+    # error_variance rejects its inputs (zero: the test above)
+    for bad in (-0.1, float("nan"), float("inf"), -np.inf):
+        with pytest.raises(ValueError, match="^sigma_e2 must be nonnegative and finite"):
+            draw_sample(substream(1, 1), np.ones((2, 2)), bad, 2)
+
+
 def test_draw_sample_conditional_mean():
     # average over m recovers the estimate; 4 standard errors at M = 1e4
     cfg = CsitConfig(n_t=2, k=2, alpha=0.6, p_t=10.0)

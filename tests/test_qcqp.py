@@ -421,6 +421,51 @@ def test_duals_decides_a_non_finite_item_in_the_stacked_pass():
             assert np.array_equal(got, want)
 
 
+def _server_rounds():
+    """Rounds of (problem, mu, mu_pow) items over one size, n_t = k = 2:
+    joint and broadcast problems with a one-realization one, shuffled,
+    then all joint, then all broadcast."""
+    rng = np.random.default_rng(34)
+    joint = [problem_from_seed(s)[0] for s in range(3)] + [problem_from_seed(14, m=1)[0]]
+    bc = [problem_from_seed(s, common=False)[0] for s in range(3, 6)]
+    for qs in ([joint[i] for i in rng.permutation(4)] + bc, joint, bc):
+        items = [(q, rng.dirichlet(np.ones(q.con_const.size)) if q.include_common
+                  else np.zeros(0), rng.uniform(0.1, 2.0)) for q in qs]
+        yield [items[i] for i in rng.permutation(len(items))], rng
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_each_item_of_a_server_round_has_its_bits_alone():
+    # _duals and _points stack a round's items joint form first; whatever
+    # the mix and the order, each item gets the bits it gets alone
+    for items, rng in _server_rounds():
+        evs = qcqp._duals([(q, np.append(mu, mu_pow * q.p_t)) for q, mu, mu_pow in items])
+        for (q, mu, mu_pow), ev in zip(items, evs):
+            (alone,) = qcqp._duals([(q, np.append(mu, mu_pow * q.p_t))])
+            _same_bits(ev, alone)
+        payloads = []
+        for q, mu, mu_pow in items:
+            points = []
+            for _ in range(rng.integers(1, 4)):
+                p = random_precoder(rng, q.n_t, q.k, q.p_t)
+                if not q.include_common:
+                    p[:, 0] = 0.0
+                points.append((q, p, mu, mu_pow))
+            payloads.append(points)
+        for points, rated in zip(payloads, qcqp._points(payloads)):
+            assert len(rated) == len(points)
+            for point, got in zip(points, rated):
+                ((want,),) = qcqp._points([[point]])
+                _same_bits(got, want)
+
+
 def test_model_step_ends_with_none_on_a_step_that_is_not_finite():
     # driven by hand: the first face system goes to `_eqps`, and its
     # answer, a step with an inf, ends the active-set loop with no point
