@@ -30,8 +30,9 @@ extrapolation, and the requests of `qcqp.solve_steps`. `run_block` steps
 many runs together, one stacked numpy call per request kind, round and
 CHUNK_ROWS realization rows, each run keeping its own warm starts, faces,
 line searches, incumbent fallbacks, extrapolation and stop test; `run_ao`
-drives one from its `initialize` start. A run's bits do not depend on
-its companions.
+drives one alone. All three take a run as (start, sample, p_t, params),
+the start built by the caller (`initialize`). A run's bits do not
+depend on its companions.
 """
 
 import math
@@ -79,23 +80,19 @@ _SCRATCH = Arena()  # per-realization arrays of `_updates`
 
 @dataclass(frozen=True)
 class AoParams:
-    """Loop controls: outer stopping threshold (bits), iteration cap and
-    the initialization scheme."""
+    """Loop controls: outer stopping threshold (bits) and iteration cap."""
 
     epsilon_r: float = 1e-3
     n_max: int = 200
-    init_scheme: str = "zf-svd"
 
     def __post_init__(self):
         # ExperimentConfig checks through here too: an infinite threshold
         # stops every run after one update, and a bool is not a number
-        eps, n_max, scheme = self.epsilon_r, self.n_max, self.init_scheme
+        eps, n_max = self.epsilon_r, self.n_max
         if type(eps) is bool or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
             raise ValueError(f"epsilon_r must be a positive finite number, got {eps!r}")
         if type(n_max) is bool or not isinstance(n_max, numbers.Integral) or n_max < 1:
             raise ValueError(f"n_max must be an integer of at least 1, got {n_max!r}")
-        if not isinstance(scheme, str) or scheme.lower() not in INIT_SCHEMES:
-            raise ValueError(f"unknown init scheme {scheme!r}")
 
 
 @dataclass
@@ -240,21 +237,19 @@ def jmb_zf_svd_wf(h_est, p_t, alpha):
     return _precoders("zf-svd", h_est, p_t, [], [alpha])[0]
 
 
-def run_ao(h_est, sample, cfg, params):
+def run_ao(start, sample, p_t, params):
     """Alternate block updates and precoder solves until rbar settles.
 
     Parameters
     ----------
-    h_est : (n_t, k) complex ndarray
-        Channel estimate; only used through the initialization.
+    start : (n_t, k + 1) complex ndarray
+        Starting precoder, column 0 the common one (`initialize`). A zero
+        common column stays zero under every update, so the run from the
+        alpha = 1 start is the broadcast-only one.
     sample : MonteCarloSample
         Conditional realizations the averages run over.
-    cfg : CsitConfig
-        Provides p_t, which is the SNR since the noise power is one, and
-        alpha, which only sets the starting power split. At alpha = 1
-        the common column starts with no power, and a zero common column
-        stays zero under every update, so that run is the broadcast-only
-        one.
+    p_t : float
+        Power budget, which is the SNR since the noise power is one.
     params : AoParams
 
     Returns
@@ -265,26 +260,25 @@ def run_ao(h_est, sample, cfg, params):
     Inner-solver failures propagate; an inner MaxIter status is tolerated
     and visible in the trace.
 
-    This is `ao_steps` from the `initialize` start, driven alone.
+    This is `ao_steps` driven alone.
     """
-    p = initialize(params.init_scheme, h_est, cfg.p_t, cfg.alpha)
-    return run_one(ao_steps(p, sample, cfg, params))
+    return run_one(ao_steps(start, sample, p_t, params))
 
 
 def run_block(runs):
     """Step several AO runs in lockstep (`lockstep.drive`).
 
-    `runs` holds (start, sample, cfg, params) tuples, as `ao_steps` takes
-    them. The runs must share n_t, k and the sample size m; runs may
-    share a sample. Each keeps its own warm starts, faces, line searches,
-    incumbent fallbacks, extrapolation and stop test, and each run's
-    result has the bits `run_ao` gives it alone. Returns, per run,
-    (p, trace) or the JmbeamError that ended it.
+    `runs` holds (start, sample, p_t, params) tuples, as `run_ao` and
+    `ao_steps` take them. The runs must share n_t, k and the sample size
+    m; runs may share a sample. Each keeps its own warm starts, faces,
+    line searches, incumbent fallbacks, extrapolation and stop test, and
+    each run's result has the bits `run_ao` gives it alone. Returns, per
+    run, (p, trace) or the JmbeamError that ended it.
     """
     return drive([ao_steps(*run) for run in runs])
 
 
-def ao_steps(p, sample, cfg, params):
+def ao_steps(p, sample, p_t, params):
     """`run_ao` from the start p, as a generator for the lockstep driver:
     its requests are one block update per iteration, which settles the last
     extrapolation, and those of `qcqp.solve_steps`; it returns (p, trace)."""
@@ -295,7 +289,7 @@ def ao_steps(p, sample, cfg, params):
     stop = "n_max"
     sol = None
     for n in range(1, params.n_max + 1):
-        q, rbar, tried = yield _updates, (sample, p, p_try, cfg.p_t)
+        q, rbar, tried = yield _updates, (sample, p, p_try, p_t)
         if tried:
             p, beta = p_try, beta * 1.5
         elif p_try is not None:
@@ -324,8 +318,8 @@ def ao_steps(p, sample, cfg, params):
         if n >= EXTRAPOLATE_FROM:
             p_try = p + beta * (p - p_prev)
             power = precoder_power(p_try)
-            if power > cfg.p_t:
-                p_try *= math.sqrt(cfg.p_t / power)
+            if power > p_t:
+                p_try *= math.sqrt(p_t / power)
         p_prev = p
     if stop == "n_max" and p_try is not None:  # no next update settles p_try
         asr, asr_try = average_rates([sample, sample], np.array([p, p_try])).asr

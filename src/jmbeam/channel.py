@@ -54,10 +54,10 @@ def error_variance(p_t, alpha):
     The power law exceeds the unit channel variance at sub-0 dB budgets;
     the cap keeps the estimate meaningful there.
     """
-    if not 0 < p_t < np.inf:
-        raise ValueError("p_t must be positive and finite")
-    if not alpha >= 0:
-        raise ValueError("alpha must be nonnegative")
+    if type(p_t) is bool or not 0 < p_t < np.inf:  # a bool is not a number
+        raise ValueError(f"p_t must be a positive finite number, got {p_t!r}")
+    if type(alpha) is bool or not alpha >= 0:
+        raise ValueError(f"alpha must be a nonnegative number, got {alpha!r}")
     # at p_t <= 1 the law is at least 1, and p_t ** -alpha may overflow
     return 1.0 if p_t <= 1 else float(p_t) ** (-float(alpha))
 
@@ -180,7 +180,7 @@ def draw_sample(rng, h_est, sigma_e2, m):
     """
     if type(m) is bool or not isinstance(m, numbers.Integral) or m < 1:
         raise ValueError("m must be an integer >= 1")
-    if not 0 <= sigma_e2 < np.inf:
+    if type(sigma_e2) is bool or not 0 <= sigma_e2 < np.inf:
         raise ValueError(f"sigma_e2 must be nonnegative and finite, got {sigma_e2!r}")
     h_est = np.asarray(h_est, dtype=complex)
     err = complex_gaussian(rng, (m,) + h_est.shape, var=sigma_e2)

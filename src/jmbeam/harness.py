@@ -6,8 +6,8 @@ p_t = 10**(snr_db/10). Each (alpha, snr, channel) cell owns an RNG
 substream derived from the master seed; the scheme is deliberately not
 part of the key, so all schemes see identical channel draws and Monte
 Carlo samples (paired comparison). The true channel is only ever used
-for evaluation, never inside an optimizer. BC-AWSMSE is the JMB-AWSMSE
-run at alpha = 1 (`_ao_run`), on the cell's channel.
+for evaluation, never inside an optimizer. BC-AWSMSE and ZF-WF are the
+JMB designs at alpha = 1 (`_design_alpha`), on the cell's channel.
 
 A sweep task is a block of consecutive channels of the grid, sized by
 `_blocks` from the grid, m and the worker count. It draws a channel and
@@ -159,8 +159,8 @@ class ExperimentConfig:
     def to_dict(self):
         return asdict(self)
 
-    def ao_params(self, init_scheme=AoParams.init_scheme):
-        return AoParams(epsilon_r=self.epsilon_r, n_max=self.n_max, init_scheme=init_scheme)
+    def ao_params(self):
+        return AoParams(epsilon_r=self.epsilon_r, n_max=self.n_max)
 
 
 @dataclass(frozen=True)
@@ -245,26 +245,25 @@ def run_single(cfg, scheme, snr_db, alpha, seed):
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
     csit, draw, sample = _draw(cfg, snr_db, alpha, seed)
+    a = _design_alpha(scheme, csit)
     if scheme.endswith("AWSMSE"):
-        p, trace = run_ao(*_ao_run(cfg, scheme, csit, draw, sample))
+        start = initialize("zf-svd", draw.h_est, csit.p_t, a)
+        p, trace = run_ao(start, sample, csit.p_t, cfg.ao_params())
     elif scheme.startswith("JMB"):
-        p, trace = jmb_zf_svd_wf(draw.h_est, csit.p_t, csit.alpha), None
+        p, trace = jmb_zf_svd_wf(draw.h_est, csit.p_t, a), None
     else:
         p, trace = zf_wf(draw.h_est, csit.p_t), None
     return p, float(sum_rate(draw.h_true, p)), trace
 
 
-def _ao_run(cfg, scheme, csit, draw, sample):
-    """The `run_ao` arguments of an AWSMSE scheme on one drawn channel.
-
-    BC-AWSMSE is the joint design at alpha = 1: its common column starts
-    with no power and, being zero, stays so under every update. JMB-AWSMSE
-    is that run, bit for bit, where its DoF split gives the common column
-    no power (p_t <= 1). Only the optimizer sees that alpha, not the channel.
-    """
-    if scheme.startswith("BC") or dof_power_split(csit.p_t, csit.alpha)[0] == 0.0:
-        csit = replace(csit, alpha=1.0)
-    return draw.h_est, sample, csit, cfg.ao_params()
+def _design_alpha(scheme, csit):
+    """The DoF-split alpha of a scheme's start or one-shot design on a cell:
+    1.0 for BC-AWSMSE and ZF-WF, whose zero common column stays zero, and
+    where the cell's split gives the common column no power (p_t <= 1), to
+    the same bits; else the cell's alpha, which alone draws the channel."""
+    if scheme in ("BC-AWSMSE", "ZF-WF") or dof_power_split(csit.p_t, csit.alpha)[0] == 0.0:
+        return 1.0
+    return csit.alpha
 
 
 def _blocks(cells, m, threads):
@@ -283,30 +282,32 @@ def _block_task(cfg, cells):
     (scheme, channel).
 
     `cells` holds (alpha, snr_db, channel) triples. Each channel's draw,
-    sample and `_precoders` call (its AWSMSE starts and one-shot designs)
-    serve all schemes. The block's AWSMSE runs step in lockstep
-    (`run_block`), each distinct run once, and one stacked call scores
-    every precoder on its true channel (`_sum_rates`, row by row if it
-    fails), with the bits `run_single` gives it. Returns the block's
-    sr_detail.csv rows and meta.json failures, in cell and scheme order.
+    sample and `_precoders` call (its AWSMSE starts and one-shot designs,
+    at their `_design_alpha`) serve all schemes. The block's AWSMSE runs
+    step in lockstep (`run_block`), one per (channel, alpha), and one
+    stacked call scores every precoder on its true channel (`_sum_rates`,
+    row by row if it fails), with the bits `run_single` gives it. Returns
+    the block's sr_detail.csv rows and meta.json failures, in cell and
+    scheme order.
     """
     draws = [
         _draw(cfg, snr_db, alpha, cell_seed(cfg.master_seed, alpha, snr_db, ch))
         for alpha, snr_db, ch in cells
     ]
+    opt = [s for s in cfg.schemes if s.endswith("AWSMSE")]
+    wf = [s for s in cfg.schemes if s not in opt]
     found, keys, runs = {}, {}, {}  # (cell, scheme) -> precoder, then sum rate, or error
     for c, (csit, draw, sample) in enumerate(draws):
-        opt = {s: _ao_run(cfg, s, csit, draw, sample) for s in cfg.schemes if s.endswith("AWSMSE")}
-        wf = [s for s in cfg.schemes if s not in opt]
+        alphas = {s: _design_alpha(s, csit) for s in cfg.schemes}
         try:
-            ps = _precoders("zf-svd", draw.h_est, csit.p_t, [r[2].alpha for r in opt.values()],
-                            [csit.alpha if s.startswith("JMB") else 1.0 for s in wf])
+            ps = _precoders("zf-svd", draw.h_est, csit.p_t, [alphas[s] for s in opt],
+                            [alphas[s] for s in wf])
         except JmbeamError as e:
             found.update(dict.fromkeys([(c, s) for s in cfg.schemes], e))
             continue
-        for (s, run), p in zip(opt.items(), ps):  # a run per (cell, optimizer alpha)
-            keys[c, s] = c, run[2].alpha
-            runs.setdefault(keys[c, s], (p, *run[1:]))
+        for s, p in zip(opt, ps):  # a run per (cell, optimizer alpha)
+            keys[c, s] = c, alphas[s]
+            runs.setdefault(keys[c, s], (p, sample, csit.p_t, cfg.ao_params()))
         found.update(zip([(c, s) for s in wf], ps[len(opt):]))
     results = dict(zip(runs, run_block(list(runs.values()))))
     for cs, key in keys.items():
@@ -371,9 +372,16 @@ def write_detail_csv(path, details):
     _write_rows(path, ("scheme", "alpha", "snr_db", "channel", "sr"), details)
 
 
+def _make_out_dir(out_dir):
+    """Create out_dir; one that cannot be made is a ConfigError."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make output directory {out_dir}: {e}") from None
+
+
 def _write_meta(out_dir, cfg, extra):
-    """Create out_dir and write its meta.json: the config, the versions
-    and `extra`."""
+    """Write out_dir's meta.json: the config, the versions and `extra`."""
     from importlib.metadata import PackageNotFoundError, version
 
     try:
@@ -391,7 +399,6 @@ def _write_meta(out_dir, cfg, extra):
         },
     }
     meta.update(extra)
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "meta.json"), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -409,10 +416,11 @@ def run_sweep(cfg, out_dir=None):
     m and threads; a run's bits on none of them. The detail rows and
     failures of finished blocks are joined in block order, and the rows
     averaged into the returned records. Writes esr.csv, sr_detail.csv
-    and meta.json into out_dir when given; meta.json counts completed
-    and total tasks in channels. On interrupt or a dead pool worker,
-    every block that already completed, in any order, is flushed, with
-    the abort reason in meta.json, before the exception propagates.
+    and meta.json into out_dir when given, which is made before the first
+    block; meta.json counts completed and total tasks in channels. On
+    interrupt or a dead pool worker, every block that already completed,
+    in any order, is flushed, with the abort reason in meta.json, before
+    the exception propagates.
     """
     cells = [
         (alpha, snr_db, ch)
@@ -421,6 +429,8 @@ def run_sweep(cfg, out_dir=None):
         for ch in range(cfg.n_channels)
     ]
     tasks = _blocks(cells, cfg.m, cfg.threads)
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     results = {}  # task index -> (detail rows, failures)
     futures = []
     abort = None
@@ -489,7 +499,7 @@ def run_convergence(cfg, out_dir=None):
     The traces are of the config's one alpha, and their file names hold
     the SNR to 6 digits (:g). A config with more than one alpha, or with
     two SNRs of one name, raises ConfigError before anything runs or is
-    written.
+    written; an out_dir that cannot be made raises it after the runs.
     """
     if len(cfg.alphas) != 1:
         raise ConfigError(
@@ -503,13 +513,14 @@ def run_convergence(cfg, out_dir=None):
     alpha = float(cfg.alphas[0])
 
     t0 = time.perf_counter()
+    params = cfg.ao_params()
     keys, runs = [], []
     for snr_db in snrs:
         csit, draw, sample = _draw(cfg, snr_db, alpha, cfg.master_seed)
+        a = _design_alpha("JMB-AWSMSE", csit)
         for init in inits:
             keys.append((snr_db, init))
-            p = initialize(init, draw.h_est, csit.p_t, csit.alpha)
-            runs.append((p, sample, csit, cfg.ao_params(init)))
+            runs.append((initialize(init, draw.h_est, csit.p_t, a), sample, csit.p_t, params))
     traces = {}
     for key, result in zip(keys, run_block(runs)):
         if isinstance(result, JmbeamError):
@@ -517,6 +528,7 @@ def run_convergence(cfg, out_dir=None):
         traces[key] = result[1]
 
     if out_dir is not None:
+        _make_out_dir(out_dir)
         _write_meta(
             out_dir,
             cfg,

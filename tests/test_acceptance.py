@@ -15,7 +15,7 @@ import pytest
 
 from _oracles import qcqp_dual_oracle
 from conftest import random_precoder, random_system
-from jmbeam.ao import AoParams, run_ao, water_fill
+from jmbeam.ao import AoParams, initialize, run_ao, water_fill
 from jmbeam.channel import complex_gaussian, substream
 from jmbeam.harness import (
     ExperimentConfig,
@@ -132,7 +132,8 @@ def test_criterion_4_ao_descent_and_stopping():
         cfg, draw, sample = random_system(
             6000 + seed, snr_db=snrs[seed % 3], alpha=0.6, m=50
         )
-        _, trace = run_ao(draw.h_est, sample, cfg, AoParams())
+        start = initialize("zf-svd", draw.h_est, cfg.p_t, cfg.alpha)
+        _, trace = run_ao(start, sample, cfg.p_t, AoParams())
         rises = np.diff(trace.awsmse_obj)
         if rises.size:
             worst_rise = max(worst_rise, float(rises.max()))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -145,15 +145,14 @@ def test_params_defaults_and_validation():
     p = AoParams()
     assert p.epsilon_r == 1e-3
     assert p.n_max == 200
-    assert p.init_scheme == "zf-svd"
     with pytest.raises(ValueError):
         AoParams(epsilon_r=0.0)
     with pytest.raises(ValueError):
         AoParams(n_max=0)
-    # a scheme that is not a string is as unknown as a misspelt one
-    for scheme in ("nope", 5, None):
-        with pytest.raises(ValueError):
-            AoParams(init_scheme=scheme)
+    # the start is the caller's (`initialize`), not a loop control
+    assert [f.name for f in fields(AoParams)] == ["epsilon_r", "n_max"]
+    with pytest.raises(TypeError):
+        AoParams(init_scheme="zf-svd")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -205,6 +204,11 @@ def test_trace_csv_round_trip(tmp_path):
 # run_ao
 
 
+def _zf_svd(h_est, csit, alpha=None):
+    """The 'zf-svd' start at csit's budget and at csit's alpha unless given."""
+    return initialize("zf-svd", h_est, csit.p_t, csit.alpha if alpha is None else alpha)
+
+
 def _scalar_setup(p_t=10.0):
     cfg = CsitConfig(n_t=1, k=1, alpha=1.0, p_t=p_t)
     h_est = np.array([[1.0 + 0j]])
@@ -216,7 +220,7 @@ def test_scalar_capacity():
     # perfect CSIT, one antenna, one user: the optimum is full-power
     # transmission at rate log2(1 + p_t)
     cfg, h_est, sample = _scalar_setup(10.0)
-    p, trace = run_ao(h_est, sample, cfg, AoParams(epsilon_r=1e-6))
+    p, trace = run_ao(_zf_svd(h_est, cfg), sample, cfg.p_t, AoParams(epsilon_r=1e-6))
     asr = average_rates(sample, p).asr
     assert asr == pytest.approx(np.log2(11.0), abs=1e-4)
     assert precoder_power(p) == pytest.approx(10.0, abs=1e-6)
@@ -225,16 +229,15 @@ def test_scalar_capacity():
 
 def test_huge_epsilon_runs_one_iteration():
     cfg, h_est, sample = _scalar_setup()
-    p, trace = run_ao(h_est, sample, cfg, AoParams(epsilon_r=1e3))
+    p, trace = run_ao(_zf_svd(h_est, cfg), sample, cfg.p_t, AoParams(epsilon_r=1e3))
     assert len(trace) == 1
     assert trace.stop_reason == "converged"
 
 
 def test_n_max_one():
     cfg, h_est, sample = _scalar_setup()
-    p, trace = run_ao(
-        h_est, sample, cfg, AoParams(epsilon_r=1e-12, n_max=1)
-    )
+    p, trace = run_ao(_zf_svd(h_est, cfg), sample, cfg.p_t,
+                      AoParams(epsilon_r=1e-12, n_max=1))
     assert len(trace) == 1
     assert trace.stop_reason == "n_max"
 
@@ -252,7 +255,7 @@ def test_an_n_max_run_keeps_the_better_of_its_last_update_and_extrapolation(monk
     cfg, draw, sample = random_system(seed, snr_db=30.0, m=200)
     stars, solve_steps = [], qcqp.solve_steps
     monkeypatch.setattr(qcqp, "solve_steps", recording_solve)
-    p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams(n_max=30))
+    p, trace = run_ao(_zf_svd(draw.h_est, cfg, 1.0), sample, cfg.p_t, AoParams(n_max=30))
     assert trace.stop_reason == "n_max"
     assert len(stars) == len(trace) == 30
     assert not np.array_equal(p, stars[-1])
@@ -278,7 +281,7 @@ def test_descent_and_audit_identity(monkeypatch):
     for seed in (0, 1, 2):
         cfg, draw, sample = random_system(seed, snr_db=20.0, m=20)
         audits = []
-        p, trace = run_ao(draw.h_est, sample, cfg, AoParams())
+        p, trace = run_ao(_zf_svd(draw.h_est, cfg), sample, cfg.p_t, AoParams())
         assert sum(audits) == len(trace)
         obj = np.array(trace.awsmse_obj)
         assert np.all(np.diff(obj) <= 1e-7)
@@ -289,7 +292,7 @@ def test_descent_and_audit_identity(monkeypatch):
 
 def test_bc_mode_common_column_stays_zero():
     cfg, draw, sample = random_system(5, snr_db=20.0, m=15)
-    p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
+    p, trace = run_ao(_zf_svd(draw.h_est, cfg, 1.0), sample, cfg.p_t, AoParams())
     assert np.all(p[:, 0] == 0)
     obj = np.array(trace.awsmse_obj)
     assert np.all(np.diff(obj) <= 1e-7)
@@ -327,7 +330,7 @@ def test_bc_run_is_the_alpha_one_joint_run(monkeypatch):
             m.setattr(ao, "_updates", blocks)
             m.setattr(qcqp, "build", recording_build)
             m.setattr(qcqp, "solve_steps", recording_solve)
-            p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
+            p, trace = run_ao(_zf_svd(draw.h_est, cfg, 1.0), sample, cfg.p_t, AoParams())
         assert len(steps) == len(trace) > 1
         assert np.all(p[:, 0] == 0)
         for (comps, q, sol), obj in zip(steps, trace.awsmse_obj):
@@ -354,7 +357,7 @@ def test_stationarity_at_convergence():
     # stopping threshold (geometric tail of the descent)
     cfg, draw, sample = random_system(8, snr_db=15.0, m=15)
     params = AoParams()
-    p, trace = run_ao(draw.h_est, sample, cfg, params)
+    p, trace = run_ao(_zf_svd(draw.h_est, cfg), sample, cfg.p_t, params)
     assert trace.stop_reason == "converged"
     gw = update_blocks(sample, p)
     comps = accumulate_components(sample, gw)
@@ -369,8 +372,8 @@ def test_stationarity_at_convergence():
 def test_higher_snr_needs_more_iterations():
     cfg_lo, draw_lo, sample_lo = random_system(9, snr_db=5.0, m=15)
     cfg_hi, draw_hi, sample_hi = random_system(9, snr_db=30.0, m=15)
-    _, tr_lo = run_ao(draw_lo.h_est, sample_lo, cfg_lo, AoParams())
-    _, tr_hi = run_ao(draw_hi.h_est, sample_hi, cfg_hi, AoParams())
+    _, tr_lo = run_ao(_zf_svd(draw_lo.h_est, cfg_lo), sample_lo, cfg_lo.p_t, AoParams())
+    _, tr_hi = run_ao(_zf_svd(draw_hi.h_est, cfg_hi), sample_hi, cfg_hi.p_t, AoParams())
     assert len(tr_hi) > len(tr_lo)
 
 
@@ -382,12 +385,12 @@ def test_extrapolation_converges_where_plain_loop_crawls(monkeypatch):
     cfg, draw, sample = random_system(seed, snr_db=30.0, m=200)
     with monkeypatch.context() as m:
         m.setattr(ao, "EXTRAPOLATE_FROM", 201)
-        p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
+        p, trace = run_ao(_zf_svd(draw.h_est, cfg, 1.0), sample, cfg.p_t, AoParams())
     assert trace.stop_reason == "n_max"
     assert trace.rbar[-1] - trace.rbar[-51] > 0.3
     assert average_rates(sample, p).asr < 8.8
 
-    p, trace = run_ao(draw.h_est, sample, replace(cfg, alpha=1.0), AoParams())
+    p, trace = run_ao(_zf_svd(draw.h_est, cfg, 1.0), sample, cfg.p_t, AoParams())
     assert trace.stop_reason == "converged" and len(trace) < 100
     assert average_rates(sample, p).asr > 10.8
     assert np.all(np.diff(trace.awsmse_obj) <= 1e-7)

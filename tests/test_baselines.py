@@ -179,6 +179,13 @@ def test_jmb_zf_svd_alpha_one_equals_zf_wf():
         a = jmb_zf_svd_wf(h, p_t, 1.0)
         assert np.all(a[:, 0] == 0)
         assert np.array_equal(a, zf_wf(h, p_t)), (n_t, k, p_t)
+        # so does any alpha at p_t <= 1, where the DoF split clamps the
+        # common power at zero: the sweep designs JMB-ZF-SVD at alpha = 1 there
+        for snr_db in (-20.0, -5.0, 0.0):
+            p_lo = 10.0 ** (snr_db / 10.0)
+            for alpha in (0.0, 0.3, 0.6, 1.0):
+                b = jmb_zf_svd_wf(h, p_lo, alpha)
+                assert np.array_equal(b, zf_wf(h, p_lo)), (n_t, k, snr_db, alpha)
 
 
 def test_jmb_zf_svd_alpha_zero_split():

@@ -195,6 +195,21 @@ def test_draw_sample_rejects_a_variance_that_is_not_one():
             draw_sample(substream(1, 1), np.ones((2, 2)), bad, 2)
 
 
+def test_a_bool_is_not_a_number_in_the_channel_model():
+    # True compares as 1: alpha=True gave sigma_e2 0.01 at 20 dB and
+    # p_t=True a unit budget; each is rejected naming the field, as n_t,
+    # k and m are. numpy floats are numbers
+    for field, kw in (("alpha", dict(alpha=True, p_t=100.0)),
+                      ("p_t", dict(alpha=0.6, p_t=True))):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            CsitConfig(n_t=2, k=2, **kw)
+    with pytest.raises(ValueError, match="^sigma_e2 must be"):
+        draw_sample(substream(1, 1), np.ones((2, 2)), True, 3)
+    cfg = CsitConfig(n_t=2, k=2, alpha=np.float64(0.5), p_t=np.float32(100.0))
+    assert cfg.sigma_e2 == 0.1
+    assert draw_sample(substream(1, 1), np.ones((2, 2)), np.float64(0.1), 3).m == 3
+
+
 def test_draw_sample_conditional_mean():
     # average over m recovers the estimate; 4 standard errors at M = 1e4
     cfg = CsitConfig(n_t=2, k=2, alpha=0.6, p_t=10.0)

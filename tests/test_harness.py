@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_cfg
-from jmbeam import ao, harness, receivers
+from jmbeam import ao, harness, qcqp, receivers, socp
 from jmbeam.ao import INIT_SCHEMES, AoTrace, run_ao, zf_wf
 from jmbeam.channel import CsitConfig, draw_sample, make_draw, substream
 from jmbeam.errors import ConfigError
@@ -157,8 +158,8 @@ def test_config_ao_params():
     ap = cfg.ao_params()
     assert ap.epsilon_r == cfg.epsilon_r
     assert ap.n_max == cfg.n_max
-    assert ap.init_scheme == "zf-svd"
-    assert cfg.ao_params("mf-e").init_scheme == "mf-e"
+    # the start is not a loop control: the harness builds each run's own
+    assert not inspect.signature(cfg.ao_params).parameters
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +523,25 @@ def test_bc_rows_are_the_alpha_one_run_and_no_option_selects_them(tmp_path):
     for _, alpha, snr_db, ch, sr in bc:
         seed = cell_seed(cfg.master_seed, float(alpha), float(snr_db), int(ch))
         csit, draw, sample = harness._draw(cfg, float(snr_db), float(alpha), seed)
-        p, _ = run_ao(draw.h_est, sample, replace(csit, alpha=1.0), cfg.ao_params())
+        start = ao.initialize("zf-svd", draw.h_est, csit.p_t, 1.0)
+        p, _ = run_ao(start, sample, csit.p_t, cfg.ao_params())
         assert sr == repr(float(sum_rate(draw.h_true, p))), (snr_db, ch)
+
+
+def test_benchmark_hooks_name_attributes_that_exist():
+    # perfbench/layers.py wraps these module attributes by name and
+    # perfbench/speed.py patches harness.run_single, so a refactor that
+    # drops or renames one breaks the traced benchmark, not the sweep
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", Path(__file__).resolve().parent.parent / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    modules = {"harness": harness, "ao": ao, "qcqp": qcqp, "socp": socp}
+    assert set(layers.TRACE_POINTS) == set(modules)
+    for mod, points in layers.TRACE_POINTS.items():
+        for attr, _ in points:
+            assert callable(getattr(modules[mod], attr, None)), (mod, attr)
+    assert callable(harness.run_single)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +589,8 @@ def test_convergence_draws_through_the_channel_model(monkeypatch):
     seen = []
 
     def recording_run_block(runs):
-        for start, sample, csit, params in runs:
-            seen.append((csit.p_t, start, params.init_scheme, sample.realizations))
+        for start, sample, p_t, _ in runs:
+            seen.append((p_t, start, sample.realizations))
         return run_block(runs)
 
     run_block = harness.run_block
@@ -580,8 +598,9 @@ def test_convergence_draws_through_the_channel_model(monkeypatch):
     run_convergence(cfg)
     n_inits = len(INIT_SCHEMES)
     assert len(seen) == len(snrs) * n_inits
-    for i, (p_t, start, init, realizations) in enumerate(seen):
-        snr_db = snrs[i // n_inits]
+    for i, (p_t, start, realizations) in enumerate(seen):
+        # the runs come in (SNR, init) order
+        snr_db, init = snrs[i // n_inits], INIT_SCHEMES[i % n_inits]
         csit = CsitConfig(n_t=cfg.n_t, k=cfg.k, alpha=cfg.alphas[0], p_t=p_t)
         assert p_t == snr_to_pt(snr_db)
         draw = make_draw(substream(cfg.master_seed, 0), csit)
@@ -609,7 +628,8 @@ def test_convergence_runs_step_as_one_block_with_the_bits_of_runs_alone(monkeypa
     for snr_db in snrs:
         csit, draw, sample = harness._draw(cfg, snr_db, cfg.alphas[0], cfg.master_seed)
         for init in ("zf-svd", "zf-e", "mf-svd", "mf-e"):
-            _, alone = run_ao(draw.h_est, sample, csit, cfg.ao_params(init))
+            start = ao.initialize(init, draw.h_est, csit.p_t, csit.alpha)
+            _, alone = run_ao(start, sample, csit.p_t, cfg.ao_params())
             assert vars(traces[(snr_db, init)]) == vars(alone), (snr_db, init)
 
 
@@ -698,6 +718,29 @@ def test_cli_sweep_overflowing_epsilon_r_exits_2(tmp_path, capsys, literal):
     err = capsys.readouterr().err
     assert "epsilon_r" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_unusable_out_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    # --out under a regular file cannot be a directory: the sweep ran every
+    # block and then died in a traceback making it. It now exits 2 before
+    # its first block, and convergence exits 2 after its runs; neither
+    # touches the file. Permission bits would not do: root writes anyway
+    from jmbeam.cli import main
+
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    cfgp = _write_cfg(tmp_path)
+    tasks = []
+    block_task = harness._block_task
+    monkeypatch.setattr(harness, "_block_task", lambda *a: tasks.append(a) or block_task(*a))
+    for command in ("sweep", "convergence"):
+        out = str(blocker / "sub")
+        assert main([command, "--config", cfgp, "--out", out]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot make output directory") and out in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "keep"
+    assert tasks == []
 
 
 def test_cli_single(tmp_path, capsys):

@@ -128,12 +128,13 @@ def test_block_runs_match_runs_alone_and_single(tmp_path, monkeypatch, small_blo
 def test_zero_db_rows_share_one_alpha_one_run(tmp_path, monkeypatch):
     # at 0 dB the DoF split gives JMB-AWSMSE's start no common power, so
     # its run is, bit for bit, BC-AWSMSE's alpha = 1 run: the block runs
-    # it once per channel and writes both rows from it
+    # it once per channel and writes both rows from it. So are the
+    # one-shot designs: JMB-ZF-SVD is ZF-WF there
     cfg = _block_cfg(snr_db=(0.0, 20.0), n_channels=3)
     blocks = _recorded_sweep(monkeypatch, cfg, tmp_path / "sweep")
     runs = [run for block, _ in blocks for run in block]
-    zero = [run for run in runs if run[2].p_t == 1.0]
-    assert len(zero) == cfg.n_channels and all(run[2].alpha == 1.0 for run in zero)
+    zero = [run for run in runs if run[2] == 1.0]
+    assert len(zero) == cfg.n_channels and all(not run[0][:, 0].any() for run in zero)
     assert len(runs) == 3 * cfg.n_channels
     rows = (tmp_path / "sweep" / "sr_detail.csv").read_text().splitlines()[1:]
     sr = {(scheme, float(snr_db), int(ch)): value
@@ -141,12 +142,14 @@ def test_zero_db_rows_share_one_alpha_one_run(tmp_path, monkeypatch):
     for ch in range(cfg.n_channels):
         assert sr["JMB-AWSMSE", 0.0, ch] == sr["BC-AWSMSE", 0.0, ch]
         assert sr["JMB-AWSMSE", 20.0, ch] != sr["BC-AWSMSE", 20.0, ch]
+        assert sr["JMB-ZF-SVD", 0.0, ch] == sr["ZF-WF", 0.0, ch]
+        assert sr["JMB-ZF-SVD", 20.0, ch] != sr["ZF-WF", 20.0, ch]
         # the premise: the cell's alpha gives the alpha = 1 run's bits
         seed = cell_seed(cfg.master_seed, 0.6, 0.0, ch)
         csit, draw, sample = harness._draw(cfg, 0.0, 0.6, seed)
-        joint = run_ao(draw.h_est, sample, csit, cfg.ao_params())
-        assert _same_run(joint, run_ao(draw.h_est, sample, replace(csit, alpha=1.0),
-                                       cfg.ao_params()))
+        joint, bc = (run_ao(ao.initialize("zf-svd", draw.h_est, csit.p_t, a), sample,
+                            csit.p_t, cfg.ao_params()) for a in (csit.alpha, 1.0))
+        assert _same_run(joint, bc)
 
 
 def test_block_does_each_channels_one_shot_work_once(monkeypatch, small_blocks):
@@ -327,10 +330,11 @@ def test_numerical_breakdown_fails_one_run_of_a_block():
     runs = []
     for snr_db in (20.0, 3080.0, 30.0):
         seed = cell_seed(cfg.master_seed, 0.6, snr_db, 0)
-        cell = harness._draw(cfg, snr_db, 0.6, seed)
-        runs.append(harness._ao_run(cfg, "JMB-AWSMSE", *cell))
-    out = ao.run_block([(ao.initialize(params.init_scheme, h_est, csit.p_t, csit.alpha),
-                         sample, csit, params) for h_est, sample, csit, params in runs])
+        csit, draw, sample = harness._draw(cfg, snr_db, 0.6, seed)
+        alpha = harness._design_alpha("JMB-AWSMSE", csit)
+        start = ao.initialize("zf-svd", draw.h_est, csit.p_t, alpha)
+        runs.append((start, sample, csit.p_t, cfg.ao_params()))
+    out = ao.run_block(runs)
     assert isinstance(out[1], NumericalBreakdown)
     for i in (0, 2):
         assert _same_run(out[i], run_ao(*runs[i]))
@@ -348,9 +352,9 @@ def _certified_runs(monkeypatch, cfg):
     blocks = _recorded_sweep(monkeypatch, cfg, None)
     runs = [run for block, _ in blocks for run in block]
     results = [r for _, res in blocks for r in res]
-    # one run per distinct (channel, optimizer alpha): where JMB's start
-    # has no common power (0 dB), it is BC's alpha = 1 run
-    distinct = {(run[1].user_channels.tobytes(), run[2].alpha) for run in runs}
+    # one run per distinct (channel, start): where JMB's start has no
+    # common power (0 dB), it is BC's alpha = 1 run
+    distinct = {(run[1].user_channels.tobytes(), run[0].tobytes()) for run in runs}
     assert len(results) == len(runs) == len(distinct) == cfg.n_channels * sum(
         1 if ao.dof_power_split(harness.snr_to_pt(s), a)[0] == 0 else 2
         for s in cfg.snr_db for a in cfg.alphas)
